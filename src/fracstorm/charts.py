@@ -7,8 +7,6 @@ and ln(log E_t) vertically, the coordinates in which the noise-excitation
 index is the straight-line slope.
 """
 
-import math
-
 import numpy as np
 
 from .errors import DomainError

@@ -19,20 +19,13 @@ restricted to a single decade of moderate lambda; it exists to cross-check
 the Volterra backend on the overlap window, not to fit the index.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, NumericsError
 from .kernels import EigenSystem
-from .moments import (
-    _colored_tables,
-    _white_tables,
-    second_moment_colored,
-    second_moment_white,
-)
-from .params import ModelParams
+from .moments import MomentField, MomentPlan, second_moment_colored, second_moment_white
 from .simulate import SimConfig, simulate_mild
 
 __all__ = [
@@ -161,28 +154,19 @@ def _theory_for(params):
 
 
 def _volterra_fields(params, es, u0, t, lambdas, nt, threads=1):
-    """Moment fields for every lambda, sharing the lag tables across the sweep.
+    """Moment fields for every lambda, sharing one MomentPlan across the sweep.
 
     Independent lambda cells may run on a thread pool (the solvers only read
-    the shared tables); results are collected in grid order either way.
+    the shared plan); results are collected in grid order either way.
     """
-    if params.noise.kind == "white":
-        eta = 1.0 - params.d * params.beta / params.alpha
-        tables = _white_tables(es, params.beta, eta, t, nt)
+    plan = MomentPlan.build(params, es, u0, t, nt)
 
-        def solve(lam):
-            p = replace(params, lam=float(lam))
-            return second_moment_white(p, es, u0, 1.0, t, nt, tables=tables)
-    else:
-        gamma = params.noise.gamma
-        eta = 1.0 - gamma * params.beta / params.alpha
-        tables = _colored_tables(es, params.beta, eta, gamma, t, nt)
-
-        def solve(lam):
-            p = replace(params, lam=float(lam))
-            tp = second_moment_colored(p, es, u0, 1.0, gamma, t, nt,
-                                       tables=tables)
-            return tp.diagonal_field()
+    def solve(lam):
+        p = replace(params, lam=float(lam))
+        if p.noise.kind == "white":
+            return second_moment_white(p, es, u0, 1.0, t, nt, plan=plan)
+        return second_moment_colored(p, es, u0, 1.0, p.noise.gamma, t, nt,
+                                     plan=plan).diagonal_field()
 
     if int(threads) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -222,26 +206,19 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
 
     if method == "volterra":
         fields = _volterra_fields(params, es, u0, t, lam, nt, threads=threads)
-        if functional == "energy":
-            logv = np.array([f.energy_log() for f in fields])
-        else:
-            logv = np.array([f.sup_log() for f in fields])
     else:
         cfg = mc_config if mc_config is not None else SimConfig(
             nx=es.grid.n, nt=nt, T=t, replicates=400, seed=0
         )
         if cfg.nx != es.grid.n or cfg.T != t or cfg.nt != nt:
             cfg = replace(cfg, nx=es.grid.n, T=t, nt=nt)
-        logv = np.empty(lam.size)
-        for i, lv in enumerate(lam):
-            p = replace(params, lam=float(lv))
-            est = simulate_mild(p, es, u0, cfg, threads=threads)
-            if functional == "energy":
-                e = float(est.mean[-1].sum() * es.grid.h)
-                logv[i] = 0.5 * math.log(e) if e > 0.0 else -np.inf
-            else:
-                m = float(est.mean[-1].max())
-                logv[i] = math.log(m) if m > 0.0 else -np.inf
+        fields = []
+        for lv in lam:
+            est = simulate_mild(replace(params, lam=float(lv)), es, u0, cfg, threads=threads)
+            fields.append(MomentField(times=est.times, grid=es.grid, values=est.mean,
+                                      log_scale=np.zeros(nt + 1)))
+    logv = np.array([f.energy_log() if functional == "energy" else f.sup_log()
+                     for f in fields])
 
     slope, mask, residuals = _fit_top_window(lam, logv, theory)
     return ExcitationFit(

@@ -47,7 +47,6 @@ from .errors import DomainError, NumericsError
 from .quadrature import fixed_panel_nodes
 
 __all__ = [
-    "FracOrder",
     "SampledFunction",
     "mittag_leffler",
     "mittag_leffler_log",
@@ -61,21 +60,7 @@ __all__ = [
 
 _SERIES_SEAM = 0.9  # |x| at which the Taylor series hands over to the integral
 _FAR_ASYMPTOTIC = 1.0e4  # -x beyond which the reflection asymptotic is used
-
-
-@dataclass(frozen=True)
-class FracOrder:
-    """Validated fractional order beta in (0, 1]; beta = 1 is the classical limit."""
-
-    beta: float
-
-    def __post_init__(self):
-        b = float(self.beta)
-        if not np.isfinite(b) or not (0.0 < b <= 1.0):
-            raise DomainError(f"fractional order must lie in (0, 1], got {self.beta}")
-
-    def __float__(self):
-        return float(self.beta)
+_ML_BLOCK = 2048  # points per (nodes x points) block of the spectral integral
 
 
 @dataclass(frozen=True)
@@ -158,12 +143,22 @@ def _ml_neg(beta, y):
     if small.any():
         out[small] = _ml_series(beta, -y[small])
     if mid.any():
+        # One node set for the whole band, so a point's value does not
+        # depend on the block it falls in; blocks bound the memory.
         ym = y[mid]
         w, pw = _ml_neg_integral_nodes(beta, float(ym.max()))
         ew = pw * np.exp(-w ** (1.0 / beta))
         cb = np.cos(np.pi * beta)
-        den = (w * w)[:, None] / ym[None, :] + 2.0 * cb * w[:, None] + ym[None, :]
-        out[mid] = np.sin(np.pi * beta) / (np.pi * beta) * (ew @ (1.0 / den))
+        vals = np.empty_like(ym)
+        for lo in range(0, ym.size, _ML_BLOCK):
+            yb = ym[lo:lo + _ML_BLOCK]
+            den = (w * w)[:, None] / yb[None, :]
+            den += 2.0 * cb * w[:, None]
+            den += yb[None, :]
+            vals[lo:lo + _ML_BLOCK] = np.sin(np.pi * beta) / (np.pi * beta) * (
+                ew @ np.reciprocal(den, out=den))
+            del den  # free this block before the next one is allocated
+        out[mid] = vals
     if far.any():
         # E_beta(-y) ~ sum_{k>=1} (-1)^(k-1) y^-k sin(pi beta k) Gamma(beta k) / pi
         yf = y[far]

@@ -31,9 +31,9 @@ time-fractional kernel:
     spectral:       G_B(t,x,y) = sum_n E_beta(-mu_n t^beta) phi_n(x) phi_n(y)
     subordination:  G_B(t,x,y) = int_0^inf p_B(s,x,y) f_{E_t}(s) ds
 
-which must agree; the test suite enforces this.  ``apply_semigroup`` and
-``colored_kernel_convolution`` are the field and covariance actions used by
-the moment solvers.
+which must agree; the test suite enforces this.  ``apply_semigroup`` is the
+field action G_B(t) v, at one time or at an array of times; it is the only
+evaluation of the deterministic part G_B u0 in the package.
 """
 
 from dataclasses import dataclass
@@ -41,11 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma as _gamma, gammaln, j0
+from scipy.special import gamma as _gamma, j0
 
 from .errors import DomainError, NumericsError
 from .fracfun import inverse_subordinator_density, mittag_leffler
-from .params import ModelParams, SpaceGrid
+from .params import SpaceGrid
 from .quadrature import adaptive_gauss, fixed_panel_nodes, integrate_semi_infinite
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "dirichlet_fractional_kernel",
     "dirichlet_kernel_subordination",
     "apply_semigroup",
-    "colored_kernel_convolution",
     "riesz_kernel_matrix",
     "estimate_floor_constant",
 ]
@@ -406,14 +405,19 @@ def apply_semigroup(es, beta, t, v):
     """Action of the fractional Dirichlet semigroup on grid samples v.
 
     (G_B(t) v)(x_i) = sum_n E_beta(-mu_n t^beta) <phi_n, v>_h phi_n(x_i).
+    A scalar t gives shape (n,); a 1-d array of times gives one row per
+    time, shape (len(t), n), from a single Mittag-Leffler call.
     """
     v = np.asarray(v, float)
     if v.shape != (es.grid.n,):
         raise DomainError("field shape must match the grid")
-    t = _check_t(t)
+    t = np.asarray(t, float)
+    if t.ndim > 1 or not np.all(np.isfinite(t) & (t > 0.0)):
+        raise DomainError(f"times must be positive and finite, got {t}")
     coef = es.grid.h * (es.phi.T @ v)
-    e = mittag_leffler(float(beta), -es.mu * t ** float(beta))
-    return es.phi @ (e * coef)
+    e = mittag_leffler(float(beta), -np.outer(t ** float(beta), es.mu))
+    out = (e * coef) @ es.phi.T
+    return out if t.ndim else out[0]
 
 
 def riesz_kernel_matrix(grid, gamma):
@@ -432,20 +436,6 @@ def riesz_kernel_matrix(grid, gamma):
         Cbar = D ** (-g)
     np.fill_diagonal(Cbar, grid.h ** (-g) * 2.0 / ((1.0 - g) * (2.0 - g)))
     return Cbar
-
-
-def colored_kernel_convolution(es, beta, t, riesz_matrix):
-    """Double kernel-covariance contraction
-
-        Q(t; y, z) = int int G_B(t,y,w) |w-w'|^(-gamma) G_B(t,z,w') dw dw'
-
-    on the grid: h^2 * G Cbar G^T with Cbar the cell-averaged Riesz matrix.
-    This is the colored-noise analogue of the squared kernel and carries the
-    diagonal lag singularity t^(-gamma beta / alpha).
-    """
-    G = dirichlet_fractional_kernel(es, beta, t)
-    h = es.grid.h
-    return h * h * (G @ riesz_matrix @ G.T)
 
 
 def estimate_floor_constant(es, beta, alpha, d=1, interior_frac=0.75,

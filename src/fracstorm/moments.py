@@ -26,6 +26,13 @@ growth exp(t (kappa A Gamma(eta))^(1/eta)) exactly, which is what makes
 noise-level sweeps up to lam = 1e6 representable.  All slices are stored in
 split form value * exp(log_scale) so nothing overflows.
 
+Everything in a solve that does not depend on lam (G_B u0 at every time,
+the newest-cell mass, the history tables) is a frozen ``MomentPlan``, which
+a lam sweep builds once and passes as ``plan=``.  Both solvers run one
+log-split stepper that only the history contraction tells apart: S[m] @ mid
+(white) or the symmetrised sandwich h^2 Delta Gmid[m] (Cbar * mid) Gmid[m]^T
+(colored), one stacked contraction per step.
+
 The scalar renewal solver ``renewal_volterra_solve`` handles the equality
 case f = c1 + kappa int (t-s)^(rho-1) f(s) ds by piecewise-linear product
 integration (exact kernel moments on every cell, implicit newest cell); its
@@ -37,20 +44,26 @@ log-space companion for arguments far beyond overflow.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gamma as _gamma
 
 from .errors import DomainError, NumericsError
 from .fracfun import SampledFunction, mittag_leffler, mittag_leffler_log
-from .kernels import dirichlet_fractional_kernel, riesz_kernel_matrix
-from .params import SpaceGrid
+from .kernels import (
+    EigenSystem,
+    apply_semigroup,
+    dirichlet_fractional_kernel,
+    riesz_kernel_matrix,
+)
+from .params import ModelParams, SpaceGrid
 from .quadrature import fixed_panel_nodes
 
 __all__ = [
     "MomentField",
     "TwoPointField",
+    "MomentPlan",
     "second_moment_white",
     "second_moment_colored",
     "renewal_volterra_solve",
@@ -81,19 +94,10 @@ def _normalize(vals):
     return vals * math.exp(-k), float(k)
 
 
-def _midpoint_split(va, la, vb, lb, frame):
-    """Geometric-mean half-step interpolant between slices (va, la) and
-    (vb, lb), expressed in `frame`.
-
-    Exact for exponential growth, the regime that matters at large lam.
-    Entries where either endpoint is zero interpolate to zero: a stored zero
-    is an underflow artifact sitting hundreds of decades below the slice
-    maximum, so the node's true midpoint is unresolvable and negligible.
-    The frame never sits below the pair's mean scale, so the exponent is
-    nonpositive and cannot overflow.
-    """
-    out = np.sqrt(va * vb) * math.exp(min(0.5 * (la + lb) - frame, 0.0))
-    return np.where((va > 0.0) & (vb > 0.0), out, 0.0)
+def _log_positive(x):
+    """log x where x > 0, -inf elsewhere."""
+    out = np.full(x.shape, -np.inf)
+    return np.log(x, out=out, where=x > 0.0)
 
 
 @dataclass(frozen=True)
@@ -186,14 +190,6 @@ class TwoPointField:
         return -np.inf if m <= 0.0 else math.log(m) + float(self.log_scale[j])
 
 
-def _deterministic_part(es, beta, u0, times):
-    """(G_B u0)(t_j, x) for all j at once, shape (len(times), n)."""
-    coef = es.grid.h * (es.phi.T @ u0)
-    tb = np.asarray(times, float) ** float(beta)
-    e = mittag_leffler(float(beta), -np.outer(tb, es.mu))
-    return (e * coef) @ es.phi.T
-
-
 def _closure_nodes(eta, delta):
     """Gauss nodes/weights on the newest cell with tau = Delta u^(1/eta)
     flattening the tau^(eta-1) head of the lag kernel."""
@@ -205,144 +201,180 @@ def _closure_nodes(eta, delta):
     return tau, jac
 
 
-def _white_tables(es, beta, eta, T, nt):
-    """lam-independent solver tables.
+@dataclass(frozen=True, eq=False)
+class MomentPlan:
+    """Everything in a second-moment solve that does not depend on lam.
 
-    cell_mass[x] = int_0^Delta g_x(tau) dtau with
-    g_x(tau) = sum_n E_beta(-mu_n tau^beta)^2 phi_n(x)^2 (the exact
-    newest-cell kernel mass); S[m] = h * int over lag cell
-    [m Delta, (m+1) Delta] of G(tau)^2 entrywise (history weights).
+    Records what it was built for: es, params (with lam = 0, so beta, eta
+    and the noise), u0, T and nt.  A solver handed a plan built for other
+    inputs raises DomainError.
+
+    det[j]:     (G_B u0)(t_j), with det[0] = u0
+    cell_mass:  exact kernel mass of the newest time cell, (n,) for white
+                noise, (n, n) for colored
+    history[m]: lag-cell-m table (history[0] unused).  White: S[m], h times
+                the integral of G(tau)^2 over [m Delta, (m+1) Delta].
+                Colored: Gmid[m], the kernel at the cell's midpoint lag.
+    riesz:      cell-averaged Riesz matrix Cbar (colored), else None
     """
-    n = es.grid.n
-    delta = T / nt
-    tau, jac = _closure_nodes(eta, delta)
-    e2 = mittag_leffler(float(beta), -np.outer(tau ** float(beta), es.mu)) ** 2
-    cell_mass = np.tensordot(jac, e2 @ (es.phi ** 2).T, axes=(0, 0))
-    S = np.zeros((nt, n, n))
-    for m in range(1, nt):
-        s_nodes, s_w = fixed_panel_nodes(
-            np.array([m * delta, (m + 1) * delta]), n=6)
-        acc = np.zeros((n, n))
-        for tq, wq in zip(s_nodes, s_w):
-            G = dirichlet_fractional_kernel(es, float(beta), float(tq))
-            acc += wq * G * G
-        S[m] = es.grid.h * acc
-    return cell_mass, S
+
+    es: EigenSystem
+    params: ModelParams
+    u0: np.ndarray
+    T: float
+    nt: int
+    eta: float
+    times: np.ndarray
+    det: np.ndarray
+    cell_mass: np.ndarray
+    history: np.ndarray
+    riesz: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, params, es, u0, T, nt):
+        """Validate the inputs of a solve and precompute its lam-free part."""
+        colored = params.noise.kind == "riesz"
+        q = float(params.noise.gamma) if colored else params.d
+        eta = 1.0 - q * float(params.beta) / float(params.alpha)
+        if params.d != 1:
+            raise DomainError("moment solver is one-dimensional (d=1)")
+        if eta <= 0.0:
+            raise DomainError(f"lag singularity not integrable: eta = {eta} <= 0")
+        if nt < 2:
+            raise DomainError("nt >= 2 required")
+        T = float(T)
+        if T <= 0.0:
+            raise DomainError("horizon T must be positive")
+        u0 = np.asarray(u0, float)
+        n = es.grid.n
+        if colored and n > 48:
+            raise DomainError("two-point solver grid capped at n=48 (memory)")
+        if colored and np.any(u0 < 0.0):
+            raise DomainError("two-point solver requires nonnegative u0 "
+                              "(log-split state lives in the nonnegative cone)")
+
+        beta = float(params.beta)
+        h = es.grid.h
+        delta = T / nt
+        times = delta * np.arange(nt + 1)
+        det = np.vstack([u0, apply_semigroup(es, beta, times[1:], u0)])
+
+        tau, jac = _closure_nodes(eta, delta)
+        e = mittag_leffler(beta, -np.outer(tau ** beta, es.mu))
+        history = np.zeros((nt, n, n))
+        riesz = None
+        if colored:
+            # cell_mass[y,z] = int_0^Delta h^2 [G_tau Cbar G_tau^T]_{yz} dtau
+            #                = [phi (B * int E E^T dtau) phi^T]_{yz}
+            riesz = riesz_kernel_matrix(es.grid, float(params.noise.gamma))
+            B = h * h * (es.phi.T @ riesz @ es.phi)
+            cell_mass = es.phi @ (B * ((e.T * jac) @ e)) @ es.phi.T
+            cell_mass = 0.5 * (cell_mass + cell_mass.T)
+            for m in range(1, nt):
+                history[m] = dirichlet_fractional_kernel(es, beta, (m + 0.5) * delta)
+        else:
+            # cell_mass[x] = int_0^Delta sum_n E_beta(-mu_n tau^beta)^2 phi_n(x)^2
+            cell_mass = np.tensordot(jac, e ** 2 @ (es.phi ** 2).T, axes=(0, 0))
+            # 6 Gauss nodes on each lag cell [m Delta, (m+1) Delta], m >= 1
+            s_nodes, s_w = fixed_panel_nodes(delta * np.arange(1, nt + 1), n=6)
+            for q, (tq, wq) in enumerate(zip(s_nodes, s_w)):
+                G = dirichlet_fractional_kernel(es, beta, float(tq))
+                history[1 + q // 6] += wq * G * G
+            history *= h
+        return cls(es=es, params=replace(params, lam=0.0), u0=u0, T=T, nt=nt,
+                   eta=eta, times=times, det=det, cell_mass=cell_mass,
+                   history=history, riesz=riesz)
+
+    def check(self, params, es, u0, T, nt):
+        """This plan, or DomainError unless it was built for these inputs."""
+        wrong = [name for name, same in (
+            ("es", self.es is es),
+            ("params", self.params == replace(params, lam=0.0)),
+            ("u0", np.array_equal(self.u0, np.asarray(u0, float))),
+            ("T", self.T == float(T)),
+            ("nt", self.nt == nt),
+        ) if not same]
+        if wrong:
+            raise DomainError(f"plan was built for another {', '.join(wrong)}")
+        return self
 
 
-def second_moment_white(params, es, u0, l_sigma, T, nt, tables=None):
-    """Solve the white-noise second-moment Volterra equation exactly (linear sigma).
+def _log_split_steps(plan, kappa, source, contract):
+    """The time stepper of both second-moment solvers.
 
-    Returns a MomentField on the uniform time grid j T / nt.  Log-scaled
-    throughout, so lam up to 1e6 and beyond stays representable.  `tables`
-    accepts the result of a previous solve's table build (returned by
-    ``_white_tables``) so lam sweeps on a fixed grid pay for the kernel
-    integrals once; they do not depend on lam.
+    source[j] is the deterministic term at t_j (source[0] the initial slice);
+    contract(history[1:j], mids) sums the history cells m = 1..j-1.  Returns
+    (values, log_scale, logs); logs keeps the exact log of every entry, which
+    a framed slice loses for entries ~e^700 below its maximum.  Each slice
+    pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for exponential
+    growth) is made once and re-framed by a scalar each step; the frame is
+    the largest pair scale so far, so nothing overflows.
     """
-    if params.noise.kind != "white":
-        raise DomainError("second_moment_white requires white noise parameters")
-    if params.d != 1:
-        raise DomainError("moment solver is one-dimensional (d=1)")
-    eta = 1.0 - params.dissipation_exponent
-    if eta <= 0.0:
-        raise DomainError(
-            f"lag singularity not integrable: d*beta/alpha = "
-            f"{params.dissipation_exponent} >= 1")
-    if nt < 2:
-        raise DomainError("nt >= 2 required")
-    T = float(T)
-    if T <= 0.0:
-        raise DomainError("horizon T must be positive")
-    u0 = np.asarray(u0, float)
-    if u0.shape != (es.grid.n,):
-        raise DomainError("u0 shape must match the grid")
-
-    n = es.grid.n
-    beta = float(params.beta)
-    kappa = (params.lam * l_sigma) ** 2
-    delta = T / nt
-    times = delta * np.arange(nt + 1)
-
-    values = np.zeros((nt + 1, n))
+    nt = plan.nt
+    shape = source.shape[1:]
+    values = np.zeros(source.shape)
     log_scale = np.zeros(nt + 1)
-    node_logs = np.full((nt + 1, n), -np.inf)
-    with np.errstate(divide="ignore"):
-        node_logs[0] = np.log(u0 * u0)
-    v0, k0 = _normalize(u0 * u0)
-    values[0], log_scale[0] = v0, k0
-    if np.max(np.abs(u0)) == 0.0:
-        return MomentField(times=times, grid=es.grid, values=values,
-                           log_scale=log_scale, node_logs=node_logs)
+    logs = np.full(source.shape, -np.inf)
+    logs[0] = _log_positive(source[0])
+    values[0], log_scale[0] = _normalize(source[0])
+    if not source[0].any():
+        return values, log_scale, logs
 
-    F = _deterministic_part(es, beta, u0, times) ** 2
-
-    if tables is None:
-        tables = _white_tables(es, beta, eta, T, nt)
-    cell_mass, S = tables
-    # newest-cell resolvent closure (same factor every step):
-    # z = kappa A Gamma(eta) Delta^eta with A matched to the exact cell mass
-    z = kappa * _gamma(eta) * eta * cell_mass
-    ln_fac = mittag_leffler_log(eta, np.maximum(z, 0.0))
-
+    # newest-cell resolvent closure: z = kappa A Gamma(eta) Delta^eta, A matched
+    # to the exact cell mass
+    z = kappa * _gamma(plan.eta) * plan.eta * plan.cell_mass
+    ln_fac = mittag_leffler_log(plan.eta, np.maximum(z, 0.0).ravel()).reshape(z.shape)
+    mids = np.empty((nt,) + shape)
+    mean_log = np.empty(nt)
+    frame = 0.0
     for j in range(1, nt + 1):
-        # frame on the largest contribution: when the per-step growth tops
-        # e^700, terms referenced to slice j-1 would underflow to zero
-        frame = 0.0
+        hist = source[j] * math.exp(-frame)
         if j > 1:
-            frame = max(0.0, float(np.max(
-                0.5 * (log_scale[1:j] + log_scale[:j - 1]))))
-        hist = F[j] * math.exp(-frame)
-        for m in range(1, j):
-            mid = _midpoint_split(values[j - m], log_scale[j - m],
-                                  values[j - m - 1], log_scale[j - m - 1],
-                                  frame)
-            hist += kappa * (S[m] @ mid)
-        with np.errstate(divide="ignore"):
-            w = np.log(hist) + ln_fac
+            # pair p = j-1-m sits at lag cell m = 1..j-1
+            scale = np.exp(mean_log[j - 2::-1] - frame).reshape((-1,) + (1,) * len(shape))
+            hist = hist + kappa * contract(plan.history[1:j], mids[j - 2::-1] * scale)
+        w = _log_positive(hist) + ln_fac
         wmax = float(w.max())
         if not np.isfinite(wmax):
             raise NumericsError(f"moment solver overflowed at step {j}")
         values[j] = np.exp(w - wmax)
         log_scale[j] = frame + wmax
-        # exact per-node log (the framed slice loses nodes > ~e^700 below max)
-        node_logs[j] = w + frame
+        logs[j] = w + frame
+        mids[j - 1] = np.sqrt(values[j] * values[j - 1])
+        mean_log[j - 1] = 0.5 * (log_scale[j] + log_scale[j - 1])
+        frame = max(frame, mean_log[j - 1])
+    return values, log_scale, logs
 
-    return MomentField(times=times, grid=es.grid, values=values,
-                       log_scale=log_scale, node_logs=node_logs)
 
+def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None):
+    """Solve the white-noise second-moment Volterra equation exactly (linear sigma).
 
-def _colored_tables(es, beta, eta, gamma, T, nt):
-    """lam-independent tables for the two-point solver.
-
-    cell_mass[y,z] = int_0^Delta h^2 [G_tau Cbar G_tau^T]_{yz} dtau (exact
-    newest-cell mass of the per-entry lag kernel, spectral form); Gmid[m] is
-    the kernel at the midpoint lag of history cell m; Cbar the cell-averaged
-    Riesz matrix.
+    Returns a MomentField on the uniform time grid j T / nt.  Log-scaled
+    throughout, so lam up to 1e6 and beyond stays representable.  ``plan``
+    takes a MomentPlan built for the same inputs, so a lam sweep pays for
+    G_B u0 and the kernel tables once; without one, a plan is built here.
     """
-    n = es.grid.n
-    h = es.grid.h
-    delta = T / nt
-    Cbar = riesz_kernel_matrix(es.grid, float(gamma))
-    tau, jac = _closure_nodes(eta, delta)
-    B = h * h * (es.phi.T @ Cbar @ es.phi)
-    e = mittag_leffler(float(beta), -np.outer(tau ** float(beta), es.mu))
-    cell_mass = np.zeros((n, n))
-    for i in range(len(tau)):
-        Ge = es.phi * e[i]
-        cell_mass += jac[i] * (Ge @ B @ Ge.T)
-    Gmid = np.zeros((nt, n, n))
-    for m in range(1, nt):
-        Gmid[m] = dirichlet_fractional_kernel(es, float(beta), (m + 0.5) * delta)
-    return cell_mass, Gmid, Cbar
+    if params.noise.kind != "white":
+        raise DomainError("second_moment_white requires white noise parameters")
+    plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
+            else plan.check(params, es, u0, T, nt))
+
+    def contract(S, mids):
+        return (S @ mids[..., None]).sum(axis=0)[:, 0]
+
+    values, log_scale, logs = _log_split_steps(
+        plan, (params.lam * l_sigma) ** 2, plan.det * plan.det, contract)
+    return MomentField(times=plan.times, grid=es.grid, values=values,
+                       log_scale=log_scale, node_logs=logs)
 
 
-def second_moment_colored(params, es, u0, l_sigma, gamma, T, nt, tables=None):
+def second_moment_colored(params, es, u0, l_sigma, gamma, T, nt, plan=None):
     """Two-point Volterra solver for Riesz-colored noise (linear sigma).
 
-    Same closure strategy as the white solver, applied per matrix entry; the
-    history contraction is evaluated as kernel sandwiches
-    h^2 G_tau (Cbar * K) G_tau^T at the midpoint lag of each cell.  Grid is
-    capped at n = 48 (the state is an (nt+1, n, n) array).
+    Same stepper as the white solver, applied per matrix entry; the history
+    contraction is the kernel sandwich h^2 Delta Gmid (Cbar * K) Gmid^T at
+    the midpoint lag of each cell, symmetrised.  Grid is capped at n = 48
+    (the state is an (nt+1, n, n) array).  ``plan`` as in the white solver.
     """
     if params.noise.kind != "riesz":
         raise DomainError("second_moment_colored requires riesz noise parameters")
@@ -350,81 +382,20 @@ def second_moment_colored(params, es, u0, l_sigma, gamma, T, nt, tables=None):
         raise DomainError(
             f"gamma argument {gamma} disagrees with params.noise.gamma "
             f"{params.noise.gamma}")
-    if params.d != 1:
-        raise DomainError("moment solver is one-dimensional (d=1)")
-    if es.grid.n > 48:
-        raise DomainError("two-point solver grid capped at n=48 (memory)")
-    g = float(gamma)
-    eta = 1.0 - g * float(params.beta) / float(params.alpha)
-    if eta <= 0.0:
-        raise DomainError("lag singularity not integrable: gamma*beta/alpha >= 1")
-    if nt < 2:
-        raise DomainError("nt >= 2 required")
-    T = float(T)
-    if T <= 0.0:
-        raise DomainError("horizon T must be positive")
-    u0 = np.asarray(u0, float)
-    if u0.shape != (es.grid.n,):
-        raise DomainError("u0 shape must match the grid")
-    if np.any(u0 < 0.0):
-        raise DomainError("two-point solver requires nonnegative u0 "
-                          "(log-split state lives in the nonnegative cone)")
+    plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
+            else plan.check(params, es, u0, T, nt))
+    weight = es.grid.h * es.grid.h * (plan.T / plan.nt)
 
-    n = es.grid.n
-    h = es.grid.h
-    beta = float(params.beta)
-    kappa = (params.lam * l_sigma) ** 2
-    delta = T / nt
-    times = delta * np.arange(nt + 1)
+    def contract(Gmid, mids):
+        H = (Gmid @ (plan.riesz * mids) @ Gmid.transpose(0, 2, 1)).sum(axis=0)
+        return weight * (0.5 * (H + H.T))
 
-    values = np.zeros((nt + 1, n, n))
-    log_scale = np.zeros(nt + 1)
-    diag_logs = np.full((nt + 1, n), -np.inf)
-    with np.errstate(divide="ignore"):
-        diag_logs[0] = 2.0 * np.log(u0)
-    v0, k0 = _normalize(np.outer(u0, u0))
-    values[0], log_scale[0] = v0, k0
-    if np.max(np.abs(u0)) == 0.0:
-        return TwoPointField(times=times, grid=es.grid, values=values,
-                             log_scale=log_scale, diag_logs=diag_logs)
-
-    Fdet = _deterministic_part(es, beta, u0, times)
-
-    if tables is None:
-        tables = _colored_tables(es, beta, eta, g, T, nt)
-    cell_mass, Gmid, Cbar = tables
-    z = kappa * _gamma(eta) * eta * cell_mass
-    ln_fac = mittag_leffler_log(eta, np.maximum(z, 0.0).ravel()).reshape(n, n)
-
-    h2k = h * h * kappa
-    for j in range(1, nt + 1):
-        frame = 0.0
-        if j > 1:
-            frame = max(0.0, float(np.max(
-                0.5 * (log_scale[1:j] + log_scale[:j - 1]))))
-        hist = np.outer(Fdet[j], Fdet[j]) * math.exp(-frame)
-        for m in range(1, j):
-            mid = _midpoint_split(values[j - m], log_scale[j - m],
-                                  values[j - m - 1], log_scale[j - m - 1],
-                                  frame)
-            hist += (h2k * delta) * (Gmid[m] @ (Cbar * mid) @ Gmid[m].T)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wlog = np.where(hist > 0.0, np.log(np.maximum(hist, 1e-300)), -np.inf)
-        wlog = wlog + ln_fac
-        wmax = float(wlog.max())
-        if not np.isfinite(wmax):
-            raise NumericsError(f"two-point solver overflowed at step {j}")
-        K = np.exp(wlog - wmax)
-        K = np.where(hist < 0.0, 0.0, K)  # closure keeps the nonneg cone
-        K = 0.5 * (K + K.T)
-        values[j] = K
-        log_scale[j] = frame + wmax
-        # exact diagonal logs (framed slices lose entries > ~e^700 below max);
-        # wlog is already -inf wherever the diagonal history vanished
-        diag_logs[j] = np.diagonal(wlog) + frame
-
-    return TwoPointField(times=times, grid=es.grid, values=values,
-                         log_scale=log_scale, diag_logs=diag_logs)
+    det = plan.det
+    values, log_scale, logs = _log_split_steps(
+        plan, (params.lam * l_sigma) ** 2, det[:, :, None] * det[:, None, :], contract)
+    return TwoPointField(times=plan.times, grid=es.grid, values=values,
+                         log_scale=log_scale,
+                         diag_logs=np.diagonal(logs, axis1=1, axis2=2).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +474,9 @@ def renewal_growth_exponent(kappa, rho):
     return (_gamma(rho) * float(kappa)) ** (1.0 / rho)
 
 
+_SERIES_BLOCK = 1 << 18  # terms per block of the log-space series sum
+
+
 def _lower_series_log_terms(t, rho, kmin, kmax):
     k = np.arange(kmin, kmax + 1, dtype=float)
     return k * (math.log(t) - rho * np.log(k))
@@ -513,7 +487,8 @@ def lower_series_log(t, rho):
 
     The log-terms peak at k* = t^(1/rho)/e with Gaussian half-width
     sqrt(k*/rho); summing a +-12 half-width window in log space bounds the
-    neglected tail below e^-70 of the total.
+    neglected tail below e^-70 of the total.  The window is summed in blocks
+    of 2^18 terms, so memory stays bounded when it spans millions.
     """
     t = float(t)
     rho = float(rho)
@@ -525,15 +500,20 @@ def lower_series_log(t, rho):
         return -np.inf
     kstar = t ** (1.0 / rho) / math.e
     if kstar <= 5e4:
-        kmax = max(200, int(3 * kstar) + 50)
-        terms = _lower_series_log_terms(t, rho, 1, kmax)
+        kmin, kmax = 1, max(200, int(3 * kstar) + 50)
     else:
         half = 12.0 * math.sqrt(kstar / rho)
         kmin = max(1, int(kstar - half))
         kmax = int(kstar + half) + 1
-        terms = _lower_series_log_terms(t, rho, kmin, kmax)
-    m = terms.max()
-    return float(m + np.log(np.exp(terms - m).sum()))
+    m, total = -np.inf, 0.0
+    for lo in range(kmin, kmax + 1, _SERIES_BLOCK):
+        terms = _lower_series_log_terms(t, rho, lo, min(lo + _SERIES_BLOCK - 1, kmax))
+        block_max = float(terms.max())
+        if block_max > m:
+            total *= math.exp(m - block_max)
+            m = block_max
+        total += float(np.exp(terms - m).sum())
+    return float(m + np.log(total))
 
 
 def lower_series(t, rho):
@@ -606,19 +586,16 @@ def initial_term_floor(es, beta, u0, epsilon, t, t0, n_s=33):
     Strictly positive for nonnegative u0 that is positive somewhere; returns
     0.0 (with a warning) only when u0 vanishes identically on the grid.
     """
-    u0 = np.asarray(u0, float)
-    if u0.shape != (es.grid.n,):
-        raise DomainError("u0 shape must match the grid")
     eps = float(epsilon)
     if not (0.0 < eps < es.grid.R):
         raise DomainError(f"epsilon in (0, R) violated: {epsilon}")
     if t0 <= 0.0 or t < 0.0:
         raise DomainError("need t0 > 0 and t >= 0")
-    if np.max(np.abs(u0)) == 0.0:
+    s = np.linspace(0.0, float(t), int(n_s)) + float(t0)
+    field = apply_semigroup(es, float(beta), s, u0)
+    if not np.any(u0):
         warnings.warn("u0 is identically zero on the grid; floor is 0")
         return 0.0
-    s = np.linspace(0.0, float(t), int(n_s)) + float(t0)
-    field = _deterministic_part(es, float(beta), u0, s)
     keep = np.abs(es.grid.nodes) <= es.grid.R - eps
     if not keep.any():
         raise DomainError("epsilon leaves no interior grid nodes")

@@ -114,7 +114,3 @@ class SpaceGrid:
     def nodes(self):
         h = self.h
         return -self.R + h * (np.arange(self.n) + 0.5)
-
-    def interior_mask(self, frac=0.75):
-        """Mask of nodes with |x| <= frac * R."""
-        return np.abs(self.nodes) <= frac * self.R

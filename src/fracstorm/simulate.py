@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .fracfun import mittag_leffler
-from .kernels import EigenSystem, apply_semigroup
-from .params import ModelParams, NoiseModel, SpaceGrid
+from .kernels import EigenSystem, apply_semigroup, riesz_kernel_matrix
+from .params import NoiseModel, SpaceGrid
 
 __all__ = [
     "NoiseModel",
@@ -181,20 +181,11 @@ class MomentEstimate:
 def build_riesz_covariance(grid, gamma):
     """Cell-pair covariance matrix of the Riesz kernel and its PSD factor.
 
-    Off-diagonal entries use the midpoint rule |x_j - x_k|^-gamma; the
-    diagonal is the analytic cell self-average
-    h^-2 * Int_{cell^2} |y-z|^-gamma dy dz = 2 h^-gamma / ((1-gamma)(2-gamma)).
+    C is ``kernels.riesz_kernel_matrix``: the midpoint rule |x_j - x_k|^-gamma
+    off the diagonal and the analytic cell self-average on it.
     """
     g = float(gamma)
-    if not (0.0 < g < 1.0):
-        raise DomainError(f"0 < gamma < 1 violated: gamma={gamma}")
-    x = grid.nodes
-    h = grid.h
-    dist = np.abs(x[:, None] - x[None, :])
-    with np.errstate(divide="ignore"):
-        C = dist ** (-g)
-    np.fill_diagonal(C, 2.0 * h ** (-g) / ((1.0 - g) * (2.0 - g)))
-    C = 0.5 * (C + C.T)
+    C = riesz_kernel_matrix(grid, g)
 
     w, V = np.linalg.eigh(C)
     floor = -1e-10 * float(np.max(np.abs(w)))
@@ -220,14 +211,19 @@ def sample_noise_slice(noise, grid, dt, rng, cov=None):
     """
     if dt <= 0.0:
         raise DomainError(f"dt > 0 violated: dt={dt}")
-    z = rng.standard_normal(grid.n)
+    if noise.kind == "riesz":
+        if cov is None:
+            cov = build_riesz_covariance(grid, noise.gamma)
+        elif cov.grid != grid or cov.gamma != noise.gamma:
+            raise DomainError("provided covariance was built for a different grid or gamma")
+    return _increments(noise, grid, dt, rng.standard_normal(grid.n), cov)
+
+
+def _increments(noise, grid, dt, z, cov):
+    """Noise increments from standard normals z of shape (..., n)."""
     if noise.kind == "white":
         return z * math.sqrt(dt * grid.h)
-    if cov is None:
-        cov = build_riesz_covariance(grid, noise.gamma)
-    elif cov.grid != grid or cov.gamma != noise.gamma:
-        raise DomainError("provided covariance was built for a different grid or gamma")
-    return (cov.factor @ z) * (math.sqrt(dt) * grid.h)
+    return (z @ cov.factor.T) * (math.sqrt(dt) * grid.h)
 
 
 def _replicate_normals(seed, rep, nt, nx):
@@ -278,7 +274,6 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, e_tab, phi, cov, keep_path
     """
     nt = config.nt
     dt = float(config.T) / nt
-    h = grid.h
     lam = params.lam
     sigma = config.sigma
     nrep = hi - lo
@@ -287,10 +282,7 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, e_tab, phi, cov, keep_path
     z = np.empty((nrep, nt, grid.n))
     for r in range(nrep):
         z[r] = _replicate_normals(config.seed, lo + r, nt, grid.n)
-    if params.noise.kind == "white":
-        dW = z * math.sqrt(dt * h)
-    else:
-        dW = np.einsum("rmk,jk->rmj", z, cov.factor) * (math.sqrt(dt) * h)
+    dW = _increments(params.noise, grid, dt, z, cov)
 
     traj2 = np.empty((nrep, nt + 1, grid.n))
     traj2[:, 0] = u0 ** 2
@@ -364,10 +356,7 @@ def simulate_mild(params, es, u0, config, threads=1):
     e_tab = mittag_leffler(beta, -np.outer(lags ** beta, es.mu))
 
     # Deterministic part at every grid time.
-    det = np.empty((nt + 1, grid.n))
-    det[0] = u0
-    for n in range(1, nt + 1):
-        det[n] = apply_semigroup(es, beta, n * dt, u0)
+    det = np.vstack([u0, apply_semigroup(es, beta, np.arange(1, nt + 1) * dt, u0)])
 
     cov = None
     if params.noise.kind == "riesz":

@@ -7,6 +7,7 @@ formulas for the fractional operators on monomials.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,3 +227,20 @@ def test_sampled_function_validation():
         SampledFunction(times=np.array([0.0, 1.0, 1.0]), values=np.zeros(3))
     with pytest.raises(DomainError):
         SampledFunction(times=np.array([0.0, 1.0]), values=np.array([0.0, np.nan]))
+
+
+def test_mittag_leffler_memory_is_bounded():
+    # The spectral integral is evaluated on (nodes x points) blocks of 2048
+    # points, so 12,288 mid-range points cost one block (about 39 MB at
+    # beta = 0.8, 2366 nodes), not a 12,288-column matrix (over 400 MB).
+    y = np.geomspace(1.0, 5e3, 12288)
+    for beta in (0.5, 0.8):
+        tracemalloc.start()
+        try:
+            vals = mittag_leffler(beta, -y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, (beta, peak)
+        # a point's value does not depend on the block it falls in
+        assert np.array_equal(vals, mittag_leffler(beta, -y[::-1])[::-1])

@@ -97,6 +97,15 @@ def test_apply_semigroup_matches_kernel_action(eigen_cache, bump):
     v = bump(es)
     G = dirichlet_fractional_kernel(es, 0.5, 0.3)
     assert np.max(np.abs(apply_semigroup(es, 0.5, 0.3, v) - G @ v * es.grid.h)) < 1e-12
+    # An array of times gives one row per time, from a single call.
+    times = np.array([0.3, 0.1, 1.0])
+    rows = apply_semigroup(es, 0.5, times, v)
+    assert rows.shape == (3, es.grid.n)
+    for t, row in zip(times, rows):
+        G = dirichlet_fractional_kernel(es, 0.5, t)
+        assert np.max(np.abs(row - G @ v * es.grid.h)) < 1e-12
+    with pytest.raises(DomainError):
+        apply_semigroup(es, 0.5, np.array([0.1, 0.0]), v)
 
 
 def test_free_kernel_via_subordination_identity():

@@ -1,15 +1,18 @@
 """Moment solvers: renewal equation, white/colored second moments, series bounds."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
 from fracstorm.errors import DomainError, NumericsError
+from fracstorm.excitation import excitation_sweep
 from fracstorm.fracfun import mittag_leffler
 from fracstorm.kernels import apply_semigroup
 from fracstorm.moments import (
+    MomentPlan,
     colored_lower_bound_series,
     initial_term_floor,
     lower_series,
@@ -114,6 +117,55 @@ def test_colored_moment_monotone_in_lambda(eigen_cache, bump):
         tp = second_moment_colored(p, es, u0, 1.0, 0.5, 0.1, 64)
         logs.append(tp.diagonal_field().energy_log())
     assert logs[0] < logs[1]
+
+
+def test_sweep_with_one_plan_matches_planless_solves(eigen_cache, bump):
+    # excitation_sweep builds one MomentPlan and shares it across lambda;
+    # every lambda must give the bits of a solve that built its own plan.
+    es = eigen_cache(2.0, 16)
+    u0 = bump(es)
+    lams = np.geomspace(1e2, 1e5, 10)
+    white = ModelParams(alpha=2.0, beta=0.5)
+    colored = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5))
+    for p in (white, colored):
+        fit = excitation_sweep(p, es, u0, 0.1, lams, nt=24)
+        alone = []
+        for lam in lams:
+            q = replace(p, lam=float(lam))
+            if p.noise.kind == "white":
+                alone.append(second_moment_white(q, es, u0, 1.0, 0.1, 24).energy_log())
+            else:
+                alone.append(second_moment_colored(q, es, u0, 1.0, 0.5, 0.1, 24)
+                             .diagonal_field().energy_log())
+        assert np.array_equal(fit.log_values, alone)
+
+    plan = MomentPlan.build(colored, es, u0, 0.1, 24)
+    q = replace(colored, lam=30.0)
+    shared = second_moment_colored(q, es, u0, 1.0, 0.5, 0.1, 24, plan=plan)
+    own = second_moment_colored(q, es, u0, 1.0, 0.5, 0.1, 24)
+    for name in ("values", "log_scale", "diag_logs"):
+        assert np.array_equal(getattr(shared, name), getattr(own, name))
+
+
+def test_plan_built_for_other_inputs_is_refused(eigen_cache, bump):
+    es = eigen_cache(2.0, 16)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5, lam=10.0)
+    plan = MomentPlan.build(p, es, u0, 0.1, 24)
+    second_moment_white(p, es, u0, 1.0, 0.1, 24, plan=plan)
+    with pytest.raises(DomainError, match="another T$"):
+        second_moment_white(p, es, u0, 1.0, 0.2, 24, plan=plan)
+    with pytest.raises(DomainError, match="another nt$"):
+        second_moment_white(p, es, u0, 1.0, 0.1, 32, plan=plan)
+    with pytest.raises(DomainError, match="another u0$"):
+        second_moment_white(p, es, 2.0 * u0, 1.0, 0.1, 24, plan=plan)
+    with pytest.raises(DomainError, match="another params$"):
+        second_moment_white(replace(p, beta=0.6), es, u0, 1.0, 0.1, 24, plan=plan)
+    with pytest.raises(DomainError, match="another es$"):
+        second_moment_white(p, eigen_cache(2.0, 16, R=2.0), u0, 1.0, 0.1, 24, plan=plan)
+    colored = replace(p, noise=NoiseModel("riesz", gamma=0.5))
+    with pytest.raises(DomainError, match="another params$"):
+        second_moment_colored(colored, es, u0, 1.0, 0.5, 0.1, 24, plan=plan)
 
 
 def test_lower_series_small_argument_values():
