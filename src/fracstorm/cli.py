@@ -652,7 +652,7 @@ def build_parser():
     mp = sub.add_parser("moments", help="moment solvers")
     _add_config_flags(mp)
     mp.add_argument("what", choices=["renewal", "field"])
-    mp.add_argument("--rho", type=float, help="renewal kernel exponent")
+    mp.add_argument("--rho", type=float, help="renewal kernel exponent, in (0, 1]")
     mp.add_argument("--kappa", type=float, help="renewal kernel weight")
     mp.add_argument("--c1", type=float, help="renewal forcing constant")
     mp.add_argument("--T", type=float, help="time horizon")

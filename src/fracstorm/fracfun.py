@@ -61,6 +61,7 @@ __all__ = [
 _SERIES_SEAM = 0.9  # |x| at which the Taylor series hands over to the integral
 _FAR_ASYMPTOTIC = 1.0e4  # -x beyond which the reflection asymptotic is used
 _ML_BLOCK = 2048  # points per (nodes x points) block of the spectral integral
+_SERIES_DOUBLES = 1 << 18  # doubles per (points x terms) block of the Taylor series
 
 
 @dataclass(frozen=True)
@@ -108,15 +109,20 @@ def _check_beta(beta, strict_upper=False):
 
 
 def _ml_series(beta, x, kmax=512):
-    """Taylor series of E_beta at x, |x| <= ~1 (alternating part is benign)."""
-    x = np.asarray(x, float)
+    """Taylor series of E_beta at a 1-d x, |x| <= ~1 (alternating part is
+    benign), summed in blocks of points, each independent of the others."""
     k = np.arange(kmax)
     lg = gammaln(1.0 + beta * k)
-    ax = np.abs(x)[..., None]
-    with np.errstate(divide="ignore"):
-        logs = np.where(ax > 0, k * np.log(np.where(ax > 0, ax, 1.0)), np.where(k == 0, 0.0, -np.inf))
-    terms = np.exp(logs - lg) * np.where(x[..., None] < 0, (-1.0) ** k, 1.0)
-    return terms.sum(axis=-1)
+    out = np.empty(x.shape)
+    step = _SERIES_DOUBLES // kmax  # kmax <= 20000 keeps this >= 13
+    for lo in range(0, x.size, step):
+        xb = x[lo:lo + step, None]
+        ax = np.abs(xb)
+        with np.errstate(divide="ignore"):
+            logs = np.where(ax > 0, k * np.log(np.where(ax > 0, ax, 1.0)), np.where(k == 0, 0.0, -np.inf))
+        terms = np.exp(logs - lg) * np.where(xb < 0, (-1.0) ** k, 1.0)
+        out[lo:lo + step] = terms.sum(axis=-1)
+    return out
 
 
 def _ml_neg_integral_nodes(beta, y_band_max):
@@ -403,8 +409,8 @@ def caputo_derivative(g, beta, t):
     return float(out[0]) if scalar else out
 
 
-#: grid cells per block of the history march in ``fractional_integral``; a
-#: query integrates its last 2 to _HISTORY_BLOCK + 1 cells exactly.
+#: grid cells per block of the history march (here and in the renewal solve);
+#: a query of ``fractional_integral`` integrates its last 2 to B + 1 exactly.
 _HISTORY_BLOCK = 64
 #: doubles per working array of a chunk of queries (bounds the extra memory)
 _QUERY_CHUNK = 16384
@@ -468,32 +474,20 @@ def _exp_cell_weights(z):
     return p, r - p
 
 
-def _soe_states(times, values, s, nblocks):
-    """History states at the block edges k = 0, B, ..., nblocks * B.
+def _soe_block(s, times):
+    """advance(U(times[0]), g on times) -> U(times[-1]) for the history states
+    U_j(t) = int_0^t e^(-s_j (t - tau)) g(tau) dtau of a piecewise-linear g."""
+    h = np.diff(times)[:, None]
+    p, q = _exp_cell_weights(h * s)
+    decay = np.exp(-(times[-1] - times[1:])[:, None] * s)
+    block_decay = np.exp(-(times[-1] - times[0]) * s)
 
-    Row m holds U_j(t_k) = int_0^(t_k) e^(-s_j (t_k - tau)) g(tau) dtau for
-    k = m * _HISTORY_BLOCK and the piecewise-linear g; each block advances
-    every exponent by a decay and its cells' closed-form integrals.  A state
-    at t_k is only used at distances beyond the cell width h_k after it, where
-    exponents s_j > 45/h_k weigh less than e^-45; they are left at 0.
-    Returns the states and the number of exponents kept at each edge.
-    """
-    B = _HISTORY_BLOCK
-    states = np.zeros((nblocks + 1, s.size))
-    kept = np.zeros(nblocks + 1, dtype=int)
-    for m in range(nblocks):
-        k0, k1 = m * B, (m + 1) * B
-        J = kept[m + 1] = np.searchsorted(s, 45.0 / (times[k1 + 1] - times[k1]), side="right")
-        sj = s[:J]
-        edge = times[k0:k1 + 1]
-        h = np.diff(edge)[:, None]
-        p, q = _exp_cell_weights(h * sj)
+    def advance(state, values):
         # int over cell i of e^(-s (t_(i+1) - tau)) g, then decay to the block end
-        cells = h * (values[k0 + 1:k1 + 1, None] * p + values[k0:k1, None] * q)
-        decay = np.exp(-(edge[-1] - edge[1:])[:, None] * sj)
-        states[m + 1, :J] = (np.exp(-(edge[-1] - edge[0]) * sj) * states[m, :J]
-                             + np.einsum("ij,ij->j", decay, cells))
-    return states, kept
+        cells = h * (values[1:, None] * p + values[:-1, None] * q)
+        return block_decay * state + np.einsum("ij,ij->j", decay, cells)
+
+    return advance
 
 
 def fractional_integral(g, order, t):
@@ -524,7 +518,15 @@ def fractional_integral(g, order, t):
     B = _HISTORY_BLOCK
     edges = np.maximum(lasts - 2, 0) // B  # block edge index, in blocks
     s, w = _soe_kernel(gam, float(h.min()), g.horizon)
-    states, kept = _soe_states(times, values, s, int(edges.max(initial=0)))
+    # history states at the block edges t_k, k = m B; a state at t_k is used only
+    # beyond h_k after it, where exponents s_j > 45/h_k weigh < e^-45: left at 0
+    nblocks = int(edges.max(initial=0))
+    states = np.zeros((nblocks + 1, s.size))
+    kept = np.zeros(nblocks + 1, dtype=int)
+    for m in range(nblocks):
+        k0, k1 = m * B, (m + 1) * B
+        J = kept[m + 1] = np.searchsorted(s, 45.0 / h[k1], side="right")
+        states[m + 1, :J] = _soe_block(s[:J], times[k0:k1 + 1])(states[m, :J], values[k0:k1 + 1])
     offsets = np.arange(B + 1)
     out = np.empty_like(ts)
     step = max(1, _QUERY_CHUNK // max(s.size, B + 1))

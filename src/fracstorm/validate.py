@@ -48,6 +48,7 @@ from .kernels import (
     stable_density,
 )
 from .moments import (
+    MomentPlan,
     lower_series,
     lower_series_log,
     renewal_growth_exponent,
@@ -384,10 +385,11 @@ def _check_volterra_monotone(ctx):
     es = ctx.eigen(2.0, 48)
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5)
+    plan = MomentPlan.build(p, es, u0, 0.1, 96)
     fields = {}
     for lam in (1.0, 2.0, 4.0):
         for ls in (0.5, 1.0):
-            f = second_moment_white(replace(p, lam=lam), es, u0, ls, 0.1, 96)
+            f = second_moment_white(replace(p, lam=lam), es, u0, ls, 0.1, 96, plan=plan)
             fields[(lam, ls)] = f.log_values()[-1]
     worst = np.inf
     for ls in (0.5, 1.0):
@@ -469,9 +471,10 @@ def _check_white_envelope(ctx):
     es = ctx.eigen(2.0, 48)
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5)
+    plan = MomentPlan.build(p, es, u0, 0.1, 96)
     lams = np.geomspace(10.0, 1e4, 10)
     logs = np.array([
-        second_moment_white(replace(p, lam=float(l)), es, u0, 1.0, 0.1, 96).sup_log()
+        second_moment_white(replace(p, lam=float(l)), es, u0, 1.0, 0.1, 96, plan=plan).sup_log()
         for l in lams])
     c2, rel = _envelope_residual(lams, logs, 8.0 / 3.0, 0.1, 1e3)
     ok = c2 > 0.0 and rel <= 1e-4
@@ -483,9 +486,10 @@ def _check_colored_envelope(ctx):
     es = ctx.eigen(2.0, 32)
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel(kind="riesz", gamma=0.5))
+    plan = MomentPlan.build(p, es, u0, 0.1, 96)
     lams = np.geomspace(10.0, 1e4, 8)
     logs = np.array([
-        second_moment_colored(replace(p, lam=float(l)), es, u0, 1.0, 0.5, 0.1, 96).sup_log()
+        second_moment_colored(replace(p, lam=float(l)), es, u0, 1.0, 0.5, 0.1, 96, plan=plan).sup_log()
         for l in lams])
     c2, rel = _envelope_residual(lams, logs, 16.0 / 7.0, 0.1, 10 ** 2.5)
     ok = c2 > 0.0 and rel <= 1e-4

@@ -150,6 +150,14 @@ def test_moments_renewal_matches_exponential(tmp_path, capsys):
     assert final == pytest.approx(math.exp(6.0), rel=1e-6)
 
 
+def test_moments_renewal_rejects_nan_rho(tmp_path, capsys):
+    code, _, err = run_main(
+        ["moments", "renewal", "--rho", "nan", "--kappa", "1", "--c1", "1",
+         "--T", "1", "--nt", "64", "--out", str(tmp_path / "r.csv")], capsys)
+    assert code == 2 and "rho" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_validate_only_group_and_byte_determinism(tmp_path, capsys):
     args = ["validate", "--only", "quadrature", "--seed", "0",
             "--out", str(tmp_path / "r1.txt")]

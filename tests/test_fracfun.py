@@ -233,14 +233,19 @@ def test_mittag_leffler_memory_is_bounded():
     # The spectral integral is evaluated on (nodes x points) blocks of 2048
     # points, so 12,288 mid-range points cost one block (about 39 MB at
     # beta = 0.8, 2366 nodes), not a 12,288-column matrix (over 400 MB).
+    # The Taylor series is summed on (points x terms) blocks of 2^18
+    # doubles, not a 12,288 x 512 (or x 1024 for the log) matrix.
     y = np.geomspace(1.0, 5e3, 12288)
-    for beta in (0.5, 0.8):
+    calls = [(mittag_leffler, 0.5, -y), (mittag_leffler, 0.8, -y),
+             (mittag_leffler, 0.5, -np.linspace(0.0, 0.9, 12288)),
+             (mittag_leffler_log, 0.5, np.linspace(0.0, 6.0, 12288))]
+    for fn, beta, x in calls:
         tracemalloc.start()
         try:
-            vals = mittag_leffler(beta, -y)
+            vals = fn(beta, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64e6, (beta, peak)
+        assert peak < 64e6, (fn.__name__, beta, peak)
         # a point's value does not depend on the block it falls in
-        assert np.array_equal(vals, mittag_leffler(beta, -y[::-1])[::-1])
+        assert np.array_equal(vals, fn(beta, x[::-1])[::-1])

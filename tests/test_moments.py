@@ -65,6 +65,65 @@ def test_renewal_rejects_bad_inputs():
         renewal_volterra_solve(1.0, 1e9, 0.5, 1.0, 8)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(c1=math.nan), dict(c1=math.inf), dict(c1=-math.inf),
+    dict(kappa=math.nan), dict(kappa=math.inf), dict(kappa=-math.inf),
+    dict(rho=math.nan), dict(rho=math.inf), dict(rho=-math.inf), dict(rho=1.5),
+    dict(T=math.nan), dict(T=math.inf), dict(T=-math.inf),
+])
+def test_renewal_rejects_non_finite_inputs(bad):
+    args = dict(dict(c1=1.0, kappa=1.0, rho=0.5, T=1.0), **bad)
+    with pytest.raises(DomainError):
+        renewal_volterra_solve(args["c1"], args["kappa"], args["rho"], args["T"], 64)
+    if "kappa" in bad or "rho" in bad:
+        with pytest.raises(DomainError):
+            renewal_growth_exponent(args["kappa"], args["rho"])
+
+
+def _direct_renewal(c1, kappa, rho, T, nt):
+    """Reference: the O(nt^2) product-integration loop, one node at a time.
+
+    Every lag cell [m Delta, (m+1) Delta] weighs f at lag m by w_near[m] and
+    at lag m+1 by w_far[m], exactly against the linear interpolant; the
+    newest cell is implicit.
+    """
+    delta = T / nt
+    f = np.empty(nt + 1)
+    f[0] = c1
+    m = np.arange(0, nt)
+    a = m * delta
+    b = (m + 1) * delta
+    I0 = (b ** rho - a ** rho) / rho
+    I1 = (b ** (rho + 1.0) - a ** (rho + 1.0)) / (rho + 1.0)
+    w_far = (I1 - a * I0) / delta
+    w_near = I0 - w_far
+    for j in range(1, nt + 1):
+        acc = kappa * w_far[0] * f[j - 1]
+        if j > 1:
+            lag = np.arange(1, j)
+            acc += kappa * float(w_near[lag] @ f[j - lag] + w_far[lag] @ f[j - lag - 1])
+        f[j] = (c1 + acc) / (1.0 - kappa * w_near[0])
+    return f
+
+
+@pytest.mark.parametrize("kappa", [0.2, 2.0])
+@pytest.mark.parametrize("nt", [2, 5, 63, 64, 65, 1000, 4096])
+@pytest.mark.parametrize("rho", [0.2, 0.5, 0.97, 1.0])
+def test_renewal_matches_direct_product_integration(rho, nt, kappa):
+    # Up to about e^3 of growth: T is cut to 3 / (growth-rate scale) where
+    # that is below 1, so the large kappa still fits the coarsest grid.
+    T = min(1.0, 3.0 / renewal_growth_exponent(kappa, rho))
+    f = renewal_volterra_solve(1.5, kappa, rho, T, nt)
+    ref = _direct_renewal(1.5, kappa, rho, T, nt)
+    assert np.max(np.abs(f.values / ref - 1.0)) <= 1e-12
+
+
+def test_renewal_overflow_raises():
+    # f grows like e^(pi t); e^(300 pi) is beyond the double range
+    with pytest.raises(NumericsError):
+        renewal_volterra_solve(1.0, 1.0, 0.5, 300.0, 4096)
+
+
 def test_second_moment_without_noise_is_squared_semigroup(eigen_cache, bump):
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
