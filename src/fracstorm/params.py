@@ -87,11 +87,6 @@ class ModelParams:
         """True in the beta = 1 (non-fractional) limit."""
         return float(self.beta) == 1.0
 
-    @property
-    def dissipation_exponent(self):
-        """Lag-kernel exponent d*beta/alpha governing the white-noise moment kernel."""
-        return self.d * float(self.beta) / float(self.alpha)
-
 
 @dataclass(frozen=True)
 class SpaceGrid:

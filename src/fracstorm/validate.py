@@ -1,8 +1,11 @@
 """Cross-module validation suite with a deterministic plain-text report.
 
-Every public module contributes a group of checks; each check re-derives a
-property the implementation must satisfy and reports a measured number, the
-tolerance it is held to, and the provenance of the expected value:
+``CHECKS`` is the only implementation of every shipped check; ``fracstorm
+validate`` and ``tests/test_acceptance.py`` both run it (one check alone:
+``pytest tests/test_acceptance.py -k <name>``).  Each public module contributes
+a group of checks; each check re-derives a property the implementation must
+satisfy and reports a measured number, the tolerance it is held to, and the
+provenance of the expected value:
 
 * ``closed-form``        -- compared against an exact analytic value,
 * ``independent-oracle`` -- compared against a value from a genuinely
@@ -10,15 +13,19 @@ tolerance it is held to, and the provenance of the expected value:
 * ``self-consistency``   -- two internal routes or resolutions must agree,
 * ``definition``         -- a structural property that must hold exactly.
 
-``run_validation`` executes the registered checks; ``format_report`` renders
-the results as bytes that are identical for identical (seed, only) inputs:
-no timestamps, no timings, fixed float formatting.  Slow statistical checks
-derive their substreams from the report seed, so the whole report is a pure
-function of (code, seed).
+A check's ``criterion`` names the acceptance criterion (1-10) it carries and
+``budget`` its wall time in seconds, which only the tests enforce.  Golden
+values come only from ``data/golden_kernels.csv``: a check whose ``golden``
+names a row gets its expected value and tolerance.  ``format_report`` renders
+results as bytes that depend only on (code, seed, only): no timings, fixed
+float formatting, and slow statistical checks seed from the report seed.
 """
 
+import csv
+import importlib.resources
 import math
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,17 +67,8 @@ from .params import ModelParams, NoiseModel, SpaceGrid
 from .simulate import SimConfig, simulate_mild
 from .excitation import excitation_sweep, theoretical_index
 
-__all__ = ["CheckResult", "GROUPS", "run_validation", "format_report"]
-
-_GOLDEN = {
-    "ml_half_neg1": 0.42758357615580700,
-    "gsub_half_1": 0.21969564473386122,
-    "invsub_half_1_1": 0.43939128946772244,
-    "l2_const_2_05": 0.21745192999341043,   # frozen from a 1e-10 independent quadrature
-    "l2_const_2_1": 1.0 / math.sqrt(8.0 * math.pi),
-    "riesz_diag_05_01": 8.4327404271156770,
-    "series_rho1_1": 1.2912859970626636,   # sum over k of k^-k
-}
+__all__ = ["Check", "CHECKS", "CheckContext", "CheckResult", "GROUPS",
+           "golden_table", "run_validation", "format_report"]
 
 
 @dataclass(frozen=True)
@@ -85,12 +83,33 @@ class CheckResult:
     provenance: str
 
 
-_REGISTRY = []
+def golden_table():
+    """The packaged goldens: ``{"quantity:params": (expected, tolerance, provenance)}``."""
+    text = importlib.resources.files(__package__).joinpath("data/golden_kernels.csv").read_text()
+    return {f"{quantity}:{params}": (float(expected), float(tolerance), provenance)
+            for quantity, params, expected, tolerance, provenance in csv.reader(text.splitlines()[1:])}
 
 
-def _register(group, name, provenance):
+@dataclass(frozen=True)
+class Check:
+    """A registered check; ``fn`` returns ``(passed, measured, tolerance)``."""
+
+    group: str
+    name: str
+    provenance: str
+    criterion: int | None
+    budget: float | None
+    golden: str | None
+    fn: Callable
+
+
+_registry = []
+
+
+def _register(group, name, provenance, criterion=None, budget=None, golden=None):
     def deco(fn):
-        _REGISTRY.append((group, name, provenance, fn))
+        run = fn if golden is None else lambda ctx: fn(ctx, *golden_table()[golden][:2])
+        _registry.append(Check(group, name, provenance, criterion, budget, golden, run))
         return fn
     return deco
 
@@ -100,7 +119,7 @@ def _num(x):
     return f"{float(x):.6g}"
 
 
-class _Ctx:
+class CheckContext:
     """Shared per-run state: seed, thread budget, and cached heavy objects."""
 
     def __init__(self, seed, threads):
@@ -131,51 +150,60 @@ class _Ctx:
 # fracfun
 # ---------------------------------------------------------------------------
 
-@_register("fracfun", "ml-classical-exp", "closed-form")
+@_register("fracfun", "ml-classical-exp", "closed-form", criterion=1, budget=0.25)
 def _check_ml_exp(ctx):
     x = np.linspace(-5.0, 5.0, 201)
     err = float(np.max(np.abs(mittag_leffler(1.0, x) - np.exp(x))))
     return err <= 1e-12, f"max|E_1(x)-e^x| = {_num(err)}", "<= 1e-12"
 
 
-@_register("fracfun", "ml-half-golden", "closed-form")
-def _check_ml_half(ctx):
-    err = abs(float(mittag_leffler(0.5, -1.0)) - _GOLDEN["ml_half_neg1"])
-    return err <= 1e-10, f"|E_1/2(-1) - golden| = {_num(err)}", "<= 1e-10"
+@_register("fracfun", "ml-half-golden", "closed-form", criterion=1, budget=0.25,
+           golden="mittag_leffler:beta=0.5;x=-1")
+def _check_ml_half(ctx, expected, tol):
+    err = abs(float(mittag_leffler(0.5, -1.0)) - expected)
+    return err <= tol, f"|E_1/2(-1) - golden| = {_num(err)}", f"<= {_num(tol)}"
 
 
-@_register("fracfun", "subordinator-half-golden", "closed-form")
-def _check_gsub_half(ctx):
-    err = abs(float(stable_subordinator_density(0.5, 1.0)) - _GOLDEN["gsub_half_1"])
-    return err <= 1e-10, f"|g_1/2(1) - golden| = {_num(err)}", "<= 1e-10"
+@_register("fracfun", "subordinator-half-golden", "closed-form", criterion=1, budget=0.25,
+           golden="subordinator_density:beta=0.5;u=1")
+def _check_gsub_half(ctx, expected, tol):
+    err = abs(float(stable_subordinator_density(0.5, 1.0)) - expected)
+    return err <= tol, f"|g_1/2(1) - golden| = {_num(err)}", f"<= {_num(tol)}"
 
 
-@_register("fracfun", "inverse-subordinator-golden", "closed-form")
-def _check_invsub(ctx):
-    err = abs(float(inverse_subordinator_density(0.5, 1.0, 1.0))
-              - _GOLDEN["invsub_half_1_1"])
+@_register("fracfun", "inverse-subordinator-golden", "closed-form", criterion=1, budget=0.25,
+           golden="inverse_subordinator_density:beta=0.5;t=1;x=1")
+def _check_invsub(ctx, expected, tol):
+    err = abs(float(inverse_subordinator_density(0.5, 1.0, 1.0)) - expected)
     support = float(inverse_subordinator_density(0.5, 1.0, -1.0))
-    ok = err <= 1e-10 and support == 0.0
-    return ok, f"|f(1) - golden| = {_num(err)}, f(-1) = {_num(support)}", "<= 1e-10; = 0"
+    ok = err <= tol and support == 0.0
+    return ok, f"|f(1) - golden| = {_num(err)}, f(-1) = {_num(support)}", f"<= {_num(tol)}; = 0"
 
 
-@_register("fracfun", "fractional-left-inverse", "definition")
-def _check_left_inverse(ctx):
+@_register("fracfun", "fractional-left-inverse", "definition", criterion=2, budget=5.0)
+def _check_left_inverse(ctx, on_nodes=True):
     T = 2.0
-    probes = np.linspace(0.0, T, 512)
     graded = T * (np.arange(4096 + 1) / 4096.0) ** 3
     uniform = np.linspace(0.0, T, 8192 + 1)
     aux = np.unique(np.concatenate([graded, uniform]))
+    # g sampled on the integration nodes, or on 512 points (a kinked interpolant).
+    samples = aux if on_nodes else np.linspace(0.0, T, 512)
+    probes = np.linspace(0.0, T, 513 if on_nodes else 512)[1:]
     worst = 0.0
     for g in (lambda t: np.ones_like(t), lambda t: t, lambda t: t * t, np.sin):
-        gs = SampledFunction(times=probes, values=g(probes))
+        gs = SampledFunction(times=samples, values=g(samples))
         for beta in (0.3, 0.5, 0.8):
             ivals = np.zeros(aux.size)
             ivals[1:] = fractional_integral(gs, beta, aux[1:])
             inter = SampledFunction(times=aux, values=ivals)
-            back = caputo_derivative(inter, beta, probes[1:])
-            worst = max(worst, float(np.max(np.abs(back - g(probes[1:])))))
+            back = caputo_derivative(inter, beta, probes)
+            worst = max(worst, float(np.max(np.abs(back - g(probes)))))
     return worst < 1e-4, f"max|D^b I^b g - g| = {_num(worst)}", "< 1e-4"
+
+
+@_register("fracfun", "fractional-left-inverse-coarse", "definition")
+def _check_left_inverse_coarse(ctx):
+    return _check_left_inverse(ctx, on_nodes=False)
 
 
 @_register("fracfun", "inverse-subordinator-normalization", "independent-oracle")
@@ -304,48 +332,50 @@ def _check_stable_bounds(ctx):
     return ok, f"envelope ratio spread c2/c1 = {_num(worst)}", "< 10"
 
 
-@_register("kernels", "l2-decay-law", "independent-oracle")
+@_register("kernels", "l2-decay-law", "independent-oracle", criterion=3, budget=29.0)
 def _check_l2_law(ctx):
     worst = 0.0
     for alpha, beta in ((2.0, 0.5), (2.0, 0.8), (1.5, 0.5)):
         p = ModelParams(alpha=alpha, beta=beta)
         cstar = green_l2_constant(p)
-        for t in (0.05, 0.3, 1.0, 4.0):
+        for t in (0.05, 0.3, 0.4, 1.0, 2.0, 4.0):
             ratio = free_kernel_l2(p, t) / (cstar * t ** (-beta * p.d / alpha))
             worst = max(worst, abs(ratio - 1.0))
     return worst <= 1e-3, f"max|l2 ratio - 1| = {_num(worst)}", "<= 1e-3"
 
 
-@_register("kernels", "l2-constant-frozen", "independent-oracle")
-def _check_l2_frozen(ctx):
+@_register("kernels", "l2-constant-frozen", "independent-oracle",
+           golden="l2_constant:alpha=2;beta=0.5;d=1;nu=1")
+def _check_l2_frozen(ctx, expected, tol):
     val = green_l2_constant(ModelParams(alpha=2.0, beta=0.5))
-    err = abs(val - _GOLDEN["l2_const_2_05"])
-    return err <= 1e-10, f"|C(2,0.5,1,1) - frozen| = {_num(err)}", "<= 1e-10"
+    err = abs(val - expected)
+    return err <= tol, f"|C(2,0.5,1,1) - frozen| = {_num(err)}", f"<= {_num(tol)}"
 
 
-@_register("kernels", "l2-constant-classical", "closed-form")
-def _check_l2_classical(ctx):
+@_register("kernels", "l2-constant-classical", "closed-form", criterion=3, budget=1.0,
+           golden="l2_constant:alpha=2;beta=1;d=1;nu=1")
+def _check_l2_classical(ctx, expected, tol):
     val = green_l2_constant(ModelParams(alpha=2.0, beta=1.0))
-    err = abs(val - _GOLDEN["l2_const_2_1"])
-    return err <= 1e-6, f"|C(2,1,1,1) - (8 pi)^-1/2| = {_num(err)}", "<= 1e-6"
+    err = abs(val - expected)
+    return err <= tol, f"|C(2,1,1,1) - (8 pi)^-1/2| = {_num(err)}", f"<= {_num(tol)}"
 
 
-@_register("kernels", "cross-representation", "self-consistency")
+@_register("kernels", "cross-representation", "self-consistency", criterion=4, budget=60.0)
 def _check_cross_repr(ctx):
     es = ctx.eigen(2.0, 64)
-    rng = ctx.rng("cross-representation")
     worst = 0.0
-    for _ in range(20):
-        t = float(rng.uniform(0.05, 1.0))
-        Gs = dirichlet_fractional_kernel(es, 0.5, t)
-        Gb = dirichlet_kernel_subordination(es, 0.5, t)
-        i, j = (int(v) for v in rng.integers(16, 48, 2))
-        ref = max(abs(Gs[i, j]), 1e-30)
-        worst = max(worst, abs(Gs[i, j] - Gb[i, j]) / ref)
+    for rng in (np.random.default_rng(202404), ctx.rng("cross-representation")):
+        for _ in range(20):
+            t = float(rng.uniform(0.05, 1.0))
+            Gs = dirichlet_fractional_kernel(es, 0.5, t)
+            Gb = dirichlet_kernel_subordination(es, 0.5, t)
+            i, j = (int(v) for v in rng.integers(16, 48, 2))
+            ref = max(abs(Gs[i, j]), 1e-30)
+            worst = max(worst, abs(Gs[i, j] - Gb[i, j]) / ref)
     return worst <= 1e-5, f"max rel spectral-vs-subordination = {_num(worst)}", "<= 1e-5"
 
 
-@_register("kernels", "bounded-by-free", "self-consistency")
+@_register("kernels", "bounded-by-free", "self-consistency", criterion=5, budget=30.0)
 def _check_bounded_by_free(ctx):
     es = ctx.eigen(2.0, 64)
     p = ModelParams(alpha=2.0, beta=0.5)
@@ -360,7 +390,7 @@ def _check_bounded_by_free(ctx):
     return worst <= 0.01, f"max(G_B/G_free - 1) = {_num(worst)}", "<= 0.01"
 
 
-@_register("kernels", "near-diagonal-floor", "self-consistency")
+@_register("kernels", "near-diagonal-floor", "self-consistency", criterion=5, budget=30.0)
 def _check_floor(ctx):
     es = ctx.eigen(2.0, 64)
     C, t0, _table = estimate_floor_constant(es, 0.5, 2.0)
@@ -368,12 +398,12 @@ def _check_floor(ctx):
     return ok, f"floor C = {_num(C)} up to t0 = {_num(t0)}", "C > 0"
 
 
-@_register("kernels", "riesz-diagonal-golden", "closed-form")
-def _check_riesz_diag(ctx):
+@_register("kernels", "riesz-diagonal-golden", "closed-form", golden="riesz_diagonal:gamma=0.5;h=0.1")
+def _check_riesz_diag(ctx, expected, tol):
     grid = SpaceGrid(R=1.0, n=20)   # h = 0.1
     M = riesz_kernel_matrix(grid, 0.5)
-    err = abs(float(M[3, 3]) - _GOLDEN["riesz_diag_05_01"])
-    return err <= 1e-10, f"|diag - golden| = {_num(err)}", "<= 1e-10"
+    err = abs(float(M[3, 3]) - expected)
+    return err <= tol, f"|diag - golden| = {_num(err)}", f"<= {_num(tol)}"
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +449,7 @@ def _check_nt_convergence(ctx):
     return worst < 0.02, f"sup-moment shift on nt doubling = {_num(worst)}", "< 0.02"
 
 
-@_register("moments", "renewal-ml-resolvent", "independent-oracle")
+@_register("moments", "renewal-ml-resolvent", "independent-oracle", criterion=6, budget=5.0)
 def _check_renewal_ml(ctx):
     from scipy.special import gamma as _gamma
     f = renewal_volterra_solve(1.0, 1.0, 0.5, 1.0, 4096)
@@ -429,7 +459,7 @@ def _check_renewal_ml(ctx):
     return rel <= 1e-5, f"max rel vs resolvent on t in [0.05,1]: {_num(rel)}", "<= 1e-5"
 
 
-@_register("moments", "renewal-rate-ratio", "closed-form")
+@_register("moments", "renewal-rate-ratio", "closed-form", criterion=6, budget=5.0)
 def _check_renewal_ratio(ctx):
     rho = 0.5
 
@@ -457,52 +487,46 @@ def _check_renewal_sandwich(ctx):
     return spread <= 0.05, f"late-window envelope drift = {_num(spread)}", "<= 0.05"
 
 
-def _envelope_residual(lams, logs, exponent, t, lam_cut):
-    z = lams ** exponent * t
+def _envelope_fit(ctx, p, n, n_lams, exponent, lam_cut, solve):
+    """Fit log sup M (T = 0.1, nt = 96) against lam^exponent for lam >= lam_cut."""
+    es = ctx.eigen(2.0, n)
+    u0 = ctx.bump(es)
+    plan = MomentPlan.build(p, es, u0, 0.1, 96)
+    lams = np.geomspace(10.0, 1e4, n_lams)
+    logs = np.array([solve(replace(p, lam=float(l)), es, u0, plan).sup_log() for l in lams])
+    z = lams ** exponent * 0.1
     top = lams >= lam_cut * (1.0 - 1e-9)
     c2, c1 = np.polyfit(z[top], logs[top], 1)
     resid = logs[top] - (c2 * z[top] + c1)
     rel = float(np.max(np.abs(resid)) / (logs.max() - logs.min()))
-    return float(c2), rel
+    return c2 > 0.0 and rel <= 1e-4, _num(c2), _num(rel)
 
 
 @_register("moments", "white-growth-envelope", "self-consistency")
 def _check_white_envelope(ctx):
-    es = ctx.eigen(2.0, 48)
-    u0 = ctx.bump(es)
-    p = ModelParams(alpha=2.0, beta=0.5)
-    plan = MomentPlan.build(p, es, u0, 0.1, 96)
-    lams = np.geomspace(10.0, 1e4, 10)
-    logs = np.array([
-        second_moment_white(replace(p, lam=float(l)), es, u0, 1.0, 0.1, 96, plan=plan).sup_log()
-        for l in lams])
-    c2, rel = _envelope_residual(lams, logs, 8.0 / 3.0, 0.1, 1e3)
-    ok = c2 > 0.0 and rel <= 1e-4
-    return ok, f"log sup M vs lam^(8/3): rate {_num(c2)}, top-decade resid {_num(rel)}", "rate > 0; resid <= 1e-4"
+    ok, rate, rel = _envelope_fit(
+        ctx, ModelParams(alpha=2.0, beta=0.5), 48, 10, 8.0 / 3.0, 1e3,
+        lambda p, es, u0, plan: second_moment_white(p, es, u0, 1.0, 0.1, 96, plan=plan))
+    return ok, f"log sup M vs lam^(8/3): rate {rate}, top-decade resid {rel}", "rate > 0; resid <= 1e-4"
 
 
 @_register("moments", "colored-growth-envelope", "self-consistency")
 def _check_colored_envelope(ctx):
-    es = ctx.eigen(2.0, 32)
-    u0 = ctx.bump(es)
-    p = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel(kind="riesz", gamma=0.5))
-    plan = MomentPlan.build(p, es, u0, 0.1, 96)
-    lams = np.geomspace(10.0, 1e4, 8)
-    logs = np.array([
-        second_moment_colored(replace(p, lam=float(l)), es, u0, 1.0, 0.5, 0.1, 96, plan=plan).sup_log()
-        for l in lams])
-    c2, rel = _envelope_residual(lams, logs, 16.0 / 7.0, 0.1, 10 ** 2.5)
-    ok = c2 > 0.0 and rel <= 1e-4
-    return ok, f"log sup M vs lam^(16/7): rate {_num(c2)}, top resid {_num(rel)}", "rate > 0; resid <= 1e-4"
+    ok, rate, rel = _envelope_fit(
+        ctx, ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel(kind="riesz", gamma=0.5)),
+        32, 8, 16.0 / 7.0, 10 ** 2.5,
+        lambda p, es, u0, plan: second_moment_colored(p, es, u0, 1.0, 0.5, 0.1, 96, plan=plan))
+    return ok, f"log sup M vs lam^(16/7): rate {rate}, top resid {rel}", "rate > 0; resid <= 1e-4"
 
 
-@_register("moments", "series-lemma-golden", "closed-form")
-def _check_series_golden(ctx):
-    err = abs(lower_series(1.0, 1.0) - _GOLDEN["series_rho1_1"])
-    return err <= 1e-10, f"|S(1) - sum k^-k| = {_num(err)}", "<= 1e-10"
+@_register("moments", "series-lemma-golden", "closed-form", criterion=10, budget=0.5,
+           golden="lower_series:rho=1;theta=1")
+def _check_series_golden(ctx, expected, tol):
+    err = abs(lower_series(1.0, 1.0) - expected)
+    return err <= tol, f"|S(1) - sum k^-k| = {_num(err)}", f"<= {_num(tol)}"
 
 
-@_register("moments", "series-lemma-growth", "self-consistency")
+@_register("moments", "series-lemma-growth", "self-consistency", criterion=10, budget=0.5)
 def _check_series_growth(ctx):
     rho = 0.5
     ratio = math.log(lower_series_log(1e6, rho)) / math.log(1e6)
@@ -562,7 +586,7 @@ def _check_semigroup_positive(ctx):
     return worst >= -1e-10, f"min deterministic part = {_num(worst)}", ">= -1e-10"
 
 
-@_register("simulate", "mc-volterra-agreement", "independent-oracle")
+@_register("simulate", "mc-volterra-agreement", "independent-oracle", criterion=9, budget=300.0)
 def _check_mc_volterra(ctx):
     es = ctx.eigen(2.0, 64)
     u0 = ctx.bump(es)
@@ -590,14 +614,14 @@ def _white_fit(ctx):
     return ctx.memo("white-fit", build)
 
 
-@_register("excitation", "index-white", "closed-form")
+@_register("excitation", "index-white", "closed-form", criterion=7, budget=600.0)
 def _check_index_white(ctx):
     fit = _white_fit(ctx)
     ok = 2.40 <= fit.slope <= 2.93
     return ok, f"slope = {_num(fit.slope)} (theory {_num(fit.theory)})", "in [2.40, 2.93]"
 
 
-@_register("excitation", "index-colored", "closed-form")
+@_register("excitation", "index-colored", "closed-form", criterion=8, budget=1200.0)
 def _check_index_colored(ctx):
     es = ctx.eigen(2.0, 32)
     u0 = ctx.bump(es)
@@ -707,7 +731,8 @@ def _check_csv_contract(ctx):
     return ok, f"comment+header+CRLF+17-digit values: {ok}", "present"
 
 
-GROUPS = tuple(dict.fromkeys(group for group, _, _, _ in _REGISTRY))
+CHECKS = tuple(_registry)
+GROUPS = tuple(dict.fromkeys(check.group for check in CHECKS))
 
 
 def run_validation(only=None, seed=0, threads=1):
@@ -719,18 +744,18 @@ def run_validation(only=None, seed=0, threads=1):
     if only is not None and only not in GROUPS:
         raise DomainError(
             f"unknown validation group {only!r}; choose one of {', '.join(GROUPS)}")
-    ctx = _Ctx(seed=seed, threads=threads)
+    ctx = CheckContext(seed=seed, threads=threads)
     results = []
-    for group, name, provenance, fn in _REGISTRY:
-        if only is not None and group != only:
+    for check in CHECKS:
+        if only is not None and check.group != only:
             continue
         try:
-            passed, measured, tolerance = fn(ctx)
+            passed, measured, tolerance = check.fn(ctx)
         except Exception as exc:                       # noqa: BLE001
             passed, measured, tolerance = False, f"raised {type(exc).__name__}: {exc}", "n/a"
-        results.append(CheckResult(group=group, name=name, passed=bool(passed),
+        results.append(CheckResult(group=check.group, name=check.name, passed=bool(passed),
                                    measured=str(measured), tolerance=str(tolerance),
-                                   provenance=provenance))
+                                   provenance=check.provenance))
     return results
 
 

@@ -1,64 +1,55 @@
-"""Shared fixtures: cached eigen systems, bump initial data, criterion log.
+"""Shared fixtures: one validation context, bump initial data, criterion summary.
 
-Eigen decompositions are the only expensive shared setup, so they are built
-once per session and keyed by (alpha, n, R, nu).  Acceptance tests record a
-one-line PASS/FAIL verdict each; the terminal-summary hook prints the
-collected lines after the test run.
+``validation_ctx`` is the session's ``fracstorm.validate.CheckContext`` (seed
+0, ``TEST_THREADS`` threads).  The registry checks share its memoised eigen
+systems and white sweep, as one ``fracstorm validate`` run does; the unit
+tests reach the same eigen systems, keyed by (alpha, n, R, nu), through
+``eigen_cache``.  The terminal-summary hook prints one PASS/FAIL line per
+acceptance criterion from the verdicts that ``test_acceptance.py`` records
+on its reports.
 """
 
 import os
 
-import numpy as np
 import pytest
 
-from fracstorm.kernels import build_discrete_generator, eigen_system
-from fracstorm.params import ModelParams, SpaceGrid
+from fracstorm.validate import CheckContext
 
 #: thread count used by tests that exercise the parallel paths; results are
 #: bitwise independent of this value by design.
 TEST_THREADS = min(4, os.cpu_count() or 1)
 
-_ACCEPTANCE_LINES = []
+
+@pytest.fixture(scope="session")
+def validation_ctx():
+    return CheckContext(seed=0, threads=TEST_THREADS)
 
 
 @pytest.fixture(scope="session")
-def eigen_cache():
-    cache = {}
-
-    def get(alpha, n, R=1.0, nu=1.0):
-        key = (float(alpha), int(n), float(R), float(nu))
-        if key not in cache:
-            p = ModelParams(alpha=alpha, beta=0.5, nu=nu, R=R)
-            grid = SpaceGrid(R=R, n=n)
-            cache[key] = eigen_system(build_discrete_generator(p, grid), grid)
-        return cache[key]
-
-    return get
+def eigen_cache(validation_ctx):
+    return validation_ctx.eigen
 
 
-@pytest.fixture
-def bump():
-    def make(es, amplitude=1.0):
-        grid = es.grid
-        return amplitude * np.cos(0.5 * np.pi * grid.nodes / grid.R)
-
-    return make
-
-
-@pytest.fixture
-def criterion():
-    """Record one acceptance-criterion verdict line; returns ``ok``."""
-
-    def record(number, label, ok, detail):
-        line = f"{'PASS' if ok else 'FAIL'} criterion {number:2d}: {label} ({detail})"
-        _ACCEPTANCE_LINES.append((number, line))
-        return ok
-
-    return record
+@pytest.fixture(scope="session")
+def bump(validation_ctx):
+    return validation_ctx.bump
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if _ACCEPTANCE_LINES:
+    # criterion number -> [label, every check passed, per-check details]
+    criteria = {}
+    stats = terminalreporter.stats
+    for report in (*stats.get("passed", ()), *stats.get("failed", ())):
+        props = dict(report.user_properties)
+        if "criterion" not in props:
+            continue
+        number, label = props["criterion"]
+        entry = criteria.setdefault(number, [label, True, []])
+        entry[1] = entry[1] and report.passed
+        if "detail" in props:  # absent when the check raised
+            entry[2].append(props["detail"])
+    if criteria:
         terminalreporter.section("acceptance criteria")
-        for _, line in sorted(_ACCEPTANCE_LINES):
-            terminalreporter.write_line(line)
+        for number, (label, ok, details) in sorted(criteria.items()):
+            terminalreporter.write_line(
+                f"{'PASS' if ok else 'FAIL'} criterion {number:2d}: {label} ({'; '.join(details)})")
