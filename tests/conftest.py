@@ -1,19 +1,22 @@
-"""Shared fixtures: one validation context, bump initial data, criterion summary.
+"""Shared fixtures: one validation context, check outcomes, criterion summary.
 
 ``validation_ctx`` is the session's ``fracstorm.validate.CheckContext`` (seed
 0, ``TEST_THREADS`` threads).  The registry checks share its memoised eigen
 systems and white sweep, as one ``fracstorm validate`` run does; the unit
 tests reach the same eigen systems, keyed by (alpha, n, R, nu), through
-``eigen_cache``.  The terminal-summary hook prints one PASS/FAIL line per
-acceptance criterion from the verdicts that ``test_acceptance.py`` records
-on its reports.
+``eigen_cache``.  ``check_outcome(name)`` runs a registry check once per
+session, so the per-check tests, the per-criterion tests and the unit tests
+that assert a check's verdict share one run of it.  The terminal-summary hook
+prints one PASS/FAIL line per acceptance criterion from the verdicts that the
+criterion tests of ``test_acceptance.py`` record on their reports.
 """
 
 import os
+import time
 
 import pytest
 
-from fracstorm.validate import CheckContext
+from fracstorm.validate import CHECKS, CheckContext
 
 #: thread count used by tests that exercise the parallel paths; results are
 #: bitwise independent of this value by design.
@@ -23,6 +26,21 @@ TEST_THREADS = min(4, os.cpu_count() or 1)
 @pytest.fixture(scope="session")
 def validation_ctx():
     return CheckContext(seed=0, threads=TEST_THREADS)
+
+
+@pytest.fixture(scope="session")
+def check_outcome(validation_ctx):
+    """``name -> (passed, measured, tolerance, elapsed seconds)``, run once."""
+    checks = {check.name: check for check in CHECKS}
+    outcomes = {}
+
+    def outcome(name):
+        if name not in outcomes:
+            start = time.perf_counter()
+            verdict = checks[name].fn(validation_ctx)
+            outcomes[name] = (*verdict, time.perf_counter() - start)
+        return outcomes[name]
+    return outcome
 
 
 @pytest.fixture(scope="session")
@@ -36,20 +54,17 @@ def bump(validation_ctx):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    # criterion number -> [label, every check passed, per-check details]
+    # criterion number -> (label, passed, per-check details)
     criteria = {}
     stats = terminalreporter.stats
     for report in (*stats.get("passed", ()), *stats.get("failed", ())):
         props = dict(report.user_properties)
-        if "criterion" not in props:
-            continue
-        number, label = props["criterion"]
-        entry = criteria.setdefault(number, [label, True, []])
-        entry[1] = entry[1] and report.passed
-        if "detail" in props:  # absent when the check raised
-            entry[2].append(props["detail"])
+        if "criterion" in props:
+            number, label = props["criterion"]
+            # no detail when a check raised
+            criteria[number] = (label, report.passed, props.get("detail", ""))
     if criteria:
         terminalreporter.section("acceptance criteria")
-        for number, (label, ok, details) in sorted(criteria.items()):
+        for number, (label, ok, detail) in sorted(criteria.items()):
             terminalreporter.write_line(
-                f"{'PASS' if ok else 'FAIL'} criterion {number:2d}: {label} ({'; '.join(details)})")
+                f"{'PASS' if ok else 'FAIL'} criterion {number:2d}: {label} ({detail})")

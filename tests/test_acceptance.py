@@ -3,15 +3,16 @@
 Every record of ``fracstorm.validate.CHECKS`` is one test case with id
 ``group/name``, run in the session's shared context: it asserts that the check
 passed, with the measured value and the tolerance in the failure message, and
-that it met its wall-time budget where it has one.  A check that carries an
-acceptance criterion records its verdict for the terminal summary, which
+that it met its wall-time budget where it has one.  Each acceptance criterion
+is one more test, ``test_criterion_NN_*``, over the outcomes of the checks
+that carry it (each check runs once per session): all passed, within the
+criterion's budget.  It records its verdict for the terminal summary, which
 prints one line per criterion.  The other tests hold the registry to its
 invariants and compare the golden table's closed-form rows with 30-digit
 mpmath values, an oracle that shares nothing with the CSV.
 """
 
 import math
-import time
 
 import mpmath
 import pytest
@@ -48,18 +49,67 @@ CLOSED_FORMS = {
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: f"{c.group}/{c.name}")
-def test_check(check, validation_ctx, request):
-    # Verdicts ride on the report for conftest's criterion summary.
-    verdict = request.node.user_properties
-    if check.criterion is not None:
-        verdict.append(("criterion", (check.criterion, CRITERIA[check.criterion][0])))
-    start = time.perf_counter()
-    passed, measured, tolerance = check.fn(validation_ctx)
-    elapsed = time.perf_counter() - start
-    verdict.append(("detail", f"{check.name}: {measured}, {elapsed:.2f}s"))
+def test_check(check, check_outcome):
+    passed, measured, tolerance, elapsed = check_outcome(check.name)
     assert passed, f"{measured} (tolerance {tolerance})"
     if check.budget is not None:
         assert elapsed <= check.budget, f"took {elapsed:.2f} s, budget {check.budget} s"
+
+
+def _criterion(number, check_outcome, request):
+    label, budget = CRITERIA[number]
+    # The verdict rides on the report for conftest's criterion summary.
+    verdict = request.node.user_properties
+    verdict.append(("criterion", (number, label)))
+    names = [check.name for check in CHECKS if check.criterion == number]
+    outcomes = {name: check_outcome(name) for name in names}
+    verdict.append(("detail", "; ".join(
+        f"{name}: {measured}, {elapsed:.2f}s"
+        for name, (_, measured, _, elapsed) in outcomes.items())))
+    failed = [name for name, outcome in outcomes.items() if not outcome[0]]
+    assert names and not failed, f"failed: {failed}"
+    elapsed = math.fsum(outcome[3] for outcome in outcomes.values())
+    assert elapsed <= budget, f"took {elapsed:.2f} s, budget {budget} s"
+
+
+def test_criterion_01_special_function_values(check_outcome, request):
+    _criterion(1, check_outcome, request)
+
+
+def test_criterion_02_derivative_inverts_integral(check_outcome, request):
+    _criterion(2, check_outcome, request)
+
+
+def test_criterion_03_free_kernel_l2_decay(check_outcome, request):
+    _criterion(3, check_outcome, request)
+
+
+def test_criterion_04_kernel_route_agreement(check_outcome, request):
+    _criterion(4, check_outcome, request)
+
+
+def test_criterion_05_kernel_bounds(check_outcome, request):
+    _criterion(5, check_outcome, request)
+
+
+def test_criterion_06_renewal_solver(check_outcome, request):
+    _criterion(6, check_outcome, request)
+
+
+def test_criterion_07_white_noise_index(check_outcome, request):
+    _criterion(7, check_outcome, request)
+
+
+def test_criterion_08_colored_noise_index(check_outcome, request):
+    _criterion(8, check_outcome, request)
+
+
+def test_criterion_09_montecarlo_matches_exact_moments(check_outcome, request):
+    _criterion(9, check_outcome, request)
+
+
+def test_criterion_10_series_lower_bound(check_outcome, request):
+    _criterion(10, check_outcome, request)
 
 
 def test_check_names_are_unique():

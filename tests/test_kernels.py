@@ -122,6 +122,13 @@ def test_free_kernel_via_subordination_identity():
             mixture(t, x), rel=1e-7)
 
 
+def test_l2_decay_follows_power_law(check_outcome):
+    # The law's one implementation is the registry check: three (alpha, beta)
+    # regimes, six t, |l2 / (C t^(-beta d/alpha)) - 1| <= 1e-3.
+    passed, measured, tolerance, _ = check_outcome("l2-decay-law")
+    assert passed, f"{measured} (tolerance {tolerance})"
+
+
 def test_l2_constant_requires_integrability():
     with pytest.raises(DomainError):
         green_l2_constant(ModelParams(alpha=1.0, beta=0.9, d=2,
