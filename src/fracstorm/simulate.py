@@ -12,7 +12,8 @@ where the kernel is evaluated at half-lag offsets so the integrable lag
 singularity at zero is never sampled.  All kernel applications are done in
 eigencoordinates, where the lag sum collapses to per-mode scalar
 convolutions; the lag tables cost nt*nx^2 values if materialized, which the
-default nx=64, nt=128 keeps well under 1e7.
+default nx=64, nt=128 keeps well under 1e7.  The decay table comes from
+``kernels.mode_decay``; the history stays a direct sum over lags.
 
 Noise increments: white noise uses independent N(0, dt*h) per cell (the
 Walsh measure of a time-space cell); Riesz noise draws factor @ z * sqrt(dt)
@@ -37,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .fracfun import mittag_leffler
-from .kernels import EigenSystem, apply_semigroup, riesz_kernel_matrix
+from .kernels import EigenSystem, apply_semigroup, mode_decay, riesz_kernel_matrix
 from .params import NoiseModel, SpaceGrid
 
 __all__ = [
@@ -352,8 +352,7 @@ def simulate_mild(params, es, u0, config, threads=1):
     beta = params.beta
 
     # Half-lag per-mode decay table: e_tab[j, k] = E_beta(-mu_k ((j+1/2) dt)^beta).
-    lags = (np.arange(nt) + 0.5) * dt
-    e_tab = mittag_leffler(beta, -np.outer(lags ** beta, es.mu))
+    e_tab = mode_decay(es.mu, beta, (np.arange(nt) + 0.5) * dt)
 
     # Deterministic part at every grid time.
     det = np.vstack([u0, apply_semigroup(es, beta, np.arange(1, nt + 1) * dt, u0)])

@@ -213,6 +213,49 @@ def test_caputo_order_under_refinement():
         assert np.all(orders >= 2.0), (beta, errs)
 
 
+def _caputo_rule(times, values, beta, t):
+    """caputo_derivative's L1/L1-2 rule on object arrays of mpmath numbers.
+
+    Returns (D^beta g(t), the same sum over the absolute cell terms)."""
+    tf = times.astype(float)
+    last = int(np.searchsorted(tf, float(t), side="left"))
+    first = max(int(np.searchsorted(tf, 0.5 * float(t), side="left")), 1)
+    slopes = np.diff(values) / np.diff(times)
+    b1, b2 = 1 - beta, 2 - beta
+    wa = t - times[:last]
+    wf = t - times[1:last + 1]
+    wc = np.array([max(w, 0) for w in wf])
+    pa = np.array([w ** b1 for w in wa])
+    pc = np.array([w ** b1 for w in wc])
+    terms = list(slopes[:last] * (pa - pc) / b1)
+    for i in range(first, last):
+        curv = (slopes[i] - slopes[i - 1]) / (times[i + 1] - times[i - 1])
+        terms.append(curv * ((wa[i] + wf[i]) * (pa[i] - pc[i]) / b1
+                             - 2 * (wa[i] * pa[i] - wc[i] * pc[i]) / b2))
+    return sum(terms) / mp.gamma(b1), sum(abs(x) for x in terms) / mp.gamma(b1)
+
+
+def test_caputo_accuracy_on_rough_data():
+    # The documented accuracy: on rough data (standard-normal samples) over
+    # cells whose widths span 1e-7 to 1e-2, rounding in the closed forms costs
+    # up to 1e-6 of the summed absolute cell terms (about 2e-7 measured),
+    # against the same rule evaluated in 40 digits.
+    rng = np.random.default_rng(20261017)
+    ragged = np.concatenate([[0.0], np.cumsum(
+        np.exp(rng.uniform(np.log(1e-7), np.log(1e-2), 600)))])
+    g = SampledFunction(ragged, rng.standard_normal(ragged.size))
+    queries = np.concatenate([rng.permutation(ragged[1:])[:6],
+                              rng.uniform(0.0, ragged[-1], 6), [ragged[-1]]])
+    with mp.workdps(40):
+        times = np.array([mp.mpf(x) for x in g.times])
+        values = np.array([mp.mpf(x) for x in g.values])
+        for beta in (0.3, 0.5, 0.8):
+            got = caputo_derivative(g, beta, queries)
+            for t, value in zip(queries, got):
+                exact, size = _caputo_rule(times, values, mp.mpf(beta), mp.mpf(t))
+                assert abs(value - exact) <= 1e-6 * size, (beta, t)
+
+
 def test_operators_reject_plain_arrays():
     with pytest.raises(DomainError):
         caputo_derivative(np.ones(8), 0.5, 0.5)

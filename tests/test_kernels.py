@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mp
+from scipy.special import gamma
 
 from fracstorm.errors import DomainError
-from fracstorm.fracfun import inverse_subordinator_density
+from fracstorm.fracfun import inverse_subordinator_density, mittag_leffler
 from fracstorm.kernels import (
     apply_semigroup,
     dirichlet_fractional_kernel,
     dirichlet_kernel_subordination,
     fractional_free_kernel,
     green_l2_constant,
+    mode_decay,
     riesz_kernel_matrix,
     stable_density,
 )
@@ -83,6 +87,93 @@ def test_subordination_route_agrees_with_spectral(eigen_cache):
         B = dirichlet_kernel_subordination(es, 0.5, t)
         scale = np.abs(A).max()
         assert np.max(np.abs(A - B)) / scale < 1e-8
+
+
+# The times of a T = 0.1, nt = 768 table down to T / (20 nt), and modes up to
+# mu = 1e6, so y = mu t^beta reaches mittag_leffler's asymptotic branch
+# (y >= 1e4) at every order.
+_TIMES = np.geomspace(0.1 / (20 * 768), 0.1, 50)
+_MU = np.geomspace(0.5, 1e6, 40)
+# Relative bound of mode_decay, from its error budget: the 80-point head on
+# the fractional power in e^(-t v^(1/beta)), with t r <= 0.01 there, is off
+# by at most 4e-14 of the whole integral (worst over beta, at t r = 0.01);
+# the log-panels and the cut at 45/t_min add below 1e-19.  Rounding: the
+# terms are positive, each off by ~50 ulp at most (its weight, and e^(-r t)
+# with r t <= 45), and a sum of N <= 3,600 positive terms adds ~sqrt(N) ulp,
+# together about 1e-14.
+DECAY_RTOL = 1e-13
+
+
+def _e_30_digits(beta, y):
+    """E_beta(-y) in 30 digits, by Talbot inversion of its Laplace transform
+    s^(beta - 1) / (s^beta + y) at t = 1: no route the package uses."""
+    b = mp.mpf(beta)
+    return mp.invertlaplace(lambda s: s ** (b - 1) / (s ** b + y), 1, method="talbot")
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 0.95])
+def test_mode_decay_matches_30_digit_values_and_mittag_leffler(beta):
+    got = mode_decay(_MU, beta, _TIMES)
+    with mp.workdps(30):
+        for j in range(0, _TIMES.size, 7):
+            for k in range(0, _MU.size, 6):
+                exact = _e_30_digits(beta, mp.mpf(_TIMES[j]) ** beta * mp.mpf(_MU[k]))
+                assert abs(got[j, k] / float(exact) - 1.0) <= DECAY_RTOL, (j, k)
+    # mittag_leffler on every point; its 3-term asymptotic for y >= 1e4 is off
+    # by about its next term, c4 y^-3 relative (c4 from the ratio of the 4th
+    # to the 1st term), and the rounded y moves E by at most ~2 ulp.
+    y = np.outer(_TIMES ** beta, _MU)
+    c4 = abs(math.sin(4 * math.pi * beta) * gamma(4 * beta)) / (
+        math.sin(math.pi * beta) * gamma(beta))
+    bound = DECAY_RTOL + np.where(y >= 1e4, 2.0 * c4 * y ** -3.0, 0.0)
+    assert np.all(np.abs(got / mittag_leffler(beta, -y) - 1.0) <= bound)
+    assert y.max() >= 1e4
+
+
+def test_mode_decay_of_order_one_is_the_exponential():
+    assert np.array_equal(mode_decay(_MU, 1.0, _TIMES), np.exp(-np.outer(_TIMES, _MU)))
+    assert np.array_equal(mode_decay(_MU, 1.0, 0.01), np.exp(-0.01 * _MU))
+
+
+def test_mode_decay_does_not_depend_on_the_other_times_of_a_call():
+    # The exponents follow the call's time range; each call is within
+    # DECAY_RTOL of the truth, so any two agree to twice that.
+    for beta in (0.3, 0.8, 0.95):
+        together = mode_decay(_MU, beta, _TIMES)
+        for j in (0, 17, 49):
+            alone = mode_decay(_MU, beta, _TIMES[j])
+            assert np.all(np.abs(alone / together[j] - 1.0) <= 2 * DECAY_RTOL)
+        part = mode_decay(_MU, beta, _TIMES[20:30][::-1])[::-1]
+        assert np.all(np.abs(part / together[20:30] - 1.0) <= 2 * DECAY_RTOL)
+    with pytest.raises(DomainError):
+        mode_decay(_MU, 0.5, np.array([0.1, -1.0]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(beta=st.sampled_from([0.3, 0.5, 0.8, 0.95]),
+       x0=st.floats(1e-3, 200.0), step=st.floats(0.02, 0.5))
+def test_decay_is_completely_monotone(beta, x0, step):
+    # (-1)^k Delta^k E_beta(-x) > 0 for k = 1, 2, 3.  The steps are wide
+    # enough (>= 2% of x) that the third difference exceeds rounding by
+    # orders of magnitude.  mode_decay's weights are positive, so its sum of
+    # exponentials is completely monotone by construction.
+    x = x0 + step * (1.0 + x0) * np.arange(4)
+    for values in (mittag_leffler(beta, -x), mode_decay(x, beta, 1.0)):
+        for k in (1, 2, 3):
+            assert np.all((-1) ** k * np.diff(values, k) > 0.0), (k, values)
+
+
+def test_kernel_at_an_array_of_times_stacks_scalar_calls(eigen_cache):
+    es = eigen_cache(2.0, 32)
+    times = np.array([0.3, 1e-4, 0.05])
+    stacked = dirichlet_fractional_kernel(es, 0.5, times)
+    assert stacked.shape == (3, es.grid.n, es.grid.n)
+    for t, G in zip(times, stacked):
+        # modal values agree to 2 DECAY_RTOL; the matrix product adds n ulp
+        e = mode_decay(es.mu, 0.5, t)
+        bound = (2 * DECAY_RTOL + es.grid.n * 2.0 ** -52) * (
+            (np.abs(es.phi) * e) @ np.abs(es.phi).T)
+        assert np.all(np.abs(G - dirichlet_fractional_kernel(es, 0.5, t)) <= bound)
 
 
 def test_apply_semigroup_matches_kernel_action(eigen_cache, bump):

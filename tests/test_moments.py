@@ -1,6 +1,7 @@
 """Moment solvers: renewal equation, white/colored second moments, series bounds."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,9 @@ from scipy.special import gamma
 
 from fracstorm.errors import DomainError, NumericsError
 from fracstorm.excitation import excitation_sweep
+from fracstorm import fracfun
 from fracstorm.fracfun import mittag_leffler
-from fracstorm.kernels import apply_semigroup
+from fracstorm.kernels import apply_semigroup, dirichlet_fractional_kernel, mode_decay
 from fracstorm.moments import (
     MomentPlan,
     colored_lower_bound_series,
@@ -23,6 +25,7 @@ from fracstorm.moments import (
     second_moment_white,
 )
 from fracstorm.params import ModelParams, NoiseModel
+from fracstorm.quadrature import fixed_panel_nodes
 
 
 def test_renewal_without_kernel_is_constant():
@@ -204,6 +207,61 @@ def test_sweep_with_one_plan_matches_planless_solves(eigen_cache, bump):
     own = second_moment_colored(q, es, u0, 1.0, 0.5, 0.1, 24)
     for name in ("values", "log_scale", "diag_logs"):
         assert np.array_equal(getattr(shared, name), getattr(own, name))
+
+
+def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
+    # The tables are built from kernel calls on chunks of whole lag cells;
+    # the reference is one kernel call per node.  At n = 32 a white chunk
+    # holds 42 cells and a colored one 256, so nt = 300 crosses chunk edges.
+    # Each modal value of the two routes agrees to 2e-13 (test_kernels'
+    # DECAY_RTOL twice) and a kernel entry then to delta = 2e-13 + n ulp of
+    # its absolute modal sum A; a squared entry to 3 delta A^2.
+    es = eigen_cache(2.0, 32)
+    u0 = bump(es)
+    n, h, nt, T = es.grid.n, es.grid.h, 300, 0.1
+    delta = 2e-13 + n * 2.0 ** -52
+
+    def absolute(t):
+        return (np.abs(es.phi) * mode_decay(es.mu, 0.5, t)) @ np.abs(es.phi).T
+
+    white = MomentPlan.build(ModelParams(alpha=2.0, beta=0.5), es, u0, T, nt)
+    nodes, weights = fixed_panel_nodes(T / nt * np.arange(1, nt + 1), n=6)
+    for m in (1, 41, 42, 43, 84, 85, nt - 1):
+        q = slice(6 * (m - 1), 6 * m)
+        ref = h * sum(w * dirichlet_fractional_kernel(es, 0.5, t) ** 2
+                      for t, w in zip(nodes[q], weights[q]))
+        size = h * sum(w * absolute(t) ** 2 for t, w in zip(nodes[q], weights[q]))
+        assert np.all(np.abs(white.history[m] - ref) <= 3 * delta * size), m
+    colored = MomentPlan.build(
+        ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5)),
+        es, u0, T, nt)
+    for m in (1, 255, 256, 257, nt - 1):
+        t = (m + 0.5) * T / nt
+        ref = dirichlet_fractional_kernel(es, 0.5, t)
+        assert np.all(np.abs(colored.history[m] - ref) <= delta * absolute(t)), m
+    assert not white.history[0].any() and not colored.history[0].any()
+
+
+def test_white_plan_build_leaves_only_the_closure_on_mittag_leffler(
+        monkeypatch, eigen_cache, bump):
+    # A structural guard, no clock: the tables evaluate their mode decay with
+    # kernels.mode_decay, so a white build at backend-agreement's size
+    # (n = 32, nt = 768) hands mittag_leffler only the 32 n newest-cell
+    # closure points.  When every table point was a Mittag-Leffler
+    # quadrature, the build passed it 172,864 points.
+    points = []
+    original = fracfun.mittag_leffler
+
+    def counting(beta, x):
+        points.append(np.size(x))
+        return original(beta, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fracstorm") and getattr(module, "mittag_leffler", None) is original:
+            monkeypatch.setattr(module, "mittag_leffler", counting)
+    es = eigen_cache(2.0, 32)
+    MomentPlan.build(ModelParams(alpha=2.0, beta=0.5), es, bump(es), 0.002, 768)
+    assert 0 < sum(points) <= 32 * es.grid.n, points
 
 
 def test_plan_built_for_other_inputs_is_refused(eigen_cache, bump):
