@@ -409,10 +409,11 @@ def dirichlet_fractional_kernel(es, beta, t):
     """Spectral Dirichlet kernel G_B(t) as an (n, n) matrix on grid nodes.
 
     G_B(t, x_i, y_j) = sum_n E_beta(-mu_n t^beta) phi_n(x_i) phi_n(y_j) (by
-    ``mode_decay``); an array of times gives shape (len(t), n, n).  The true
-    kernel is nonnegative; truncating the eigenexpansion leaves oscillatory
-    ripples around zero at small t and large |x - y|, so negative entries are
-    clipped to zero to reinstate positivity.
+    ``mode_decay``); an array of times gives shape (len(t), n, n).  On the
+    grid the expansion is complete and G = E_beta(-t^beta A) >= 0 entrywise:
+    A is an M-matrix (symmetric positive definite, off-diagonals <= 0, for
+    alpha = 2 and alpha < 2), so e^(-sA) >= 0, and E_beta(-x) is completely
+    monotone, a positive mixture of e^(-rx).  The clip removes rounding only.
     """
     e = mode_decay(es.mu, beta, t)
     G = (es.phi * e[..., None, :]) @ es.phi.T

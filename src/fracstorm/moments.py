@@ -28,13 +28,16 @@ split form value * exp(log_scale) so nothing overflows.
 
 Everything in a solve that does not depend on lam (G_B u0 at every time,
 the newest-cell mass, the history tables) is a frozen ``MomentPlan``, which
-a lam sweep builds once and passes as ``plan=``; its tables are kernel calls
-on chunks of whole lag cells (2^18 doubles).  Its 32 closure nodes per mode
-crowd toward lag 0, past ``kernels.mode_decay``'s exponents, so they stay on
-``mittag_leffler`` (0.01 s at n = 64).  Both solvers run one log-split stepper
-that only the history contraction tells apart, one stacked contraction per
-step: S[m] @ mid (white) or h^2 Delta Gmid[m] (Cbar * mid) Gmid[m]^T (colored,
-symmetrised).
+a lam sweep builds once and passes as ``plan=``; its tables come from
+``kernels.mode_decay``.  Its 32 closure nodes per mode crowd toward lag 0,
+past ``mode_decay``'s exponents, so they stay on ``mittag_leffler``.  Both
+solvers run one log-split stepper that only the lift of a new midpoint slice
+and the history contraction tell apart: S[m] @ mid (white), or the sandwich
+h^2 Delta Gmid[m] (Cbar * mid) Gmid[m]^T at lag-cell midpoint m (colored),
+summed in eigencoordinates as phi (sum_m (e_m e_m^T) * L_m) phi^T with
+Gmid[m] = phi diag(e_m) phi^T and each slice lifted once to
+L = h^2 Delta phi^T (Cbar * mid) phi, so a step costs O(j n^2 + n^3), not
+O(j n^3).  Gmid needs no clip (see ``kernels.dirichlet_fractional_kernel``).
 
 The scalar renewal solver ``renewal_volterra_solve`` handles the equality
 case f = c1 + kappa int (t-s)^(rho-1) f(s) ds, 0 < rho <= 1 (exact cells in
@@ -60,6 +63,7 @@ from .kernels import (
     EigenSystem,
     apply_semigroup,
     dirichlet_fractional_kernel,
+    mode_decay,
     riesz_kernel_matrix,
 )
 from .params import ModelParams, SpaceGrid
@@ -219,7 +223,8 @@ class MomentPlan:
                 noise, (n, n) for colored
     history[m]: lag-cell-m table (history[0] unused).  White: S[m], h times
                 the integral of G(tau)^2 over [m Delta, (m+1) Delta].
-                Colored: Gmid[m], the kernel at the cell's midpoint lag.
+                Colored: outer(e_m, e_m), e_m the mode decay at the cell's
+                midpoint lag, so the kernel there is phi diag(e_m) phi^T.
     riesz:      cell-averaged Riesz matrix Cbar (colored), else None
     """
 
@@ -275,18 +280,19 @@ class MomentPlan:
             B = h * h * (es.phi.T @ riesz @ es.phi)
             cell_mass = es.phi @ (B * ((e.T * jac) @ e)) @ es.phi.T
             cell_mass = 0.5 * (cell_mass + cell_mass.T)
-            nodes = (np.arange(1, nt) + 0.5) * delta   # lag-cell midpoints
+            # mode decay at the lag-cell midpoints, e_m e_m^T
+            e_mid = mode_decay(es.mu, beta, (np.arange(1, nt) + 0.5) * delta)
+            history[1:] = e_mid[:, :, None] * e_mid[:, None, :]
         else:
             # cell_mass[x] = int_0^Delta sum_n E_beta(-mu_n tau^beta)^2 phi_n(x)^2
             cell_mass = np.tensordot(jac, e ** 2 @ (es.phi ** 2).T, axes=(0, 0))
             # 6 Gauss nodes on each lag cell [m Delta, (m+1) Delta], m >= 1
             nodes, s_w = fixed_panel_nodes(delta * np.arange(1, nt + 1), n=6)
-        per = nodes.size // (nt - 1)
-        step = per * max(1, DECAY_CHUNK // (per * n * n))  # whole lag cells per call
-        for q in range(0, nodes.size, step):
-            G = dirichlet_fractional_kernel(es, beta, nodes[q:q + step])
-            history[1 + q // per:1 + (q + step) // per] = G if colored else h * (
-                s_w[q:q + step, None, None] * G * G).reshape(-1, 6, n, n).sum(axis=1)
+            step = 6 * max(1, DECAY_CHUNK // (6 * n * n))  # whole lag cells per call
+            for q in range(0, nodes.size, step):
+                G = dirichlet_fractional_kernel(es, beta, nodes[q:q + step])
+                history[1 + q // 6:1 + (q + step) // 6] = h * (
+                    s_w[q:q + step, None, None] * G * G).reshape(-1, 6, n, n).sum(axis=1)
         return cls(es=es, params=replace(params, lam=0.0), u0=u0, T=T, nt=nt,
                    eta=eta, times=times, det=det, cell_mass=cell_mass,
                    history=history, riesz=riesz)
@@ -305,7 +311,7 @@ class MomentPlan:
         return self
 
 
-def _log_split_steps(plan, kappa, source, contract):
+def _log_split_steps(plan, kappa, source, lift, contract):
     """The time stepper of both second-moment solvers.
 
     source[j] is the deterministic term at t_j (source[0] the initial slice);
@@ -313,8 +319,9 @@ def _log_split_steps(plan, kappa, source, contract):
     (values, log_scale, logs); logs keeps the exact log of every entry, which
     a framed slice loses for entries ~e^700 below its maximum.  Each slice
     pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for exponential
-    growth) is made once and re-framed by a scalar each step; the frame is
-    the largest pair scale so far, so nothing overflows.
+    growth) is made once, stored as lift(midpoint), and re-framed by a scalar
+    each step; the frame is the largest pair scale so far, so nothing
+    overflows.
     """
     nt = plan.nt
     shape = source.shape[1:]
@@ -337,8 +344,8 @@ def _log_split_steps(plan, kappa, source, contract):
         hist = source[j] * math.exp(-frame)
         if j > 1:
             # pair p = j-1-m sits at lag cell m = 1..j-1
-            scale = np.exp(mean_log[j - 2::-1] - frame).reshape((-1,) + (1,) * len(shape))
-            hist = hist + kappa * contract(plan.history[1:j], mids[j - 2::-1] * scale)
+            scale = np.exp(mean_log[j - 2::-1] - frame)
+            hist = hist + kappa * contract(plan.history[1:j], mids[j - 2::-1], scale)
         w = _log_positive(hist) + ln_fac
         wmax = float(w.max())
         if not np.isfinite(wmax):
@@ -346,7 +353,7 @@ def _log_split_steps(plan, kappa, source, contract):
         values[j] = np.exp(w - wmax)
         log_scale[j] = frame + wmax
         logs[j] = w + frame
-        mids[j - 1] = np.sqrt(values[j] * values[j - 1])
+        mids[j - 1] = lift(np.sqrt(values[j] * values[j - 1]))
         mean_log[j - 1] = 0.5 * (log_scale[j] + log_scale[j - 1])
         frame = max(frame, mean_log[j - 1])
     return values, log_scale, logs
@@ -365,11 +372,11 @@ def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None):
     plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
             else plan.check(params, es, u0, T, nt))
 
-    def contract(S, mids):
-        return (S @ mids[..., None]).sum(axis=0)[:, 0]
+    def contract(S, mids, scale):
+        return (S @ (mids * scale[:, None])[..., None]).sum(axis=0)[:, 0]
 
     values, log_scale, logs = _log_split_steps(
-        plan, (params.lam * l_sigma) ** 2, plan.det * plan.det, contract)
+        plan, (params.lam * l_sigma) ** 2, plan.det * plan.det, lambda mid: mid, contract)
     return MomentField(times=plan.times, grid=es.grid, values=values,
                        log_scale=log_scale, node_logs=logs)
 
@@ -379,8 +386,10 @@ def second_moment_colored(params, es, u0, l_sigma, gamma, T, nt, plan=None):
 
     Same stepper as the white solver, applied per matrix entry; the history
     contraction is the kernel sandwich h^2 Delta Gmid (Cbar * K) Gmid^T at
-    the midpoint lag of each cell, symmetrised.  Grid is capped at n = 48
-    (the state is an (nt+1, n, n) array).  ``plan`` as in the white solver.
+    the midpoint lag of each cell, summed in eigencoordinates (each slice
+    lifted once to h^2 Delta phi^T (Cbar * K) phi, each cell weighed by
+    outer(e_m, e_m)), then symmetrised.  Grid is capped at n = 48 (the state
+    is an (nt+1, n, n) array).  ``plan`` as in the white solver.
     """
     if params.noise.kind != "riesz":
         raise DomainError("second_moment_colored requires riesz noise parameters")
@@ -390,15 +399,19 @@ def second_moment_colored(params, es, u0, l_sigma, gamma, T, nt, plan=None):
             f"{params.noise.gamma}")
     plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
             else plan.check(params, es, u0, T, nt))
+    phi = es.phi
     weight = es.grid.h * es.grid.h * (plan.T / plan.nt)
 
-    def contract(Gmid, mids):
-        H = (Gmid @ (plan.riesz * mids) @ Gmid.transpose(0, 2, 1)).sum(axis=0)
-        return weight * (0.5 * (H + H.T))
+    def lift(mid):
+        return weight * (phi.T @ (plan.riesz * mid) @ phi)
+
+    def contract(outer_e, lifted, scale):
+        H = phi @ np.einsum("mij,mij,m->ij", outer_e, lifted, scale) @ phi.T
+        return 0.5 * (H + H.T)
 
     det = plan.det
     values, log_scale, logs = _log_split_steps(
-        plan, (params.lam * l_sigma) ** 2, det[:, :, None] * det[:, None, :], contract)
+        plan, (params.lam * l_sigma) ** 2, det[:, :, None] * det[:, None, :], lift, contract)
     return TwoPointField(times=plan.times, grid=es.grid, values=values,
                          log_scale=log_scale,
                          diag_logs=np.diagonal(logs, axis1=1, axis2=2).copy())

@@ -8,6 +8,7 @@ import os
 import xml.dom.minidom
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fracstorm import cli
 from fracstorm.errors import DomainError
@@ -46,6 +47,95 @@ def test_config_round_trip():
     assert p.alpha == 2.0 and p.beta == 0.5 and p.noise.kind == "riesz"
     assert cfg.grid().n == 16
     assert cfg.seed == 11
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+_PLAIN_TEXT = st.text(st.sampled_from("abc/_.-0189"), min_size=1, max_size=12)
+
+
+@st.composite
+def _valid_config_entries(draw):
+    """A key -> value dict that satisfies every model invariant."""
+    alpha = draw(st.floats(min_value=0.05, max_value=2.0))
+    beta = draw(st.floats(min_value=0.05, max_value=1.0))
+    d = draw(st.sampled_from([1, 2, 3]))
+    entries = {"model.alpha": alpha, "model.beta": beta, "model.d": d}
+    if draw(st.booleans()):
+        gamma = draw(st.floats(min_value=0.0, max_value=min(alpha, float(d)),
+                               exclude_min=True, exclude_max=True))
+        entries.update({"noise.kind": "riesz", "noise.gamma": gamma})
+    else:
+        assume(d < min(2.0, 1.0 / beta) * alpha)
+        if draw(st.booleans()):
+            entries["noise.kind"] = "white"
+    optional = {
+        "model.nu": _POSITIVE, "model.radius": _POSITIVE,
+        "model.lam": st.floats(min_value=0.0, max_value=1e6),
+        "grid.nx": st.integers(4, 4096), "grid.nt": st.integers(-10, 10 ** 6),
+        "grid.t": _FINITE, "run.seed": st.integers(0, 2 ** 63),
+        "run.outdir": _PLAIN_TEXT, "run.threads": st.integers(-4, 64),
+        "sigma.kind": st.just("linear"), "sigma.slope": _FINITE,
+        "initial.kind": st.sampled_from(["bump", "constant", "zero"]),
+        "initial.value": _FINITE, "simulate.replicates": st.integers(2, 10 ** 6),
+        "simulate.ensemble": _PLAIN_TEXT, "excite.lam_min": _FINITE,
+        "excite.lam_max": _FINITE, "excite.count": st.integers(0, 100),
+        "excite.t": _FINITE, "excite.nt": st.integers(2, 4096),
+        "excite.method": st.sampled_from(["volterra", "montecarlo"]),
+        "excite.functional": st.sampled_from(["energy", "sup"]),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(optional)))):
+        entries[key] = draw(optional[key])
+    return entries
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(entries=_valid_config_entries(), data=st.data())
+def test_config_round_trip_over_generated_configs(entries, data):
+    # Any key order, spacing and trailing comments parse to the same sorted
+    # entries with the same types and values (floats exactly, through repr),
+    # and the canonical text reparses equal and is a fixed point.
+    keys = data.draw(st.permutations(sorted(entries)))
+    pad = data.draw(st.sampled_from(["", " ", "  "]))
+    lines = ["# generated"]
+    for i, k in enumerate(keys):
+        v = entries[k]
+        lines.append(f"{pad}{k}{pad}={pad}{repr(v) if isinstance(v, float) else v}"
+                     + ("  # note" if i % 2 else ""))
+    text = "\n".join(lines) + "\n"
+    cfg = cli.parse_config_text(text)
+    assert cfg.entries == tuple(sorted(entries.items()))
+    assert all(type(v) is type(entries[k]) for k, v in cfg.entries)
+    canonical = cli.serialize_config(cfg)
+    again = cli.parse_config_text(canonical)
+    assert again == cfg and cli.serialize_config(again) == canonical
+
+
+#: model key -> values that break its invariant (base: alpha 2, beta 0.5,
+#: white noise, d = 1; gamma with riesz noise)
+_BROKEN_MODEL_VALUES = {
+    "model.alpha": st.one_of(st.floats(max_value=0.0), st.floats(min_value=2.0, exclude_min=True),
+                             st.sampled_from([math.nan, math.inf])),
+    "model.beta": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                            st.sampled_from([math.nan, math.inf])),
+    "model.nu": st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])),
+    "model.radius": st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])),
+    "model.lam": st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                           st.sampled_from([math.nan, math.inf])),
+    "model.d": st.one_of(st.integers(max_value=0), st.integers(min_value=4)),
+    "noise.gamma": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0),
+                             st.sampled_from([math.nan, math.inf])),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_config_rejects_each_broken_model_field(data):
+    key = data.draw(st.sampled_from(sorted(_BROKEN_MODEL_VALUES)))
+    value = data.draw(_BROKEN_MODEL_VALUES[key])
+    base = "noise.kind = riesz\n" if key == "noise.gamma" else ""
+    with pytest.raises(DomainError):
+        cli.parse_config_text(f"{base}{key} = {value!r}\n")
 
 
 def test_config_rejects_unknown_key():

@@ -176,6 +176,22 @@ def test_kernel_at_an_array_of_times_stacks_scalar_calls(eigen_cache):
         assert np.all(np.abs(G - dirichlet_fractional_kernel(es, 0.5, t)) <= bound)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_unclipped_kernel_is_nonnegative_up_to_rounding(eigen_cache, alpha, n):
+    # Both discrete generators are M-matrices and E_beta(-x) is completely
+    # monotone, so phi diag(e) phi^T >= 0 in exact arithmetic; the colored
+    # moment history uses it unclipped, at every lag-cell midpoint.
+    es = eigen_cache(alpha, n)
+    for beta in (0.3, 0.5, 0.8):
+        for T in (0.002, 0.1, 1.0):
+            for nt in (24, 192, 768):
+                e = mode_decay(es.mu, beta, (np.arange(1, nt) + 0.5) * T / nt)
+                G = (es.phi * e[:, None, :]) @ es.phi.T
+                top = G.max(axis=(1, 2))
+                assert np.all(G.min(axis=(1, 2)) >= -1e-14 * top), (beta, T, nt)
+
+
 def test_apply_semigroup_matches_kernel_action(eigen_cache, bump):
     es = eigen_cache(2.0, 32)
     v = bump(es)

@@ -11,7 +11,7 @@ from scipy.special import gamma
 from fracstorm.errors import DomainError, NumericsError
 from fracstorm.excitation import excitation_sweep
 from fracstorm import fracfun
-from fracstorm.fracfun import mittag_leffler
+from fracstorm.fracfun import mittag_leffler, mittag_leffler_log
 from fracstorm.kernels import apply_semigroup, dirichlet_fractional_kernel, mode_decay
 from fracstorm.moments import (
     MomentPlan,
@@ -210,12 +210,14 @@ def test_sweep_with_one_plan_matches_planless_solves(eigen_cache, bump):
 
 
 def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
-    # The tables are built from kernel calls on chunks of whole lag cells;
-    # the reference is one kernel call per node.  At n = 32 a white chunk
-    # holds 42 cells and a colored one 256, so nt = 300 crosses chunk edges.
-    # Each modal value of the two routes agrees to 2e-13 (test_kernels'
-    # DECAY_RTOL twice) and a kernel entry then to delta = 2e-13 + n ulp of
-    # its absolute modal sum A; a squared entry to 3 delta A^2.
+    # The white tables are built from kernel calls on chunks of whole lag
+    # cells, the colored ones from one mode_decay call on all midpoints; the
+    # reference is one call per node.  At n = 32 a white chunk holds 42 cells,
+    # so nt = 300 crosses chunk edges; the colored lags sample both ends and
+    # the middle of the table.  Each modal value of the two routes agrees to
+    # 2e-13 (test_kernels' DECAY_RTOL twice); a kernel entry then to
+    # delta = 2e-13 + n ulp of its absolute modal sum A, a squared entry to
+    # 3 delta A^2, a product e_i e_k to 4e-13 + 1 ulp of itself.
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
     n, h, nt, T = es.grid.n, es.grid.h, 300, 0.1
@@ -236,9 +238,8 @@ def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
         ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5)),
         es, u0, T, nt)
     for m in (1, 255, 256, 257, nt - 1):
-        t = (m + 0.5) * T / nt
-        ref = dirichlet_fractional_kernel(es, 0.5, t)
-        assert np.all(np.abs(colored.history[m] - ref) <= delta * absolute(t)), m
+        ref = np.outer(*2 * [mode_decay(es.mu, 0.5, (m + 0.5) * T / nt)])
+        assert np.all(np.abs(colored.history[m] - ref) <= (4e-13 + 2.0 ** -52) * ref), m
     assert not white.history[0].any() and not colored.history[0].any()
 
 
@@ -262,6 +263,93 @@ def test_white_plan_build_leaves_only_the_closure_on_mittag_leffler(
     es = eigen_cache(2.0, 32)
     MomentPlan.build(ModelParams(alpha=2.0, beta=0.5), es, bump(es), 0.002, 768)
     assert 0 < sum(points) <= 32 * es.grid.n, points
+
+
+def test_colored_solve_makes_no_kernel_matrix(monkeypatch, eigen_cache, bump):
+    # A structural guard, no clock: the colored history lives in
+    # eigencoordinates, so a plan build and a solve at colored-sweep's size
+    # (n = 32, nt = 192) form no physical kernel matrix at any lag.
+    calls = []
+    original = dirichlet_fractional_kernel
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("fracstorm")
+                and getattr(module, "dirichlet_fractional_kernel", None) is original):
+            monkeypatch.setattr(module, "dirichlet_fractional_kernel", counting)
+    es = eigen_cache(2.0, 32)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5, lam=30.0, noise=NoiseModel("riesz", gamma=0.5))
+    plan = MomentPlan.build(p, es, u0, 0.1, 192)
+    second_moment_colored(p, es, u0, 1.0, 0.5, 0.1, 192, plan=plan)
+    assert calls == []
+
+
+def _sandwich_colored(plan, kappa):
+    """Reference: the two-point stepper with the physical kernel sandwich.
+
+    Every step sums h^2 Delta Gmid[m] (Cbar * mid) Gmid[m]^T over the lag
+    cells m = 1..j-1, one pair of n x n x n products per cell, with Gmid[m]
+    the clipped kernel at the cell's midpoint lag.  Pair midpoints are
+    sqrt(v_{p+1} v_p) framed by the largest pair-mean log scale so far; the
+    newest cell is the scalar renewal closure.  Returns (values, log_scale,
+    logs), as the solver's stepper does.
+    """
+    es, nt = plan.es, plan.nt
+    delta = plan.T / nt
+    G = dirichlet_fractional_kernel(es, plan.params.beta, (np.arange(1, nt) + 0.5) * delta)
+    z = kappa * gamma(plan.eta) * plan.eta * plan.cell_mass
+    ln_fac = mittag_leffler_log(plan.eta, np.maximum(z, 0.0).ravel()).reshape(z.shape)
+    source = plan.det[:, :, None] * plan.det[:, None, :]
+    values = source / source[0].max()
+    log_scale = np.full(nt + 1, math.log(source[0].max()))
+    logs = np.log(source)
+    for j in range(1, nt + 1):
+        pair_logs = [0.5 * (log_scale[p + 1] + log_scale[p]) for p in range(j - 1)]
+        frame = max([0.0] + pair_logs)
+        H = np.zeros(z.shape)
+        for m in range(1, j):
+            p = j - 1 - m
+            mid = np.sqrt(values[p + 1] * values[p]) * math.exp(pair_logs[p] - frame)
+            H += G[m - 1] @ (plan.riesz * mid) @ G[m - 1].T
+        hist = source[j] * math.exp(-frame) + kappa * es.grid.h ** 2 * delta * 0.5 * (H + H.T)
+        with np.errstate(divide="ignore"):
+            w = np.log(hist) + ln_fac
+        logs[j] = w + frame
+        values[j] = np.exp(w - w.max())
+        log_scale[j] = frame + w.max()
+    return values, log_scale, logs
+
+
+@pytest.mark.parametrize("lam", [1.0, 30.0, 1e3])
+@pytest.mark.parametrize("n", [16, 32])
+def test_colored_solve_matches_physical_sandwich(eigen_cache, bump, n, lam):
+    # Bound, a priori: a step's two routes sum the same positive history
+    # with at most four n-term products each, so they differ by at most
+    # 4 n u relative (u = 2^-53); a step carries the earlier slices' errors
+    # forward through a positive combination, so after nt steps r = nt 4 n u
+    # (4.5e-13 at n = 16, 9.1e-13 at n = 32).  Each route rounds a log (and
+    # a log scale) to half an ulp once more, 2^-52 |log| between the two.
+    es = eigen_cache(2.0, n)
+    u0 = bump(es)
+    nt = 64
+    p = ModelParams(alpha=2.0, beta=0.5, lam=lam, noise=NoiseModel("riesz", gamma=0.5))
+    plan = MomentPlan.build(p, es, u0, 0.1, nt)
+    got = second_moment_colored(p, es, u0, 1.0, 0.5, 0.1, nt, plan=plan)
+    values, log_scale, logs = _sandwich_colored(plan, lam ** 2)
+    r = nt * 4 * n * 2.0 ** -53
+    ref = np.diagonal(logs, axis1=1, axis2=2)
+    assert np.array_equal(np.isinf(got.diag_logs), np.isinf(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.abs(got.diag_logs[finite] - ref[finite])
+                  <= r + 2.0 ** -52 * np.abs(ref[finite]))
+    # values * exp(log_scale), in units of the oracle's slice maximum (1)
+    dense = got.values * np.exp(got.log_scale - log_scale)[:, None, None]
+    err = np.abs(dense - values).max(axis=(1, 2))
+    assert np.all(err <= r + 2.0 ** -52 * np.abs(log_scale)), err
 
 
 def test_plan_built_for_other_inputs_is_refused(eigen_cache, bump):

@@ -1,7 +1,11 @@
 """Monte Carlo mild-solution machinery: determinism, exact cases, ensembles."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TEST_THREADS
 from fracstorm.errors import DomainError, NumericsError
@@ -120,6 +124,91 @@ def test_sigma_specs():
     assert tab.linear_slope is None
     with pytest.raises(DomainError):
         SigmaSpec(kind="table", table_x=(0.0, 1.0), table_y=(1.0, 2.0))  # sigma(0) != 0
+
+
+_VALUES = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@st.composite
+def _tables(draw):
+    """Strictly increasing abscissae through 0 with sigma(0) = 0."""
+    steps = draw(st.lists(st.integers(-8000, 8000).filter(bool),
+                          min_size=1, max_size=8, unique=True))
+    x = sorted([k / 8.0 for k in steps] + [0.0])
+    y = draw(st.lists(_VALUES, min_size=len(x), max_size=len(x)))
+    return x, [0.0 if xi == 0.0 else yi for xi, yi in zip(x, y)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(table=_tables(), slope=_VALUES, u=st.lists(_VALUES, min_size=2, max_size=16))
+def test_sigma_is_zero_at_zero_lipschitz_and_clamped(table, slope, u):
+    x, y = table
+    u = np.array(u + [x[0] - 1.0, x[-1] + 1.0, 0.0])
+    for sig, lip in ((linear_sigma(slope), abs(slope)),
+                     (table_sigma(x, y), np.max(np.abs(np.diff(y) / np.diff(x))))):
+        assert sig(0.0) == 0.0
+        su = sig(u)
+        # each value rounds to a few ulp of its scale; 1e-12 of it covers that
+        slack = 1e-12 * max(np.max(np.abs(y)), abs(slope) * np.max(np.abs(u)))
+        assert np.all(np.abs(np.subtract.outer(su, su))
+                      <= lip * np.abs(np.subtract.outer(u, u)) * (1 + 1e-12) + slack)
+    tab = table_sigma(x, y)
+    assert np.all(tab(u[u <= x[0]]) == y[0]) and np.all(tab(u[u >= x[-1]]) == y[-1])
+
+
+_BAD_SIGMA = st.one_of(
+    st.builds(SigmaSpec, kind=st.text(max_size=8).filter(lambda k: k not in ("linear", "table"))),
+    st.builds(SigmaSpec, kind=st.just("linear"), slope=st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.builds(SigmaSpec, kind=st.just("table"), table_x=st.just((0.0,)), table_y=st.just((0.0,))),
+    st.builds(SigmaSpec, kind=st.just("table"), table_x=st.just((-1.0, 0.0, 1.0)),
+              table_y=st.just((0.0, 0.0))),
+    st.builds(SigmaSpec, kind=st.just("table"), table_x=st.just((-1.0, 1.0)),
+              table_y=st.tuples(st.just(-1.0), st.sampled_from([math.nan, math.inf]))),
+    st.builds(SigmaSpec, kind=st.just("table"),
+              table_x=st.floats(-1.0, 1.0).map(lambda a: (a, a)), table_y=st.just((0.0, 0.0))),
+    st.builds(SigmaSpec, kind=st.just("table"), table_x=st.just((-1.0, 1.0)),
+              table_y=st.floats(1e-9, 1e3).map(lambda c: (c, c))),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sigma_spec_rejects_each_broken_field(data):
+    with pytest.raises(DomainError):
+        data.draw(_BAD_SIGMA)
+
+
+_BASE = ModelParams(alpha=1.0, beta=0.5)
+_NOT_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+#: field -> values that break its invariant on _BASE (gamma on riesz noise)
+_BROKEN_PARAMS = {
+    "alpha": st.one_of(st.floats(max_value=0.0), st.floats(min_value=2.0, exclude_min=True),
+                       _NOT_FINITE),
+    "beta": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                      _NOT_FINITE),
+    "nu": st.one_of(st.floats(max_value=0.0), _NOT_FINITE),
+    "R": st.one_of(st.floats(max_value=0.0), _NOT_FINITE),
+    "lam": st.one_of(st.floats(max_value=0.0, exclude_max=True), _NOT_FINITE),
+    "d": st.one_of(st.integers(max_value=0), st.integers(min_value=4), st.just(2)),
+    "gamma": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), _NOT_FINITE),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_model_params_reject_each_broken_field(data):
+    # d = 2 breaks the white-noise bound d < min(2, 1/beta) alpha = 2 of _BASE.
+    field = data.draw(st.sampled_from(sorted(_BROKEN_PARAMS)))
+    value = data.draw(_BROKEN_PARAMS[field])
+    with pytest.raises(DomainError):
+        if field == "gamma":
+            replace(_BASE, noise=NoiseModel("riesz", gamma=value))
+        else:
+            replace(_BASE, **{field: value})
+    with pytest.raises(DomainError):
+        NoiseModel(data.draw(st.text(max_size=8).filter(lambda k: k not in ("white", "riesz"))))
+    with pytest.raises(DomainError):
+        NoiseModel("white", gamma=data.draw(st.floats(0.01, 0.99)))
 
 
 def test_riesz_covariance_factorization(eigen_cache):
