@@ -83,6 +83,9 @@ def _float(raw, key):
 
 
 def _str(raw, key):
+    # the config text cannot carry a '#' (it starts a comment) or a line break
+    if "#" in raw or len(raw.splitlines()) > 1:
+        raise DomainError(f"config key {key} cannot hold '#' or a line break, got {raw!r}")
     return raw
 
 

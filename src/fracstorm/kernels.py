@@ -34,7 +34,7 @@ time-fractional kernel:
 which must agree; the test suite enforces this.  ``apply_semigroup`` is the
 field action G_B(t) v, at one time or at an array of times; it is the only
 evaluation of the deterministic part G_B u0 in the package.  It, G_B(t) and
-every lag table take E_beta(-mu_n t^beta) from ``mode_decay``.
+every lag table take E_beta(-mu_n t^beta) from ``fracfun.mode_decay``.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gamma as _gamma, j0
 
 from .errors import DomainError, NumericsError
-from .fracfun import _check_beta, inverse_subordinator_density, mittag_leffler
+from .fracfun import inverse_subordinator_density, mittag_leffler, mode_decay
 from .params import SpaceGrid
 from .quadrature import adaptive_gauss, fixed_panel_nodes, integrate_semi_infinite
 
@@ -57,7 +57,6 @@ __all__ = [
     "free_kernel_l2",
     "build_discrete_generator",
     "eigen_system",
-    "mode_decay",
     "dirichlet_fractional_kernel",
     "dirichlet_kernel_subordination",
     "apply_semigroup",
@@ -366,43 +365,6 @@ def eigen_system(A, grid):
     if not np.allclose(gram, np.eye(n), atol=1e-8):
         raise NumericsError("eigenvectors failed h-weighted orthonormality")
     return EigenSystem(mu=mu, phi=phi, grid=grid)
-
-
-DECAY_CHUNK = 1 << 18  #: doubles per exp(-t r) block, and per moment-table kernel chunk
-
-
-def mode_decay(mu, beta, t):
-    """E_beta(-mu_k t^beta) for modes mu_k > 0 at time(s) t > 0, one row per time.
-
-    One sum of exponentials for all modes: exp(-outer(t, r)) @ W, W[l, k] =
-    w_l K(r_l; mu_k) > 0, with K = mu r^(beta-1) sin(pi beta) / (pi |r^beta
-    e^(i pi beta) + mu|^2) the density of E_beta(-mu t^beta) in e^(-r t).  Nodes:
-    80-point Gauss-Legendre in r^beta up to 0.01 min(mu_min^(1/beta), 1/t_max),
-    then 14-point log-r panels to 45/t_min, 0.5 wide (x sin(pi beta), K's peak
-    width, for beta > 1/2).  Relative error < 1e-13 (head <= 4e-14, rounding
-    ~1e-14) whatever other times share the call; exp(-t r) is formed in
-    blocks of DECAY_CHUNK doubles; beta = 1 is exact.
-    """
-    b = _check_beta(beta)
-    ts = np.asarray(t, float)
-    if ts.ndim > 1 or not np.all(np.isfinite(ts) & (ts > 0.0)):
-        raise DomainError(f"times must be positive and finite, got {t}")
-    ts, mu = np.atleast_1d(ts), np.asarray(mu, float)
-    if b == 1.0:
-        return np.exp(-np.outer(ts, mu)) if np.ndim(t) else np.exp(-mu * ts[0])
-    r_head = 0.01 * min(float(mu.min()) ** (1.0 / b), 1.0 / float(ts.max()))
-    v, wv = fixed_panel_nodes([0.0, r_head ** b], n=80)
-    u0, u1 = np.log(r_head), np.log(45.0 / float(ts.min()))
-    width = 0.5 * (np.sin(np.pi * b) if b > 0.5 else 1.0)
-    u, wu = fixed_panel_nodes(np.linspace(u0, u1, int(np.ceil((u1 - u0) / width)) + 1), 14)
-    r = np.concatenate([v ** (1.0 / b), np.exp(u)])
-    # K dr = mu sin(pi b) / (pi (v^2 + 2 mu v cos(pi b) + mu^2)) (dv / b head, v du panels)
-    v = np.concatenate([v, np.exp(b * u)])[:, None]
-    a = np.concatenate([wv / b, wu * np.exp(b * u)])[:, None]
-    W = np.sin(np.pi * b) / np.pi * a * mu / ((v + 2.0 * np.cos(np.pi * b) * mu) * v + mu * mu)
-    step = max(1, DECAY_CHUNK // r.size)
-    out = np.concatenate([np.exp(-np.outer(ts[i:i + step], r)) @ W for i in range(0, ts.size, step)])
-    return out if np.ndim(t) else out[0]
 
 
 def dirichlet_fractional_kernel(es, beta, t):

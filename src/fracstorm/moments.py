@@ -29,10 +29,10 @@ split form value * exp(log_scale) so nothing overflows.
 Everything in a solve that does not depend on lam (G_B u0 at every time,
 the newest-cell mass, the history tables) is a frozen ``MomentPlan``, which
 a lam sweep builds once and passes as ``plan=``; its tables come from
-``kernels.mode_decay``.  Its 32 closure nodes per mode crowd toward lag 0,
-past ``mode_decay``'s exponents, so they stay on ``mittag_leffler``.  Both
-solvers run one log-split stepper that only the lift of a new midpoint slice
-and the history contraction tell apart: S[m] @ mid (white), or the sandwich
+``fracfun.mode_decay``, its 32 closure nodes per mode from
+``mittag_leffler`` (the same sum of exponentials).  Both solvers run one
+log-split stepper that only the lift of a new midpoint slice and the
+history contraction tell apart: S[m] @ mid (white), or the sandwich
 h^2 Delta Gmid[m] (Cbar * mid) Gmid[m]^T at lag-cell midpoint m (colored),
 summed in eigencoordinates as phi (sum_m (e_m e_m^T) * L_m) phi^T with
 Gmid[m] = phi diag(e_m) phi^T and each slice lifted once to
@@ -56,14 +56,12 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .errors import DomainError, NumericsError
-from .fracfun import SampledFunction, mittag_leffler, mittag_leffler_log
+from .fracfun import DECAY_CHUNK, SampledFunction, mittag_leffler, mittag_leffler_log, mode_decay
 from .fracfun import _HISTORY_BLOCK, _soe_block, _soe_kernel
 from .kernels import (
-    DECAY_CHUNK,
     EigenSystem,
     apply_semigroup,
     dirichlet_fractional_kernel,
-    mode_decay,
     riesz_kernel_matrix,
 )
 from .params import ModelParams, SpaceGrid
@@ -489,6 +487,13 @@ def renewal_growth_exponent(kappa, rho):
 _SERIES_BLOCK = 1 << 18  # terms per block of the log-space series sum
 
 
+def _series_args(t, rho):
+    """(t, rho) as floats; DomainError unless 0 <= t < inf, 0 < rho < inf."""
+    if not (0.0 <= float(t) < math.inf and 0.0 < float(rho) < math.inf):  # refuses NaN too
+        raise DomainError(f"finite t >= 0, finite rho > 0 violated: {t}, {rho}")
+    return float(t), float(rho)
+
+
 def _lower_series_log_terms(t, rho, kmin, kmax):
     k = np.arange(kmin, kmax + 1, dtype=float)
     return k * (math.log(t) - rho * np.log(k))
@@ -502,12 +507,7 @@ def lower_series_log(t, rho):
     neglected tail below e^-70 of the total.  The window is summed in blocks
     of 2^18 terms, so memory stays bounded when it spans millions.
     """
-    t = float(t)
-    rho = float(rho)
-    if rho <= 0.0:
-        raise DomainError(f"rho > 0 violated: {rho}")
-    if t < 0.0:
-        raise DomainError(f"t >= 0 violated: {t}")
+    t, rho = _series_args(t, rho)
     if t == 0.0:
         return -np.inf
     kstar = t ** (1.0 / rho) / math.e
@@ -534,12 +534,7 @@ def lower_series(t, rho):
     Overflows to inf for t far beyond float range; ``lower_series_log`` is
     the companion for that regime.
     """
-    t = float(t)
-    rho = float(rho)
-    if rho <= 0.0:
-        raise DomainError(f"rho > 0 violated: {rho}")
-    if t < 0.0:
-        raise DomainError(f"t >= 0 violated: {t}")
+    t, rho = _series_args(t, rho)
     if t == 0.0:
         return 0.0
     ls = lower_series_log(t, rho)

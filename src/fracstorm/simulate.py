@@ -13,7 +13,7 @@ singularity at zero is never sampled.  All kernel applications are done in
 eigencoordinates, where the lag sum collapses to per-mode scalar
 convolutions; the lag tables cost nt*nx^2 values if materialized, which the
 default nx=64, nt=128 keeps well under 1e7.  The decay table comes from
-``kernels.mode_decay``; the history stays a direct sum over lags.
+``fracfun.mode_decay``; the history stays a direct sum over lags.
 
 Noise increments: white noise uses independent N(0, dt*h) per cell (the
 Walsh measure of a time-space cell); Riesz noise draws factor @ z * sqrt(dt)
@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .kernels import EigenSystem, apply_semigroup, mode_decay, riesz_kernel_matrix
+from .fracfun import mode_decay
+from .kernels import EigenSystem, apply_semigroup, riesz_kernel_matrix
 from .params import NoiseModel, SpaceGrid
 
 __all__ = [

@@ -4,9 +4,11 @@
 0, ``TEST_THREADS`` threads).  The registry checks share its memoised eigen
 systems and white sweep, as one ``fracstorm validate`` run does; the unit
 tests reach the same eigen systems, keyed by (alpha, n, R, nu), through
-``eigen_cache``.  ``check_outcome(name)`` runs a registry check once per
-session, so the per-check tests, the per-criterion tests and the unit tests
-that assert a check's verdict share one run of it.  The terminal-summary hook
+``eigen_cache``.  ``e_30_digits(beta, y)`` is E_beta(-y) in 30 digits, the
+reference of the Mittag-Leffler and mode-decay accuracy tests.
+``check_outcome(name)`` runs a registry check once per session, so the
+per-check tests, the per-criterion tests and the unit tests that assert a
+check's verdict share one run of it.  The terminal-summary hook
 prints one PASS/FAIL line per acceptance criterion from the verdicts that the
 criterion tests of ``test_acceptance.py`` record on their reports.
 """
@@ -15,6 +17,7 @@ import os
 import time
 
 import pytest
+from mpmath import mp
 
 from fracstorm.validate import CHECKS, CheckContext
 
@@ -51,6 +54,18 @@ def eigen_cache(validation_ctx):
 @pytest.fixture(scope="session")
 def bump(validation_ctx):
     return validation_ctx.bump
+
+
+@pytest.fixture(scope="session")
+def e_30_digits():
+    def value(beta, y):
+        """E_beta(-y) in 30 digits, by Talbot inversion of its Laplace
+        transform s^(beta - 1) / (s^beta + y) at t = 1: no route the package
+        uses."""
+        with mp.workdps(30):
+            b, y = mp.mpf(beta), mp.mpf(y)
+            return mp.invertlaplace(lambda s: s ** (b - 1) / (s ** b + y), 1, method="talbot")
+    return value
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -111,6 +111,28 @@ def test_config_round_trip_over_generated_configs(entries, data):
     assert again == cfg and cli.serialize_config(again) == canonical
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(["run.outdir", "simulate.ensemble"]), value=st.text(max_size=12))
+def test_text_overrides_reparse_equal_or_are_refused(key, value):
+    # A --set text value survives the canonical config text unchanged, or is
+    # refused by name: a '#' or a line break has no spelling in that text.
+    try:
+        cfg = cli._apply_overrides(cli.RunConfig(entries=()), [f"{key}={value}"])
+    except DomainError as exc:
+        assert key in str(exc)
+        assert "#" in value or len(value.strip().splitlines()) > 1
+        return
+    assert cli.parse_config_text(cli.serialize_config(cfg)) == cfg
+
+
+def test_override_with_a_hash_exits_2(tmp_path, monkeypatch, capsys):
+    # runs#2 would be written back as runs, so the override is refused
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_main(["excite", "--set", "run.outdir=runs#2"], capsys)
+    assert code == 2 and "run.outdir" in err
+    assert os.listdir(tmp_path) == []
+
+
 #: model key -> values that break its invariant (base: alpha 2, beta 0.5,
 #: white noise, d = 1; gamma with riesz noise)
 _BROKEN_MODEL_VALUES = {

@@ -37,8 +37,30 @@ def test_classical_order_reduces_to_exp():
 
 def test_half_order_matches_scaled_erfc():
     # E_{1/2}(-z) = exp(z^2) erfc(z) = erfcx(z) for z >= 0.
-    for z in np.linspace(0.0, 30.0, 61):
+    for z in np.concatenate([np.linspace(0.0, 30.0, 61), np.geomspace(30.0, 1e8, 29)[1:]]):
         assert mittag_leffler(0.5, -z) == pytest.approx(erfcx(z), rel=1e-10)
+
+
+# Both sides of the series seam at 0.9 and of 1e4, where an asymptotic series
+# once took over, then far into the 1/(Gamma(1 - beta) y) tail.
+_SEAM_Y = np.array([0.9, np.nextafter(0.9, 1.0), 1.0, 10.0, 1e2,
+                    np.nextafter(1e4, 0.0), 1e4, 1e8])
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 0.95, 0.99])
+def test_mittag_leffler_matches_30_digit_values(beta, e_30_digits):
+    # One call, so every point shares the node set.  The largest error seen
+    # here is 4.0e-14 (beta = 0.99, y = 1), so 0.99 keeps the 1e-13 bound too.
+    got = mittag_leffler(beta, -_SEAM_Y)
+    exact = np.array([float(e_30_digits(beta, y)) for y in _SEAM_Y])
+    assert np.all(np.abs(got / exact - 1.0) <= 1e-13), np.abs(got / exact - 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.8, 0.95, 0.99])
+def test_mittag_leffler_far_tail_is_the_leading_law(beta):
+    # E_beta(-y) = 1/(Gamma(1 - beta) y) (1 + O(1/y)), with no overflow on the way
+    y = 1e300
+    assert mittag_leffler(beta, -y) * gamma(1.0 - beta) * y == pytest.approx(1.0, rel=1e-13)
 
 
 def test_mittag_leffler_rejects_bad_order():
@@ -273,9 +295,9 @@ def test_sampled_function_validation():
 
 
 def test_mittag_leffler_memory_is_bounded():
-    # The spectral integral is evaluated on (nodes x points) blocks of 2048
-    # points, so 12,288 mid-range points cost one block (about 39 MB at
-    # beta = 0.8, 2366 nodes), not a 12,288-column matrix (over 400 MB).
+    # The sum of exponentials forms its (nodes x points) weights in blocks of
+    # DECAY_CHUNK doubles (2 MB), not as one 12,288-column matrix (about
+    # 50 MB at beta = 0.8, 500 nodes); the peak seen is 7 MB.
     # The Taylor series is summed on (points x terms) blocks of 2^18
     # doubles, not a 12,288 x 512 (or x 1024 for the log) matrix.
     y = np.geomspace(1.0, 5e3, 12288)
@@ -290,5 +312,5 @@ def test_mittag_leffler_memory_is_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 64e6, (fn.__name__, beta, peak)
-        # a point's value does not depend on the block it falls in
+        # a point's value does not depend on where it falls in the call
         assert np.array_equal(vals, fn(beta, x[::-1])[::-1])

@@ -11,8 +11,8 @@ from scipy.special import gamma
 from fracstorm.errors import DomainError, NumericsError
 from fracstorm.excitation import excitation_sweep
 from fracstorm import fracfun
-from fracstorm.fracfun import mittag_leffler, mittag_leffler_log
-from fracstorm.kernels import apply_semigroup, dirichlet_fractional_kernel, mode_decay
+from fracstorm.fracfun import mittag_leffler, mittag_leffler_log, mode_decay
+from fracstorm.kernels import apply_semigroup, dirichlet_fractional_kernel
 from fracstorm.moments import (
     MomentPlan,
     colored_lower_bound_series,
@@ -246,7 +246,7 @@ def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
 def test_white_plan_build_leaves_only_the_closure_on_mittag_leffler(
         monkeypatch, eigen_cache, bump):
     # A structural guard, no clock: the tables evaluate their mode decay with
-    # kernels.mode_decay, so a white build at backend-agreement's size
+    # fracfun.mode_decay, so a white build at backend-agreement's size
     # (n = 32, nt = 768) hands mittag_leffler only the 32 n newest-cell
     # closure points.  When every table point was a Mittag-Leffler
     # quadrature, the build passed it 172,864 points.
@@ -384,6 +384,22 @@ def test_lower_series_log_consistent_with_direct():
     for t, rho in ((0.5, 0.5), (3.0, 1.0), (40.0, 0.5)):
         assert lower_series_log(t, rho) == pytest.approx(
             math.log(lower_series(t, rho)), abs=1e-10)
+
+
+_RIESZ = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: lower_series(1.0, v), lambda v: lower_series(v, 0.5),
+    lambda v: lower_series_log(1.0, v), lambda v: lower_series_log(v, 0.5),
+    lambda v: colored_lower_bound_series(_RIESZ, 0.5, 1.0, v, 0.1, g_t=0.3),
+    lambda v: colored_lower_bound_series(_RIESZ, 0.5, 1.0, 1e2, v, g_t=0.3),
+], ids=["S-rho", "S-t", "logS-rho", "logS-t", "colored-lam", "colored-t"])
+def test_series_lemma_refuses_non_finite_arguments(call, bad):
+    # no silent NaN, no ValueError from int(inf), no 1e7-term loop
+    with pytest.raises(DomainError):
+        call(bad)
 
 
 def test_lower_series_log_growth_exponent():
