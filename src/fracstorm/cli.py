@@ -1,19 +1,31 @@
 """Command-line surface: configuration, artifact emission, validation runner.
 
-Commands
---------
-specfun   evaluate the special functions at given points (CSV on stdout)
-kernel    Dirichlet kernel slice or L2-decay table (CSV artifact)
-moments   renewal benchmark or second-moment energy trace (CSV artifact)
-simulate  Monte Carlo mild-solution run (CSV + JSON artifacts)
-excite    lambda sweep with growth-index fit (CSV + JSON + SVG artifacts)
-validate  run the self-check suite and print the report
+Commands and their options
+--------------------------
+specfun           evaluate the special functions at given points (CSV on
+                  stdout): --beta --order --x --u --t --g --grid-n
+kernel            Dirichlet kernel slice or L2-decay table (CSV artifact):
+                  --config --set --mode --t --y --out
+moments renewal   renewal benchmark (CSV artifact):
+                  --config --set --rho --kappa --c1 --T --nt --out
+moments field     second-moment energy trace on [0, grid.t] with grid.nt
+                  steps (CSV artifact): --config --set --l-sigma --out
+simulate          Monte Carlo mild-solution run (CSV + JSON artifacts):
+                  --config --set --out
+excite            lambda sweep with growth-index fit (CSV + JSON + SVG
+                  artifacts): --config --set --out-prefix
+validate          run the self-check suite and print the report:
+                  --only --seed --threads --out
 
+Every run setting that has a config key is set only through the config.
 Configuration files are flat ``key = value`` text with dotted section
 prefixes (``model.alpha = 2.0``); '#' starts a comment and blank lines are
 ignored.  ``KNOWN_KEYS`` lists the vocabulary; model invariants are enforced
-at parse time with messages quoting the violated condition.  Values given
-with repeated ``--set key=value`` flags override the file.
+at parse time with messages quoting the violated condition.  A setting takes
+its built-in default, then the value in the ``--config`` file, then each
+``--set key=value`` in command-line order, the last one winning.  No
+environment variable is read.  ``validate`` reads no config; its seed and
+thread count are its own flags.
 
 Artifacts are written atomically (temporary file in the target directory,
 then rename), and every CSV starts with a '#' comment line recording the
@@ -96,7 +108,6 @@ KNOWN_KEYS = {
     "model.nu": _float,
     "model.radius": _float,
     "model.lam": _float,
-    "model.d": _int,
     "noise.kind": _choice("white", "riesz"),
     "noise.gamma": _float,
     "grid.nx": _int,
@@ -105,7 +116,6 @@ KNOWN_KEYS = {
     "run.seed": _int,
     "run.outdir": _str,
     "run.threads": _int,
-    "sigma.kind": _choice("linear"),
     "sigma.slope": _float,
     "initial.kind": _choice("bump", "constant", "zero"),
     "initial.value": _float,
@@ -147,7 +157,6 @@ class RunConfig:
             nu=self.get("model.nu", 1.0),
             R=self.get("model.radius", 1.0),
             lam=self.get("model.lam", 1.0),
-            d=self.get("model.d", 1),
             noise=noise,
         )
 
@@ -155,10 +164,9 @@ class RunConfig:
         return SpaceGrid(R=self.params().R, n=self.get("grid.nx", 64))
 
     def sigma(self):
-        from .simulate import SigmaSpec
+        from .simulate import linear_sigma
 
-        return SigmaSpec(kind=self.get("sigma.kind", "linear"),
-                         slope=self.get("sigma.slope", 1.0))
+        return linear_sigma(self.get("sigma.slope", 1.0))
 
     def initial_profile(self, grid):
         kind = self.get("initial.kind", "bump")
@@ -176,6 +184,13 @@ class RunConfig:
     @property
     def outdir(self):
         return self.get("run.outdir", ".")
+
+    @property
+    def threads(self):
+        n = self.get("run.threads", 1)
+        if n < 1:
+            raise DomainError(f"config key run.threads must be >= 1, got {n}")
+        return n
 
 
 def _parse_line(line, lineno):
@@ -243,25 +258,6 @@ def _load_config(args):
             raise DomainError(f"config file not found: {args.config}") from None
         cfg = parse_config_text(text)
     return _apply_overrides(cfg, getattr(args, "set", None))
-
-
-def _resolve_threads(args, cfg=None):
-    """--threads flag, else FRACSTORM_THREADS, else run.threads, else 1."""
-    if getattr(args, "threads", None) is not None:
-        n = args.threads
-    else:
-        env = os.environ.get("FRACSTORM_THREADS", "").strip()
-        if env:
-            try:
-                n = int(env)
-            except ValueError:
-                raise DomainError(
-                    f"FRACSTORM_THREADS must be an integer, got {env!r}") from None
-        else:
-            n = cfg.get("run.threads", 1) if cfg is not None else 1
-    if n < 1:
-        raise DomainError(f"threads must be >= 1, got {n}")
-    return n
 
 
 # --------------------------------------------------------------------------
@@ -395,9 +391,6 @@ def _eigen_from(cfg):
     from .kernels import build_discrete_generator, eigen_system
 
     p = cfg.params()
-    if p.d != 1:
-        raise DomainError(
-            f"grid-based commands support d = 1 only (interval domain); got d={p.d}")
     grid = cfg.grid()
     return p, grid, eigen_system(build_discrete_generator(p, grid), grid)
 
@@ -438,35 +431,35 @@ def cmd_kernel(args):
 # moments
 
 
-def cmd_moments(args):
+def cmd_renewal(args):
+    from .moments import renewal_growth_exponent, renewal_volterra_solve
+
     cfg = _load_config(args)
-    if args.what == "renewal":
-        from .moments import renewal_growth_exponent, renewal_volterra_solve
+    _require(args, ["rho", "kappa", "c1", "T"], "moments renewal")
+    f = renewal_volterra_solve(args.c1, args.kappa, args.rho, args.T, args.nt)
+    out = args.out or os.path.join(cfg.outdir, "renewal.csv")
+    rows = list(zip(f.times.tolist(), f.values.tolist()))
+    write_atomic(out, csv_text(["t", "f"], rows, seed=cfg.seed,
+                               params=f"rho={args.rho:g} kappa={args.kappa:g} "
+                                      f"c1={args.c1:g} nt={args.nt}"))
+    rate = renewal_growth_exponent(args.kappa, args.rho)
+    print(f"renewal f({args.T:g}) = {float(f.values[-1]):.10g} "
+          f"(growth-rate scale {rate:.6g}) -> {out}")
+    return 0
 
-        _require(args, ["rho", "kappa", "c1", "T"], "moments renewal")
-        nt = args.nt if args.nt is not None else 16384
-        f = renewal_volterra_solve(args.c1, args.kappa, args.rho, args.T, nt)
-        out = args.out or os.path.join(cfg.outdir, "renewal.csv")
-        rows = list(zip(f.times.tolist(), f.values.tolist()))
-        write_atomic(out, csv_text(["t", "f"], rows, seed=cfg.seed,
-                                   params=f"rho={args.rho:g} kappa={args.kappa:g} "
-                                          f"c1={args.c1:g} nt={nt}"))
-        rate = renewal_growth_exponent(args.kappa, args.rho)
-        print(f"renewal f({args.T:g}) = {float(f.values[-1]):.10g} "
-              f"(growth-rate scale {rate:.6g}) -> {out}")
-        return 0
 
+def cmd_field(args):
     from .moments import second_moment_colored, second_moment_white
 
+    cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
-    T = args.T if args.T is not None else cfg.get("grid.t", 0.1)
-    nt = args.nt if args.nt is not None else cfg.get("grid.nt", 128)
+    T = cfg.get("grid.t", 0.1)
+    nt = cfg.get("grid.nt", 128)
     if p.noise.kind == "white":
         field = second_moment_white(p, es, u0, args.l_sigma, T, nt)
     else:
-        field = second_moment_colored(p, es, u0, args.l_sigma, p.noise.gamma,
-                                      T, nt).diagonal_field()
+        field = second_moment_colored(p, es, u0, args.l_sigma, T, nt).diagonal_field()
     logs = [field.energy_log(j) for j in range(len(field.times))]
     out = args.out or os.path.join(cfg.outdir, "moments.csv")
     rows = list(zip(field.times.tolist(), logs))
@@ -487,16 +480,15 @@ def cmd_simulate(args):
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
-    threads = _resolve_threads(args, cfg)
+    threads = cfg.threads
     sim = SimConfig(
         nx=grid.n,
-        nt=args.nt if args.nt is not None else cfg.get("grid.nt", 128),
-        T=args.T if args.T is not None else cfg.get("grid.t", 0.1),
-        replicates=(args.replicates if args.replicates is not None
-                    else cfg.get("simulate.replicates", 200)),
-        seed=args.seed if args.seed is not None else cfg.seed,
+        nt=cfg.get("grid.nt", 128),
+        T=cfg.get("grid.t", 0.1),
+        replicates=cfg.get("simulate.replicates", 200),
+        seed=cfg.seed,
         sigma=cfg.sigma(),
-        ensemble_path=args.ensemble or cfg.get("simulate.ensemble"),
+        ensemble_path=cfg.get("simulate.ensemble"),
     )
     est = simulate_mild(p, es, u0, sim, threads=threads)
     energy = float(est.mean[-1].sum() * grid.h)
@@ -537,11 +529,11 @@ def cmd_excite(args):
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
-    threads = _resolve_threads(args, cfg)
-    method = args.method or cfg.get("excite.method", "volterra")
+    threads = cfg.threads
+    method = cfg.get("excite.method", "volterra")
     functional = cfg.get("excite.functional", "energy")
-    t = args.t if args.t is not None else cfg.get("excite.t", 0.1)
-    nt = args.nt if args.nt is not None else cfg.get("excite.nt")
+    t = cfg.get("excite.t", 0.1)
+    nt = cfg.get("excite.nt")
     if method == "montecarlo":
         lam_min, lam_max = cfg.get("excite.lam_min", 2.0), cfg.get("excite.lam_max", 20.0)
         count = cfg.get("excite.count", 6)
@@ -551,9 +543,9 @@ def cmd_excite(args):
     lambdas = np.geomspace(lam_min, lam_max, count)
     mc_config = None
     if method == "montecarlo":
+        # excitation_sweep sets the step count (excite.nt or its default)
         mc_config = SimConfig(
             nx=grid.n,
-            nt=nt if nt is not None else 128,
             T=t,
             replicates=cfg.get("simulate.replicates", 400),
             seed=cfg.seed,
@@ -602,8 +594,9 @@ def cmd_excite(args):
 def cmd_validate(args):
     from .validate import format_report, run_validation
 
-    threads = _resolve_threads(args)
-    results = run_validation(only=args.only, seed=args.seed, threads=threads)
+    if args.threads < 1:
+        raise DomainError(f"--threads must be >= 1, got {args.threads}")
+    results = run_validation(only=args.only, seed=args.seed, threads=args.threads)
     report = format_report(results, seed=args.seed, only=args.only)
     print(report)
     if args.out:
@@ -618,7 +611,8 @@ def cmd_validate(args):
 def _add_config_flags(sp):
     sp.add_argument("--config", help="path to a key = value configuration file")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
-                    help="override one config entry (repeatable)")
+                    help="override one config entry; repeatable, applied after the "
+                         "file in order, the last one winning")
 
 
 def build_parser():
@@ -653,42 +647,42 @@ def build_parser():
     kp.set_defaults(func=cmd_kernel)
 
     mp = sub.add_parser("moments", help="moment solvers")
-    _add_config_flags(mp)
-    mp.add_argument("what", choices=["renewal", "field"])
-    mp.add_argument("--rho", type=float, help="renewal kernel exponent, in (0, 1]")
-    mp.add_argument("--kappa", type=float, help="renewal kernel weight")
-    mp.add_argument("--c1", type=float, help="renewal forcing constant")
-    mp.add_argument("--T", type=float, help="time horizon")
-    mp.add_argument("--nt", type=int, help="time steps (renewal default 16384)")
-    mp.add_argument("--l-sigma", type=float, default=1.0,
+    msub = mp.add_subparsers(dest="what", required=True)
+    rp = msub.add_parser("renewal", help="renewal benchmark (CSV artifact)")
+    _add_config_flags(rp)
+    rp.add_argument("--rho", type=float, help="renewal kernel exponent, in (0, 1]")
+    rp.add_argument("--kappa", type=float, help="renewal kernel weight")
+    rp.add_argument("--c1", type=float, help="renewal forcing constant")
+    rp.add_argument("--T", type=float, help="time horizon")
+    rp.add_argument("--nt", type=int, default=16384, help="time steps (default 16384)")
+    rp.add_argument("--out", help="output CSV path")
+    rp.set_defaults(func=cmd_renewal)
+    text = "second-moment energy trace on [0, grid.t] with grid.nt steps"
+    fp = msub.add_parser("field", help=text, description=text)
+    _add_config_flags(fp)
+    fp.add_argument("--l-sigma", type=float, default=1.0,
                     help="Lipschitz bound used by the field solver")
-    mp.add_argument("--out", help="output CSV path")
-    mp.set_defaults(func=cmd_moments)
+    fp.add_argument("--out", help="output CSV path")
+    fp.set_defaults(func=cmd_field)
 
-    xp = sub.add_parser("simulate", help="Monte Carlo mild-solution run")
+    text = ("Monte Carlo mild-solution run; grid.nt, grid.t, run.seed, run.threads "
+            "and simulate.* come from the config")
+    xp = sub.add_parser("simulate", help=text, description=text)
     _add_config_flags(xp)
-    xp.add_argument("--replicates", type=int)
-    xp.add_argument("--nt", type=int)
-    xp.add_argument("--T", type=float)
-    xp.add_argument("--seed", type=int)
-    xp.add_argument("--threads", type=int)
-    xp.add_argument("--ensemble", help="stream the raw ensemble to this path")
     xp.add_argument("--out", help="output CSV path")
     xp.set_defaults(func=cmd_simulate)
 
-    ep = sub.add_parser("excite", help="lambda sweep and growth-index fit")
+    text = ("lambda sweep and growth-index fit; excite.*, run.seed and run.threads "
+            "come from the config")
+    ep = sub.add_parser("excite", help=text, description=text)
     _add_config_flags(ep)
-    ep.add_argument("--method", choices=["volterra", "montecarlo"])
-    ep.add_argument("--t", type=float)
-    ep.add_argument("--nt", type=int)
-    ep.add_argument("--threads", type=int)
     ep.add_argument("--out-prefix", help="artifact path prefix (.csv/.json/.svg)")
     ep.set_defaults(func=cmd_excite)
 
     vp = sub.add_parser("validate", help="run the self-check suite")
     vp.add_argument("--only", help="restrict to one check group")
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--threads", type=int)
+    vp.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
     vp.add_argument("--out", help="also write the report to this path")
     vp.set_defaults(func=cmd_validate)
     return parser

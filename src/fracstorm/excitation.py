@@ -165,8 +165,7 @@ def _volterra_fields(params, es, u0, t, lambdas, nt, threads=1):
         p = replace(params, lam=float(lam))
         if p.noise.kind == "white":
             return second_moment_white(p, es, u0, 1.0, t, nt, plan=plan)
-        return second_moment_colored(p, es, u0, 1.0, p.noise.gamma, t, nt,
-                                     plan=plan).diagonal_field()
+        return second_moment_colored(p, es, u0, 1.0, t, nt, plan=plan).diagonal_field()
 
     if int(threads) > 1:
         from concurrent.futures import ThreadPoolExecutor

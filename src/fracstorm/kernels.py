@@ -266,7 +266,8 @@ def free_kernel_l2(params, t):
 
     Requires d < alpha so the kernel stays bounded at the origin; the law
     itself extends to d < 2 alpha but this direct check does not chase the
-    origin singularity.
+    origin singularity.  As alpha <= 2, only d = 1 qualifies: the integral
+    is twice the one over the half-line.
     """
     t = _check_t(t)
     d = params.d
@@ -276,11 +277,7 @@ def free_kernel_l2(params, t):
 
     def gsq(r):
         g = fractional_free_kernel(params, t, r)
-        if d == 1:
-            return 2.0 * g * g
-        if d == 2:
-            return 2.0 * np.pi * r * g * g
-        return 4.0 * np.pi * r * r * g * g
+        return 2.0 * g * g
 
     # integrate on (0, inf), rescaled so the kernel's natural width sits at O(1)
     scale = (params.nu * t ** float(params.beta)) ** (1.0 / params.alpha)

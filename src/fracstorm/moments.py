@@ -43,9 +43,10 @@ The scalar renewal solver ``renewal_volterra_solve`` handles the equality
 case f = c1 + kappa int (t-s)^(rho-1) f(s) ds, 0 < rho <= 1 (exact cells in
 a block, sum-of-exponentials history before it); its closed-form solution
 c1 E_rho(kappa Gamma(rho) t^rho) is kept in the test suite as an
-independent oracle.  ``lower_series`` evaluates the series
-S(t) = sum_k (t / k^rho)^k that governs the lower excitation bound, with a
-log-space companion for arguments far beyond overflow.
+independent oracle.  ``lower_series_log`` evaluates log S(t) of the series
+S(t) = sum_k (t / k^rho)^k that governs the lower excitation bound, in log
+space so it stays finite far beyond overflow; ``lower_series`` is its
+exponential.
 """
 
 import math
@@ -379,7 +380,7 @@ def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None):
                        log_scale=log_scale, node_logs=logs)
 
 
-def second_moment_colored(params, es, u0, l_sigma, gamma, T, nt, plan=None):
+def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None):
     """Two-point Volterra solver for Riesz-colored noise (linear sigma).
 
     Same stepper as the white solver, applied per matrix entry; the history
@@ -387,14 +388,11 @@ def second_moment_colored(params, es, u0, l_sigma, gamma, T, nt, plan=None):
     the midpoint lag of each cell, summed in eigencoordinates (each slice
     lifted once to h^2 Delta phi^T (Cbar * K) phi, each cell weighed by
     outer(e_m, e_m)), then symmetrised.  Grid is capped at n = 48 (the state
-    is an (nt+1, n, n) array).  ``plan`` as in the white solver.
+    is an (nt+1, n, n) array).  The Riesz exponent gamma is
+    ``params.noise.gamma``.  ``plan`` as in the white solver.
     """
     if params.noise.kind != "riesz":
         raise DomainError("second_moment_colored requires riesz noise parameters")
-    if params.noise.gamma != gamma:
-        raise DomainError(
-            f"gamma argument {gamma} disagrees with params.noise.gamma "
-            f"{params.noise.gamma}")
     plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
             else plan.check(params, es, u0, T, nt))
     phi = es.phi
@@ -485,6 +483,7 @@ def renewal_growth_exponent(kappa, rho):
 
 
 _SERIES_BLOCK = 1 << 18  # terms per block of the log-space series sum
+_SERIES_KMAX = 2 ** 53  # every integer up to here is an exact double
 
 
 def _series_args(t, rho):
@@ -500,16 +499,25 @@ def _lower_series_log_terms(t, rho, kmin, kmax):
 
 
 def lower_series_log(t, rho):
-    """log S(t) with S(t) = sum_{k>=1} (t / k^rho)^k, valid for any size of t.
+    """log S(t) with S(t) = sum_{k>=1} (t / k^rho)^k.
 
     The log-terms peak at k* = t^(1/rho)/e with Gaussian half-width
     sqrt(k*/rho); summing a +-12 half-width window in log space bounds the
     neglected tail below e^-70 of the total.  The window is summed in blocks
-    of 2^18 terms, so memory stays bounded when it spans millions.
+    of 2^18 terms, so memory stays bounded when it spans millions.  Valid
+    while the window ends below 2^53, i.e. k* up to about 9e15 (t up to
+    about 1.6e8 at rho = 0.5, 2.4e16 at rho = 1); DomainError beyond.
     """
     t, rho = _series_args(t, rho)
     if t == 0.0:
         return -np.inf
+    # every window index must be an exact double; testing log k* first keeps
+    # k* itself from overflowing
+    refused = DomainError(
+        f"lower series at t={t}, rho={rho}: the summation window around "
+        f"k* = t^(1/rho)/e reaches past 2^53, where indices are not exact doubles")
+    if math.log(t) / rho - 1.0 > math.log(_SERIES_KMAX):
+        raise refused
     kstar = t ** (1.0 / rho) / math.e
     if kstar <= 5e4:
         kmin, kmax = 1, max(200, int(3 * kstar) + 50)
@@ -517,6 +525,8 @@ def lower_series_log(t, rho):
         half = 12.0 * math.sqrt(kstar / rho)
         kmin = max(1, int(kstar - half))
         kmax = int(kstar + half) + 1
+    if kmax > _SERIES_KMAX:
+        raise refused
     m, total = -np.inf, 0.0
     for lo in range(kmin, kmax + 1, _SERIES_BLOCK):
         terms = _lower_series_log_terms(t, rho, lo, min(lo + _SERIES_BLOCK - 1, kmax))
@@ -529,32 +539,15 @@ def lower_series_log(t, rho):
 
 
 def lower_series(t, rho):
-    """S(t) = sum_{k>=1} (t/k^rho)^k by direct summation (tail < 1e-12).
+    """S(t) = sum_{k>=1} (t/k^rho)^k = exp(lower_series_log(t, rho)).
 
-    Overflows to inf for t far beyond float range; ``lower_series_log`` is
-    the companion for that regime.
+    inf where S is past the double range; DomainError where
+    ``lower_series_log`` refuses t.
     """
-    t, rho = _series_args(t, rho)
-    if t == 0.0:
-        return 0.0
-    ls = lower_series_log(t, rho)
-    if ls > 700.0:
-        return float("inf")
-    # direct summation: terms rise to the peak then fall; sum until the
-    # relative tail drops below 1e-12 past the peak
-    total = 0.0
-    k = 1
-    prev = 0.0
-    while True:
-        term = math.exp(k * (math.log(t) - rho * math.log(k)))
-        total += term
-        if k > 1 and term < prev and term < 1e-12 * total:
-            break
-        prev = term
-        k += 1
-        if k > 10_000_000:
-            raise NumericsError("lower_series failed to converge")
-    return total
+    try:
+        return math.exp(lower_series_log(t, rho))
+    except OverflowError:
+        return math.inf
 
 
 def colored_lower_bound_series(params, gamma, l_sigma, lam, t, g_t,

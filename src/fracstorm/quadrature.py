@@ -91,7 +91,8 @@ def integrate_left_power(f, a, b, power, n=40):
 
     Substituting x = a + (b-a) v^(1/(1+power)) turns the singular factor into
     a constant Jacobian, so a single moderate Gauss rule resolves it exactly
-    up to the smooth remainder.  Used for weakly singular Volterra cells.
+    up to the smooth remainder.  No solver calls it; the quadrature
+    self-check pins it to a closed form.
     """
     if power <= -1.0:
         raise NumericsError(f"non-integrable endpoint power {power}")

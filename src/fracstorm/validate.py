@@ -442,8 +442,8 @@ def _check_nt_convergence(ctx):
     u0c = ctx.bump(es32)
     pc = ModelParams(alpha=2.0, beta=0.5, lam=5.0,
                      noise=NoiseModel(kind="riesz", gamma=0.5))
-    ac = second_moment_colored(pc, es32, u0c, 1.0, 0.5, 0.1, 96).sup_log()
-    bc = second_moment_colored(pc, es32, u0c, 1.0, 0.5, 0.1, 192).sup_log()
+    ac = second_moment_colored(pc, es32, u0c, 1.0, 0.1, 96).sup_log()
+    bc = second_moment_colored(pc, es32, u0c, 1.0, 0.1, 192).sup_log()
     colored = abs(math.exp(bc - ac) - 1.0)
     worst = max(white, colored)
     return worst < 0.02, f"sup-moment shift on nt doubling = {_num(worst)}", "< 0.02"
@@ -515,7 +515,7 @@ def _check_colored_envelope(ctx):
     ok, rate, rel = _envelope_fit(
         ctx, ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel(kind="riesz", gamma=0.5)),
         32, 8, 16.0 / 7.0, 10 ** 2.5,
-        lambda p, es, u0, plan: second_moment_colored(p, es, u0, 1.0, 0.5, 0.1, 96, plan=plan))
+        lambda p, es, u0, plan: second_moment_colored(p, es, u0, 1.0, 0.1, 96, plan=plan))
     return ok, f"log sup M vs lam^(16/7): rate {rate}, top resid {rel}", "rate > 0; resid <= 1e-4"
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: config parsing, artifact contracts, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -59,14 +60,13 @@ def _valid_config_entries(draw):
     """A key -> value dict that satisfies every model invariant."""
     alpha = draw(st.floats(min_value=0.05, max_value=2.0))
     beta = draw(st.floats(min_value=0.05, max_value=1.0))
-    d = draw(st.sampled_from([1, 2, 3]))
-    entries = {"model.alpha": alpha, "model.beta": beta, "model.d": d}
+    entries = {"model.alpha": alpha, "model.beta": beta}
     if draw(st.booleans()):
-        gamma = draw(st.floats(min_value=0.0, max_value=min(alpha, float(d)),
+        gamma = draw(st.floats(min_value=0.0, max_value=min(alpha, 1.0),
                                exclude_min=True, exclude_max=True))
         entries.update({"noise.kind": "riesz", "noise.gamma": gamma})
     else:
-        assume(d < min(2.0, 1.0 / beta) * alpha)
+        assume(1.0 < min(2.0, 1.0 / beta) * alpha)
         if draw(st.booleans()):
             entries["noise.kind"] = "white"
     optional = {
@@ -75,7 +75,7 @@ def _valid_config_entries(draw):
         "grid.nx": st.integers(4, 4096), "grid.nt": st.integers(-10, 10 ** 6),
         "grid.t": _FINITE, "run.seed": st.integers(0, 2 ** 63),
         "run.outdir": _PLAIN_TEXT, "run.threads": st.integers(-4, 64),
-        "sigma.kind": st.just("linear"), "sigma.slope": _FINITE,
+        "sigma.slope": _FINITE,
         "initial.kind": st.sampled_from(["bump", "constant", "zero"]),
         "initial.value": _FINITE, "simulate.replicates": st.integers(2, 10 ** 6),
         "simulate.ensemble": _PLAIN_TEXT, "excite.lam_min": _FINITE,
@@ -134,7 +134,7 @@ def test_override_with_a_hash_exits_2(tmp_path, monkeypatch, capsys):
 
 
 #: model key -> values that break its invariant (base: alpha 2, beta 0.5,
-#: white noise, d = 1; gamma with riesz noise)
+#: white noise; gamma with riesz noise)
 _BROKEN_MODEL_VALUES = {
     "model.alpha": st.one_of(st.floats(max_value=0.0), st.floats(min_value=2.0, exclude_min=True),
                              st.sampled_from([math.nan, math.inf])),
@@ -144,7 +144,6 @@ _BROKEN_MODEL_VALUES = {
     "model.radius": st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf])),
     "model.lam": st.one_of(st.floats(max_value=0.0, exclude_max=True),
                            st.sampled_from([math.nan, math.inf])),
-    "model.d": st.one_of(st.integers(max_value=0), st.integers(min_value=4)),
     "noise.gamma": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0),
                              st.sampled_from([math.nan, math.inf])),
 }
@@ -183,9 +182,19 @@ def test_config_rejects_bad_value():
 
 
 def test_config_enforces_model_invariants_at_parse_time():
-    # alpha=1, beta=0.5, d=2 violates the white-noise dimension bound.
-    with pytest.raises(DomainError):
-        cli.parse_config_text("model.alpha = 1.0\nmodel.d = 2\n")
+    # alpha=0.5 with gamma=0.8 violates 0 < gamma < min(alpha, d = 1).
+    with pytest.raises(DomainError, match="min"):
+        cli.parse_config_text(
+            "model.alpha = 0.5\nnoise.kind = riesz\nnoise.gamma = 0.8\n")
+
+
+@pytest.mark.parametrize("key", ["model.d", "sigma.kind"])
+def test_config_refuses_deleted_keys(key, tmp_path, capsys):
+    # d is fixed at 1 (the interval) and sigma is linear: neither is a setting
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = {'1' if key == 'model.d' else 'linear'}\n")
+    code, _, err = run_main(["simulate", "--config", str(cfg)], capsys)
+    assert code == 2 and "unknown config key" in err and key in err
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +340,7 @@ def test_excite_artifacts_and_verdict(tmp_path, capsys):
     )
     prefix = tmp_path / "sweep"
     code, out, _ = run_main(
-        ["excite", "--config", str(cfg), "--nt", "48",
+        ["excite", "--config", str(cfg), "--set", "excite.nt=48",
          "--out-prefix", str(prefix)], capsys)
     assert code == 0 and "slope" in out
 
@@ -352,29 +361,123 @@ def test_excite_artifacts_and_verdict(tmp_path, capsys):
     assert doc.documentElement.tagName == "svg"
 
 
+def test_simulate_reads_every_run_setting_from_set(sim_config_path, tmp_path, capsys):
+    ensemble = tmp_path / "ens.bin"
+    code, _, _ = run_main(
+        ["simulate", "--config", str(sim_config_path),
+         "--set", "simulate.replicates=4", "--set", "grid.nt=6", "--set", "grid.t=0.04",
+         "--set", "run.seed=9", "--set", "run.threads=2",
+         "--set", f"simulate.ensemble={ensemble}",
+         "--out", str(tmp_path / "set.csv")], capsys)
+    assert code == 0
+    summary = json.loads((tmp_path / "set.json").read_text())
+    assert summary["replicates_requested"] == 4
+    assert summary["grid"] == {"nx": 16, "nt": 6, "T": 0.04}
+    assert summary["seed"] == 9 and summary["threads"] == 2
+    assert ensemble.read_bytes().startswith(b"fracstorm-ensemble v1 seed=9 replicates=4 nt=6")
+
+
+def test_excite_reads_method_t_and_nt_from_set(tmp_path, capsys):
+    from fracstorm.excitation import excitation_sweep
+    from fracstorm.simulate import SimConfig
+
+    cfg_path = tmp_path / "mc.cfg"
+    cfg_path.write_text("grid.nx = 8\ninitial.value = 10\nsimulate.replicates = 4\nrun.seed = 3\n")
+    prefix = tmp_path / "mc"
+    code, _, _ = run_main(
+        ["excite", "--config", str(cfg_path), "--set", "excite.method=montecarlo",
+         "--set", "excite.t=0.05", "--set", "excite.nt=12",
+         "--out-prefix", str(prefix)], capsys)
+    assert code == 0
+    summary = json.loads(prefix.with_suffix(".json").read_text())
+    assert summary["method"] == "montecarlo" and summary["t"] == 0.05
+
+    # the logged values are those of a 12-step sweep
+    cfg = cli.parse_config_text(cfg_path.read_text())
+    p, grid, es = cli._eigen_from(cfg)
+    mc = SimConfig(nx=8, nt=12, T=0.05, replicates=4, seed=3, sigma=cfg.sigma())
+    fit = excitation_sweep(p, es, cfg.initial_profile(grid), 0.05, summary["lambda"],
+                           method="montecarlo", nt=12, mc_config=mc)
+    assert summary["log_value"] == fit.log_values.tolist()
+
+
 # --------------------------------------------------------------------------
-# thread resolution
+# one route per setting
 
 
-def test_threads_env_fallback(sim_config_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRACSTORM_THREADS", "2")
-    code, _, _ = run_main(
-        ["simulate", "--config", str(sim_config_path),
-         "--out", str(tmp_path / "env.csv")], capsys)
-    assert code == 0
-    assert json.loads((tmp_path / "env.json").read_text())["threads"] == 2
-
-    # An explicit flag beats the environment.
-    code, _, _ = run_main(
-        ["simulate", "--config", str(sim_config_path), "--threads", "1",
-         "--out", str(tmp_path / "flag.csv")], capsys)
-    assert code == 0
-    assert json.loads((tmp_path / "flag.json").read_text())["threads"] == 1
+def test_threads_from_set(sim_config_path, tmp_path, capsys):
+    for n in (2, 1):
+        code, _, _ = run_main(
+            ["simulate", "--config", str(sim_config_path), "--set", f"run.threads={n}",
+             "--out", str(tmp_path / f"t{n}.csv")], capsys)
+        assert code == 0
+        assert json.loads((tmp_path / f"t{n}.json").read_text())["threads"] == n
 
 
-def test_threads_env_invalid(sim_config_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FRACSTORM_THREADS", "two")
+@pytest.mark.parametrize("command", ["simulate", "excite"])
+def test_threads_zero_exits_2_naming_the_key(command, sim_config_path, tmp_path, capsys):
     code, _, err = run_main(
-        ["simulate", "--config", str(sim_config_path),
-         "--out", str(tmp_path / "bad.csv")], capsys)
-    assert code == 2 and "FRACSTORM_THREADS" in err
+        [command, "--config", str(sim_config_path), "--set", "run.threads=0"], capsys)
+    assert code == 2 and "run.threads" in err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+def test_validate_threads_zero_exits_2(capsys):
+    code, _, err = run_main(["validate", "--only", "cli", "--threads", "0"], capsys)
+    assert code == 2 and "--threads" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--replicates", "4"], ["simulate", "--nt", "4"],
+    ["simulate", "--T", "0.1"], ["simulate", "--seed", "1"],
+    ["simulate", "--threads", "1"], ["simulate", "--ensemble", "e.bin"],
+    ["excite", "--method", "volterra"], ["excite", "--t", "0.1"],
+    ["excite", "--nt", "48"], ["excite", "--threads", "1"],
+    ["moments", "field", "--T", "1"], ["moments", "field", "--nt", "8"],
+])
+def test_removed_flag_exits_2(argv, capsys):
+    # each of these settings has a config key, which is its only route
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_moments_field_reads_grid_t_and_nt(tmp_path, capsys):
+    out = tmp_path / "field.csv"
+    code, stdout, _ = run_main(
+        ["moments", "field", "--set", "grid.nx=8", "--set", "grid.t=0.02",
+         "--set", "grid.nt=5", "--out", str(out)], capsys)
+    assert code == 0 and "[0, 0.02], nt=5" in stdout
+    rows = list(csv.reader(io.StringIO(out.read_text().split("\n", 1)[1])))
+    assert rows[0] == ["t", "log_energy"] and len(rows) == 1 + 6
+    assert float(rows[-1][0]) == pytest.approx(0.02)
+
+
+def _options(parser, path=()):
+    """sub-command path -> its option strings (long form), --help left out."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(_options(sub, path + (name,)))
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            out.setdefault(" ".join(path), []).append(action.option_strings[-1])
+    return out
+
+
+def test_option_inventory_is_pinned():
+    # A setting with a config key is reached through --config/--set only;
+    # a new flag that duplicates one has to change this list on purpose.
+    assert _options(cli.build_parser()) == {
+        "": ["--version"],
+        "specfun": ["--beta", "--order", "--x", "--u", "--t", "--g", "--grid-n"],
+        "kernel": ["--config", "--set", "--mode", "--t", "--y", "--out"],
+        "moments renewal": ["--config", "--set", "--rho", "--kappa", "--c1", "--T",
+                            "--nt", "--out"],
+        "moments field": ["--config", "--set", "--l-sigma", "--out"],
+        "simulate": ["--config", "--set", "--out"],
+        "excite": ["--config", "--set", "--out-prefix"],
+        "validate": ["--only", "--seed", "--threads", "--out"],
+    }
+    assert len(cli.KNOWN_KEYS) == 25

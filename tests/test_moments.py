@@ -4,6 +4,7 @@ import math
 import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma
@@ -162,7 +163,7 @@ def test_colored_two_point_symmetry_and_diagonal(eigen_cache, bump):
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=2.0,
                     noise=NoiseModel("riesz", gamma=0.5))
-    tp = second_moment_colored(p, es, u0, 1.0, 0.5, 0.1, 64)
+    tp = second_moment_colored(p, es, u0, 1.0, 0.1, 64)
     K = tp.values[-1]
     assert np.max(np.abs(K - K.T)) < 1e-10
     diag = tp.diagonal_field()
@@ -176,7 +177,7 @@ def test_colored_moment_monotone_in_lambda(eigen_cache, bump):
     for lam in (1.0, 8.0):
         p = ModelParams(alpha=2.0, beta=0.5, lam=lam,
                         noise=NoiseModel("riesz", gamma=0.5))
-        tp = second_moment_colored(p, es, u0, 1.0, 0.5, 0.1, 64)
+        tp = second_moment_colored(p, es, u0, 1.0, 0.1, 64)
         logs.append(tp.diagonal_field().energy_log())
     assert logs[0] < logs[1]
 
@@ -197,14 +198,14 @@ def test_sweep_with_one_plan_matches_planless_solves(eigen_cache, bump):
             if p.noise.kind == "white":
                 alone.append(second_moment_white(q, es, u0, 1.0, 0.1, 24).energy_log())
             else:
-                alone.append(second_moment_colored(q, es, u0, 1.0, 0.5, 0.1, 24)
+                alone.append(second_moment_colored(q, es, u0, 1.0, 0.1, 24)
                              .diagonal_field().energy_log())
         assert np.array_equal(fit.log_values, alone)
 
     plan = MomentPlan.build(colored, es, u0, 0.1, 24)
     q = replace(colored, lam=30.0)
-    shared = second_moment_colored(q, es, u0, 1.0, 0.5, 0.1, 24, plan=plan)
-    own = second_moment_colored(q, es, u0, 1.0, 0.5, 0.1, 24)
+    shared = second_moment_colored(q, es, u0, 1.0, 0.1, 24, plan=plan)
+    own = second_moment_colored(q, es, u0, 1.0, 0.1, 24)
     for name in ("values", "log_scale", "diag_logs"):
         assert np.array_equal(getattr(shared, name), getattr(own, name))
 
@@ -284,7 +285,7 @@ def test_colored_solve_makes_no_kernel_matrix(monkeypatch, eigen_cache, bump):
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=30.0, noise=NoiseModel("riesz", gamma=0.5))
     plan = MomentPlan.build(p, es, u0, 0.1, 192)
-    second_moment_colored(p, es, u0, 1.0, 0.5, 0.1, 192, plan=plan)
+    second_moment_colored(p, es, u0, 1.0, 0.1, 192, plan=plan)
     assert calls == []
 
 
@@ -338,7 +339,7 @@ def test_colored_solve_matches_physical_sandwich(eigen_cache, bump, n, lam):
     nt = 64
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam, noise=NoiseModel("riesz", gamma=0.5))
     plan = MomentPlan.build(p, es, u0, 0.1, nt)
-    got = second_moment_colored(p, es, u0, 1.0, 0.5, 0.1, nt, plan=plan)
+    got = second_moment_colored(p, es, u0, 1.0, 0.1, nt, plan=plan)
     values, log_scale, logs = _sandwich_colored(plan, lam ** 2)
     r = nt * 4 * n * 2.0 ** -53
     ref = np.diagonal(logs, axis1=1, axis2=2)
@@ -370,7 +371,7 @@ def test_plan_built_for_other_inputs_is_refused(eigen_cache, bump):
         second_moment_white(p, eigen_cache(2.0, 16, R=2.0), u0, 1.0, 0.1, 24, plan=plan)
     colored = replace(p, noise=NoiseModel("riesz", gamma=0.5))
     with pytest.raises(DomainError, match="another params$"):
-        second_moment_colored(colored, es, u0, 1.0, 0.5, 0.1, 24, plan=plan)
+        second_moment_colored(colored, es, u0, 1.0, 0.1, 24, plan=plan)
 
 
 def test_lower_series_small_argument_values():
@@ -400,6 +401,25 @@ def test_series_lemma_refuses_non_finite_arguments(call, bad):
     # no silent NaN, no ValueError from int(inf), no 1e7-term loop
     with pytest.raises(DomainError):
         call(bad)
+
+
+def test_series_lemma_refuses_windows_past_exact_doubles():
+    # k* = t^(1/rho)/e = 1e600/e is past float range: DomainError, not OverflowError
+    with pytest.raises(DomainError, match="2\\^53"):
+        lower_series_log(1e300, 0.5)
+    with pytest.raises(DomainError, match="2\\^53"):
+        lower_series(1e300, 0.5)
+    # theta = lam^2 c1 t^eta ~ 4e20 puts k* near 1e23, past 2^53
+    with pytest.raises(DomainError, match="2\\^53"):
+        colored_lower_bound_series(_RIESZ, 0.5, 1.0, 1e12, 0.1, g_t=0.3)
+
+
+@pytest.mark.parametrize("t, rho", [(1.0, 1.0), (10.0, 0.5), (20.0, 0.5)])
+def test_lower_series_matches_30_digit_reference(t, rho):
+    with mpmath.workdps(30):
+        ref = mpmath.nsum(lambda k: (mpmath.mpf(t) / k ** mpmath.mpf(rho)) ** k,
+                          [1, mpmath.inf])
+        assert abs(lower_series(t, rho) - ref) / ref <= 1e-13
 
 
 def test_lower_series_log_growth_exponent():
