@@ -9,7 +9,8 @@ kernel            Dirichlet kernel slice or L2-decay table (CSV artifact):
 moments renewal   renewal benchmark (CSV artifact):
                   --config --set --rho --kappa --c1 --T --nt --out
 moments field     second-moment energy trace on [0, grid.t] with grid.nt
-                  steps (CSV artifact): --config --set --l-sigma --out
+                  steps, sigma(u) = sigma.slope u (CSV artifact):
+                  --config --set --out
 simulate          Monte Carlo mild-solution run (CSV + JSON artifacts):
                   --config --set --out
 excite            lambda sweep with growth-index fit (CSV + JSON + SVG
@@ -307,12 +308,15 @@ def write_atomic(path, text):
             os.unlink(tmp)
 
 
-def _params_label(p):
+def _params_label(p, l_sigma=1.0):
+    """The parameter set for a CSV header; the sigma slope only when not 1."""
     bits = [f"alpha={p.alpha:g}", f"beta={p.beta:g}", f"nu={p.nu:g}",
             f"radius={p.R:g}", f"lam={p.lam:g}", f"d={p.d}",
             f"noise={p.noise.kind}"]
     if p.noise.gamma is not None:
         bits.append(f"gamma={p.noise.gamma:g}")
+    if l_sigma != 1.0:
+        bits.append(f"l_sigma={l_sigma:g}")
     return " ".join(bits)
 
 
@@ -456,15 +460,16 @@ def cmd_field(args):
     u0 = cfg.initial_profile(grid)
     T = cfg.get("grid.t", 0.1)
     nt = cfg.get("grid.nt", 128)
+    l_sigma = cfg.sigma().linear_slope
     if p.noise.kind == "white":
-        field = second_moment_white(p, es, u0, args.l_sigma, T, nt)
+        field = second_moment_white(p, es, u0, l_sigma, T, nt)
     else:
-        field = second_moment_colored(p, es, u0, args.l_sigma, T, nt).diagonal_field()
+        field = second_moment_colored(p, es, u0, l_sigma, T, nt).diagonal_field()
     logs = [field.energy_log(j) for j in range(len(field.times))]
     out = args.out or os.path.join(cfg.outdir, "moments.csv")
     rows = list(zip(field.times.tolist(), logs))
     write_atomic(out, csv_text(["t", "log_energy"], rows, seed=cfg.seed,
-                               params=_params_label(p) + f" l_sigma={args.l_sigma:g}"))
+                               params=_params_label(p) + f" l_sigma={l_sigma:g}"))
     print(f"second-moment energy trace on [0, {T:g}], nt={nt}: "
           f"log E_t(T) = {logs[-1]:.6g} -> {out}")
     return 0
@@ -482,7 +487,6 @@ def cmd_simulate(args):
     u0 = cfg.initial_profile(grid)
     threads = cfg.threads
     sim = SimConfig(
-        nx=grid.n,
         nt=cfg.get("grid.nt", 128),
         T=cfg.get("grid.t", 0.1),
         replicates=cfg.get("simulate.replicates", 200),
@@ -494,20 +498,21 @@ def cmd_simulate(args):
     energy = float(est.mean[-1].sum() * grid.h)
     out = args.out or os.path.join(cfg.outdir, "simulate.csv")
     rows = [[x, m, s] for x, m, s in zip(grid.nodes, est.mean[-1], est.stderr[-1])]
-    label = _params_label(p) + f" T={sim.T:g} nt={sim.nt} replicates={sim.replicates}"
-    write_atomic(out, csv_text(["x", "second_moment", "stderr"], rows,
-                               seed=sim.seed, params=label))
+    label = _params_label(p, sim.sigma.linear_slope)
+    write_atomic(out, csv_text(["x", "second_moment", "stderr"], rows, seed=sim.seed,
+                               params=label + f" T={sim.T:g} nt={sim.nt} "
+                                              f"replicates={sim.replicates}"))
     summary = {
         "command": "simulate",
         "version": __version__,
         "seed": sim.seed,
         "threads": threads,
-        "grid": {"nx": sim.nx, "nt": sim.nt, "T": sim.T},
+        "grid": {"nx": grid.n, "nt": sim.nt, "T": sim.T},
         "replicates_requested": sim.replicates,
         "replicates_used": est.replicates_used,
         "blowups": est.blowups,
         "final_time_energy": energy,
-        "params": _params_label(p),
+        "params": label,
         "artifacts": {"csv": out},
     }
     jout = os.path.splitext(out)[0] + ".json"
@@ -524,7 +529,6 @@ def cmd_simulate(args):
 def cmd_excite(args):
     from .charts import render_excitation_svg
     from .excitation import excitation_sweep
-    from .simulate import SimConfig
 
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
@@ -541,27 +545,20 @@ def cmd_excite(args):
         lam_min, lam_max = cfg.get("excite.lam_min", 1e2), cfg.get("excite.lam_max", 1e6)
         count = cfg.get("excite.count", 13)
     lambdas = np.geomspace(lam_min, lam_max, count)
-    mc_config = None
-    if method == "montecarlo":
-        # excitation_sweep sets the step count (excite.nt or its default)
-        mc_config = SimConfig(
-            nx=grid.n,
-            T=t,
-            replicates=cfg.get("simulate.replicates", 400),
-            seed=cfg.seed,
-            sigma=cfg.sigma(),
-        )
+    sigma = cfg.sigma()
     fit = excitation_sweep(p, es, u0, t, lambdas, method=method,
-                           functional=functional, nt=nt, mc_config=mc_config,
-                           threads=threads)
+                           functional=functional, nt=nt, sigma=sigma,
+                           replicates=cfg.get("simulate.replicates", 400),
+                           seed=cfg.seed, threads=threads)
     dev = fit.slope / fit.theory - 1.0
     verdict = ("PASS" if abs(dev) <= 0.10 else "FAIL") + " ±10%"
     prefix = args.out_prefix or os.path.join(cfg.outdir, "excite")
     csv_path, json_path, svg_path = (prefix + ext for ext in (".csv", ".json", ".svg"))
     rows = [[lam, lv, int(m)]
             for lam, lv, m in zip(fit.lambdas, fit.log_values, fit.fit_mask)]
+    label = _params_label(p, sigma.linear_slope)
     write_atomic(csv_path, csv_text(["lam", "log_value", "fitted"], rows,
-                                    seed=cfg.seed, params=_params_label(p)))
+                                    seed=cfg.seed, params=label))
     summary = {
         "command": "excite",
         "version": __version__,
@@ -577,7 +574,7 @@ def cmd_excite(args):
         "log_value": [float(v) for v in fit.log_values],
         "fit_mask": [bool(v) for v in fit.fit_mask],
         "residuals": [float(v) for v in fit.residuals],
-        "params": _params_label(p),
+        "params": label,
         "artifacts": {"csv": csv_path, "svg": svg_path},
     }
     write_atomic(json_path, _json_text(summary))
@@ -657,11 +654,10 @@ def build_parser():
     rp.add_argument("--nt", type=int, default=16384, help="time steps (default 16384)")
     rp.add_argument("--out", help="output CSV path")
     rp.set_defaults(func=cmd_renewal)
-    text = "second-moment energy trace on [0, grid.t] with grid.nt steps"
+    text = ("second-moment energy trace on [0, grid.t] with grid.nt steps; "
+            "sigma.slope sets sigma(u) = sigma.slope u")
     fp = msub.add_parser("field", help=text, description=text)
     _add_config_flags(fp)
-    fp.add_argument("--l-sigma", type=float, default=1.0,
-                    help="Lipschitz bound used by the field solver")
     fp.add_argument("--out", help="output CSV path")
     fp.set_defaults(func=cmd_field)
 

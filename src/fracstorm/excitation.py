@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, NumericsError
 from .kernels import EigenSystem
 from .moments import MomentField, MomentPlan, second_moment_colored, second_moment_white
-from .simulate import SimConfig, simulate_mild
+from .simulate import SigmaSpec, SimConfig, simulate_mild
 
 __all__ = [
     "ExcitationFit",
@@ -153,7 +153,7 @@ def _theory_for(params):
     return theoretical_index(params.alpha, params.beta, params.noise.gamma, "riesz")
 
 
-def _volterra_fields(params, es, u0, t, lambdas, nt, threads=1):
+def _volterra_fields(params, es, u0, t, lambdas, nt, l_sigma, threads=1):
     """Moment fields for every lambda, sharing one MomentPlan across the sweep.
 
     Independent lambda cells may run on a thread pool (the solvers only read
@@ -164,8 +164,8 @@ def _volterra_fields(params, es, u0, t, lambdas, nt, threads=1):
     def solve(lam):
         p = replace(params, lam=float(lam))
         if p.noise.kind == "white":
-            return second_moment_white(p, es, u0, 1.0, t, nt, plan=plan)
-        return second_moment_colored(p, es, u0, 1.0, t, nt, plan=plan).diagonal_field()
+            return second_moment_white(p, es, u0, l_sigma, t, nt, plan=plan)
+        return second_moment_colored(p, es, u0, l_sigma, t, nt, plan=plan).diagonal_field()
 
     if int(threads) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -180,15 +180,16 @@ def _default_nt(method):
 
 
 def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
-                     functional="energy", nt=None, mc_config=None, threads=1):
+                     functional="energy", nt=None, sigma=SigmaSpec(), replicates=400,
+                     seed=0, threads=1):
     """Sweep lambda, compute log E_t(lambda), and fit the growth index.
 
     method 'volterra' solves the exact second-moment equation in log scale
-    (lambda up to 1e6); 'montecarlo' averages simulate_mild replicates and is
-    restricted to one decade of moderate lambda.  ``mc_config`` seeds the
-    Monte Carlo backend (a SimConfig; its nx must match the eigen grid).
-    ``threads`` > 1 runs independent lambda cells concurrently; the result is
-    identical to the sequential sweep.
+    (lambda up to 1e6) and needs a linear ``sigma`` (default sigma(u) = u);
+    'montecarlo' averages ``replicates`` simulate_mild replicates drawn from
+    ``seed`` on es.grid and is restricted to one decade of moderate lambda.
+    ``threads`` > 1 runs lambda cells (Volterra) or replicate chunks
+    concurrently; the result is identical to the sequential sweep.
     """
     if not isinstance(es, EigenSystem):
         raise DomainError("es must be an EigenSystem")
@@ -196,6 +197,9 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
         raise DomainError(f"method must be 'volterra' or 'montecarlo', got {method!r}")
     if functional not in _FUNCTIONALS:
         raise DomainError(f"functional must be one of {_FUNCTIONALS}")
+    if method == "volterra" and sigma.linear_slope is None:
+        raise DomainError("the volterra sweep needs a linear sigma; "
+                          "a table sigma runs only with method='montecarlo'")
     t = float(t)
     if t <= 0.0:
         raise DomainError(f"t > 0 violated: t={t}")
@@ -204,13 +208,9 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
     nt = _default_nt(method) if nt is None else int(nt)
 
     if method == "volterra":
-        fields = _volterra_fields(params, es, u0, t, lam, nt, threads=threads)
+        fields = _volterra_fields(params, es, u0, t, lam, nt, sigma.linear_slope, threads)
     else:
-        cfg = mc_config if mc_config is not None else SimConfig(
-            nx=es.grid.n, nt=nt, T=t, replicates=400, seed=0
-        )
-        if cfg.nx != es.grid.n or cfg.T != t or cfg.nt != nt:
-            cfg = replace(cfg, nx=es.grid.n, T=t, nt=nt)
+        cfg = SimConfig(nt=nt, T=t, replicates=replicates, seed=seed, sigma=sigma)
         fields = []
         for lv in lam:
             est = simulate_mild(replace(params, lam=float(lv)), es, u0, cfg, threads=threads)
@@ -261,7 +261,7 @@ def index_vs_position_check(params, es, u0, t, epsilon, lambda_grid=None, nt=Non
     nodes = es.grid.nodes
     idx = sorted(set(int(np.argmin(np.abs(nodes - xt))) for xt in targets))
 
-    fields = _volterra_fields(params, es, u0, t, lam, nt)
+    fields = _volterra_fields(params, es, u0, t, lam, nt, l_sigma=1.0)
     logM = np.array([f.log_values()[-1] for f in fields])   # (nlam, nx)
     energy = np.array([f.energy_log() for f in fields])
 

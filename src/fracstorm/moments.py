@@ -333,9 +333,13 @@ def _log_split_steps(plan, kappa, source, lift, contract):
         return values, log_scale, logs
 
     # newest-cell resolvent closure: z = kappa A Gamma(eta) Delta^eta, A matched
-    # to the exact cell mass
-    z = kappa * _gamma(plan.eta) * plan.eta * plan.cell_mass
-    ln_fac = mittag_leffler_log(plan.eta, np.maximum(z, 0.0).ravel()).reshape(z.shape)
+    # to the exact cell mass; a colored (n, n) mass is exactly symmetric, so
+    # its upper triangle is evaluated and mirrored
+    z = np.maximum(kappa * _gamma(plan.eta) * plan.eta * plan.cell_mass, 0.0)
+    upper = np.triu_indices(z.shape[0]) if z.ndim == 2 else np.s_[:]
+    ln_fac = np.empty(z.shape)
+    ln_fac[upper] = mittag_leffler_log(plan.eta, z[upper])
+    ln_fac.T[upper] = ln_fac[upper]
     mids = np.empty((nt,) + shape)
     mean_log = np.empty(nt)
     frame = 0.0
@@ -550,28 +554,27 @@ def lower_series(t, rho):
         return math.inf
 
 
-def colored_lower_bound_series(params, gamma, l_sigma, lam, t, g_t,
-                               c1=DEFAULT_LOWER_C1):
+def colored_lower_bound_series(params, l_sigma, t, g_t, c1=DEFAULT_LOWER_C1):
     """log of the colored-noise lower bound
 
         g_t^2 (1 + sum_{k>=1} (lam^2 l^2 c1)^k (t/k)^(k (alpha-gamma beta)/alpha)).
 
     Returned in log space (the series dwarfs float range for large lam).
+    lam and the Riesz exponent gamma come from ``params`` (riesz noise only).
     The series is lower_series(theta, eta) with eta = 1 - gamma beta / alpha
     and theta = lam^2 l^2 c1 t^eta.  c1 is a calibration constant measured
     from the near-diagonal kernel floor; it shifts the bound's offset, not
     its lam-scaling.
     """
-    g = float(gamma)
-    eta = 1.0 - g * float(params.beta) / float(params.alpha)
-    if eta <= 0.0:
-        raise DomainError("gamma*beta/alpha >= 1: bound degenerate")
+    if params.noise.kind != "riesz":
+        raise DomainError("colored_lower_bound_series requires riesz noise parameters")
+    eta = 1.0 - float(params.noise.gamma) * float(params.beta) / float(params.alpha)
     if g_t <= 0.0:
         raise DomainError(f"g_t > 0 violated: {g_t}")
     t = float(t)
     if t <= 0.0:
         raise DomainError(f"t > 0 violated: {t}")
-    theta = (float(lam) * float(l_sigma)) ** 2 * float(c1) * t ** eta
+    theta = (float(params.lam) * float(l_sigma)) ** 2 * float(c1) * t ** eta
     base = 2.0 * math.log(float(g_t))
     if theta == 0.0:
         return base

@@ -108,7 +108,12 @@ class SigmaSpec:
 
     @property
     def linear_slope(self):
-        """Slope if exactly linear, else None (used by exactness shortcuts)."""
+        """The slope l of a linear sigma(u) = l u, else None.
+
+        The exact moment solvers and Volterra sweeps take sigma as this
+        slope, since their second moment depends on lam l alone; a table
+        sigma has none and runs only under Monte Carlo.
+        """
         return self.slope if self.kind == "linear" else None
 
 
@@ -138,15 +143,15 @@ class RieszCovariance:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo run description.
+    """Monte Carlo run description: time grid, replicates, seed and sigma.
 
+    The space grid is the eigen system's (``es.grid`` of ``simulate_mild``).
     replicates >= 2 so the standard error is defined.  ``ensemble_path``
     optionally streams the raw ensemble to disk as binary records
     (replicate id, time index, space index, value) after a one-line text
     header giving the layout and seed.
     """
 
-    nx: int = 64
     nt: int = 128
     T: float = 0.1
     replicates: int = 200
@@ -155,8 +160,6 @@ class SimConfig:
     ensemble_path: str | None = None
 
     def __post_init__(self):
-        if int(self.nx) != self.nx or self.nx < 4:
-            raise DomainError(f"nx >= 4 violated: nx={self.nx}")
         if int(self.nt) != self.nt or self.nt < 1:
             raise DomainError(f"nt >= 1 violated: nt={self.nt}")
         if not np.isfinite(self.T) or self.T <= 0.0:
@@ -342,8 +345,6 @@ def simulate_mild(params, es, u0, config, threads=1):
     if params.d != 1:
         raise DomainError(f"simulation supports d=1 only, got d={params.d}")
     grid = es.grid
-    if grid.n != config.nx:
-        raise DomainError(f"config.nx={config.nx} differs from eigen grid n={grid.n}")
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n,):
         raise DomainError(f"u0 must have shape ({grid.n},), got {u0.shape}")

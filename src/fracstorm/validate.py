@@ -543,7 +543,7 @@ def _check_mc_determinism(ctx):
     es = ctx.eigen(2.0, 32)
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=1.0)
-    cfg = SimConfig(nx=32, nt=32, T=0.05, replicates=96, seed=ctx.seed)
+    cfg = SimConfig(nt=32, T=0.05, replicates=96, seed=ctx.seed)
     a = simulate_mild(p, es, u0, cfg)
     b = simulate_mild(p, es, u0, cfg)
     c = simulate_mild(p, es, u0, cfg, threads=3)
@@ -556,7 +556,7 @@ def _check_mc_determinism(ctx):
 def _check_mc_zero(ctx):
     es = ctx.eigen(2.0, 32)
     p = ModelParams(alpha=2.0, beta=0.5, lam=3.0)
-    cfg = SimConfig(nx=32, nt=32, T=0.05, replicates=64, seed=ctx.seed)
+    cfg = SimConfig(nt=32, T=0.05, replicates=64, seed=ctx.seed)
     est = simulate_mild(p, es, np.zeros(32), cfg)
     worst = float(np.max(np.abs(est.mean)))
     return worst == 0.0, f"max |moment| from u0 = 0: {_num(worst)}", "= 0"
@@ -567,10 +567,8 @@ def _check_mc_stderr(ctx):
     es = ctx.eigen(2.0, 32)
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=1.0)
-    a = simulate_mild(p, es, u0, SimConfig(nx=32, nt=48, T=0.05, replicates=256,
-                                           seed=ctx.seed))
-    b = simulate_mild(p, es, u0, SimConfig(nx=32, nt=48, T=0.05, replicates=512,
-                                           seed=ctx.seed))
+    a = simulate_mild(p, es, u0, SimConfig(nt=48, T=0.05, replicates=256, seed=ctx.seed))
+    b = simulate_mild(p, es, u0, SimConfig(nt=48, T=0.05, replicates=512, seed=ctx.seed))
     ratio = float(np.median(b.stderr[1:]) / np.median(a.stderr[1:]))
     target = 1.0 / math.sqrt(2.0)
     ok = abs(ratio / target - 1.0) <= 0.15
@@ -591,7 +589,7 @@ def _check_mc_volterra(ctx):
     es = ctx.eigen(2.0, 64)
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=1.0)
-    cfg = SimConfig(nx=64, nt=128, T=0.1, replicates=2000, seed=ctx.seed)
+    cfg = SimConfig(nt=128, T=0.1, replicates=2000, seed=ctx.seed)
     est = simulate_mild(p, es, u0, cfg, threads=ctx.threads)
     ref = second_moment_white(p, es, u0, 1.0, 0.1, 256).dense()[-1]
     probes = np.linspace(8, 55, 10).astype(int)
@@ -670,7 +668,7 @@ def _check_backend_agreement(ctx):
     plan = MomentPlan.build(p, es, u0, 0.002, 768)   # the cells differ only in lam
     for lam, cell_seed in zip(np.geomspace(2.0, 12.0, 6), cell_seeds):
         pl = replace(p, lam=float(lam))
-        cfg = SimConfig(nx=32, nt=384, T=0.002, replicates=800, seed=int(cell_seed))
+        cfg = SimConfig(nt=384, T=0.002, replicates=800, seed=int(cell_seed))
         est = simulate_mild(pl, es, u0, cfg, threads=ctx.threads)
         ref = second_moment_white(pl, es, u0, 1.0, 0.002, 768, plan=plan).dense()[-1]
         z = (est.mean[-1][probes] - ref[probes]) / est.stderr[-1][probes]

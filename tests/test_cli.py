@@ -361,6 +361,26 @@ def test_excite_artifacts_and_verdict(tmp_path, capsys):
     assert doc.documentElement.tagName == "svg"
 
 
+@pytest.mark.parametrize("command", ["simulate", "excite"])
+def test_csv_header_records_a_sigma_slope_other_than_1(command, sim_config_path, tmp_path,
+                                                      capsys):
+    heads = {}
+    for slope in ("1", "3"):
+        out = tmp_path / f"slope{slope}"
+        dest = (["--out", f"{out}.csv"] if command == "simulate"
+                else ["--out-prefix", str(out)])
+        code, _, _ = run_main(
+            [command, "--config", str(sim_config_path), "--set", f"sigma.slope={slope}",
+             "--set", "initial.value=10", "--set", "excite.method=montecarlo",
+             "--set", "excite.nt=8"] + dest, capsys)
+        assert code == 0
+        heads[slope] = out.with_suffix(".csv").read_bytes().decode().split("\r\n", 1)[0]
+        label = json.loads(out.with_suffix(".json").read_text())["params"]
+        assert label in heads[slope]
+    assert "l_sigma" not in heads["1"]
+    assert heads["3"] == heads["1"].replace("noise=white", "noise=white l_sigma=3")
+
+
 def test_simulate_reads_every_run_setting_from_set(sim_config_path, tmp_path, capsys):
     ensemble = tmp_path / "ens.bin"
     code, _, _ = run_main(
@@ -379,7 +399,6 @@ def test_simulate_reads_every_run_setting_from_set(sim_config_path, tmp_path, ca
 
 def test_excite_reads_method_t_and_nt_from_set(tmp_path, capsys):
     from fracstorm.excitation import excitation_sweep
-    from fracstorm.simulate import SimConfig
 
     cfg_path = tmp_path / "mc.cfg"
     cfg_path.write_text("grid.nx = 8\ninitial.value = 10\nsimulate.replicates = 4\nrun.seed = 3\n")
@@ -395,9 +414,9 @@ def test_excite_reads_method_t_and_nt_from_set(tmp_path, capsys):
     # the logged values are those of a 12-step sweep
     cfg = cli.parse_config_text(cfg_path.read_text())
     p, grid, es = cli._eigen_from(cfg)
-    mc = SimConfig(nx=8, nt=12, T=0.05, replicates=4, seed=3, sigma=cfg.sigma())
     fit = excitation_sweep(p, es, cfg.initial_profile(grid), 0.05, summary["lambda"],
-                           method="montecarlo", nt=12, mc_config=mc)
+                           method="montecarlo", nt=12, sigma=cfg.sigma(), replicates=4,
+                           seed=3)
     assert summary["log_value"] == fit.log_values.tolist()
 
 
@@ -434,6 +453,7 @@ def test_validate_threads_zero_exits_2(capsys):
     ["excite", "--method", "volterra"], ["excite", "--t", "0.1"],
     ["excite", "--nt", "48"], ["excite", "--threads", "1"],
     ["moments", "field", "--T", "1"], ["moments", "field", "--nt", "8"],
+    ["moments", "field", "--l-sigma", "3"],
 ])
 def test_removed_flag_exits_2(argv, capsys):
     # each of these settings has a config key, which is its only route
@@ -452,6 +472,22 @@ def test_moments_field_reads_grid_t_and_nt(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out.read_text().split("\n", 1)[1])))
     assert rows[0] == ["t", "log_energy"] and len(rows) == 1 + 6
     assert float(rows[-1][0]) == pytest.approx(0.02)
+
+
+def test_moments_field_reads_the_sigma_slope(tmp_path, capsys):
+    # sigma(u) = l u couples the noise as lam l, so slope 3 is lam 3
+    heads = {"sigma.slope": "lam=1 d=1 noise=white l_sigma=3",
+             "model.lam": "lam=3 d=1 noise=white l_sigma=1"}
+    logs = {}
+    for key, head in heads.items():
+        out = tmp_path / f"{key}.csv"
+        code, stdout, _ = run_main(
+            ["moments", "field", "--set", "grid.nx=8", "--set", "grid.nt=5",
+             "--set", f"{key}=3", "--out", str(out)], capsys)
+        assert code == 0
+        logs[key] = stdout.split("log E_t(T) = ")[1].split()[0]
+        assert out.read_bytes().decode().split("\r\n", 1)[0].endswith(head)
+    assert logs["sigma.slope"] == logs["model.lam"] == "-0.438538"
 
 
 def _options(parser, path=()):
@@ -475,9 +511,10 @@ def test_option_inventory_is_pinned():
         "kernel": ["--config", "--set", "--mode", "--t", "--y", "--out"],
         "moments renewal": ["--config", "--set", "--rho", "--kappa", "--c1", "--T",
                             "--nt", "--out"],
-        "moments field": ["--config", "--set", "--l-sigma", "--out"],
+        "moments field": ["--config", "--set", "--out"],
         "simulate": ["--config", "--set", "--out"],
         "excite": ["--config", "--set", "--out-prefix"],
         "validate": ["--only", "--seed", "--threads", "--out"],
     }
+    assert sum(map(len, _options(cli.build_parser()).values())) == 35
     assert len(cli.KNOWN_KEYS) == 25

@@ -12,7 +12,7 @@ from fracstorm.excitation import (
     theoretical_index,
 )
 from fracstorm.params import ModelParams, NoiseModel
-from fracstorm.simulate import SimConfig
+from fracstorm.simulate import linear_sigma, table_sigma
 
 WHITE = ModelParams(alpha=2.0, beta=0.5)
 COLORED = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel(kind="riesz", gamma=0.5))
@@ -84,16 +84,32 @@ def test_montecarlo_sweep_runs_and_is_thread_deterministic(eigen_cache, bump):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     lam = np.geomspace(5.0, 50.0, 6)
-    cfg = SimConfig(nx=24, nt=64, T=0.1, replicates=200, seed=3)
     seq = excitation_sweep(WHITE, es, u0, 0.1, lam, method="montecarlo",
-                           nt=64, mc_config=cfg, threads=1)
+                           nt=64, replicates=200, seed=3, threads=1)
     par = excitation_sweep(WHITE, es, u0, 0.1, lam, method="montecarlo",
-                           nt=64, mc_config=cfg, threads=TEST_THREADS)
+                           nt=64, replicates=200, seed=3, threads=TEST_THREADS)
     assert seq.method == "montecarlo"
     assert np.isfinite(seq.slope)
     assert seq.fit_mask.sum() >= 4
     assert np.array_equal(seq.log_values, par.log_values)
     assert seq.slope == par.slope
+
+
+@pytest.mark.parametrize("method, lam, nt", [
+    ("volterra", np.geomspace(1e2, 1e5, 10), 48),
+    ("montecarlo", np.geomspace(5.0, 50.0, 6), 16),
+])
+def test_sweep_couples_noise_as_lambda_times_sigma_slope(eigen_cache, bump, method, lam, nt):
+    # sigma(u) = l u enters only through lam l, so slope 2 at lam is the
+    # default sigma at 2 lam, to the bit
+    es = eigen_cache(2.0, 16)
+    u0 = bump(es)
+    kw = dict(method=method, nt=nt, replicates=8, seed=1)
+    scaled = excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=linear_sigma(2.0), **kw)
+    doubled = excitation_sweep(WHITE, es, u0, 0.1, 2.0 * lam, **kw)
+    assert np.array_equal(scaled.log_values, doubled.log_values)
+    plain = excitation_sweep(WHITE, es, u0, 0.1, lam, **kw)
+    assert not np.array_equal(scaled.log_values, plain.log_values)
 
 
 def test_index_fit_is_uniform_over_interior_positions(eigen_cache, bump):
@@ -139,6 +155,9 @@ def test_sweep_rejects_bad_arguments(eigen_cache, bump):
         excitation_sweep(WHITE, es, u0, 0.0, LAM13)
     with pytest.raises(DomainError, match="EigenSystem"):
         excitation_sweep(WHITE, np.eye(4), u0, 0.1, LAM13)
+    with pytest.raises(DomainError, match="linear sigma"):
+        excitation_sweep(WHITE, es, u0, 0.1, LAM13,
+                         sigma=table_sigma([-1.0, 0.0, 1.0], [-0.5, 0.0, 2.0]))
 
 
 def test_fit_dataclass_validation():

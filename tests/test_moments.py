@@ -394,9 +394,10 @@ _RIESZ = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5))
 @pytest.mark.parametrize("call", [
     lambda v: lower_series(1.0, v), lambda v: lower_series(v, 0.5),
     lambda v: lower_series_log(1.0, v), lambda v: lower_series_log(v, 0.5),
-    lambda v: colored_lower_bound_series(_RIESZ, 0.5, 1.0, v, 0.1, g_t=0.3),
-    lambda v: colored_lower_bound_series(_RIESZ, 0.5, 1.0, 1e2, v, g_t=0.3),
-], ids=["S-rho", "S-t", "logS-rho", "logS-t", "colored-lam", "colored-t"])
+    lambda v: colored_lower_bound_series(replace(_RIESZ, lam=v), 1.0, 0.1, g_t=0.3),
+    lambda v: colored_lower_bound_series(_RIESZ, v, 0.1, g_t=0.3),
+    lambda v: colored_lower_bound_series(replace(_RIESZ, lam=1e2), 1.0, v, g_t=0.3),
+], ids=["S-rho", "S-t", "logS-rho", "logS-t", "colored-lam", "colored-l", "colored-t"])
 def test_series_lemma_refuses_non_finite_arguments(call, bad):
     # no silent NaN, no ValueError from int(inf), no 1e7-term loop
     with pytest.raises(DomainError):
@@ -411,7 +412,7 @@ def test_series_lemma_refuses_windows_past_exact_doubles():
         lower_series(1e300, 0.5)
     # theta = lam^2 c1 t^eta ~ 4e20 puts k* near 1e23, past 2^53
     with pytest.raises(DomainError, match="2\\^53"):
-        colored_lower_bound_series(_RIESZ, 0.5, 1.0, 1e12, 0.1, g_t=0.3)
+        colored_lower_bound_series(replace(_RIESZ, lam=1e12), 1.0, 0.1, g_t=0.3)
 
 
 @pytest.mark.parametrize("t, rho", [(1.0, 1.0), (10.0, 0.5), (20.0, 0.5)])
@@ -432,15 +433,25 @@ def test_lower_series_log_growth_exponent():
 
 
 def test_colored_lower_bound_increases_with_lambda(eigen_cache, bump):
-    p = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5))
-    lo = colored_lower_bound_series(p, 0.5, 1.0, 1e2, 0.1, g_t=0.3)
-    hi = colored_lower_bound_series(p, 0.5, 1.0, 1e4, 0.1, g_t=0.3)
+    lo = colored_lower_bound_series(replace(_RIESZ, lam=1e2), 1.0, 0.1, g_t=0.3)
+    hi = colored_lower_bound_series(replace(_RIESZ, lam=1e4), 1.0, 0.1, g_t=0.3)
     assert hi > lo
     # Doubling log-lambda quadruples.. the bound scales like theta^(1/eta)
     # with theta ~ lam^2; check the exponent between the two evaluations.
     eta = 1.0 - 0.5 * 0.5 / 2.0
     measured = (math.log(hi) - math.log(lo)) / (math.log(1e4) - math.log(1e2))
     assert measured == pytest.approx(2.0 / eta, rel=0.15)
+
+
+def test_colored_lower_bound_reads_gamma_and_lambda_from_params():
+    base = colored_lower_bound_series(replace(_RIESZ, lam=1e2), 1.0, 0.1, g_t=0.3)
+    # lam l is the coupling, and a larger gamma lowers eta = 1 - gamma beta / alpha
+    assert colored_lower_bound_series(replace(_RIESZ, lam=50.0), 2.0, 0.1, g_t=0.3) == base
+    other = replace(_RIESZ, lam=1e2, noise=NoiseModel("riesz", gamma=0.9))
+    assert colored_lower_bound_series(other, 1.0, 0.1, g_t=0.3) != base
+    with pytest.raises(DomainError, match="riesz"):
+        colored_lower_bound_series(ModelParams(alpha=2.0, beta=0.5, lam=1e2), 1.0, 0.1,
+                                   g_t=0.3)
 
 
 def test_initial_term_floor_positive(eigen_cache, bump):

@@ -31,7 +31,7 @@ def white_params():
 def test_same_seed_is_bitwise_reproducible(eigen_cache, bump, white_params):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
-    cfg = SimConfig(nx=24, nt=16, T=0.05, replicates=70, seed=41)
+    cfg = SimConfig(nt=16, T=0.05, replicates=70, seed=41)
     a = simulate_mild(white_params, es, u0, cfg)
     b = simulate_mild(white_params, es, u0, cfg)
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
@@ -40,7 +40,7 @@ def test_same_seed_is_bitwise_reproducible(eigen_cache, bump, white_params):
 def test_thread_count_does_not_change_results(eigen_cache, bump, white_params):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
-    cfg = SimConfig(nx=24, nt=16, T=0.05, replicates=200, seed=7)
+    cfg = SimConfig(nt=16, T=0.05, replicates=200, seed=7)
     seq = simulate_mild(white_params, es, u0, cfg, threads=1)
     par = simulate_mild(white_params, es, u0, cfg, threads=TEST_THREADS)
     assert np.array_equal(seq.mean, par.mean)
@@ -51,9 +51,9 @@ def test_different_seeds_differ(eigen_cache, bump, white_params):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     a = simulate_mild(white_params, es, u0,
-                      SimConfig(nx=24, nt=16, T=0.05, replicates=16, seed=0))
+                      SimConfig(nt=16, T=0.05, replicates=16, seed=0))
     b = simulate_mild(white_params, es, u0,
-                      SimConfig(nx=24, nt=16, T=0.05, replicates=16, seed=1))
+                      SimConfig(nt=16, T=0.05, replicates=16, seed=1))
     assert not np.array_equal(a.mean, b.mean)
 
 
@@ -61,7 +61,7 @@ def test_zero_noise_level_reproduces_deterministic_flow(eigen_cache, bump):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=0.0)
-    cfg = SimConfig(nx=24, nt=12, T=0.1, replicates=8, seed=3)
+    cfg = SimConfig(nt=12, T=0.1, replicates=8, seed=3)
     est = simulate_mild(p, es, u0, cfg)
     assert np.all(est.stderr == 0.0)
     for j, t in enumerate(est.times):
@@ -73,7 +73,7 @@ def test_zero_initial_data_stays_zero(eigen_cache, white_params):
     # sigma(0) = 0, so the zero field is an absorbing state.
     es = eigen_cache(2.0, 24)
     est = simulate_mild(white_params, es, np.zeros(24),
-                        SimConfig(nx=24, nt=12, T=0.1, replicates=8, seed=9))
+                        SimConfig(nt=12, T=0.1, replicates=8, seed=9))
     assert np.all(est.mean == 0.0) and np.all(est.stderr == 0.0)
 
 
@@ -81,10 +81,10 @@ def test_stderr_shrinks_with_replicates(eigen_cache, bump, white_params):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     small = simulate_mild(white_params, es, u0,
-                          SimConfig(nx=24, nt=16, T=0.05, replicates=128, seed=5),
+                          SimConfig(nt=16, T=0.05, replicates=128, seed=5),
                           threads=TEST_THREADS)
     large = simulate_mild(white_params, es, u0,
-                          SimConfig(nx=24, nt=16, T=0.05, replicates=512, seed=5),
+                          SimConfig(nt=16, T=0.05, replicates=512, seed=5),
                           threads=TEST_THREADS)
     ratio = np.median(large.stderr[-1] / small.stderr[-1])
     assert ratio == pytest.approx(0.5, abs=0.15)
@@ -98,7 +98,7 @@ def test_blowup_guard_counts_and_excludes(eigen_cache, bump):
     # the surviving statistics finite.
     p = ModelParams(alpha=2.0, beta=0.5, lam=6e5)
     est = simulate_mild(p, es, u0,
-                        SimConfig(nx=24, nt=16, T=0.5, replicates=32, seed=0))
+                        SimConfig(nt=16, T=0.5, replicates=32, seed=0))
     assert est.blowups > 0
     assert est.replicates_used >= 2
     assert est.replicates_used + est.blowups == 32
@@ -112,7 +112,7 @@ def test_blowup_of_every_replicate_is_an_error(eigen_cache, bump):
     p = ModelParams(alpha=2.0, beta=0.5, lam=1e90)
     with pytest.raises(NumericsError, match="blow-up guard"):
         simulate_mild(p, es, u0,
-                      SimConfig(nx=24, nt=16, T=0.5, replicates=8, seed=0))
+                      SimConfig(nt=16, T=0.5, replicates=8, seed=0))
 
 
 def test_sigma_specs():
@@ -243,7 +243,7 @@ def test_ensemble_stream_roundtrip(tmp_path, eigen_cache, bump, white_params):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     path = tmp_path / "ensemble.bin"
-    cfg = SimConfig(nx=24, nt=8, T=0.05, replicates=70, seed=2,
+    cfg = SimConfig(nt=8, T=0.05, replicates=70, seed=2,
                     ensemble_path=str(path))
     est = simulate_mild(white_params, es, u0, cfg)
     record = np.dtype([("rep", "<u4"), ("ti", "<u4"), ("xi", "<u4"),
@@ -261,7 +261,7 @@ def test_ensemble_stream_roundtrip(tmp_path, eigen_cache, bump, white_params):
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        SimConfig(nx=2)
+        SimConfig(nt=0)
     with pytest.raises(DomainError):
         SimConfig(replicates=1)
     with pytest.raises(DomainError):
