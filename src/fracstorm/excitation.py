@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, NumericsError
 from .kernels import EigenSystem
 from .moments import MomentField, MomentPlan, second_moment_colored, second_moment_white
-from .simulate import SigmaSpec, SimConfig, simulate_mild
+from .simulate import SigmaSpec, SimConfig, check_threads, simulate_mild
 
 __all__ = [
     "ExcitationFit",
@@ -167,10 +167,10 @@ def _volterra_fields(params, es, u0, t, lambdas, nt, l_sigma, threads=1):
             return second_moment_white(p, es, u0, l_sigma, t, nt, plan=plan)
         return second_moment_colored(p, es, u0, l_sigma, t, nt, plan=plan).diagonal_field()
 
-    if int(threads) > 1:
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(solve, lambdas))
     return [solve(lam) for lam in lambdas]
 
@@ -191,6 +191,7 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
     ``threads`` > 1 runs lambda cells (Volterra) or replicate chunks
     concurrently; the result is identical to the sequential sweep.
     """
+    threads = check_threads(threads)
     if not isinstance(es, EigenSystem):
         raise DomainError("es must be an EigenSystem")
     if method not in ("volterra", "montecarlo"):

@@ -11,9 +11,19 @@ replicate evolves
 where the kernel is evaluated at half-lag offsets so the integrable lag
 singularity at zero is never sampled.  All kernel applications are done in
 eigencoordinates, where the lag sum collapses to per-mode scalar
-convolutions; the lag tables cost nt*nx^2 values if materialized, which the
-default nx=64, nt=128 keeps well under 1e7.  The decay table comes from
-``fracfun.mode_decay``; the history stays a direct sum over lags.
+convolutions with the half-lag decay table from ``fracfun.mode_decay``.
+
+The history sum is blocked in time (Hairer, Lubich & Schlichte 1985).  At
+the start of each block of _BLOCK steps one batched gemm per block gives,
+for every step of the block, the part of the sum over all steps before the
+block; each step then adds only its <= _BLOCK in-block lags.  The lagged
+decay factors come from a Hankel table hank[k, i, j] = e(i+1+j) of
+nmodes * _BLOCK * nt doubles, built once per call and shared read-only by
+the chunk threads (2 MB at nx = 64, nt = 256).  A chunk of nrep replicates
+still does nt^2/2 * nrep * nmodes multiply-adds, but nearly all of them in
+gemm form rather than one einsum per step.  The block length is fixed, so
+the summation order, and with it every result, depends on neither nt nor
+the thread count.
 
 Noise increments: white noise uses independent N(0, dt*h) per cell (the
 Walsh measure of a time-space cell); Riesz noise draws factor @ z * sqrt(dt)
@@ -26,12 +36,14 @@ over fixed-size chunks, so results are bitwise reproducible for a given
 (seed, config) no matter how replicates are scheduled.
 
 Heavy tails: second moments are finite but sample paths at large lam are
-heavy-tailed; any replicate whose amplitude passes an overflow guard is
-excluded from the estimate and counted in ``MomentEstimate.blowups`` rather
-than clamped (clamping would bias silently).
+heavy-tailed; any replicate whose amplitude passes an overflow guard (or
+turns NaN) is excluded from the estimate and counted in
+``MomentEstimate.blowups`` rather than clamped (clamping would bias
+silently).
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -52,6 +64,7 @@ __all__ = [
     "MomentEstimate",
     "build_riesz_covariance",
     "sample_noise_slice",
+    "check_threads",
     "simulate_mild",
 ]
 
@@ -63,6 +76,10 @@ BLOWUP_GUARD = 1e75
 
 # Fixed replicate chunk size; part of the deterministic reduction layout.
 _CHUNK = 64
+
+# Fixed history block length in steps; part of the deterministic summation
+# order (see the module docstring).
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -268,8 +285,28 @@ _ENSEMBLE_RECORD = np.dtype(
 )
 
 
-def _run_chunk(lo, hi, config, grid, params, u0, det, e_tab, phi, cov, keep_paths):
+def _hankel_table(decay):
+    """hank[k, i, j] = decay[k, i+1+j] for i < _BLOCK, and 0 where i+1+j >= nt.
+
+    Row i holds the lags from the steps before a block to its step i, newest
+    first, for each mode k of the mode-major decay table ``decay`` (nmodes, nt).
+    """
+    nmodes, nt = decay.shape
+    padded = np.zeros((nmodes, nt + _BLOCK))
+    padded[:, :nt] = decay
+    return padded[:, np.arange(1, _BLOCK + 1)[:, None] + np.arange(nt)]
+
+
+def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, keep_paths):
     """Evolve replicates [lo, hi) and reduce them to chunk statistics.
+
+    The noise history is stored mode-major with the newest step in the lowest
+    slot, hist[k, nt-1-m, r] = (phi^T sigma(u^m) dW_m)_k of replicate r, so
+    the steps before a block starting at n0 are the contiguous slots
+    nt-n0..nt-1, newest first.  One batched gemm with ``hank`` gives their
+    contribution to every step of the block; each step adds its in-block lags
+    from ``decay`` (mode-major half-lag decay table).  A replicate that blows
+    up has its history zeroed, and with it the rest of its block's older sum.
 
     Returns (sum of u^2, sum of u^4, replicates kept, blow-ups, paths), where
     paths is the (nrep, nt+1, nx) trajectory array when ``keep_paths`` (for
@@ -287,45 +324,63 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, e_tab, phi, cov, keep_path
     for r in range(nrep):
         z[r] = _replicate_normals(config.seed, lo + r, nt, grid.n)
     dW = _increments(params.noise, grid, dt, z, cov)
+    del z
 
     traj2 = np.empty((nrep, nt + 1, grid.n))
     traj2[:, 0] = u0 ** 2
     alive = np.ones(nrep, dtype=bool)
     u = np.broadcast_to(u0, (nrep, grid.n)).copy()
-    # Mode-space noise history: hist[m] = phi^T-projected sigma(u^m) dW_m.
-    hist = np.zeros((nt, nrep, nmodes))
+    hist = np.zeros((nmodes, nt, nrep))
     blowups = 0
     full = None
     if keep_paths:
         full = np.empty((nrep, nt + 1, grid.n))
         full[:, 0] = u
 
-    for n in range(nt):
-        q = sigma(u) * dW[:, n]
-        hist[n] = q @ phi
-        # sum_{m<=n} e_tab[n-m] * hist[m], per mode, then back to space.
-        conv = np.einsum("mrk,mk->rk", hist[: n + 1], e_tab[n::-1])
-        u = det[n + 1] + lam * (conv @ phi.T)
-        bad = ~np.all(np.abs(u) < BLOWUP_GUARD, axis=1)
-        if bad.any():
-            newly = bad & alive
-            alive &= ~bad
-            u = np.where(bad[:, None], 0.0, u)
-            hist[: n + 1, newly] = 0.0
-            blowups += int(np.count_nonzero(newly))
-        traj2[:, n + 1] = u ** 2
-        if keep_paths:
-            full[:, n + 1] = u
+    for n0 in range(0, nt, _BLOCK):
+        nb = min(_BLOCK, nt - n0)
+        # past[k, i, r] = sum_{m<n0} e[n0+i-m, k] * hist_m[k, r]
+        past = np.matmul(hank[:, :nb, :n0], hist[:, nt - n0:])
+        for i in range(nb):
+            n = n0 + i
+            s = nt - 1 - n
+            q = sigma(u) * dW[:, n]
+            hist[:, s] = (q @ phi).T
+            # plus sum_{n0<=m<=n} e[n-m, k] * hist_m[k, r], then back to space
+            conv = past[:, i] + np.matmul(decay[:, None, : i + 1], hist[:, s: nt - n0])[:, 0]
+            u = det[n + 1] + lam * (phi @ conv).T
+            bad = ~np.all(np.abs(u) < BLOWUP_GUARD, axis=1)
+            if bad.any():
+                newly = bad & alive
+                alive &= ~bad
+                u = np.where(bad[:, None], 0.0, u)
+                hist[:, s:, newly] = 0.0
+                past[:, i + 1:, newly] = 0.0
+                blowups += int(np.count_nonzero(newly))
+            traj2[:, n + 1] = u ** 2
+            if keep_paths:
+                full[:, n + 1] = u
+    del dW, hist, past
 
-    kept = traj2[alive]
     used = int(np.count_nonzero(alive))
-    if kept.shape[0]:
-        s1 = _pairwise_tree_sum(list(kept))
-        s2 = _pairwise_tree_sum(list(kept ** 2))
+    if used < nrep:
+        traj2 = traj2[alive]
+    if used:
+        s1 = _pairwise_tree_sum(list(traj2))
+        if used == 1:
+            s1 = s1.copy()  # a lone part comes back as a view of traj2
+        s2 = _pairwise_tree_sum(list(np.square(traj2, out=traj2)))
     else:
         s1 = np.zeros((nt + 1, grid.n))
         s2 = np.zeros((nt + 1, grid.n))
     return s1, s2, used, blowups, full
+
+
+def check_threads(threads):
+    """Validate a worker-thread count: an integer >= 1, else DomainError."""
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
+    return int(threads)
 
 
 def simulate_mild(params, es, u0, config, threads=1):
@@ -340,6 +395,7 @@ def simulate_mild(params, es, u0, config, threads=1):
     estimate is bitwise identical to the sequential run.  Ensemble streaming
     forces sequential execution (records are written replicate-major).
     """
+    threads = check_threads(threads)
     if not isinstance(es, EigenSystem):
         raise DomainError("es must be an EigenSystem")
     if params.d != 1:
@@ -353,8 +409,9 @@ def simulate_mild(params, es, u0, config, threads=1):
     dt = T / nt
     beta = params.beta
 
-    # Half-lag per-mode decay table: e_tab[j, k] = E_beta(-mu_k ((j+1/2) dt)^beta).
-    e_tab = mode_decay(es.mu, beta, (np.arange(nt) + 0.5) * dt)
+    # Half-lag decay table, mode-major: decay[k, j] = E_beta(-mu_k ((j+1/2) dt)^beta).
+    decay = np.ascontiguousarray(mode_decay(es.mu, beta, (np.arange(nt) + 0.5) * dt).T)
+    hank = _hankel_table(decay)
 
     # Deterministic part at every grid time.
     det = np.vstack([u0, apply_semigroup(es, beta, np.arange(1, nt + 1) * dt, u0)])
@@ -376,7 +433,7 @@ def simulate_mild(params, es, u0, config, threads=1):
     ]
 
     def work(b):
-        return _run_chunk(b[0], b[1], config, grid, params, u0, det, e_tab,
+        return _run_chunk(b[0], b[1], config, grid, params, u0, det, decay, hank,
                           phi, cov, keep_paths=writer is not None)
 
     chunk_sums1 = []
@@ -385,7 +442,7 @@ def simulate_mild(params, es, u0, config, threads=1):
     blowups = 0
     try:
         if threads > 1 and writer is None and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(work, bounds))
         else:
             results = map(work, bounds)

@@ -160,6 +160,16 @@ def test_sweep_rejects_bad_arguments(eigen_cache, bump):
                          sigma=table_sigma([-1.0, 0.0, 1.0], [-0.5, 0.0, 2.0]))
 
 
+@pytest.mark.parametrize("method", ["volterra", "montecarlo"])
+@pytest.mark.parametrize("threads", [0, -3, 2.5])
+def test_sweep_rejects_bad_thread_counts(eigen_cache, bump, method, threads):
+    es = eigen_cache(2.0, 24)
+    lam = LAM13 if method == "volterra" else np.geomspace(5.0, 50.0, 6)
+    with pytest.raises(DomainError, match="threads"):
+        excitation_sweep(WHITE, es, bump(es), 0.1, lam, method=method, nt=8,
+                         replicates=2, threads=threads)
+
+
 def test_fit_dataclass_validation():
     ok = dict(
         lambdas=np.array([1.0, 10.0, 100.0]),

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import TEST_THREADS
 from fracstorm.errors import DomainError, NumericsError
+from fracstorm.fracfun import mode_decay
 from fracstorm.kernels import apply_semigroup
 from fracstorm.params import ModelParams, NoiseModel
 from fracstorm.simulate import (
+    BLOWUP_GUARD,
     RieszCovariance,
     SimConfig,
     SigmaSpec,
@@ -45,6 +47,42 @@ def test_thread_count_does_not_change_results(eigen_cache, bump, white_params):
     par = simulate_mild(white_params, es, u0, cfg, threads=TEST_THREADS)
     assert np.array_equal(seq.mean, par.mean)
     assert np.array_equal(seq.stderr, par.stderr)
+
+
+def test_multi_block_run_is_bitwise_reproducible(eigen_cache, bump, white_params):
+    # nt = 37 spans two full history blocks and a partial one
+    es = eigen_cache(2.0, 24)
+    u0 = bump(es)
+    cfg = SimConfig(nt=37, T=0.05, replicates=70, seed=41)
+    a = simulate_mild(white_params, es, u0, cfg)
+    b = simulate_mild(white_params, es, u0, cfg)
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
+
+
+def test_multi_block_thread_count_does_not_change_results(eigen_cache, bump, white_params):
+    es = eigen_cache(2.0, 24)
+    u0 = bump(es)
+    cfg = SimConfig(nt=37, T=0.05, replicates=200, seed=7)
+    seq = simulate_mild(white_params, es, u0, cfg, threads=1)
+    par = simulate_mild(white_params, es, u0, cfg, threads=TEST_THREADS)
+    assert np.array_equal(seq.mean, par.mean)
+    assert np.array_equal(seq.stderr, par.stderr)
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, 2.0, "2", None])
+def test_thread_count_must_be_an_integer_at_least_one(eigen_cache, bump, white_params, threads):
+    es = eigen_cache(2.0, 24)
+    cfg = SimConfig(nt=4, T=0.05, replicates=2, seed=0)
+    with pytest.raises(DomainError, match="threads"):
+        simulate_mild(white_params, es, bump(es), cfg, threads=threads)
+
+
+def test_numpy_integer_thread_count_is_accepted(eigen_cache, bump, white_params):
+    es = eigen_cache(2.0, 24)
+    u0 = bump(es)
+    cfg = SimConfig(nt=4, T=0.05, replicates=2, seed=0)
+    a = simulate_mild(white_params, es, u0, cfg, threads=np.int64(2))
+    assert np.array_equal(a.mean, simulate_mild(white_params, es, u0, cfg).mean)
 
 
 def test_different_seeds_differ(eigen_cache, bump, white_params):
@@ -113,6 +151,121 @@ def test_blowup_of_every_replicate_is_an_error(eigen_cache, bump):
     with pytest.raises(NumericsError, match="blow-up guard"):
         simulate_mild(p, es, u0,
                       SimConfig(nt=16, T=0.5, replicates=8, seed=0))
+
+
+def _direct_paths(params, es, u0, config):
+    """Reference: every replicate's path by the direct per-lag history sum.
+
+    All replicates evolve as one batch.  Each step sums e[n-m] hist[m] over
+    every lag m <= n in one einsum, with the half-lag decay table, the
+    noise of ``sample_noise_slice`` on replicate r's Philox stream keyed
+    (seed, r), and the blow-up rule: a replicate whose amplitude passes the
+    guard or turns NaN is zeroed, its history with it, and counted once.
+    Returns (paths, alive, blowups).
+    """
+    nt, nrep, grid, phi = config.nt, config.replicates, es.grid, es.phi
+    dt = config.T / nt
+    e_tab = mode_decay(es.mu, params.beta, (np.arange(nt) + 0.5) * dt)
+    det = np.vstack([u0, apply_semigroup(es, params.beta, np.arange(1, nt + 1) * dt, u0)])
+    cov = (build_riesz_covariance(grid, params.noise.gamma)
+           if params.noise.kind == "riesz" else None)
+    dW = np.empty((nrep, nt, grid.n))
+    for r in range(nrep):
+        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, r], dtype=np.uint64)))
+        for n in range(nt):
+            dW[r, n] = sample_noise_slice(params.noise, grid, dt, rng, cov)
+    paths = np.empty((nrep, nt + 1, grid.n))
+    paths[:, 0] = u = np.tile(u0, (nrep, 1))
+    hist = np.zeros((nt, nrep, phi.shape[1]))
+    alive = np.ones(nrep, dtype=bool)
+    blowups = 0
+    for n in range(nt):
+        hist[n] = (config.sigma(u) * dW[:, n]) @ phi
+        conv = np.einsum("mrk,mk->rk", hist[: n + 1], e_tab[n::-1])
+        u = det[n + 1] + params.lam * (conv @ phi.T)
+        bad = ~np.all(np.abs(u) < BLOWUP_GUARD, axis=1)
+        newly = bad & alive
+        alive &= ~bad
+        u[bad] = 0.0
+        hist[: n + 1, newly] = 0.0
+        blowups += int(np.count_nonzero(newly))
+        paths[:, n + 1] = u
+    return paths, alive, blowups
+
+
+# The blocked and direct sums add the same products per mode in another
+# order, so a step's sums differ by a few ulp of their absolute sums, which
+# the later steps carry forward; the pairwise and plain replicate averages
+# differ by a few ulp more.  Measured: at most 1.3e-15 relative for lam <= 3
+# and for the bounded sigma at lam = 3e75, and 1.8e-14 in the blow-up-count
+# cases, whose lam ~ 1e5 amplifies every step's rounding.
+_ORACLE_CASES = {
+    "white-default-sigma": (ModelParams(alpha=2.0, beta=0.5, lam=1.0), linear_sigma(1.0)),
+    "white-linear-sigma": (ModelParams(alpha=2.0, beta=0.5, lam=2.0), linear_sigma(1.5)),
+    "riesz-table-sigma": (ModelParams(alpha=2.0, beta=0.5, lam=3.0,
+                                      noise=NoiseModel("riesz", gamma=0.5)),
+                          table_sigma([-2.0, 0.0, 1.0, 3.0], [-1.0, 0.0, 2.0, 2.5])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+@pytest.mark.parametrize("replicates", [70, 65])
+def test_blocked_history_matches_direct_lag_sum(eigen_cache, bump, case, replicates):
+    # nt = 37 is two full history blocks and a partial one; 70 replicates
+    # are chunks of 64 + 6, and 65 leave a chunk of one replicate
+    params, sigma = _ORACLE_CASES[case]
+    es = eigen_cache(2.0, 24)
+    u0 = bump(es)
+    cfg = SimConfig(nt=37, T=0.05, replicates=replicates, seed=11, sigma=sigma)
+    est = simulate_mild(params, es, u0, cfg)
+    paths, alive, blowups = _direct_paths(params, es, u0, cfg)
+    assert (est.blowups, est.replicates_used) == (blowups, replicates) == (0, replicates)
+    ref = (paths ** 2).mean(axis=0)
+    assert np.all(np.abs(est.mean - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("lam, sigma, dead", [
+    (1.0, linear_sigma(1.0), 0),
+    (3e75, table_sigma([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), 18),
+])
+def test_streamed_ensemble_matches_direct_lag_sum(tmp_path, eigen_cache, bump, lam, sigma, dead):
+    # At lam = 3e75 the bounded sigma keeps |u| near lam times a random
+    # factor, so the guard trips at random steps in all three blocks and the
+    # survivors stay finite.  A dead replicate streams on from a zeroed
+    # history, so its later path checks that its older sum was dropped.
+    es = eigen_cache(2.0, 24)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
+    cfg = SimConfig(nt=37, T=0.05, replicates=70, seed=0, sigma=sigma,
+                    ensemble_path=str(tmp_path / "ensemble.bin"))
+    est = simulate_mild(p, es, u0, cfg)
+    with open(cfg.ensemble_path, "rb") as fh:
+        fh.readline()
+        rec = np.fromfile(fh, dtype=[("rep", "<u4"), ("ti", "<u4"), ("xi", "<u4"),
+                                     ("value", "<f8")])
+    got = rec["value"].reshape(70, 38, 24)
+    paths, alive, blowups = _direct_paths(p, es, u0, cfg)
+    assert est.blowups == blowups == dead and est.replicates_used == 70 - dead
+    scale = np.abs(paths).max(axis=2, keepdims=True)
+    assert np.all(np.abs(got - paths) <= 1e-13 * scale)
+    ref = (paths[alive] ** 2).mean(axis=0)
+    assert np.all(np.abs(est.mean - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("lam, dead", [(7e4, 47), (6e4, 19)])
+def test_blowup_counts_match_direct_lag_sum(eigen_cache, bump, lam, dead):
+    # nt = 20 is one full history block and a partial one; the replicates
+    # that die here do so in the last step, inside the partial block
+    es = eigen_cache(2.0, 24)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
+    cfg = SimConfig(nt=20, T=0.5, replicates=70, seed=0)
+    est = simulate_mild(p, es, u0, cfg)
+    paths, alive, blowups = _direct_paths(p, es, u0, cfg)
+    assert est.blowups == blowups == dead
+    assert est.replicates_used == int(alive.sum()) == 70 - dead
+    ref = (paths[alive] ** 2).mean(axis=0)
+    assert np.all(np.abs(est.mean - ref) <= 1e-13 * ref)
 
 
 def test_sigma_specs():
