@@ -39,6 +39,18 @@ Gmid[m] = phi diag(e_m) phi^T and each slice lifted once to
 L = h^2 Delta phi^T (Cbar * mid) phi, so a step costs O(j n^2 + n^3), not
 O(j n^3).  Gmid needs no clip (see ``kernels.dirichlet_fractional_kernel``).
 
+The stepper sums the history in fixed blocks of _STEP_BLOCK = 16 steps
+(Hairer, Lubich & Schlichte 1985): at the start of a block, the cells over
+the midpoints made before it are summed for every step of the block at
+once, and each step adds only its <= 16 in-block cells.  The white table is
+stored node-major, (n, nt, n), so viewed as (n, nt n) its row x holds
+S[m][x, :] for every lag m: the older cells of a whole block are one gemm
+against a Toeplitz arrangement of the older midpoints, and a step's
+in-block cells one gemv.  The colored contraction works entry by entry, so
+both of its parts stay einsums.  The block length is fixed, so a solve's
+summation order depends on neither lam nor nt nor the thread count of a
+sweep.
+
 The scalar renewal solver ``renewal_volterra_solve`` handles the equality
 case f = c1 + kappa int (t-s)^(rho-1) f(s) ds, 0 < rho <= 1 (exact cells in
 a block, sum-of-exponentials history before it); its closed-form solution
@@ -89,6 +101,10 @@ __all__ = [
 # lower-bound slope checks are insensitive to this value; it only shifts the
 # series' constant offset.
 DEFAULT_LOWER_C1 = 3.0e-3
+
+# Fixed history block length of the moment stepper, in steps; part of the
+# deterministic summation order (see ``_log_split_steps``).
+_STEP_BLOCK = 16
 
 
 def _normalize(vals):
@@ -220,10 +236,13 @@ class MomentPlan:
     det[j]:     (G_B u0)(t_j), with det[0] = u0
     cell_mass:  exact kernel mass of the newest time cell, (n,) for white
                 noise, (n, n) for colored
-    history[m]: lag-cell-m table (history[0] unused).  White: S[m], h times
-                the integral of G(tau)^2 over [m Delta, (m+1) Delta].
-                Colored: outer(e_m, e_m), e_m the mode decay at the cell's
-                midpoint lag, so the kernel there is phi diag(e_m) phi^T.
+    history:    the lag-cell tables, lag m = 0 unused (zero).  White:
+                node-major (n, nt, n), history[:, m] = S[m], h times the
+                integral of G(tau)^2 over [m Delta, (m+1) Delta], so the
+                (n, nt n) view holds every lag of node x in row x.
+                Colored: lag-major (nt, n, n), history[m] = outer(e_m, e_m),
+                e_m the mode decay at the cell's midpoint lag, so the kernel
+                there is phi diag(e_m) phi^T.
     riesz:      cell-averaged Riesz matrix Cbar (colored), else None
     """
 
@@ -270,7 +289,7 @@ class MomentPlan:
 
         tau, jac = _closure_nodes(eta, delta)
         e = mittag_leffler(beta, -np.outer(tau ** beta, es.mu))
-        history = np.zeros((nt, n, n))
+        history = np.zeros((nt, n, n) if colored else (n, nt, n))
         riesz = None
         if colored:
             # cell_mass[y,z] = int_0^Delta h^2 [G_tau Cbar G_tau^T]_{yz} dtau
@@ -290,8 +309,8 @@ class MomentPlan:
             step = 6 * max(1, DECAY_CHUNK // (6 * n * n))  # whole lag cells per call
             for q in range(0, nodes.size, step):
                 G = dirichlet_fractional_kernel(es, beta, nodes[q:q + step])
-                history[1 + q // 6:1 + (q + step) // 6] = h * (
-                    s_w[q:q + step, None, None] * G * G).reshape(-1, 6, n, n).sum(axis=1)
+                cells = h * (s_w[q:q + step, None, None] * G * G).reshape(-1, 6, n, n).sum(axis=1)
+                history[:, 1 + q // 6:1 + (q + step) // 6] = cells.transpose(1, 0, 2)
         return cls(es=es, params=replace(params, lam=0.0), u0=u0, T=T, nt=nt,
                    eta=eta, times=times, det=det, cell_mass=cell_mass,
                    history=history, riesz=riesz)
@@ -310,17 +329,27 @@ class MomentPlan:
         return self
 
 
-def _log_split_steps(plan, kappa, source, lift, contract):
+def _log_split_steps(plan, kappa, source, lift, far, near):
     """The time stepper of both second-moment solvers.
 
-    source[j] is the deterministic term at t_j (source[0] the initial slice);
-    contract(history[1:j], mids) sums the history cells m = 1..j-1.  Returns
-    (values, log_scale, logs); logs keeps the exact log of every entry, which
-    a framed slice loses for entries ~e^700 below its maximum.  Each slice
-    pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for exponential
-    growth) is made once, stored as lift(midpoint), and re-framed by a scalar
-    each step; the frame is the largest pair scale so far, so nothing
-    overflows.
+    source[j] is the deterministic term at t_j (source[0] the initial slice).
+    Returns (values, log_scale, logs); logs keeps the exact log of every
+    entry, which a framed slice loses for entries ~e^700 below its maximum.
+    Each slice pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for
+    exponential growth) is made once, stored as lift(midpoint), and re-framed
+    by a scalar each step; the frame is the largest pair scale so far, so
+    nothing overflows.
+
+    The history is summed in blocks of _STEP_BLOCK steps (Hairer, Lubich &
+    Schlichte 1985).  Step j weighs pair p = j-1-m at lag cell m = 1..j-1.
+    At the start of a block j0..j0+nb-1, far(older, scale, nb)[i] is step
+    j0+i's sum over the pairs made before the block, older[k] = pair j0-2-k
+    at lag cell i+1+k, each weighed by scale[k] = exp(mean_log - frame0) in
+    the block's starting frame frame0.  Step j rescales that sum by the
+    scalar exp(frame0 - frame), should its frame have risen since, and
+    near(base, newer, scale) adds to it its in-block pairs newer[k] = pair
+    j-2-k at lag cell k+1, weighed in the step's frame.  The block length is
+    fixed, so the summation order depends on neither lam nor nt.
     """
     nt = plan.nt
     shape = source.shape[1:]
@@ -340,25 +369,30 @@ def _log_split_steps(plan, kappa, source, lift, contract):
     ln_fac = np.empty(z.shape)
     ln_fac[upper] = mittag_leffler_log(plan.eta, z[upper])
     ln_fac.T[upper] = ln_fac[upper]
+    # lifted pair midpoints, newest in the lowest slot: mids[nt-1-p] is pair p
     mids = np.empty((nt,) + shape)
     mean_log = np.empty(nt)
     frame = 0.0
-    for j in range(1, nt + 1):
-        hist = source[j] * math.exp(-frame)
-        if j > 1:
-            # pair p = j-1-m sits at lag cell m = 1..j-1
-            scale = np.exp(mean_log[j - 2::-1] - frame)
-            hist = hist + kappa * contract(plan.history[1:j], mids[j - 2::-1], scale)
-        w = _log_positive(hist) + ln_fac
-        wmax = float(w.max())
-        if not np.isfinite(wmax):
-            raise NumericsError(f"moment solver overflowed at step {j}")
-        values[j] = np.exp(w - wmax)
-        log_scale[j] = frame + wmax
-        logs[j] = w + frame
-        mids[j - 1] = lift(np.sqrt(values[j] * values[j - 1]))
-        mean_log[j - 1] = 0.5 * (log_scale[j] + log_scale[j - 1])
-        frame = max(frame, mean_log[j - 1])
+    for j0 in range(1, nt + 1, _STEP_BLOCK):
+        nb = min(_STEP_BLOCK, nt + 1 - j0)
+        frame0 = frame
+        older = np.s_[nt + 1 - j0:]
+        past = far(mids[older], np.exp(mean_log[older] - frame0), nb)
+        for i in range(nb):
+            j = j0 + i
+            newer = np.s_[nt + 1 - j:nt + 1 - j0]
+            sums = near(past[i] * math.exp(frame0 - frame), mids[newer],
+                        np.exp(mean_log[newer] - frame))
+            w = _log_positive(source[j] * math.exp(-frame) + kappa * sums) + ln_fac
+            wmax = float(w.max())
+            if not np.isfinite(wmax):
+                raise NumericsError(f"moment solver overflowed at step {j}")
+            values[j] = np.exp(w - wmax)
+            log_scale[j] = frame + wmax
+            logs[j] = w + frame
+            mids[nt - j] = lift(np.sqrt(values[j] * values[j - 1]))
+            mean_log[nt - j] = 0.5 * (log_scale[j] + log_scale[j - 1])
+            frame = max(frame, mean_log[nt - j])
     return values, log_scale, logs
 
 
@@ -375,11 +409,23 @@ def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None):
     plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
             else plan.check(params, es, u0, T, nt))
 
-    def contract(S, mids, scale):
-        return (S @ (mids * scale[:, None])[..., None]).sum(axis=0)[:, 0]
+    n = es.grid.n
+    table = plan.history.reshape(n, -1)    # row x: S[m][x, :] for every lag m
+
+    def far(older, scale, nb):
+        # Toeplitz: column i holds older[k] in the row block of lag i+1+k
+        older = older * scale[:, None]
+        lags = len(older) + nb - 1
+        toeplitz = np.zeros((lags, n, nb))
+        for i in range(nb):
+            toeplitz[i:i + len(older), :, i] = older
+        return (table[:, n:(lags + 1) * n] @ toeplitz.reshape(-1, nb)).T
+
+    def near(base, newer, scale):
+        return base + table[:, n:(len(newer) + 1) * n] @ (newer * scale[:, None]).ravel()
 
     values, log_scale, logs = _log_split_steps(
-        plan, (params.lam * l_sigma) ** 2, plan.det * plan.det, lambda mid: mid, contract)
+        plan, (params.lam * l_sigma) ** 2, plan.det * plan.det, lambda mid: mid, far, near)
     return MomentField(times=plan.times, grid=es.grid, values=values,
                        log_scale=log_scale, node_logs=logs)
 
@@ -405,13 +451,20 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None):
     def lift(mid):
         return weight * (phi.T @ (plan.riesz * mid) @ phi)
 
-    def contract(outer_e, lifted, scale):
-        H = phi @ np.einsum("mij,mij,m->ij", outer_e, lifted, scale) @ phi.T
+    outer_e = plan.history
+
+    def far(older, scale, nb):
+        return [np.einsum("mij,mij,m->ij", outer_e[i + 1:i + 1 + len(older)], older, scale)
+                for i in range(nb)]
+
+    def near(base, newer, scale):
+        H = phi @ (base + np.einsum("mij,mij,m->ij", outer_e[1:len(newer) + 1],
+                                    newer, scale)) @ phi.T
         return 0.5 * (H + H.T)
 
     det = plan.det
     values, log_scale, logs = _log_split_steps(
-        plan, (params.lam * l_sigma) ** 2, det[:, :, None] * det[:, None, :], lift, contract)
+        plan, (params.lam * l_sigma) ** 2, det[:, :, None] * det[:, None, :], lift, far, near)
     return TwoPointField(times=plan.times, grid=es.grid, values=values,
                          log_scale=log_scale,
                          diag_logs=np.diagonal(logs, axis1=1, axis2=2).copy())

@@ -39,7 +39,9 @@ Heavy tails: second moments are finite but sample paths at large lam are
 heavy-tailed; any replicate whose amplitude passes an overflow guard (or
 turns NaN) is excluded from the estimate and counted in
 ``MomentEstimate.blowups`` rather than clamped (clamping would bias
-silently).
+silently).  A blown-up replicate gets no more noise: its history is zeroed
+and its sigma * dW masked to 0 from its blow-up step on, and an ensemble
+stream records NaN for it at that step and every later one.
 """
 
 import math
@@ -272,6 +274,12 @@ def _pairwise_tree_sum(parts):
 
 
 def _ensemble_header(config, grid, params):
+    """The ASCII first line of an ensemble stream, ending in a newline.
+
+    The records that follow hold every replicate's path, replicate-major.  A
+    replicate excluded by the blow-up guard has value NaN from the step at
+    which it blew up to the end of the run.
+    """
     return (
         "fracstorm-ensemble v1 "
         f"seed={config.seed} replicates={config.replicates} nt={config.nt} "
@@ -306,7 +314,9 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
     nt-n0..nt-1, newest first.  One batched gemm with ``hank`` gives their
     contribution to every step of the block; each step adds its in-block lags
     from ``decay`` (mode-major half-lag decay table).  A replicate that blows
-    up has its history zeroed, and with it the rest of its block's older sum.
+    up has its history zeroed, and with it the rest of its block's older sum;
+    its sigma(u) dW is masked to 0 from then on (only once some replicate of
+    the chunk has died), and its path is NaN from its blow-up step on.
 
     Returns (sum of u^2, sum of u^4, replicates kept, blow-ups, paths), where
     paths is the (nrep, nt+1, nx) trajectory array when ``keep_paths`` (for
@@ -345,6 +355,8 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
             n = n0 + i
             s = nt - 1 - n
             q = sigma(u) * dW[:, n]
+            if blowups:
+                q[~alive] = 0.0
             hist[:, s] = (q @ phi).T
             # plus sum_{n0<=m<=n} e[n-m, k] * hist_m[k, r], then back to space
             conv = past[:, i] + np.matmul(decay[:, None, : i + 1], hist[:, s: nt - n0])[:, 0]
@@ -359,7 +371,7 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
                 blowups += int(np.count_nonzero(newly))
             traj2[:, n + 1] = u ** 2
             if keep_paths:
-                full[:, n + 1] = u
+                full[:, n + 1] = np.where(alive[:, None], u, np.nan)
     del dW, hist, past
 
     used = int(np.count_nonzero(alive))

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import pytest
@@ -518,3 +520,13 @@ def test_option_inventory_is_pinned():
     }
     assert sum(map(len, _options(cli.build_parser()).values())) == 35
     assert len(cli.KNOWN_KEYS) == 25
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    # `python -m fracstorm` from a checkout, with only its src/ on the path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "fracstorm", "kernel", "--help"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: fracstorm kernel ")

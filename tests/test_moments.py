@@ -234,14 +234,14 @@ def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
         ref = h * sum(w * dirichlet_fractional_kernel(es, 0.5, t) ** 2
                       for t, w in zip(nodes[q], weights[q]))
         size = h * sum(w * absolute(t) ** 2 for t, w in zip(nodes[q], weights[q]))
-        assert np.all(np.abs(white.history[m] - ref) <= 3 * delta * size), m
+        assert np.all(np.abs(white.history[:, m] - ref) <= 3 * delta * size), m
     colored = MomentPlan.build(
         ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5)),
         es, u0, T, nt)
     for m in (1, 255, 256, 257, nt - 1):
         ref = np.outer(*2 * [mode_decay(es.mu, 0.5, (m + 0.5) * T / nt)])
         assert np.all(np.abs(colored.history[m] - ref) <= (4e-13 + 2.0 ** -52) * ref), m
-    assert not white.history[0].any() and not colored.history[0].any()
+    assert not white.history[:, 0].any() and not colored.history[0].any()
 
 
 def test_white_plan_build_leaves_only_the_closure_on_mittag_leffler(
@@ -287,6 +287,89 @@ def test_colored_solve_makes_no_kernel_matrix(monkeypatch, eigen_cache, bump):
     plan = MomentPlan.build(p, es, u0, 0.1, 192)
     second_moment_colored(p, es, u0, 1.0, 0.1, 192, plan=plan)
     assert calls == []
+
+
+def _direct_white(plan, kappa):
+    """Reference: the white stepper with the direct per-lag contraction.
+
+    Every step sums S[m] @ mid over the lag cells m = 1..j-1, one gemv per
+    cell, with S[m] = plan.history[:, m] and the pair midpoints
+    sqrt(v_{p+1} v_p) framed by the largest pair-mean log scale so far; the
+    newest cell is the scalar renewal closure.  Returns the per-node logs,
+    as the solver's node_logs, or raises NumericsError at the first step
+    whose log slice is not finite.
+    """
+    nt = plan.nt
+    S = np.ascontiguousarray(plan.history.transpose(1, 0, 2))
+    z = kappa * gamma(plan.eta) * plan.eta * plan.cell_mass
+    ln_fac = mittag_leffler_log(plan.eta, np.maximum(z, 0.0))
+    source = plan.det * plan.det
+    values = source / source[0].max()
+    log_scale = np.full(nt + 1, math.log(source[0].max()))
+    logs = np.log(source)
+    mids = np.empty((nt, plan.es.grid.n))
+    pair_logs = np.empty(nt)
+    frame = 0.0
+    for j in range(1, nt + 1):
+        hist = source[j] * math.exp(-frame)
+        if j > 1:
+            scale = np.exp(pair_logs[j - 2::-1] - frame)
+            hist = hist + kappa * (S[1:j] @ (mids[j - 2::-1] * scale[:, None])[..., None]
+                                   ).sum(axis=0)[:, 0]
+        with np.errstate(divide="ignore"):
+            w = np.log(hist) + ln_fac
+        if not np.isfinite(w.max()):
+            raise NumericsError(f"moment solver overflowed at step {j}")
+        logs[j] = w + frame
+        values[j] = np.exp(w - w.max())
+        log_scale[j] = frame + w.max()
+        mids[j - 1] = np.sqrt(values[j] * values[j - 1])
+        pair_logs[j - 1] = 0.5 * (log_scale[j] + log_scale[j - 1])
+        frame = max(frame, pair_logs[j - 1])
+    return logs
+
+
+@pytest.mark.parametrize("lam", [1.0, 30.0, 1e4])
+@pytest.mark.parametrize("nt", [24, 33, 37, 192])
+def test_blocked_white_stepper_matches_direct_lag_sum(eigen_cache, bump, nt, lam):
+    # The stepper sums the history in blocks of 16 steps: nt = 24 ends in a
+    # partial block of 8 steps, 33 in a block of one step, 37 in one of 5,
+    # and 192 (the white-sweep grid) is twelve full blocks.  Bound, set
+    # beforehand: both routes add the same nonnegative products, in another
+    # order (one gemm over the older cells and one gemv over the in-block
+    # ones, against one gemv per cell), so a step's history sums differ by a
+    # few ulp of themselves, which later steps carry forward through positive
+    # combinations; log M then differs by about that relative error, plus an
+    # ulp of |log M| from the log and the frame.  1e-12 leaves room for
+    # 192 steps of it; measured: at most 8.9e-16.
+    es = eigen_cache(2.0, 64)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
+    plan = MomentPlan.build(p, es, u0, 0.1, nt)
+    got = second_moment_white(p, es, u0, 1.0, 0.1, nt, plan=plan).node_logs
+    ref = _direct_white(plan, lam ** 2)
+    assert np.array_equal(np.isinf(got), np.isinf(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.abs(got[finite] - ref[finite])
+                  <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
+
+
+@pytest.mark.parametrize("lam, step", [(4e153, 28), (5e153, 18)])
+def test_blocked_white_overflow_raises_at_the_direct_step(eigen_cache, bump, lam, step):
+    # With beta = 0.02 the closure raises the log scale by ~2e306 or more a
+    # step, so it passes the double range inside the second block (steps
+    # 17..32 of 37) and the next step's frame turns the slice into NaN; the
+    # blocked stepper must stop at the step where the direct one does.
+    es = eigen_cache(2.0, 32)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.02, lam=lam)
+    plan = MomentPlan.build(p, es, u0, 0.1, 37)
+    match = f"overflowed at step {step}$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match=match):
+            _direct_white(plan, lam ** 2)
+        with pytest.raises(NumericsError, match=match):
+            second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
 
 
 def _sandwich_colored(plan, kappa):

@@ -160,7 +160,8 @@ def _direct_paths(params, es, u0, config):
     every lag m <= n in one einsum, with the half-lag decay table, the
     noise of ``sample_noise_slice`` on replicate r's Philox stream keyed
     (seed, r), and the blow-up rule: a replicate whose amplitude passes the
-    guard or turns NaN is zeroed, its history with it, and counted once.
+    guard or turns NaN is zeroed, its history with it, and counted once; it
+    gets no noise after that, and its path is NaN from its blow-up step on.
     Returns (paths, alive, blowups).
     """
     nt, nrep, grid, phi = config.nt, config.replicates, es.grid, es.phi
@@ -180,7 +181,9 @@ def _direct_paths(params, es, u0, config):
     alive = np.ones(nrep, dtype=bool)
     blowups = 0
     for n in range(nt):
-        hist[n] = (config.sigma(u) * dW[:, n]) @ phi
+        q = config.sigma(u) * dW[:, n]
+        q[~alive] = 0.0
+        hist[n] = q @ phi
         conv = np.einsum("mrk,mk->rk", hist[: n + 1], e_tab[n::-1])
         u = det[n + 1] + params.lam * (conv @ phi.T)
         bad = ~np.all(np.abs(u) < BLOWUP_GUARD, axis=1)
@@ -190,6 +193,7 @@ def _direct_paths(params, es, u0, config):
         hist[: n + 1, newly] = 0.0
         blowups += int(np.count_nonzero(newly))
         paths[:, n + 1] = u
+        paths[~alive, n + 1] = np.nan
     return paths, alive, blowups
 
 
@@ -231,8 +235,8 @@ def test_blocked_history_matches_direct_lag_sum(eigen_cache, bump, case, replica
 def test_streamed_ensemble_matches_direct_lag_sum(tmp_path, eigen_cache, bump, lam, sigma, dead):
     # At lam = 3e75 the bounded sigma keeps |u| near lam times a random
     # factor, so the guard trips at random steps in all three blocks and the
-    # survivors stay finite.  A dead replicate streams on from a zeroed
-    # history, so its later path checks that its older sum was dropped.
+    # survivors stay finite.  A dead replicate streams NaN from its blow-up
+    # step on, and only then.
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
@@ -246,8 +250,10 @@ def test_streamed_ensemble_matches_direct_lag_sum(tmp_path, eigen_cache, bump, l
     got = rec["value"].reshape(70, 38, 24)
     paths, alive, blowups = _direct_paths(p, es, u0, cfg)
     assert est.blowups == blowups == dead and est.replicates_used == 70 - dead
-    scale = np.abs(paths).max(axis=2, keepdims=True)
-    assert np.all(np.abs(got - paths) <= 1e-13 * scale)
+    assert np.array_equal(np.isnan(got), np.isnan(paths))
+    live = ~np.isnan(paths).any(axis=2)
+    scale = np.abs(paths[live]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got[live] - paths[live]) <= 1e-13 * scale)
     ref = (paths[alive] ** 2).mean(axis=0)
     assert np.all(np.abs(est.mean - ref) <= 1e-13 * ref)
 
