@@ -37,7 +37,9 @@ h^2 Delta Gmid[m] (Cbar * mid) Gmid[m]^T at lag-cell midpoint m (colored),
 summed in eigencoordinates as phi (sum_m (e_m e_m^T) * L_m) phi^T with
 Gmid[m] = phi diag(e_m) phi^T and each slice lifted once to
 L = h^2 Delta phi^T (Cbar * mid) phi, so a step costs O(j n^2 + n^3), not
-O(j n^3).  Gmid needs no clip (see ``kernels.dirichlet_fractional_kernel``).
+O(j n^3).  Every term e_m e_m^T * L_m is symmetric, so the colored history
+is stored and summed on the packed upper triangle, n(n+1)/2 entries.  Gmid
+needs no clip (see ``kernels.dirichlet_fractional_kernel``).
 
 The stepper sums the history in fixed blocks of _STEP_BLOCK = 16 steps
 (Hairer, Lubich & Schlichte 1985): at the start of a block, the cells over
@@ -46,10 +48,12 @@ once, and each step adds only its <= 16 in-block cells.  The white table is
 stored node-major, (n, nt, n), so viewed as (n, nt n) its row x holds
 S[m][x, :] for every lag m: the older cells of a whole block are one gemm
 against a Toeplitz arrangement of the older midpoints, and a step's
-in-block cells one gemv.  The colored contraction works entry by entry, so
-both of its parts stay einsums.  The block length is fixed, so a solve's
-summation order depends on neither lam nor nt nor the thread count of a
-sweep.
+in-block cells one gemv.  The colored contraction works entry by entry on
+the packed triangle: a block's older cells are one two-operand dot per step
+over midpoints pre-scaled once per block, and a step's in-block cells one
+more, unpacked into a single reused n x n buffer for the two phi products.
+The block length is fixed, so a solve's summation order depends on neither
+lam nor nt nor the thread count of a sweep.
 
 The scalar renewal solver ``renewal_volterra_solve`` handles the equality
 case f = c1 + kappa int (t-s)^(rho-1) f(s) ds, 0 < rho <= 1 (exact cells in
@@ -195,17 +199,18 @@ class TwoPointField:
             raise DomainError("diag_logs shape mismatch")
 
     def diagonal_field(self):
-        """The one-point moment M(t, x) = K(t; x, x) as a MomentField."""
-        nt = len(self.times)
-        vals = np.empty((nt, self.grid.n))
-        logs = np.empty(nt)
-        for j in range(nt):
-            d = np.clip(np.diagonal(self.values[j]), 0.0, None)
-            v, k = _normalize(d)
-            vals[j] = v
-            logs[j] = k + self.log_scale[j]
-            if d.max() == 0.0:
-                logs[j] = 0.0
+        """The one-point moment M(t, x) = K(t; x, x) as a MomentField.
+
+        Every slice is framed as ``_normalize`` frames it, bit for bit; an
+        all-zero slice keeps log_scale 0.
+        """
+        d = np.clip(np.diagonal(self.values, axis1=1, axis2=2), 0.0, None)
+        m = d.max(axis=1)
+        if not np.all(np.isfinite(m)):
+            raise NumericsError("moment slice overflowed its split representation")
+        k = np.array([math.floor(math.log(x)) if x > 0.0 else 0.0 for x in m.tolist()])
+        vals = d * np.array([math.exp(-x) for x in k.tolist()])[:, None]
+        logs = np.where(m > 0.0, k + self.log_scale, 0.0)
         return MomentField(times=self.times, grid=self.grid, values=vals,
                            log_scale=logs, node_logs=self.diag_logs)
 
@@ -240,9 +245,10 @@ class MomentPlan:
                 node-major (n, nt, n), history[:, m] = S[m], h times the
                 integral of G(tau)^2 over [m Delta, (m+1) Delta], so the
                 (n, nt n) view holds every lag of node x in row x.
-                Colored: lag-major (nt, n, n), history[m] = outer(e_m, e_m),
-                e_m the mode decay at the cell's midpoint lag, so the kernel
-                there is phi diag(e_m) phi^T.
+                Colored: lag-major (nt, n(n+1)/2), history[m] the upper
+                triangle of outer(e_m, e_m), packed in np.triu_indices(n)
+                order, e_m the mode decay at the cell's midpoint lag, so the
+                kernel there is phi diag(e_m) phi^T.
     riesz:      cell-averaged Riesz matrix Cbar (colored), else None
     """
 
@@ -289,7 +295,7 @@ class MomentPlan:
 
         tau, jac = _closure_nodes(eta, delta)
         e = mittag_leffler(beta, -np.outer(tau ** beta, es.mu))
-        history = np.zeros((nt, n, n) if colored else (n, nt, n))
+        history = np.zeros((nt, n * (n + 1) // 2) if colored else (n, nt, n))
         riesz = None
         if colored:
             # cell_mass[y,z] = int_0^Delta h^2 [G_tau Cbar G_tau^T]_{yz} dtau
@@ -298,9 +304,11 @@ class MomentPlan:
             B = h * h * (es.phi.T @ riesz @ es.phi)
             cell_mass = es.phi @ (B * ((e.T * jac) @ e)) @ es.phi.T
             cell_mass = 0.5 * (cell_mass + cell_mass.T)
-            # mode decay at the lag-cell midpoints, e_m e_m^T
+            # mode decay at the lag-cell midpoints, e_m e_m^T on the packed
+            # upper triangle
             e_mid = mode_decay(es.mu, beta, (np.arange(1, nt) + 0.5) * delta)
-            history[1:] = e_mid[:, :, None] * e_mid[:, None, :]
+            row, col = np.triu_indices(n)
+            history[1:] = e_mid[:, row] * e_mid[:, col]
         else:
             # cell_mass[x] = int_0^Delta sum_n E_beta(-mu_n tau^beta)^2 phi_n(x)^2
             cell_mass = np.tensordot(jac, e ** 2 @ (es.phi ** 2).T, axes=(0, 0))
@@ -329,16 +337,19 @@ class MomentPlan:
         return self
 
 
-def _log_split_steps(plan, kappa, source, lift, far, near):
+def _log_split_steps(plan, kappa, source, lift, far, near, logged=np.s_[:]):
     """The time stepper of both second-moment solvers.
 
     source[j] is the deterministic term at t_j (source[0] the initial slice).
-    Returns (values, log_scale, logs); logs keeps the exact log of every
-    entry, which a framed slice loses for entries ~e^700 below its maximum.
-    Each slice pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for
-    exponential growth) is made once, stored as lift(midpoint), and re-framed
-    by a scalar each step; the frame is the largest pair scale so far, so
-    nothing overflows.
+    Returns (values, log_scale, logs); logs[j] keeps the exact log of the
+    entries slice[logged] of every slice (all of them by default), which a
+    framed slice loses for entries ~e^700 below its maximum.  Each slice
+    pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for exponential
+    growth) is made once, stored as lift(midpoint), and re-framed by a scalar
+    each step; the frame is the largest pair scale so far, so nothing
+    overflows.  The log scales and their pair means are added in Python
+    floats, so a scale past the double range raises NumericsError at its own
+    step.
 
     The history is summed in blocks of _STEP_BLOCK steps (Hairer, Lubich &
     Schlichte 1985).  Step j weighs pair p = j-1-m at lag cell m = 1..j-1.
@@ -352,11 +363,10 @@ def _log_split_steps(plan, kappa, source, lift, far, near):
     fixed, so the summation order depends on neither lam nor nt.
     """
     nt = plan.nt
-    shape = source.shape[1:]
     values = np.zeros(source.shape)
     log_scale = np.zeros(nt + 1)
-    logs = np.full(source.shape, -np.inf)
-    logs[0] = _log_positive(source[0])
+    logs = np.full((nt + 1,) + source[0][logged].shape, -np.inf)
+    logs[0] = _log_positive(source[0][logged])
     values[0], log_scale[0] = _normalize(source[0])
     if not source[0].any():
         return values, log_scale, logs
@@ -369,8 +379,9 @@ def _log_split_steps(plan, kappa, source, lift, far, near):
     ln_fac = np.empty(z.shape)
     ln_fac[upper] = mittag_leffler_log(plan.eta, z[upper])
     ln_fac.T[upper] = ln_fac[upper]
-    # lifted pair midpoints, newest in the lowest slot: mids[nt-1-p] is pair p
-    mids = np.empty((nt,) + shape)
+    # lifted pair midpoints, newest in the lowest slot: mids[nt-1-p] is pair p;
+    # a lift of the initial slice gives their shape
+    mids = np.empty((nt,) + lift(values[0]).shape)
     mean_log = np.empty(nt)
     frame = 0.0
     for j0 in range(1, nt + 1, _STEP_BLOCK):
@@ -385,14 +396,16 @@ def _log_split_steps(plan, kappa, source, lift, far, near):
                         np.exp(mean_log[newer] - frame))
             w = _log_positive(source[j] * math.exp(-frame) + kappa * sums) + ln_fac
             wmax = float(w.max())
-            if not np.isfinite(wmax):
+            scale = frame + wmax
+            if not math.isfinite(scale):
                 raise NumericsError(f"moment solver overflowed at step {j}")
             values[j] = np.exp(w - wmax)
-            log_scale[j] = frame + wmax
-            logs[j] = w + frame
+            logs[j] = w[logged] + frame
             mids[nt - j] = lift(np.sqrt(values[j] * values[j - 1]))
-            mean_log[nt - j] = 0.5 * (log_scale[j] + log_scale[j - 1])
-            frame = max(frame, mean_log[nt - j])
+            # halves first: the sum of two finite scales may pass the double range
+            mean = 0.5 * scale + 0.5 * float(log_scale[j - 1])
+            log_scale[j], mean_log[nt - j] = scale, mean
+            frame = max(frame, mean)
     return values, log_scale, logs
 
 
@@ -435,39 +448,49 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None):
 
     Same stepper as the white solver, applied per matrix entry; the history
     contraction is the kernel sandwich h^2 Delta Gmid (Cbar * K) Gmid^T at
-    the midpoint lag of each cell, summed in eigencoordinates (each slice
-    lifted once to h^2 Delta phi^T (Cbar * K) phi, each cell weighed by
-    outer(e_m, e_m)), then symmetrised.  Grid is capped at n = 48 (the state
-    is an (nt+1, n, n) array).  The Riesz exponent gamma is
-    ``params.noise.gamma``.  ``plan`` as in the white solver.
+    the midpoint lag of each cell, summed in eigencoordinates: each slice is
+    lifted once to h^2 Delta phi^T (Cbar * K) phi and kept as its packed
+    upper triangle (the plan's order), with the diagonal at half weight, and
+    each cell weighs it by the packed outer(e_m, e_m).  The sum unpacks to
+    the upper triangle U of a symmetric X with U + U^T = X, so the history
+    term phi X phi^T is H + H^T with H = phi U phi^T, symmetric by
+    construction.  Grid is capped at n = 48 (the state is an (nt+1, n, n)
+    array).  The Riesz exponent gamma is ``params.noise.gamma``.  ``plan`` as
+    in the white solver.
     """
     if params.noise.kind != "riesz":
         raise DomainError("second_moment_colored requires riesz noise parameters")
     plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
             else plan.check(params, es, u0, T, nt))
     phi = es.phi
+    n = es.grid.n
+    upper = np.triu_indices(n)
     weight = es.grid.h * es.grid.h * (plan.T / plan.nt)
+    weight = np.where(upper[0] == upper[1], 0.5 * weight, weight)
 
     def lift(mid):
-        return weight * (phi.T @ (plan.riesz * mid) @ phi)
+        return weight * (phi.T @ (plan.riesz * mid) @ phi)[upper]
 
-    outer_e = plan.history
+    table = plan.history    # packed outer(e_m, e_m) at lag m
 
     def far(older, scale, nb):
-        return [np.einsum("mij,mij,m->ij", outer_e[i + 1:i + 1 + len(older)], older, scale)
+        older = older * scale[:, None]
+        return [np.einsum("kp,kp->p", table[i + 1:i + 1 + len(older)], older)
                 for i in range(nb)]
 
+    U = np.zeros((n, n))    # its lower triangle stays zero
+
     def near(base, newer, scale):
-        H = phi @ (base + np.einsum("mij,mij,m->ij", outer_e[1:len(newer) + 1],
-                                    newer, scale)) @ phi.T
-        return 0.5 * (H + H.T)
+        U[upper] = base + np.einsum("kp,kp->p", table[1:len(newer) + 1], newer * scale[:, None])
+        H = phi @ U @ phi.T
+        return H + H.T
 
     det = plan.det
     values, log_scale, logs = _log_split_steps(
-        plan, (params.lam * l_sigma) ** 2, det[:, :, None] * det[:, None, :], lift, far, near)
+        plan, (params.lam * l_sigma) ** 2, det[:, :, None] * det[:, None, :], lift, far, near,
+        logged=np.diag_indices(n))
     return TwoPointField(times=plan.times, grid=es.grid, values=values,
-                         log_scale=log_scale,
-                         diag_logs=np.diagonal(logs, axis1=1, axis2=2).copy())
+                         log_scale=log_scale, diag_logs=logs)
 
 
 # ---------------------------------------------------------------------------

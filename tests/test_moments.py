@@ -16,6 +16,7 @@ from fracstorm.fracfun import mittag_leffler, mittag_leffler_log, mode_decay
 from fracstorm.kernels import apply_semigroup, dirichlet_fractional_kernel
 from fracstorm.moments import (
     MomentPlan,
+    _normalize,
     colored_lower_bound_series,
     initial_term_floor,
     lower_series,
@@ -170,6 +171,26 @@ def test_colored_two_point_symmetry_and_diagonal(eigen_cache, bump):
     assert np.all(diag.dense()[-1] >= 0.0)
 
 
+def test_diagonal_field_frames_every_slice_as_normalize(eigen_cache, bump):
+    # diagonal_field frames all slices at once; each must carry the bits of
+    # the per-slice _normalize, an all-zero slice included (log_scale 0).
+    es = eigen_cache(2.0, 16)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5, lam=30.0, noise=NoiseModel("riesz", gamma=0.5))
+    tp = second_moment_colored(p, es, u0, 1.0, 0.1, 24)
+    values = tp.values.copy()
+    values[3] = 0.0
+    values[5] *= 1e-300
+    tp = replace(tp, values=values)
+    got = tp.diagonal_field()
+    for j in range(len(tp.times)):
+        d = np.clip(np.diagonal(values[j]), 0.0, None)
+        v, k = _normalize(d)
+        assert np.array_equal(got.values[j], v), j
+        assert got.log_scale[j] == (k + tp.log_scale[j] if d.max() > 0.0 else 0.0), j
+    assert got.log_scale[3] == 0.0 and not got.values[3].any()
+
+
 def test_colored_moment_monotone_in_lambda(eigen_cache, bump):
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
@@ -238,8 +259,12 @@ def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
     colored = MomentPlan.build(
         ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5)),
         es, u0, T, nt)
+    # the colored table holds the upper triangle of each outer product,
+    # packed in np.triu_indices order
+    assert colored.history.shape == (nt, n * (n + 1) // 2)
+    upper = np.triu_indices(n)
     for m in (1, 255, 256, 257, nt - 1):
-        ref = np.outer(*2 * [mode_decay(es.mu, 0.5, (m + 0.5) * T / nt)])
+        ref = np.outer(*2 * [mode_decay(es.mu, 0.5, (m + 0.5) * T / nt)])[upper]
         assert np.all(np.abs(colored.history[m] - ref) <= (4e-13 + 2.0 ** -52) * ref), m
     assert not white.history[:, 0].any() and not colored.history[0].any()
 
@@ -295,9 +320,10 @@ def _direct_white(plan, kappa):
     Every step sums S[m] @ mid over the lag cells m = 1..j-1, one gemv per
     cell, with S[m] = plan.history[:, m] and the pair midpoints
     sqrt(v_{p+1} v_p) framed by the largest pair-mean log scale so far; the
-    newest cell is the scalar renewal closure.  Returns the per-node logs,
-    as the solver's node_logs, or raises NumericsError at the first step
-    whose log slice is not finite.
+    newest cell is the scalar renewal closure.  Log scales and pair means
+    are added in Python floats, halves first, so no finite pair overflows.
+    Returns the per-node logs, as the solver's node_logs, or raises
+    NumericsError at the first step whose log scale is not finite.
     """
     nt = plan.nt
     S = np.ascontiguousarray(plan.history.transpose(1, 0, 2))
@@ -318,14 +344,15 @@ def _direct_white(plan, kappa):
                                    ).sum(axis=0)[:, 0]
         with np.errstate(divide="ignore"):
             w = np.log(hist) + ln_fac
-        if not np.isfinite(w.max()):
+        scale = frame + float(w.max())
+        if not math.isfinite(scale):
             raise NumericsError(f"moment solver overflowed at step {j}")
         logs[j] = w + frame
         values[j] = np.exp(w - w.max())
-        log_scale[j] = frame + w.max()
+        log_scale[j] = scale
         mids[j - 1] = np.sqrt(values[j] * values[j - 1])
-        pair_logs[j - 1] = 0.5 * (log_scale[j] + log_scale[j - 1])
-        frame = max(frame, pair_logs[j - 1])
+        pair_logs[j - 1] = 0.5 * scale + 0.5 * float(log_scale[j - 1])
+        frame = max(frame, float(pair_logs[j - 1]))
     return logs
 
 
@@ -354,22 +381,31 @@ def test_blocked_white_stepper_matches_direct_lag_sum(eigen_cache, bump, nt, lam
                   <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
 
 
-@pytest.mark.parametrize("lam, step", [(4e153, 28), (5e153, 18)])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam, step", [(4e153, None), (5e153, 34)])
 def test_blocked_white_overflow_raises_at_the_direct_step(eigen_cache, bump, lam, step):
     # With beta = 0.02 the closure raises the log scale by ~2e306 or more a
-    # step, so it passes the double range inside the second block (steps
-    # 17..32 of 37) and the next step's frame turns the slice into NaN; the
-    # blocked stepper must stop at the step where the direct one does.
+    # step.  At lam = 5e153 the log scale of step 34 (third block, steps
+    # 33..37) passes the double range, and both steppers must raise there,
+    # with no RuntimeWarning; at lam = 4e153 every log scale and every pair
+    # mean stays finite, though the sum of two neighbouring scales does not.
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.02, lam=lam)
     plan = MomentPlan.build(p, es, u0, 0.1, 37)
+    if step is None:
+        field = second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
+        scales = field.log_scale.tolist()
+        assert all(map(math.isfinite, scales))
+        assert max(a + b for a, b in zip(scales[1:], scales[:-1])) == math.inf
+        ref = _direct_white(plan, lam ** 2)
+        assert np.all(np.abs(field.node_logs - ref) <= 1e-12 * np.abs(ref))
+        return
     match = f"overflowed at step {step}$"
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericsError, match=match):
-            _direct_white(plan, lam ** 2)
-        with pytest.raises(NumericsError, match=match):
-            second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
+    with pytest.raises(NumericsError, match=match):
+        _direct_white(plan, lam ** 2)
+    with pytest.raises(NumericsError, match=match):
+        second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
 
 
 def _sandwich_colored(plan, kappa):
@@ -411,29 +447,36 @@ def _sandwich_colored(plan, kappa):
 @pytest.mark.parametrize("lam", [1.0, 30.0, 1e3])
 @pytest.mark.parametrize("n", [16, 32])
 def test_colored_solve_matches_physical_sandwich(eigen_cache, bump, n, lam):
+    # The stepper sums the history in blocks of 16 steps: nt = 24 ends in a
+    # partial block of 8 steps, 33 in a block of one step, 37 in one of 5,
+    # and 64 is four full blocks.
     # Bound, a priori: a step's two routes sum the same positive history
     # with at most four n-term products each, so they differ by at most
     # 4 n u relative (u = 2^-53); a step carries the earlier slices' errors
     # forward through a positive combination, so after nt steps r = nt 4 n u
-    # (4.5e-13 at n = 16, 9.1e-13 at n = 32).  Each route rounds a log (and
-    # a log scale) to half an ulp once more, 2^-52 |log| between the two.
+    # (4.5e-13 at n = 16, 9.1e-13 at n = 32 for nt = 64).  A log scale is
+    # rounded once more, half an ulp per route, 2^-52 |log scale| between
+    # the two.  A log is rounded twice, in w = log(hist) + ln_fac and in
+    # w + frame, so the routes' logs differ by up to 2 ulp, 2^-51 |log|
+    # (2 ulp measured at step 2 of nt = 24, lam = 1e3, on the full-matrix
+    # contraction of the previous solver too).
     es = eigen_cache(2.0, n)
     u0 = bump(es)
-    nt = 64
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam, noise=NoiseModel("riesz", gamma=0.5))
-    plan = MomentPlan.build(p, es, u0, 0.1, nt)
-    got = second_moment_colored(p, es, u0, 1.0, 0.1, nt, plan=plan)
-    values, log_scale, logs = _sandwich_colored(plan, lam ** 2)
-    r = nt * 4 * n * 2.0 ** -53
-    ref = np.diagonal(logs, axis1=1, axis2=2)
-    assert np.array_equal(np.isinf(got.diag_logs), np.isinf(ref))
-    finite = np.isfinite(ref)
-    assert np.all(np.abs(got.diag_logs[finite] - ref[finite])
-                  <= r + 2.0 ** -52 * np.abs(ref[finite]))
-    # values * exp(log_scale), in units of the oracle's slice maximum (1)
-    dense = got.values * np.exp(got.log_scale - log_scale)[:, None, None]
-    err = np.abs(dense - values).max(axis=(1, 2))
-    assert np.all(err <= r + 2.0 ** -52 * np.abs(log_scale)), err
+    for nt in (24, 33, 37, 64):
+        plan = MomentPlan.build(p, es, u0, 0.1, nt)
+        got = second_moment_colored(p, es, u0, 1.0, 0.1, nt, plan=plan)
+        values, log_scale, logs = _sandwich_colored(plan, lam ** 2)
+        r = nt * 4 * n * 2.0 ** -53
+        ref = np.diagonal(logs, axis1=1, axis2=2)
+        assert np.array_equal(np.isinf(got.diag_logs), np.isinf(ref)), nt
+        finite = np.isfinite(ref)
+        assert np.all(np.abs(got.diag_logs[finite] - ref[finite])
+                      <= r + 2.0 ** -51 * np.abs(ref[finite])), nt
+        # values * exp(log_scale), in units of the oracle's slice maximum (1)
+        dense = got.values * np.exp(got.log_scale - log_scale)[:, None, None]
+        err = np.abs(dense - values).max(axis=(1, 2))
+        assert np.all(err <= r + 2.0 ** -52 * np.abs(log_scale)), (nt, err)
 
 
 def test_plan_built_for_other_inputs_is_refused(eigen_cache, bump):
