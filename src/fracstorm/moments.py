@@ -465,8 +465,8 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None):
     phi = es.phi
     n = es.grid.n
     upper = np.triu_indices(n)
-    weight = es.grid.h * es.grid.h * (plan.T / plan.nt)
-    weight = np.where(upper[0] == upper[1], 0.5 * weight, weight)
+    # h^2 Delta, halved on the diagonal
+    weight = es.grid.h * es.grid.h * (plan.T / plan.nt) * np.where(upper[0] == upper[1], 0.5, 1.0)
 
     def lift(mid):
         return weight * (phi.T @ (plan.riesz * mid) @ phi)[upper]

@@ -344,14 +344,14 @@ def _direct_white(plan, kappa):
                                    ).sum(axis=0)[:, 0]
         with np.errstate(divide="ignore"):
             w = np.log(hist) + ln_fac
-        scale = frame + float(w.max())
-        if not math.isfinite(scale):
+        top = frame + float(w.max())
+        if not math.isfinite(top):
             raise NumericsError(f"moment solver overflowed at step {j}")
         logs[j] = w + frame
         values[j] = np.exp(w - w.max())
-        log_scale[j] = scale
+        log_scale[j] = top
         mids[j - 1] = np.sqrt(values[j] * values[j - 1])
-        pair_logs[j - 1] = 0.5 * scale + 0.5 * float(log_scale[j - 1])
+        pair_logs[j - 1] = 0.5 * top + 0.5 * float(log_scale[j - 1])
         frame = max(frame, float(pair_logs[j - 1]))
     return logs
 
