@@ -40,10 +40,10 @@ Closed forms for beta = 1/2 are kept out of the evaluation path so they can
 serve as independent oracles in the tests.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, gamma
 
 from .errors import DomainError, NumericsError
 from .quadrature import fixed_panel_nodes
@@ -112,11 +112,17 @@ def _check_beta(beta, strict_upper=False):
     return b
 
 
+def _lgamma(x):
+    """log Gamma of each entry of a 1-d array, by math.lgamma (the series
+    coefficient vectors are 512 to 20000 long: 0.1 to 4 ms a call)."""
+    return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
+
+
 def _ml_series(beta, x, kmax=512):
     """Taylor series of E_beta at a 1-d x, |x| <= ~1 (alternating part is
     benign), summed in blocks of points, each independent of the others."""
     k = np.arange(kmax)
-    lg = gammaln(1.0 + beta * k)
+    lg = _lgamma(1.0 + beta * k)
     out = np.empty(x.shape)
     step = _SERIES_DOUBLES // kmax  # kmax <= 20000 keeps this >= 13
     for lo in range(0, x.size, step):
@@ -270,7 +276,7 @@ def _g_small_u(beta, u):
 def _g_large_u(beta, u, kmax=700):
     """Reciprocal power series sum_k (-1)^(k+1) Gamma(beta k + 1)/k! sin(pi beta k) u^(-beta k - 1) / pi."""
     k = np.arange(1, kmax + 1)
-    lg = gammaln(beta * k + 1.0) - gammaln(k + 1.0)
+    lg = _lgamma(beta * k + 1.0) - _lgamma(k + 1.0)
     sk = np.sin(np.pi * beta * k) * (-1.0) ** (k + 1)
     logs = lg[None, :] - (beta * k + 1.0)[None, :] * np.log(u)[:, None]
     terms = sk[None, :] * np.exp(logs)
@@ -321,7 +327,7 @@ def subordinator_tail_law(beta, u):
     """Leading large-u law beta/Gamma(1-beta) * u^(-beta-1)."""
     b = _check_beta(beta, strict_upper=True)
     u = np.asarray(u, float)
-    return b / gamma(1.0 - b) * u ** (-b - 1.0)
+    return b / math.gamma(1.0 - b) * u ** (-b - 1.0)
 
 
 def inverse_subordinator_density(beta, t, x):
@@ -411,7 +417,7 @@ def caputo_derivative(g, beta, t):
             quad = ((wa[n] + wf[n]) * (pa[n] - pc[n]) / b1
                     - 2.0 * (wa[n] * pa[n] - wc[n] * pc[n]) / b2)
             total += (curv[n] * quad).sum()
-        out[i] = total / gamma(b1)
+        out[i] = total / math.gamma(b1)
     return float(out[0]) if scalar else out
 
 
@@ -421,7 +427,7 @@ _HISTORY_BLOCK = 64
 #: doubles per working array of a chunk of queries (bounds the extra memory)
 _QUERY_CHUNK = 16384
 #: Taylor coefficients 1/(k+2)! of p(z) = (z - 1 + e^-z)/z^2 in powers of -z
-_P_SERIES = 1.0 / gamma(np.arange(2.0, 16.0) + 1.0)
+_P_SERIES = np.array([1.0 / math.factorial(k) for k in range(2, 16)])
 
 
 def _gauss_jacobi(n, beta):
@@ -560,6 +566,6 @@ def fractional_integral(g, order, t):
         local = (values[cells] * d0 + slopes[cells] * (wa * d0 - d1)).sum(axis=1)
         J = kept[edges[q]].max()
         decay = np.exp(-(tq - times[kb])[:, None] * s[:J])
-        out[q] = (local / gamma(gam)
+        out[q] = (local / math.gamma(gam)
                   + np.einsum("ij,ij,j->i", decay, states[edges[q], :J], w[:J]))
     return float(out[0]) if scalar else out

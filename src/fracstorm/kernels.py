@@ -17,7 +17,10 @@ with
 
 valid for d < 2 alpha; ``green_l2_constant`` evaluates C and
 ``free_kernel_l2`` integrates the kernel directly so the law can be checked
-through two independent routes.
+through two independent routes.  The radial inversion and the spline
+profile behind these are this module's only use of scipy (``quad``,
+``j0``, ``CubicSpline``), imported where they are called, so the bounded
+interval code below runs on numpy alone.
 
 Bounded interval
 ----------------
@@ -37,12 +40,10 @@ evaluation of the deterministic part G_B u0 in the package.  It, G_B(t) and
 every lag table take E_beta(-mu_n t^beta) from ``fracfun.mode_decay``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.special import gamma as _gamma, j0
 
 from .errors import DomainError, NumericsError
 from .fracfun import inverse_subordinator_density, mittag_leffler, mode_decay
@@ -98,11 +99,14 @@ def _check_t(t):
 
 def _stable_radial(alpha, nu, d, t, r):
     """Radial Fourier inversion at a single radius r >= 0."""
+    from scipy.integrate import quad
+    from scipy.special import j0
+
     tn = t * nu
     K = (45.0 / tn) ** (1.0 / alpha)  # exp(-tn k^alpha) < 2e-20 beyond K
     if d == 1:
         if r == 0.0:
-            return _gamma(1.0 + 1.0 / alpha) * tn ** (-1.0 / alpha) / np.pi
+            return math.gamma(1.0 + 1.0 / alpha) * tn ** (-1.0 / alpha) / np.pi
         val, _ = quad(lambda k: np.exp(-tn * k ** alpha), 0.0, K,
                       weight="cos", wvar=r, limit=400)
         return val / np.pi
@@ -140,7 +144,7 @@ def stable_density(alpha, nu, d, t, x):
     if a == 2.0:
         out = (4.0 * np.pi * nu * t) ** (-d / 2.0) * np.exp(-r * r / (4.0 * nu * t))
     elif a == 1.0:
-        cd = _gamma((d + 1.0) / 2.0) / np.pi ** ((d + 1.0) / 2.0)
+        cd = math.gamma((d + 1.0) / 2.0) / np.pi ** ((d + 1.0) / 2.0)
         out = cd * nu * t / ((nu * t) ** 2 + r * r) ** ((d + 1.0) / 2.0)
     else:
         out = np.array([_stable_radial(a, nu, d, t, float(ri)) for ri in r])
@@ -159,12 +163,14 @@ class _StableProfile1d:
     U_MAX = 400.0
 
     def __init__(self, alpha):
+        from scipy.interpolate import CubicSpline
+
         self.alpha = float(alpha)
         u = np.concatenate([np.linspace(0.0, 2.0, 321),
                             np.geomspace(2.02, self.U_MAX, 700)])
         p = np.array([_stable_radial(self.alpha, 1.0, 1, 1.0, float(ui)) for ui in u])
         self._spline = CubicSpline(u, p)
-        self.tail_c = _gamma(1.0 + self.alpha) * np.sin(np.pi * self.alpha / 2.0) / np.pi
+        self.tail_c = math.gamma(1.0 + self.alpha) * np.sin(np.pi * self.alpha / 2.0) / np.pi
 
     def __call__(self, u):
         u = np.abs(np.asarray(u, float))
@@ -194,7 +200,7 @@ def _p_free(params, s, x):
         sn = nu * s[:, None]
         return (4.0 * np.pi * sn) ** (-d / 2.0) * np.exp(-r[None, :] ** 2 / (4.0 * sn))
     if a == 1.0:
-        cd = _gamma((d + 1.0) / 2.0) / np.pi ** ((d + 1.0) / 2.0)
+        cd = math.gamma((d + 1.0) / 2.0) / np.pi ** ((d + 1.0) / 2.0)
         sn = nu * s[:, None]
         return cd * sn / (sn ** 2 + r[None, :] ** 2) ** ((d + 1.0) / 2.0)
     if d == 1:
@@ -257,7 +263,7 @@ def green_l2_constant(params):
 
     integral = (adaptive_gauss(head, 0.0, 1.0, tol=1e-12) / p
                 + s * adaptive_gauss(tail, 0.0, 1.0, tol=1e-12))
-    front = nu ** (-p) * 2.0 * np.pi ** (d / 2.0) / (a * _gamma(d / 2.0))
+    front = nu ** (-p) * 2.0 * np.pi ** (d / 2.0) / (a * math.gamma(d / 2.0))
     return front * (2.0 * np.pi) ** (-d) * integral
 
 
@@ -318,7 +324,8 @@ def build_discrete_generator(params, grid):
         A[0, 0] = A[n - 1, n - 1] = 3.0  # ghost reflection at the walls
         return (nu / h ** 2) * A
 
-    C = a * 2.0 ** (a - 1.0) * _gamma((1.0 + a) / 2.0) / (np.sqrt(np.pi) * _gamma(1.0 - a / 2.0))
+    C = (a * 2.0 ** (a - 1.0) * math.gamma((1.0 + a) / 2.0)
+         / (np.sqrt(np.pi) * math.gamma(1.0 - a / 2.0)))
     x = grid.nodes
     m = np.arange(1, n)
     w = (((m - 0.5) * h) ** (-a) - ((m + 0.5) * h) ** (-a)) / a

@@ -70,7 +70,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import DomainError, NumericsError
 from .fracfun import DECAY_CHUNK, SampledFunction, mittag_leffler, mittag_leffler_log, mode_decay
@@ -374,7 +373,7 @@ def _log_split_steps(plan, kappa, source, lift, far, near, logged=np.s_[:]):
     # newest-cell resolvent closure: z = kappa A Gamma(eta) Delta^eta, A matched
     # to the exact cell mass; a colored (n, n) mass is exactly symmetric, so
     # its upper triangle is evaluated and mirrored
-    z = np.maximum(kappa * _gamma(plan.eta) * plan.eta * plan.cell_mass, 0.0)
+    z = np.maximum(kappa * math.gamma(plan.eta) * plan.eta * plan.cell_mass, 0.0)
     upper = np.triu_indices(z.shape[0]) if z.ndim == 2 else np.s_[:]
     ln_fac = np.empty(z.shape)
     ln_fac[upper] = mittag_leffler_log(plan.eta, z[upper])
@@ -540,7 +539,7 @@ def renewal_volterra_solve(c1, kappa, rho, T, nt):
     solve = np.linalg.inv(np.eye(B) - kappa * np.where(lag >= 0, omega[lag], 0.0))
     # kernel (t_(J0+r) - tau)^(rho-1) = Gamma(rho) sum_l w_l e^(-s_l (r Delta + t_J0 - tau))
     s, w = _soe_kernel(rho, delta, T)
-    history = kappa * _gamma(rho) * w * np.exp(-np.outer(b, s))
+    history = kappa * math.gamma(rho) * w * np.exp(-np.outer(b, s))
     advance = _soe_block(s, times[:B + 1])
     state = np.zeros(s.size)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -559,7 +558,8 @@ def renewal_volterra_solve(c1, kappa, rho, T, nt):
 def renewal_growth_exponent(kappa, rho):
     """Growth-rate scale (Gamma(rho) kappa)^(1/rho) of the renewal solution."""
     kappa, rho = _renewal_kernel(kappa, rho)
-    return (_gamma(rho) * kappa) ** (1.0 / rho)
+    # numpy power: a scale past the double range is inf, not OverflowError
+    return np.float64(math.gamma(rho) * kappa) ** (1.0 / rho)
 
 
 _SERIES_BLOCK = 1 << 18  # terms per block of the log-space series sum

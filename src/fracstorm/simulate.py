@@ -179,13 +179,13 @@ class SimConfig:
     ensemble_path: str | None = None
 
     def __post_init__(self):
-        if int(self.nt) != self.nt or self.nt < 1:
-            raise DomainError(f"nt >= 1 violated: nt={self.nt}")
+        if not _is_integer(self.nt) or self.nt < 1:
+            raise DomainError(f"integer nt >= 1 violated: nt={self.nt!r}")
         if not np.isfinite(self.T) or self.T <= 0.0:
             raise DomainError(f"T > 0 violated: T={self.T}")
-        if int(self.replicates) != self.replicates or self.replicates < 2:
-            raise DomainError(f"replicates >= 2 violated: {self.replicates}")
-        if int(self.seed) != self.seed or not (0 <= self.seed < 2 ** 64):
+        if not _is_integer(self.replicates) or self.replicates < 2:
+            raise DomainError(f"integer replicates >= 2 violated: {self.replicates!r}")
+        if not _is_integer(self.seed) or not (0 <= self.seed < 2 ** 64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
@@ -388,9 +388,14 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
     return s1, s2, used, blowups, full
 
 
+def _is_integer(value):
+    """True for a Python or numpy integer; False for bool, float and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_threads(threads):
     """Validate a worker-thread count: an integer >= 1, else DomainError."""
-    if not isinstance(threads, numbers.Integral) or threads < 1:
+    if not _is_integer(threads) or threads < 1:
         raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
     return int(threads)
 

@@ -451,10 +451,9 @@ def _check_nt_convergence(ctx):
 
 @_register("moments", "renewal-ml-resolvent", "independent-oracle", criterion=6, budget=5.0)
 def _check_renewal_ml(ctx):
-    from scipy.special import gamma as _gamma
     f = renewal_volterra_solve(1.0, 1.0, 0.5, 1.0, 4096)
     keep = f.times >= 0.05
-    ref = mittag_leffler(0.5, _gamma(0.5) * f.times[keep] ** 0.5)
+    ref = mittag_leffler(0.5, math.gamma(0.5) * f.times[keep] ** 0.5)
     rel = float(np.max(np.abs(f.values[keep] - ref) / ref))
     return rel <= 1e-5, f"max rel vs resolvent on t in [0.05,1]: {_num(rel)}", "<= 1e-5"
 

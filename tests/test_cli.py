@@ -530,3 +530,40 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: fracstorm kernel ")
+
+
+# One fresh interpreter runs a small version of each benchmarked command, then
+# prints the scipy modules it holds.  Only validate and the free-space density
+# (the kernel command) may load scipy.
+_SOLVER_RUNS = """\
+import json, sys
+from fracstorm import charts, cli, excitation, fracfun, kernels, moments, simulate
+import numpy as np
+
+small = ["--set", "grid.nx=24", "--set", "excite.nt=48", "--set", "grid.nt=8",
+         "--set", "simulate.replicates=4"]
+runs = [
+    ["excite", *small, "--out-prefix", "white"],
+    ["excite", *small, "--set", "noise.kind=riesz", "--set", "noise.gamma=0.5",
+     "--out-prefix", "riesz"],
+    ["simulate", *small, "--out", "simulate.csv"],
+    ["moments", "renewal", "--rho", "0.5", "--kappa", "1", "--c1", "1", "--T", "1",
+     "--out", "renewal.csv"],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+t = np.linspace(0.0, 1.0, 65)
+g = fracfun.SampledFunction(times=t, values=t * t)
+fracfun.fractional_integral(g, 0.5, t[1:])
+fracfun.caputo_derivative(g, 0.5, t[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def test_solver_commands_import_no_scipy(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _SOLVER_RUNS],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

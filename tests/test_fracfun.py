@@ -41,9 +41,10 @@ def test_half_order_matches_scaled_erfc():
         assert mittag_leffler(0.5, -z) == pytest.approx(erfcx(z), rel=1e-10)
 
 
-# Both sides of the series seam at 0.9 and of 1e4, where an asymptotic series
-# once took over, then far into the 1/(Gamma(1 - beta) y) tail.
-_SEAM_Y = np.array([0.9, np.nextafter(0.9, 1.0), 1.0, 10.0, 1e2,
+# Interior points of the Taylor series, both sides of its seam at 0.9 and of
+# 1e4, where an asymptotic series once took over, then far into the
+# 1/(Gamma(1 - beta) y) tail.
+_SEAM_Y = np.array([1e-3, 0.1, 0.5, 0.9, np.nextafter(0.9, 1.0), 1.0, 10.0, 1e2,
                     np.nextafter(1e4, 0.0), 1e4, 1e8])
 
 
@@ -67,6 +68,38 @@ def test_mittag_leffler_rejects_bad_order():
     for beta in (0.0, -0.3, 1.5, np.inf):
         with pytest.raises(DomainError):
             mittag_leffler(beta, -1.0)
+
+
+def _log_ml_40_digits(beta, x):
+    """log E_beta(x), x >= 0, from the series sum_k x^k / Gamma(beta k + 1) in
+    40 digits, summed past its peak index x^(1/beta)/beta until a term drops
+    below 1e-45 of the sum."""
+    with mp.workdps(40):
+        b, x = mp.mpf(beta), mp.mpf(x)
+        peak = x ** (1 / b) / b
+        total, k = mp.mpf(0), 0
+        while True:
+            term = x ** k / mp.gamma(b * k + 1)
+            total += term
+            if k > peak and term < total * mp.mpf(10) ** -45:
+                return float(mp.log(total))
+            k += 1
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 0.95])
+def test_mittag_leffler_log_matches_40_digit_series(beta):
+    # Inside the series window and on both sides of its seam at 40^beta,
+    # where the exponential asymptotic takes over.  The error is scaled by
+    # max(1, |log E|): past the seam log E is about 40 or more, and the
+    # series' terms exp(k log x - log Gamma) carry the rounding of exponents
+    # that large.  The largest error seen is 4.7e-16 (beta = 0.95, x = 40^beta
+    # 1.2); 1e-15, about 4.5 unit roundoffs, keeps twice that margin.
+    seam = 40.0 ** beta
+    x = np.array([1e-3, 0.5, 5.0, 0.999 * seam, 1.001 * seam, 1.2 * seam])
+    got = mittag_leffler_log(beta, x)
+    exact = np.array([_log_ml_40_digits(beta, xi) for xi in x])
+    err = np.abs(got - exact) / np.maximum(1.0, np.abs(exact))
+    assert np.all(err <= 1e-15), err
 
 
 def test_log_form_consistent_and_asymptotic():

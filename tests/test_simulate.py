@@ -18,6 +18,7 @@ from fracstorm.simulate import (
     SimConfig,
     SigmaSpec,
     build_riesz_covariance,
+    check_threads,
     linear_sigma,
     sample_noise_slice,
     simulate_mild,
@@ -427,3 +428,21 @@ def test_config_validation():
         SimConfig(T=-0.1)
     with pytest.raises(DomainError):
         SimConfig(seed=-1)
+
+
+@pytest.mark.parametrize("bad", [dict(nt=8.0), dict(replicates=4.0), dict(seed=3.0),
+                                 dict(nt=True), dict(seed=False)])
+def test_config_refuses_floats_and_bools_as_counts(bad):
+    # an integral float would pass a value comparison and crash simulate_mild
+    # with a TypeError; a bool would run as 0 or 1
+    with pytest.raises(DomainError):
+        SimConfig(**bad)
+
+
+def test_config_and_threads_take_numpy_integers():
+    cfg = SimConfig(nt=np.int64(8), replicates=np.int32(4), seed=np.uint64(2 ** 63))
+    assert (cfg.nt, cfg.replicates) == (8, 4)
+    assert check_threads(np.int64(2)) == 2
+    for bad in (True, 2.0):
+        with pytest.raises(DomainError):
+            check_threads(bad)
