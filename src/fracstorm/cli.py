@@ -28,10 +28,12 @@ its built-in default, then the value in the ``--config`` file, then each
 environment variable is read.  ``validate`` reads no config; its seed and
 thread count are its own flags.
 
-Artifacts are written atomically (temporary file in the target directory,
-then rename), and every CSV starts with a '#' comment line recording the
-package version, the seed, and the parameter set, followed by a header row;
-fields use '.' as the decimal separator and 17 significant digits.
+Artifacts are written atomically (temporary file, then rename).  Each records
+the run that made it: the command, the flags that change its numbers, and the
+config entries except ``run.outdir``, ``run.threads`` and ``simulate.ensemble``,
+which change none.  A CSV's one '#' line is ``# fracstorm <version> <JSON>``,
+a JSON summary holds the same record under ``"run"``; fields use '.' as the
+decimal separator and 17 significant digits.
 
 Exit codes: 0 success, 1 numerical failure, 2 invalid input or domain error.
 """
@@ -227,15 +229,9 @@ def parse_config_text(text):
     return cfg
 
 
-def _render_value(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def serialize_config(cfg):
     """Canonical text form: sorted ``key = value`` lines; reparses equal."""
-    lines = [f"{k} = {_render_value(v)}" for k, v in cfg.entries]
+    lines = [f"{k} = {v}" for k, v in cfg.entries]  # str of a float is its repr
     return "\n".join(lines) + "\n"
 
 
@@ -278,16 +274,15 @@ def _csv_cell(v):
     return s
 
 
-def csv_text(columns, rows, seed, params=""):
+def csv_text(columns, rows, record):
     """RFC-4180-style CSV: comment line, header row, CRLF line endings.
 
-    The comment line records the package version, the seed, and the
-    parameter set so every table is reproducible from its own bytes.
+    The comment line is ``# fracstorm <version> <record>``, the run record
+    as compact JSON with sorted keys: one line whatever its strings hold,
+    floats written exactly, so ``json.loads`` of the rest gives it back.
     """
-    head = f"# fracstorm {__version__} seed={seed}"
-    if params:
-        head += f" params={params}"
-    lines = [head, ",".join(columns)]
+    record = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    lines = [f"# fracstorm {__version__} {record}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_csv_cell(v) for v in row))
     return "\r\n".join(lines) + "\r\n"
@@ -308,16 +303,14 @@ def write_atomic(path, text):
             os.unlink(tmp)
 
 
-def _params_label(p, l_sigma=1.0):
-    """The parameter set for a CSV header; the sigma slope only when not 1."""
-    bits = [f"alpha={p.alpha:g}", f"beta={p.beta:g}", f"nu={p.nu:g}",
-            f"radius={p.R:g}", f"lam={p.lam:g}", f"d={p.d}",
-            f"noise={p.noise.kind}"]
-    if p.noise.gamma is not None:
-        bits.append(f"gamma={p.noise.gamma:g}")
-    if l_sigma != 1.0:
-        bits.append(f"l_sigma={l_sigma:g}")
-    return " ".join(bits)
+def _run_record(args, cfg=None):
+    """The run that makes an artifact: command, number-changing flags, config."""
+    skip_flags = ("func", "command", "what", "config", "set", "out", "out_prefix")
+    skip_keys = ("run.outdir", "run.threads", "simulate.ensemble")
+    return {"command": " ".join(filter(None, (args.command, getattr(args, "what", None)))),
+            "flags": {k: v for k, v in vars(args).items()
+                      if k not in skip_flags and v is not None},
+            "config": {k: v for k, v in (cfg.entries if cfg else ()) if k not in skip_keys}}
 
 
 def _json_text(payload):
@@ -383,7 +376,7 @@ def cmd_specfun(args):
         rows = [[args.order, args.g, t, fractional_integral(g, args.order, t)]
                 for t in args.t]
         cols = ["order", "g", "t", "value"]
-    sys.stdout.write(csv_text(cols, rows, seed=0, params=f"what={what}"))
+    sys.stdout.write(csv_text(cols, rows, _run_record(args)))
     return 0
 
 
@@ -406,13 +399,13 @@ def cmd_kernel(args):
     p, grid, es = _eigen_from(cfg)
     times = args.t if args.t else [cfg.get("grid.t", 0.1)]
     out = args.out or os.path.join(cfg.outdir, "kernel.csv")
+    record = _run_record(args, cfg)
     if args.mode == "slice":
         t = times[0]
         G = dirichlet_fractional_kernel(es, p.beta, t)
         j = int(np.argmin(np.abs(grid.nodes - args.y)))
         rows = [[x, G[i, j]] for i, x in enumerate(grid.nodes)]
-        write_atomic(out, csv_text(["x", "kernel"], rows, seed=cfg.seed,
-                                   params=_params_label(p)))
+        write_atomic(out, csv_text(["x", "kernel"], rows, record))
         print(f"kernel slice at t={t:g}, y={grid.nodes[j]:g}: "
               f"peak {float(G[:, j].max()):.6g} -> {out}")
     else:
@@ -424,8 +417,7 @@ def cmd_kernel(args):
             law = const * t ** expo
             worst = max(worst, abs(integral / law - 1.0))
             rows.append([t, integral, law])
-        write_atomic(out, csv_text(["t", "integral", "law"], rows, seed=cfg.seed,
-                                   params=_params_label(p)))
+        write_atomic(out, csv_text(["t", "integral", "law"], rows, record))
         print(f"kernel L2 decay over {len(times)} times: "
               f"max deviation from the power law {worst:.3e} -> {out}")
     return 0
@@ -442,11 +434,9 @@ def cmd_renewal(args):
     _require(args, ["rho", "kappa", "c1", "T"], "moments renewal")
     f = renewal_volterra_solve(args.c1, args.kappa, args.rho, args.T, args.nt)
     out = args.out or os.path.join(cfg.outdir, "renewal.csv")
-    rows = list(zip(f.times.tolist(), f.values.tolist()))
-    write_atomic(out, csv_text(["t", "f"], rows, seed=cfg.seed,
-                               params=f"rho={args.rho:g} kappa={args.kappa:g} "
-                                      f"c1={args.c1:g} nt={args.nt}"))
     rate = renewal_growth_exponent(args.kappa, args.rho)
+    rows = list(zip(f.times.tolist(), f.values.tolist()))
+    write_atomic(out, csv_text(["t", "f"], rows, _run_record(args, cfg)))
     print(f"renewal f({args.T:g}) = {float(f.values[-1]):.10g} "
           f"(growth-rate scale {rate:.6g}) -> {out}")
     return 0
@@ -468,8 +458,7 @@ def cmd_field(args):
     logs = [field.energy_log(j) for j in range(len(field.times))]
     out = args.out or os.path.join(cfg.outdir, "moments.csv")
     rows = list(zip(field.times.tolist(), logs))
-    write_atomic(out, csv_text(["t", "log_energy"], rows, seed=cfg.seed,
-                               params=_params_label(p) + f" l_sigma={l_sigma:g}"))
+    write_atomic(out, csv_text(["t", "log_energy"], rows, _run_record(args, cfg)))
     print(f"second-moment energy trace on [0, {T:g}], nt={nt}: "
           f"log E_t(T) = {logs[-1]:.6g} -> {out}")
     return 0
@@ -498,10 +487,8 @@ def cmd_simulate(args):
     energy = float(est.mean[-1].sum() * grid.h)
     out = args.out or os.path.join(cfg.outdir, "simulate.csv")
     rows = [[x, m, s] for x, m, s in zip(grid.nodes, est.mean[-1], est.stderr[-1])]
-    label = _params_label(p, sim.sigma.linear_slope)
-    write_atomic(out, csv_text(["x", "second_moment", "stderr"], rows, seed=sim.seed,
-                               params=label + f" T={sim.T:g} nt={sim.nt} "
-                                              f"replicates={sim.replicates}"))
+    record = _run_record(args, cfg)
+    write_atomic(out, csv_text(["x", "second_moment", "stderr"], rows, record))
     summary = {
         "command": "simulate",
         "version": __version__,
@@ -512,7 +499,7 @@ def cmd_simulate(args):
         "replicates_used": est.replicates_used,
         "blowups": est.blowups,
         "final_time_energy": energy,
-        "params": label,
+        "run": record,
         "artifacts": {"csv": out},
     }
     jout = os.path.splitext(out)[0] + ".json"
@@ -533,7 +520,6 @@ def cmd_excite(args):
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
-    threads = cfg.threads
     method = cfg.get("excite.method", "volterra")
     functional = cfg.get("excite.functional", "energy")
     t = cfg.get("excite.t", 0.1)
@@ -545,20 +531,18 @@ def cmd_excite(args):
         lam_min, lam_max = cfg.get("excite.lam_min", 1e2), cfg.get("excite.lam_max", 1e6)
         count = cfg.get("excite.count", 13)
     lambdas = np.geomspace(lam_min, lam_max, count)
-    sigma = cfg.sigma()
     fit = excitation_sweep(p, es, u0, t, lambdas, method=method,
-                           functional=functional, nt=nt, sigma=sigma,
+                           functional=functional, nt=nt, sigma=cfg.sigma(),
                            replicates=cfg.get("simulate.replicates", 400),
-                           seed=cfg.seed, threads=threads)
+                           seed=cfg.seed, threads=cfg.threads)
     dev = fit.slope / fit.theory - 1.0
     verdict = ("PASS" if abs(dev) <= 0.10 else "FAIL") + " ±10%"
     prefix = args.out_prefix or os.path.join(cfg.outdir, "excite")
     csv_path, json_path, svg_path = (prefix + ext for ext in (".csv", ".json", ".svg"))
     rows = [[lam, lv, int(m)]
             for lam, lv, m in zip(fit.lambdas, fit.log_values, fit.fit_mask)]
-    label = _params_label(p, sigma.linear_slope)
-    write_atomic(csv_path, csv_text(["lam", "log_value", "fitted"], rows,
-                                    seed=cfg.seed, params=label))
+    record = _run_record(args, cfg)
+    write_atomic(csv_path, csv_text(["lam", "log_value", "fitted"], rows, record))
     summary = {
         "command": "excite",
         "version": __version__,
@@ -574,7 +558,7 @@ def cmd_excite(args):
         "log_value": [float(v) for v in fit.log_values],
         "fit_mask": [bool(v) for v in fit.fit_mask],
         "residuals": [float(v) for v in fit.residuals],
-        "params": label,
+        "run": record,
         "artifacts": {"csv": csv_path, "svg": svg_path},
     }
     write_atomic(json_path, _json_text(summary))

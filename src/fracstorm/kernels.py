@@ -103,6 +103,9 @@ def _stable_radial(alpha, nu, d, t, r):
     from scipy.special import j0
 
     tn = t * nu
+    if math.log(45.0 / tn) / alpha > math.log(np.finfo(float).max):
+        raise NumericsError(f"quadrature cutoff K = (45/(t nu))^(1/alpha) is past the "
+                            f"double range at alpha={alpha!r}, t nu={tn!r}")
     K = (45.0 / tn) ** (1.0 / alpha)  # exp(-tn k^alpha) < 2e-20 beyond K
     if d == 1:
         if r == 0.0:

@@ -556,10 +556,17 @@ def renewal_volterra_solve(c1, kappa, rho, T, nt):
 
 
 def renewal_growth_exponent(kappa, rho):
-    """Growth-rate scale (Gamma(rho) kappa)^(1/rho) of the renewal solution."""
+    """Growth-rate scale (Gamma(rho) kappa)^(1/rho) of the renewal solution;
+    NumericsError when it is past the double range."""
     kappa, rho = _renewal_kernel(kappa, rho)
-    # numpy power: a scale past the double range is inf, not OverflowError
-    return np.float64(math.gamma(rho) * kappa) ** (1.0 / rho)
+    try:
+        scale = (math.gamma(rho) * kappa) ** (1.0 / rho)
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise NumericsError(f"growth-rate scale (Gamma(rho) kappa)^(1/rho) is past the "
+                            f"double range at kappa={kappa!r}, rho={rho!r}")
+    return scale
 
 
 _SERIES_BLOCK = 1 << 18  # terms per block of the log-space series sum

@@ -23,6 +23,7 @@ float formatting, and slow statistical checks seed from the report seed.
 
 import csv
 import importlib.resources
+import json
 import math
 import zlib
 from collections.abc import Callable
@@ -719,14 +720,17 @@ def _check_config_roundtrip(ctx):
 
 @_register("cli", "csv-reproducibility-header", "definition")
 def _check_csv_contract(ctx):
-    from . import cli
-    text = cli.csv_text(["lam", "value"], [[1.0, 2.0 / 3.0]],
-                        seed=ctx.seed, params="alpha=2 beta=0.5")
+    from . import __version__, cli
+    record = {"command": "excite", "flags": {"g": 'a,"b"'},
+              "config": {"model.lam": 1.23456789, "run.seed": ctx.seed,
+                         "sigma.slope": 1.00000001}}
+    text = cli.csv_text(["lam", "value"], [[1.0, 2.0 / 3.0]], record)
     lines = text.split("\r\n")
-    ok = (text.endswith("\r\n") and lines[0].startswith("# fracstorm ")
-          and ("seed=" in lines[0]) and lines[1] == "lam,value"
+    head = f"# fracstorm {__version__} "
+    ok = (text.endswith("\r\n") and lines[0].startswith(head)
+          and json.loads(lines[0][len(head):]) == record and lines[1] == "lam,value"
           and lines[2].startswith("1,0.6666666666666666"))
-    return ok, f"comment+header+CRLF+17-digit values: {ok}", "present"
+    return ok, f"line 1 reparses to the record exactly: {ok}", "equal"
 
 
 CHECKS = tuple(_registry)

@@ -10,10 +10,11 @@ import subprocess
 import sys
 import xml.dom.minidom
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracstorm import cli
+from fracstorm import __version__, cli
 from fracstorm.errors import DomainError
 
 CONFIG_TEXT = """\
@@ -203,21 +204,29 @@ def test_config_refuses_deleted_keys(key, tmp_path, capsys):
 # CSV / atomic writes
 
 
+def _header_record(line):
+    """The run record on a CSV's comment line, ``# fracstorm <version> <JSON>``."""
+    head = f"# fracstorm {__version__} "
+    assert line.startswith(head)
+    return json.loads(line[len(head):])
+
+
 def test_csv_text_contract():
-    text = cli.csv_text(["lam", "value"], [[1.0, 2.0 / 3.0]], seed=7,
-                        params="alpha=2")
+    record = {"command": "excite", "flags": {}, "config": {"model.lam": 1.23456789}}
+    text = cli.csv_text(["lam", "value"], [[1.0, 2.0 / 3.0]], record)
     lines = text.split("\r\n")
     assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
-    assert lines[0].startswith("# fracstorm ")
-    assert "seed=7" in lines[0] and "alpha=2" in lines[0]
+    assert lines[0] == (f"# fracstorm {__version__} "
+                        '{"command":"excite","config":{"model.lam":1.23456789},"flags":{}}')
     assert lines[1] == "lam,value"
     assert lines[2] == "1," + format(2.0 / 3.0, ".17g")
 
 
 def test_csv_text_quotes_special_strings():
     tricky = 'comma, quote " and\nnewline'
-    text = cli.csv_text(["name", "n"], [[tricky, 3]], seed=0)
-    body = text.split("\r\n", 1)[1]  # drop the comment line
+    record = {"command": "specfun ml", "flags": {"g": tricky}, "config": {}}
+    head, body = cli.csv_text(["name", "n"], [[tricky, 3]], record).split("\r\n", 1)
+    assert _header_record(head) == record  # the record stays on its one line
     rows = list(csv.reader(io.StringIO(body)))
     assert rows[0] == ["name", "n"]
     assert rows[1] == [tricky, "3"]
@@ -366,7 +375,7 @@ def test_excite_artifacts_and_verdict(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["simulate", "excite"])
 def test_csv_header_records_a_sigma_slope_other_than_1(command, sim_config_path, tmp_path,
                                                       capsys):
-    heads = {}
+    records = {}
     for slope in ("1", "3"):
         out = tmp_path / f"slope{slope}"
         dest = (["--out", f"{out}.csv"] if command == "simulate"
@@ -376,11 +385,12 @@ def test_csv_header_records_a_sigma_slope_other_than_1(command, sim_config_path,
              "--set", "initial.value=10", "--set", "excite.method=montecarlo",
              "--set", "excite.nt=8"] + dest, capsys)
         assert code == 0
-        heads[slope] = out.with_suffix(".csv").read_bytes().decode().split("\r\n", 1)[0]
-        label = json.loads(out.with_suffix(".json").read_text())["params"]
-        assert label in heads[slope]
-    assert "l_sigma" not in heads["1"]
-    assert heads["3"] == heads["1"].replace("noise=white", "noise=white l_sigma=3")
+        head = out.with_suffix(".csv").read_bytes().decode().split("\r\n", 1)[0]
+        records[slope] = json.loads(out.with_suffix(".json").read_text())["run"]
+        assert _header_record(head) == records[slope]
+    assert records["1"]["config"].pop("sigma.slope") == 1.0
+    assert records["3"]["config"].pop("sigma.slope") == 3.0
+    assert records["1"] == records["3"]
 
 
 def test_simulate_reads_every_run_setting_from_set(sim_config_path, tmp_path, capsys):
@@ -478,18 +488,72 @@ def test_moments_field_reads_grid_t_and_nt(tmp_path, capsys):
 
 def test_moments_field_reads_the_sigma_slope(tmp_path, capsys):
     # sigma(u) = l u couples the noise as lam l, so slope 3 is lam 3
-    heads = {"sigma.slope": "lam=1 d=1 noise=white l_sigma=3",
-             "model.lam": "lam=3 d=1 noise=white l_sigma=1"}
     logs = {}
-    for key, head in heads.items():
+    for key in ("sigma.slope", "model.lam"):
         out = tmp_path / f"{key}.csv"
         code, stdout, _ = run_main(
             ["moments", "field", "--set", "grid.nx=8", "--set", "grid.nt=5",
              "--set", f"{key}=3", "--out", str(out)], capsys)
         assert code == 0
         logs[key] = stdout.split("log E_t(T) = ")[1].split()[0]
-        assert out.read_bytes().decode().split("\r\n", 1)[0].endswith(head)
+        assert _header_record(out.read_bytes().decode().split("\r\n", 1)[0]) == {
+            "command": "moments field", "flags": {},
+            "config": {"grid.nt": 5, "grid.nx": 8, key: 3.0}}
     assert logs["sigma.slope"] == logs["model.lam"] == "-0.438538"
+
+
+#: one small run of each command that writes a CSV (argv, CSV name); each also
+#: sets model.lam and sigma.slope to values that 6 significant digits would round
+_RERUNS = {
+    "kernel-slice": (["kernel", "--mode", "slice", "--t", "0.03,0.07", "--y", "0.25",
+                      "--set", "grid.nx=12", "--set", "model.beta=0.7"], "kernel.csv"),
+    "renewal": (["moments", "renewal", "--rho", "0.6", "--kappa", "1.23456789",
+                 "--c1", "2", "--T", "0.5", "--nt", "64"], "renewal.csv"),
+    "field-white": (["moments", "field", "--set", "grid.nx=8", "--set", "grid.nt=6",
+                     "--set", "grid.t=0.03"], "moments.csv"),
+    "field-riesz": (["moments", "field", "--set", "grid.nx=8", "--set", "grid.nt=6",
+                     "--set", "noise.kind=riesz", "--set", "noise.gamma=0.4"], "moments.csv"),
+    "simulate": (["simulate", "--set", "grid.nx=8", "--set", "grid.nt=6",
+                  "--set", "simulate.replicates=4", "--set", "run.seed=7",
+                  "--set", "initial.kind=constant"], "simulate.csv"),
+    "excite": (["excite", "--set", "grid.nx=8", "--set", "excite.nt=12",
+                "--set", "excite.count=10", "--set", "excite.lam_max=1e5",
+                "--set", "excite.t=0.05", "--set", "initial.value=2.5"], "excite.csv"),
+    "excite-mc": (["excite", "--set", "grid.nx=8", "--set", "excite.method=montecarlo",
+                   "--set", "excite.nt=8", "--set", "excite.t=0.05",
+                   "--set", "initial.value=10", "--set", "simulate.replicates=4",
+                   "--set", "run.seed=3"], "excite.csv"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RERUNS))
+def test_every_csv_reruns_from_its_own_header(name, tmp_path, capsys):
+    argv, csv_name = _RERUNS[name]
+    first = tmp_path / "first"
+    code, _, _ = run_main(argv + ["--set", "model.lam=1.23456789",
+                                  "--set", "sigma.slope=1.00000001",
+                                  "--set", f"run.outdir={first}"], capsys)
+    assert code == 0
+    path = first / csv_name
+    lines = path.read_bytes().decode().split("\r\n")
+    assert [line for line in lines if line.startswith("#")] == [lines[0]]
+    # the benchmark's reader sees every data row (comment, header, rows, "")
+    assert np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2).shape[0] == len(lines) - 3
+
+    # rebuild the run from line 1 alone; threads and the output place are free
+    record = _header_record(lines[0])
+    config = tmp_path / "rerun.cfg"
+    config.write_text(cli.serialize_config(
+        cli.RunConfig(entries=tuple(sorted(record["config"].items())))))
+    again = tmp_path / "again"
+    rerun = record["command"].split()
+    for dest, value in record["flags"].items():
+        rerun += [f"--{dest.replace('_', '-')}",
+                  ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    code, _, _ = run_main(rerun + ["--config", str(config), "--set", f"run.outdir={again}",
+                                   "--set", "run.threads=2"], capsys)
+    assert code == 0
+    assert (again / csv_name).read_bytes() == path.read_bytes()
 
 
 def _options(parser, path=()):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from fracstorm.errors import DomainError
+from fracstorm.errors import DomainError, NumericsError
 from fracstorm.fracfun import inverse_subordinator_density, mittag_leffler, mode_decay
 from fracstorm.kernels import (
     apply_semigroup,
@@ -19,6 +19,13 @@ from fracstorm.kernels import (
     stable_density,
 )
 from fracstorm.params import ModelParams, NoiseModel, SpaceGrid
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0])
+def test_stable_density_cutoff_past_the_double_range_raises(x):
+    # (45/(t nu))^(1/alpha) at alpha = 0.005 is about 1e330
+    with pytest.raises(NumericsError, match="cutoff"):
+        stable_density(0.005, 1.0, 1, 1.0, x)
 
 
 def test_stable_density_gaussian_case():

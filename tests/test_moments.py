@@ -60,6 +60,16 @@ def test_renewal_growth_exponent_values():
                                                               rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kappa, rho", [(1e300, 0.1), (1e31, 0.1), (1e300, 1e-10)])
+def test_renewal_growth_exponent_past_the_double_range_raises(kappa, rho):
+    with pytest.raises(NumericsError, match="double range"):
+        renewal_growth_exponent(kappa, rho)
+    # just inside the range the scale is returned, still without a warning
+    assert renewal_growth_exponent(1e29, 0.1) == pytest.approx(
+        (gamma(0.1) * 1e29) ** 10, rel=1e-12)
+
+
 def test_renewal_rejects_bad_inputs():
     with pytest.raises(DomainError):
         renewal_volterra_solve(1.0, 1.0, -0.5, 1.0, 64)
