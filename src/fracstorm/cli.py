@@ -451,10 +451,8 @@ def cmd_field(args):
     T = cfg.get("grid.t", 0.1)
     nt = cfg.get("grid.nt", 128)
     l_sigma = cfg.sigma().linear_slope
-    if p.noise.kind == "white":
-        field = second_moment_white(p, es, u0, l_sigma, T, nt)
-    else:
-        field = second_moment_colored(p, es, u0, l_sigma, T, nt).diagonal_field()
+    solve = second_moment_white if p.noise.kind == "white" else second_moment_colored
+    field = solve(p, es, u0, l_sigma, T, nt)
     logs = [field.energy_log(j) for j in range(len(field.times))]
     out = args.out or os.path.join(cfg.outdir, "moments.csv")
     rows = list(zip(field.times.tolist(), logs))
@@ -653,7 +651,7 @@ def build_parser():
     xp.set_defaults(func=cmd_simulate)
 
     text = ("lambda sweep and growth-index fit; excite.*, run.seed and run.threads "
-            "come from the config")
+            "come from the config; run.threads serves the montecarlo method only")
     ep = sub.add_parser("excite", help=text, description=text)
     _add_config_flags(ep)
     ep.add_argument("--out-prefix", help="artifact path prefix (.csv/.json/.svg)")

@@ -16,7 +16,8 @@ the asymptotic regime soonest.
 
 The Monte Carlo backend cannot represent moments beyond roughly e^700 and is
 restricted to a single decade of moderate lambda; it exists to cross-check
-the Volterra backend on the overlap window, not to fit the index.
+the Volterra backend on the overlap window, not to fit the index.  Only it
+uses threads; the Volterra backend solves its lambdas in batches.
 """
 
 from dataclasses import dataclass, replace
@@ -153,26 +154,13 @@ def _theory_for(params):
     return theoretical_index(params.alpha, params.beta, params.noise.gamma, "riesz")
 
 
-def _volterra_fields(params, es, u0, t, lambdas, nt, l_sigma, threads=1):
-    """Moment fields for every lambda, sharing one MomentPlan across the sweep.
-
-    Independent lambda cells may run on a thread pool (the solvers only read
-    the shared plan); results are collected in grid order either way.
-    """
+def _volterra_fields(params, es, u0, t, lambdas, nt, l_sigma):
+    """Moment fields for every lambda, in grid order: one MomentPlan for the
+    sweep, one solve per batch of ``MomentPlan.batches``."""
     plan = MomentPlan.build(params, es, u0, t, nt)
-
-    def solve(lam):
-        p = replace(params, lam=float(lam))
-        if p.noise.kind == "white":
-            return second_moment_white(p, es, u0, l_sigma, t, nt, plan=plan)
-        return second_moment_colored(p, es, u0, l_sigma, t, nt, plan=plan).diagonal_field()
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, lambdas))
-    return [solve(lam) for lam in lambdas]
+    solve = second_moment_white if params.noise.kind == "white" else second_moment_colored
+    return [field for lams in plan.batches(lambdas)
+            for field in solve(params, es, u0, l_sigma, t, nt, plan=plan, lams=lams)]
 
 
 def _default_nt(method):
@@ -188,8 +176,9 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
     (lambda up to 1e6) and needs a linear ``sigma`` (default sigma(u) = u);
     'montecarlo' averages ``replicates`` simulate_mild replicates drawn from
     ``seed`` on es.grid and is restricted to one decade of moderate lambda.
-    ``threads`` > 1 runs lambda cells (Volterra) or replicate chunks
-    concurrently; the result is identical to the sequential sweep.
+    ``threads`` serves the Monte Carlo backend only: > 1 runs replicate
+    chunks concurrently, with the result of the sequential sweep.  The
+    Volterra backend solves its lambdas in batches on the calling thread.
     """
     threads = check_threads(threads)
     if not isinstance(es, EigenSystem):
@@ -209,7 +198,7 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
     nt = _default_nt(method) if nt is None else int(nt)
 
     if method == "volterra":
-        fields = _volterra_fields(params, es, u0, t, lam, nt, sigma.linear_slope, threads)
+        fields = _volterra_fields(params, es, u0, t, lam, nt, sigma.linear_slope)
     else:
         cfg = SimConfig(nt=nt, T=t, replicates=replicates, seed=seed, sigma=sigma)
         fields = []

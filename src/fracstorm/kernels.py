@@ -98,7 +98,8 @@ def _check_t(t):
 # ---------------------------------------------------------------------------
 
 def _stable_radial(alpha, nu, d, t, r):
-    """Radial Fourier inversion at a single radius r >= 0."""
+    """Radial Fourier inversion at a single radius r >= 0; NumericsError
+    where the cutoff or the value is not a finite double (tiny alpha)."""
     from scipy.integrate import quad
     from scipy.special import j0
 
@@ -107,23 +108,27 @@ def _stable_radial(alpha, nu, d, t, r):
         raise NumericsError(f"quadrature cutoff K = (45/(t nu))^(1/alpha) is past the "
                             f"double range at alpha={alpha!r}, t nu={tn!r}")
     K = (45.0 / tn) ** (1.0 / alpha)  # exp(-tn k^alpha) < 2e-20 beyond K
-    if d == 1:
-        if r == 0.0:
-            return math.gamma(1.0 + 1.0 / alpha) * tn ** (-1.0 / alpha) / np.pi
-        val, _ = quad(lambda k: np.exp(-tn * k ** alpha), 0.0, K,
-                      weight="cos", wvar=r, limit=400)
-        return val / np.pi
-    if d == 2:
-        val, _ = quad(lambda k: np.exp(-tn * k ** alpha) * j0(k * r) * k,
-                      0.0, K, limit=800)
-        return val / (2.0 * np.pi)
-    # d == 3
-    if r == 0.0:
-        val, _ = quad(lambda k: np.exp(-tn * k ** alpha) * k * k, 0.0, K, limit=400)
-        return val / (2.0 * np.pi ** 2)
-    val, _ = quad(lambda k: np.exp(-tn * k ** alpha) * k, 0.0, K,
-                  weight="sin", wvar=r, limit=400)
-    return val / (2.0 * np.pi ** 2 * r)
+    if d == 1 and r == 0.0:
+        try:
+            val = math.gamma(1.0 + 1.0 / alpha) * tn ** (-1.0 / alpha) / np.pi
+        except OverflowError:
+            val = math.inf
+    elif d == 1:
+        val = quad(lambda k: np.exp(-tn * k ** alpha), 0.0, K,
+                   weight="cos", wvar=r, limit=400)[0] / np.pi
+    elif d == 2:
+        val = quad(lambda k: np.exp(-tn * k ** alpha) * j0(k * r) * k,
+                   0.0, K, limit=800)[0] / (2.0 * np.pi)
+    elif r == 0.0:  # d == 3
+        val = quad(lambda k: np.exp(-tn * k ** alpha) * k * k, 0.0, K,
+                   limit=400)[0] / (2.0 * np.pi ** 2)
+    else:
+        val = quad(lambda k: np.exp(-tn * k ** alpha) * k, 0.0, K,
+                   weight="sin", wvar=r, limit=400)[0] / (2.0 * np.pi ** 2 * r)
+    if not math.isfinite(val):
+        raise NumericsError(f"stable density at r={r!r} is not a finite double at "
+                            f"alpha={alpha!r}, t nu={tn!r}")
+    return val
 
 
 def stable_density(alpha, nu, d, t, x):
@@ -221,24 +226,27 @@ def fractional_free_kernel(params, t, x):
     """
     t = _check_t(t)
     x = np.asarray(x, float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).astype(float)
-    if params.classical:
-        out = np.atleast_1d(stable_density(params.alpha, params.nu, params.d, t, xv))
-        return float(out[0]) if scalar else out
-    if np.any(np.abs(xv) == 0.0) and params.d >= params.alpha:
+    if np.any(x == 0.0) and params.d >= params.alpha and not params.classical:
         raise DomainError(
             f"free kernel diverges at x=0 for d >= alpha (d={params.d}, alpha={params.alpha})"
         )
+    vals = _free_kernel_at(params, t)(np.atleast_1d(x))
+    return float(vals[0]) if x.ndim == 0 else vals
+
+
+def _free_kernel_at(params, t):
+    """x -> G_t(x) on a 1-d array of |x|; f_{E_t}(s), which depends only on
+    (beta, t), is evaluated once here for every later x."""
+    if params.classical:
+        return lambda xv: np.atleast_1d(stable_density(params.alpha, params.nu, params.d, t, xv))
     b = float(params.beta)
     tb = t ** b
     # f_{E_t} lives on s ~ t^beta; panels cover both its flat head and
     # stretched-exponential tail.
     edges = tb * np.geomspace(1e-8, 2e3, 220)
     s, w = fixed_panel_nodes(np.concatenate([[tb * 1e-9], edges]), n=10)
-    f = inverse_subordinator_density(b, t, s)
-    vals = (w * f) @ _p_free(params, s, xv)
-    return float(vals[0]) if scalar else vals
+    wf = w * inverse_subordinator_density(b, t, s)
+    return lambda xv: wf @ _p_free(params, s, xv)
 
 
 def green_l2_constant(params):
@@ -284,8 +292,10 @@ def free_kernel_l2(params, t):
         raise DomainError(
             f"direct L2 quadrature needs d < alpha, got d={d}, alpha={params.alpha}")
 
+    kernel = _free_kernel_at(params, t)
+
     def gsq(r):
-        g = fractional_free_kernel(params, t, r)
+        g = kernel(r)
         return 2.0 * g * g
 
     # integrate on (0, inf), rescaled so the kernel's natural width sits at O(1)

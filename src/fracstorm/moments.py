@@ -53,7 +53,18 @@ the packed triangle: a block's older cells are one two-operand dot per step
 over midpoints pre-scaled once per block, and a step's in-block cells one
 more, unpacked into a single reused n x n buffer for the two phi products.
 The block length is fixed, so a solve's summation order depends on neither
-lam nor nt nor the thread count of a sweep.
+lam nor nt.
+
+One pass steps a batch of lam (``lams=``): frames, log scales, pair means,
+the closure table and each step's elementwise work are per-lam arrays; the
+history sums run once per lam, so a lam's bits do not depend on its batch.
+The live state is slices j-1 and j per lam (a colored solve returns the
+diagonal K(t; x, x), never an (nt+1, n, n) array) and the lifted
+midpoints, nt n (white) or nt n(n+1)/2 (colored) doubles per lam, which
+``MomentPlan.batches`` fits into _BATCH_DOUBLES = 2^19 (4 MB), at least one
+lam a batch.  Beyond that a colored solve holds about twice nt n(n+1)/2
+doubles (plan table, one lam's scaled midpoints): 7.2 MB each at n = 96,
+nt = 192, 28 MB at n = 192; the grid is not capped.
 
 The scalar renewal solver ``renewal_volterra_solve`` handles the equality
 case f = c1 + kappa int (t-s)^(rho-1) f(s) ds, 0 < rho <= 1 (exact cells in
@@ -85,7 +96,6 @@ from .quadrature import fixed_panel_nodes
 
 __all__ = [
     "MomentField",
-    "TwoPointField",
     "MomentPlan",
     "second_moment_white",
     "second_moment_colored",
@@ -109,16 +119,9 @@ DEFAULT_LOWER_C1 = 3.0e-3
 # deterministic summation order (see ``_log_split_steps``).
 _STEP_BLOCK = 16
 
-
-def _normalize(vals):
-    """Split nonneg slice into (scaled, log_offset) with max in [1, e)."""
-    m = float(np.max(np.abs(vals)))
-    if m == 0.0 or not np.isfinite(m):
-        if not np.isfinite(m):
-            raise NumericsError("moment slice overflowed its split representation")
-        return vals, 0.0
-    k = math.floor(math.log(m))
-    return vals * math.exp(-k), float(k)
+# Doubles of lifted midpoint history one batch of lam may hold (4 MB): a
+# colored sweep at n = 32, nt = 192 batches 5 lam with flat peak memory.
+_BATCH_DOUBLES = 2 ** 19
 
 
 def _log_positive(x):
@@ -178,44 +181,6 @@ class MomentField:
         if s == 0.0:
             return -np.inf
         return 0.5 * (math.log(s) + float(self.log_scale[j]))
-
-
-@dataclass(frozen=True)
-class TwoPointField:
-    """Two-point moment surface K(t_j; y, z), symmetric in (y, z)."""
-
-    times: np.ndarray
-    grid: SpaceGrid
-    values: np.ndarray
-    log_scale: np.ndarray
-    diag_logs: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = self.grid.n
-        if self.values.shape != (len(self.times), n, n):
-            raise DomainError("TwoPointField shape mismatch")
-        if self.diag_logs is not None and self.diag_logs.shape != (len(self.times), n):
-            raise DomainError("diag_logs shape mismatch")
-
-    def diagonal_field(self):
-        """The one-point moment M(t, x) = K(t; x, x) as a MomentField.
-
-        Every slice is framed as ``_normalize`` frames it, bit for bit; an
-        all-zero slice keeps log_scale 0.
-        """
-        d = np.clip(np.diagonal(self.values, axis1=1, axis2=2), 0.0, None)
-        m = d.max(axis=1)
-        if not np.all(np.isfinite(m)):
-            raise NumericsError("moment slice overflowed its split representation")
-        k = np.array([math.floor(math.log(x)) if x > 0.0 else 0.0 for x in m.tolist()])
-        vals = d * np.array([math.exp(-x) for x in k.tolist()])[:, None]
-        logs = np.where(m > 0.0, k + self.log_scale, 0.0)
-        return MomentField(times=self.times, grid=self.grid, values=vals,
-                           log_scale=logs, node_logs=self.diag_logs)
-
-    def sup_log(self, j=-1):
-        m = float(self.values[j].max())
-        return -np.inf if m <= 0.0 else math.log(m) + float(self.log_scale[j])
 
 
 def _closure_nodes(eta, delta):
@@ -279,9 +244,9 @@ class MomentPlan:
         if T <= 0.0:
             raise DomainError("horizon T must be positive")
         u0 = np.asarray(u0, float)
+        if not np.all(np.isfinite(u0)):
+            raise DomainError("u0 must be finite")
         n = es.grid.n
-        if colored and n > 48:
-            raise DomainError("two-point solver grid capped at n=48 (memory)")
         if colored and np.any(u0 < 0.0):
             raise DomainError("two-point solver requires nonnegative u0 "
                               "(log-split state lives in the nonnegative cone)")
@@ -322,6 +287,13 @@ class MomentPlan:
                    eta=eta, times=times, det=det, cell_mass=cell_mass,
                    history=history, riesz=riesz)
 
+    def batches(self, lams):
+        """lams cut into runs for one solve each: as many as fit their lifted
+        midpoints, nt n (white) or nt n(n+1)/2 (colored) doubles per lam,
+        into _BATCH_DOUBLES, and at least one."""
+        size = max(1, _BATCH_DOUBLES // (self.nt * self.history.shape[-1]))
+        return [lams[i:i + size] for i in range(0, len(lams), size)]
+
     def check(self, params, es, u0, T, nt):
         """This plan, or DomainError unless it was built for these inputs."""
         wrong = [name for name, same in (
@@ -336,19 +308,20 @@ class MomentPlan:
         return self
 
 
-def _log_split_steps(plan, kappa, source, lift, far, near, logged=np.s_[:]):
-    """The time stepper of both second-moment solvers.
+def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep):
+    """The time stepper of both second-moment solvers, for a batch of lam.
 
-    source[j] is the deterministic term at t_j (source[0] the initial slice).
-    Returns (values, log_scale, logs); logs[j] keeps the exact log of the
-    entries slice[logged] of every slice (all of them by default), which a
-    framed slice loses for entries ~e^700 below its maximum.  Each slice
-    pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for exponential
-    growth) is made once, stored as lift(midpoint), and re-framed by a scalar
-    each step; the frame is the largest pair scale so far, so nothing
-    overflows.  The log scales and their pair means are added in Python
-    floats, so a scale past the double range raises NumericsError at its own
-    step.
+    Slices are flat: source(j) is the deterministic term at t_j, kappa =
+    (lam l_sigma)^2, and slice[keep] the entries a solve returns.  Returns
+    (values, log_scale, logs), lam first: values[i, j] * exp(log_scale[i, j])
+    are the kept entries of slice j, logs[i, j] their exact logs (a framed
+    slice loses entries ~e^700 below its maximum).  Only slices j-1 and j are
+    live.  Each pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for
+    exponential growth) is lifted once and re-framed by a scalar each step
+    (the history sums are taken on lifted midpoints, unlift maps them back);
+    the frame is the largest pair scale so far, so nothing overflows.  Log
+    scales and pair means are added in Python floats, so a scale past the
+    double range raises NumericsError, naming its lam, at its own step.
 
     The history is summed in blocks of _STEP_BLOCK steps (Hairer, Lubich &
     Schlichte 1985).  Step j weighs pair p = j-1-m at lag cell m = 1..j-1.
@@ -359,62 +332,97 @@ def _log_split_steps(plan, kappa, source, lift, far, near, logged=np.s_[:]):
     scalar exp(frame0 - frame), should its frame have risen since, and
     near(base, newer, scale) adds to it its in-block pairs newer[k] = pair
     j-2-k at lag cell k+1, weighed in the step's frame.  The block length is
-    fixed, so the summation order depends on neither lam nor nt.
+    fixed, so the summation order depends on neither lam nor nt.  far and
+    near run once per lam on its midpoints, and every other operation acts
+    on each lam's entries alone, so a lam's bits do not depend on its batch.
     """
-    nt = plan.nt
-    values = np.zeros(source.shape)
-    log_scale = np.zeros(nt + 1)
-    logs = np.full((nt + 1,) + source[0][logged].shape, -np.inf)
-    logs[0] = _log_positive(source[0][logged])
-    values[0], log_scale[0] = _normalize(source[0])
-    if not source[0].any():
+    nt, batch = plan.nt, len(lams)
+    kappa = [(lam * l_sigma) ** 2 for lam in lams]
+    first = source(0)
+    prev, first_scale = _frame(first, 0.0)
+    values = np.zeros((batch, nt + 1) + first[keep].shape)
+    log_scale = np.zeros((batch, nt + 1))
+    logs = np.full(values.shape, -np.inf)
+    values[:, 0], log_scale[:, 0], logs[:, 0] = prev[keep], first_scale, _log_positive(first[keep])
+    if not first.any():
         return values, log_scale, logs
 
     # newest-cell resolvent closure: z = kappa A Gamma(eta) Delta^eta, A matched
-    # to the exact cell mass; a colored (n, n) mass is exactly symmetric, so
-    # its upper triangle is evaluated and mirrored
-    z = np.maximum(kappa * math.gamma(plan.eta) * plan.eta * plan.cell_mass, 0.0)
-    upper = np.triu_indices(z.shape[0]) if z.ndim == 2 else np.s_[:]
-    ln_fac = np.empty(z.shape)
-    ln_fac[upper] = mittag_leffler_log(plan.eta, z[upper])
-    ln_fac.T[upper] = ln_fac[upper]
-    # lifted pair midpoints, newest in the lowest slot: mids[nt-1-p] is pair p;
-    # a lift of the initial slice gives their shape
-    mids = np.empty((nt,) + lift(values[0]).shape)
-    mean_log = np.empty(nt)
-    frame = 0.0
+    # to the exact cell mass; each distinct z is evaluated once (a colored mass
+    # is exactly symmetric)
+    z = np.maximum(np.multiply.outer([k * math.gamma(plan.eta) * plan.eta for k in kappa],
+                                     plan.cell_mass.ravel()), 0.0)
+    distinct, at = np.unique(z, return_inverse=True)
+    ln_fac = mittag_leffler_log(plan.eta, distinct)[at].reshape(z.shape)
+    kappa = np.array(kappa)[:, None]
+    # lifted pair midpoints, newest in the lowest slot: mids[:, nt-1-p] is pair p
+    mids = np.empty((batch, nt) + lift(prev[None]).shape[1:])
+    mean_log = np.empty((batch, nt))
+    frame = [0.0] * batch
     for j0 in range(1, nt + 1, _STEP_BLOCK):
         nb = min(_STEP_BLOCK, nt + 1 - j0)
         frame0 = frame
         older = np.s_[nt + 1 - j0:]
-        past = far(mids[older], np.exp(mean_log[older] - frame0), nb)
+        scales = np.exp(mean_log[:, older] - np.array(frame0)[:, None])
+        past = [far(m[older], s, nb) for m, s in zip(mids, scales)]
         for i in range(nb):
             j = j0 + i
             newer = np.s_[nt + 1 - j:nt + 1 - j0]
-            sums = near(past[i] * math.exp(frame0 - frame), mids[newer],
-                        np.exp(mean_log[newer] - frame))
-            w = _log_positive(source[j] * math.exp(-frame) + kappa * sums) + ln_fac
-            wmax = float(w.max())
-            scale = frame + wmax
-            if not math.isfinite(scale):
-                raise NumericsError(f"moment solver overflowed at step {j}")
-            values[j] = np.exp(w - wmax)
-            logs[j] = w[logged] + frame
-            mids[nt - j] = lift(np.sqrt(values[j] * values[j - 1]))
+            scales = np.exp(mean_log[:, newer] - np.array(frame)[:, None])
+            sums = unlift(np.stack([near(p[i] * math.exp(f0 - f), m[newer], s)
+                                    for p, f0, f, m, s in zip(past, frame0, frame, mids, scales)]))
+            tilt = np.array([math.exp(-f) for f in frame])[:, None]
+            w = _log_positive(source(j) * tilt + kappa * sums) + ln_fac
+            wmax = w.max(axis=1).tolist()
+            scale = [f + m for f, m in zip(frame, wmax)]
+            for lam, s in zip(lams, scale):
+                if not math.isfinite(s):
+                    raise NumericsError(f"moment solver at lam={lam!r} overflowed at step {j}")
+            slices = np.exp(w - np.array(wmax)[:, None])
+            values[:, j] = slices[:, keep]
+            logs[:, j] = w[:, keep] + np.array(frame)[:, None]
+            mids[:, nt - j] = lift(np.sqrt(slices * prev))
             # halves first: the sum of two finite scales may pass the double range
-            mean = 0.5 * scale + 0.5 * float(log_scale[j - 1])
-            log_scale[j], mean_log[nt - j] = scale, mean
-            frame = max(frame, mean)
+            mean = [0.5 * s + 0.5 * p for s, p in zip(scale, log_scale[:, j - 1].tolist())]
+            log_scale[:, j], mean_log[:, nt - j] = scale, mean
+            frame = [max(f, m) for f, m in zip(frame, mean)]
+            prev = slices
     return values, log_scale, logs
 
 
-def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None):
+def _frame(values, log_scale):
+    """Slices values[..., j, :] * exp(log_scale[..., j]) with each maximum put
+    in [1, e) by integer log offsets; an all-zero slice gets log_scale 0."""
+    top = values.max(axis=-1)
+    k = [math.floor(math.log(x)) if x > 0.0 else 0 for x in top.ravel().tolist()]
+    scale = np.reshape([math.exp(-x) for x in k], top.shape + (1,))
+    return values * scale, np.where(top > 0.0, np.reshape(k, top.shape) + log_scale, 0.0)
+
+
+def _solve(plan, params, l_sigma, lams, source, far, near, lift, unlift, keep=np.s_[:]):
+    """The field of params.lam, or one field per lam of ``lams``, from one
+    pass of the stepper, each kept slice framed by ``_frame``."""
+    grid = np.asarray([params.lam] if lams is None else lams, float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
+        raise DomainError(f"lams must be a non-empty 1-d grid of finite lam >= 0, got {lams!r}")
+    values, log_scale, logs = _log_split_steps(
+        plan, grid.tolist(), l_sigma, source, far, near, lift, unlift, keep)
+    values, log_scale = _frame(values, log_scale)
+    fields = [MomentField(times=plan.times, grid=plan.es.grid, values=v, log_scale=s,
+                          node_logs=g) for v, s, g in zip(values, log_scale, logs)]
+    return fields[0] if lams is None else fields
+
+
+def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None, *, lams=None):
     """Solve the white-noise second-moment Volterra equation exactly (linear sigma).
 
     Returns a MomentField on the uniform time grid j T / nt.  Log-scaled
     throughout, so lam up to 1e6 and beyond stays representable.  ``plan``
     takes a MomentPlan built for the same inputs, so a lam sweep pays for
     G_B u0 and the kernel tables once; without one, a plan is built here.
+    ``lams``, a 1-d grid of lam (params.lam is then not read), returns one
+    field per lam from one pass, each with the bits of its own solve;
+    ``MomentPlan.batches`` cuts a grid into batches that fit the budget.
     """
     if params.noise.kind != "white":
         raise DomainError("second_moment_white requires white noise parameters")
@@ -436,26 +444,26 @@ def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None):
     def near(base, newer, scale):
         return base + table[:, n:(len(newer) + 1) * n] @ (newer * scale[:, None]).ravel()
 
-    values, log_scale, logs = _log_split_steps(
-        plan, (params.lam * l_sigma) ** 2, plan.det * plan.det, lambda mid: mid, far, near)
-    return MomentField(times=plan.times, grid=es.grid, values=values,
-                       log_scale=log_scale, node_logs=logs)
+    det = plan.det
+    return _solve(plan, params, l_sigma, lams, lambda j: det[j] * det[j], far, near,
+                  lambda mids: mids, lambda sums: sums)
 
 
-def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None):
+def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None, *, lams=None):
     """Two-point Volterra solver for Riesz-colored noise (linear sigma).
 
-    Same stepper as the white solver, applied per matrix entry; the history
-    contraction is the kernel sandwich h^2 Delta Gmid (Cbar * K) Gmid^T at
-    the midpoint lag of each cell, summed in eigencoordinates: each slice is
-    lifted once to h^2 Delta phi^T (Cbar * K) phi and kept as its packed
-    upper triangle (the plan's order), with the diagonal at half weight, and
-    each cell weighs it by the packed outer(e_m, e_m).  The sum unpacks to
-    the upper triangle U of a symmetric X with U + U^T = X, so the history
-    term phi X phi^T is H + H^T with H = phi U phi^T, symmetric by
-    construction.  Grid is capped at n = 48 (the state is an (nt+1, n, n)
-    array).  The Riesz exponent gamma is ``params.noise.gamma``.  ``plan`` as
-    in the white solver.
+    Same stepper as the white solver, applied per entry of the two-point
+    function K(t; y, z); returns the one-point moment M(t, x) = K(t; x, x)
+    as a MomentField with the exact diagonal logs.  The history contraction
+    is the kernel sandwich h^2 Delta Gmid (Cbar * K) Gmid^T at the midpoint
+    lag of each cell, summed in eigencoordinates: each slice is lifted once
+    to h^2 Delta phi^T (Cbar * K) phi and kept as its packed upper triangle
+    (the plan's order), with the diagonal at half weight, and each cell
+    weighs it by the packed outer(e_m, e_m).  The sum unpacks to the upper
+    triangle U of a symmetric X with U + U^T = X, so the history term
+    phi X phi^T is H + H^T with H = phi U phi^T, symmetric by construction.
+    Memory: see the module docstring.  The Riesz exponent gamma is
+    ``params.noise.gamma``; ``plan`` and ``lams`` as in the white solver.
     """
     if params.noise.kind != "riesz":
         raise DomainError("second_moment_colored requires riesz noise parameters")
@@ -467,8 +475,9 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None):
     # h^2 Delta, halved on the diagonal
     weight = es.grid.h * es.grid.h * (plan.T / plan.nt) * np.where(upper[0] == upper[1], 0.5, 1.0)
 
-    def lift(mid):
-        return weight * (phi.T @ (plan.riesz * mid) @ phi)[upper]
+    def lift(mids):
+        lifted = phi.T @ (plan.riesz * mids.reshape(-1, n, n)) @ phi
+        return weight * lifted[:, upper[0], upper[1]]
 
     table = plan.history    # packed outer(e_m, e_m) at lag m
 
@@ -477,19 +486,18 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None):
         return [np.einsum("kp,kp->p", table[i + 1:i + 1 + len(older)], older)
                 for i in range(nb)]
 
-    U = np.zeros((n, n))    # its lower triangle stays zero
-
     def near(base, newer, scale):
-        U[upper] = base + np.einsum("kp,kp->p", table[1:len(newer) + 1], newer * scale[:, None])
+        return base + np.einsum("kp,kp->p", table[1:len(newer) + 1], newer * scale[:, None])
+
+    def unlift(sums):
+        U = np.zeros((len(sums), n, n))    # its lower triangles stay zero
+        U[:, upper[0], upper[1]] = sums
         H = phi @ U @ phi.T
-        return H + H.T
+        return (H + H.transpose(0, 2, 1)).reshape(len(sums), -1)
 
     det = plan.det
-    values, log_scale, logs = _log_split_steps(
-        plan, (params.lam * l_sigma) ** 2, det[:, :, None] * det[:, None, :], lift, far, near,
-        logged=np.diag_indices(n))
-    return TwoPointField(times=plan.times, grid=es.grid, values=values,
-                         log_scale=log_scale, diag_logs=logs)
+    return _solve(plan, params, l_sigma, lams, lambda j: np.outer(det[j], det[j]).ravel(),
+                  far, near, lift, unlift, np.arange(n) * (n + 1))
 
 
 # ---------------------------------------------------------------------------

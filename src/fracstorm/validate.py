@@ -417,11 +417,9 @@ def _check_volterra_monotone(ctx):
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5)
     plan = MomentPlan.build(p, es, u0, 0.1, 96)
-    fields = {}
-    for lam in (1.0, 2.0, 4.0):
-        for ls in (0.5, 1.0):
-            f = second_moment_white(replace(p, lam=lam), es, u0, ls, 0.1, 96, plan=plan)
-            fields[(lam, ls)] = f.log_values()[-1]
+    lams = (1.0, 2.0, 4.0)
+    fields = {(lam, ls): f.log_values()[-1] for ls in (0.5, 1.0) for lam, f in
+              zip(lams, second_moment_white(p, es, u0, ls, 0.1, 96, plan=plan, lams=lams))}
     worst = np.inf
     for ls in (0.5, 1.0):
         worst = min(worst, float(np.min(fields[(2.0, ls)] - fields[(1.0, ls)])),
@@ -488,12 +486,12 @@ def _check_renewal_sandwich(ctx):
 
 
 def _envelope_fit(ctx, p, n, n_lams, exponent, lam_cut, solve):
-    """Fit log sup M (T = 0.1, nt = 96) against lam^exponent for lam >= lam_cut."""
+    """Fit log sup M (T = 0.1, nt = 96) against lam^exponent for lam >= lam_cut;
+    ``solve`` is the moment solver, which takes the whole lam grid at once."""
     es = ctx.eigen(2.0, n)
     u0 = ctx.bump(es)
-    plan = MomentPlan.build(p, es, u0, 0.1, 96)
     lams = np.geomspace(10.0, 1e4, n_lams)
-    logs = np.array([solve(replace(p, lam=float(l)), es, u0, plan).sup_log() for l in lams])
+    logs = np.array([f.sup_log() for f in solve(p, es, u0, 1.0, 0.1, 96, lams=lams)])
     z = lams ** exponent * 0.1
     top = lams >= lam_cut * (1.0 - 1e-9)
     c2, c1 = np.polyfit(z[top], logs[top], 1)
@@ -505,8 +503,7 @@ def _envelope_fit(ctx, p, n, n_lams, exponent, lam_cut, solve):
 @_register("moments", "white-growth-envelope", "self-consistency")
 def _check_white_envelope(ctx):
     ok, rate, rel = _envelope_fit(
-        ctx, ModelParams(alpha=2.0, beta=0.5), 48, 10, 8.0 / 3.0, 1e3,
-        lambda p, es, u0, plan: second_moment_white(p, es, u0, 1.0, 0.1, 96, plan=plan))
+        ctx, ModelParams(alpha=2.0, beta=0.5), 48, 10, 8.0 / 3.0, 1e3, second_moment_white)
     return ok, f"log sup M vs lam^(8/3): rate {rate}, top-decade resid {rel}", "rate > 0; resid <= 1e-4"
 
 
@@ -514,8 +511,7 @@ def _check_white_envelope(ctx):
 def _check_colored_envelope(ctx):
     ok, rate, rel = _envelope_fit(
         ctx, ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel(kind="riesz", gamma=0.5)),
-        32, 8, 16.0 / 7.0, 10 ** 2.5,
-        lambda p, es, u0, plan: second_moment_colored(p, es, u0, 1.0, 0.1, 96, plan=plan))
+        32, 8, 16.0 / 7.0, 10 ** 2.5, second_moment_colored)
     return ok, f"log sup M vs lam^(16/7): rate {rate}, top resid {rel}", "rate > 0; resid <= 1e-4"
 
 
@@ -665,12 +661,11 @@ def _check_backend_agreement(ctx):
     # window stops at lam ~ 12: beyond that the squared field is so
     # intermittent that its sample stderr is unreliable at this budget.
     probes = np.linspace(5, 26, 6).astype(int)
-    plan = MomentPlan.build(p, es, u0, 0.002, 768)   # the cells differ only in lam
-    for lam, cell_seed in zip(np.geomspace(2.0, 12.0, 6), cell_seeds):
-        pl = replace(p, lam=float(lam))
+    lams = np.geomspace(2.0, 12.0, 6)
+    refs = [f.dense()[-1] for f in second_moment_white(p, es, u0, 1.0, 0.002, 768, lams=lams)]
+    for lam, cell_seed, ref in zip(lams, cell_seeds, refs):
         cfg = SimConfig(nt=384, T=0.002, replicates=800, seed=int(cell_seed))
-        est = simulate_mild(pl, es, u0, cfg, threads=ctx.threads)
-        ref = second_moment_white(pl, es, u0, 1.0, 0.002, 768, plan=plan).dense()[-1]
+        est = simulate_mild(replace(p, lam=float(lam)), es, u0, cfg, threads=ctx.threads)
         z = (est.mean[-1][probes] - ref[probes]) / est.stderr[-1][probes]
         worst = max(worst, float(np.max(np.abs(z))))
     # 6 cells x 6 probes = 36 z-scores; 4.0 is the ~99.9% envelope for the

@@ -25,5 +25,8 @@ def test_second_moment_solver_signature_is_pinned(name):
     from fracstorm import moments
 
     params = inspect.signature(getattr(moments, name)).parameters
-    assert list(params) == ["params", "es", "u0", "l_sigma", "T", "nt", "plan"]
+    assert list(params) == ["params", "es", "u0", "l_sigma", "T", "nt", "plan", "lams"]
     assert params["plan"].default is None
+    # a lam batch is keyword-only, so the seven positional parameters stay
+    assert params["lams"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert params["lams"].default is None

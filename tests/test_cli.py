@@ -556,6 +556,23 @@ def test_every_csv_reruns_from_its_own_header(name, tmp_path, capsys):
     assert (again / csv_name).read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("noise", [[], ["--set", "noise.kind=riesz", "--set", "noise.gamma=0.5"]])
+def test_volterra_excite_bytes_do_not_depend_on_threads(noise, tmp_path, capsys):
+    # run.threads serves the Monte Carlo backend only; a Volterra sweep
+    # batches its lambdas on one thread, so its artifacts are the same bytes
+    csvs = []
+    for threads in (2, 1):
+        out = tmp_path / f"t{threads}"
+        code, _, _ = run_main(["excite", "--set", "grid.nx=8", "--set", "excite.nt=12",
+                               "--set", "excite.count=10", "--set", "excite.lam_max=1e5",
+                               "--set", "excite.t=0.05", "--set", "initial.value=2.5",
+                               "--set", f"run.threads={threads}", "--set", f"run.outdir={out}"]
+                              + noise, capsys)
+        assert code == 0
+        csvs.append((out / "excite.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def _options(parser, path=()):
     """sub-command path -> its option strings (long form), --help left out."""
     out = {}

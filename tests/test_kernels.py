@@ -28,6 +28,16 @@ def test_stable_density_cutoff_past_the_double_range_raises(x):
         stable_density(0.005, 1.0, 1, 1.0, x)
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("x", [0.0, 1.0])
+def test_stable_density_past_the_double_range_raises_naming_alpha_and_t_nu(x):
+    # At t nu = 2 the cutoff (45/2)^200 ~ 1e270 is in range, but at x = 0 the
+    # value Gamma(201) 2^-200 / pi ~ 5e314 is not (Gamma alone overflows),
+    # and at x = 1 the cosine quadrature returns NaN.
+    with pytest.raises(NumericsError, match=r"alpha=0\.005, t nu=2\.0"):
+        stable_density(0.005, 1.0, 1, 2.0, x)
+
+
 def test_stable_density_gaussian_case():
     # alpha = 2 is the heat kernel with diffusivity nu.
     for t in (0.1, 1.0):

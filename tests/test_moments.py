@@ -1,7 +1,9 @@
 """Moment solvers: renewal equation, white/colored second moments, series bounds."""
 
 import math
+import re
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -16,7 +18,7 @@ from fracstorm.fracfun import mittag_leffler, mittag_leffler_log, mode_decay
 from fracstorm.kernels import apply_semigroup, dirichlet_fractional_kernel
 from fracstorm.moments import (
     MomentPlan,
-    _normalize,
+    _frame,
     colored_lower_bound_series,
     initial_term_floor,
     lower_series,
@@ -170,35 +172,53 @@ def test_second_moment_time_grid_self_convergence(eigen_cache, bump):
 
 
 def test_colored_two_point_symmetry_and_diagonal(eigen_cache, bump):
+    # The solve returns the diagonal M(t, x) = K(t; x, x) of the two-point
+    # function, nonnegative; u0 and the Riesz covariance are even in x, and
+    # the eigenvectors even or odd, so M is even in x up to rounding.
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=2.0,
                     noise=NoiseModel("riesz", gamma=0.5))
-    tp = second_moment_colored(p, es, u0, 1.0, 0.1, 64)
-    K = tp.values[-1]
-    assert np.max(np.abs(K - K.T)) < 1e-10
-    diag = tp.diagonal_field()
-    assert np.all(diag.dense()[-1] >= 0.0)
+    field = second_moment_colored(p, es, u0, 1.0, 0.1, 64)
+    assert field.values.shape == field.node_logs.shape == (65, 32)
+    M = field.dense()
+    assert np.all(M >= 0.0)
+    assert np.max(np.abs(M - M[:, ::-1])) <= 1e-10 * M.max()
 
 
-def test_diagonal_field_frames_every_slice_as_normalize(eigen_cache, bump):
-    # diagonal_field frames all slices at once; each must carry the bits of
-    # the per-slice _normalize, an all-zero slice included (log_scale 0).
+def _normalize(vals):
+    """Reference: one slice split into (scaled, log_offset), max in [1, e)."""
+    m = float(np.max(np.abs(vals)))
+    if m == 0.0:
+        return vals, 0.0
+    k = math.floor(math.log(m))
+    return vals * math.exp(-k), float(k)
+
+
+def test_solver_frames_every_slice_as_normalize(eigen_cache, bump):
+    # Both solvers frame every returned slice of every lam with _frame, all
+    # at once; each must carry the bits of the per-slice _normalize, an
+    # all-zero slice included (log_scale 0), and a solver's own output is
+    # framed already.
     es = eigen_cache(2.0, 16)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=30.0, noise=NoiseModel("riesz", gamma=0.5))
-    tp = second_moment_colored(p, es, u0, 1.0, 0.1, 24)
-    values = tp.values.copy()
-    values[3] = 0.0
-    values[5] *= 1e-300
-    tp = replace(tp, values=values)
-    got = tp.diagonal_field()
-    for j in range(len(tp.times)):
-        d = np.clip(np.diagonal(values[j]), 0.0, None)
-        v, k = _normalize(d)
-        assert np.array_equal(got.values[j], v), j
-        assert got.log_scale[j] == (k + tp.log_scale[j] if d.max() > 0.0 else 0.0), j
-    assert got.log_scale[3] == 0.0 and not got.values[3].any()
+    fields = [second_moment_colored(p, es, u0, 1.0, 0.1, 24),
+              second_moment_white(replace(p, noise=NoiseModel()), es, u0, 1.0, 0.1, 24)]
+    for f in fields:
+        again = _frame(f.values, f.log_scale)
+        assert np.array_equal(again[0], f.values) and np.array_equal(again[1], f.log_scale)
+    values = np.stack([f.values for f in fields]) * np.geomspace(1e-3, 1e3, 25)[:, None]
+    values[0, 3] = 0.0
+    values[1, 5] *= 1e-300
+    log_scale = np.stack([f.log_scale for f in fields])
+    got_values, got_scale = _frame(values, log_scale)
+    for i in range(2):
+        for j in range(25):
+            v, k = _normalize(values[i, j])
+            assert np.array_equal(got_values[i, j], v), (i, j)
+            assert got_scale[i, j] == (k + log_scale[i, j] if values[i, j].max() > 0.0 else 0.0)
+    assert got_scale[0, 3] == 0.0 and not got_values[0, 3].any()
 
 
 def test_colored_moment_monotone_in_lambda(eigen_cache, bump):
@@ -208,8 +228,7 @@ def test_colored_moment_monotone_in_lambda(eigen_cache, bump):
     for lam in (1.0, 8.0):
         p = ModelParams(alpha=2.0, beta=0.5, lam=lam,
                         noise=NoiseModel("riesz", gamma=0.5))
-        tp = second_moment_colored(p, es, u0, 1.0, 0.1, 64)
-        logs.append(tp.diagonal_field().energy_log())
+        logs.append(second_moment_colored(p, es, u0, 1.0, 0.1, 64).energy_log())
     assert logs[0] < logs[1]
 
 
@@ -229,15 +248,14 @@ def test_sweep_with_one_plan_matches_planless_solves(eigen_cache, bump):
             if p.noise.kind == "white":
                 alone.append(second_moment_white(q, es, u0, 1.0, 0.1, 24).energy_log())
             else:
-                alone.append(second_moment_colored(q, es, u0, 1.0, 0.1, 24)
-                             .diagonal_field().energy_log())
+                alone.append(second_moment_colored(q, es, u0, 1.0, 0.1, 24).energy_log())
         assert np.array_equal(fit.log_values, alone)
 
     plan = MomentPlan.build(colored, es, u0, 0.1, 24)
     q = replace(colored, lam=30.0)
     shared = second_moment_colored(q, es, u0, 1.0, 0.1, 24, plan=plan)
     own = second_moment_colored(q, es, u0, 1.0, 0.1, 24)
-    for name in ("values", "log_scale", "diag_logs"):
+    for name in ("values", "log_scale", "node_logs"):
         assert np.array_equal(getattr(shared, name), getattr(own, name))
 
 
@@ -479,13 +497,14 @@ def test_colored_solve_matches_physical_sandwich(eigen_cache, bump, n, lam):
         values, log_scale, logs = _sandwich_colored(plan, lam ** 2)
         r = nt * 4 * n * 2.0 ** -53
         ref = np.diagonal(logs, axis1=1, axis2=2)
-        assert np.array_equal(np.isinf(got.diag_logs), np.isinf(ref)), nt
+        assert np.array_equal(np.isinf(got.node_logs), np.isinf(ref)), nt
         finite = np.isfinite(ref)
-        assert np.all(np.abs(got.diag_logs[finite] - ref[finite])
+        assert np.all(np.abs(got.node_logs[finite] - ref[finite])
                       <= r + 2.0 ** -51 * np.abs(ref[finite])), nt
-        # values * exp(log_scale), in units of the oracle's slice maximum (1)
-        dense = got.values * np.exp(got.log_scale - log_scale)[:, None, None]
-        err = np.abs(dense - values).max(axis=(1, 2))
+        # values * exp(log_scale) on the diagonal of every slice, in units of
+        # the oracle's slice maximum (1)
+        dense = got.values * np.exp(got.log_scale - log_scale)[:, None]
+        err = np.abs(dense - np.diagonal(values, axis1=1, axis2=2)).max(axis=1)
         assert np.all(err <= r + 2.0 ** -52 * np.abs(log_scale)), (nt, err)
 
 
@@ -508,6 +527,91 @@ def test_plan_built_for_other_inputs_is_refused(eigen_cache, bump):
     colored = replace(p, noise=NoiseModel("riesz", gamma=0.5))
     with pytest.raises(DomainError, match="another params$"):
         second_moment_colored(colored, es, u0, 1.0, 0.1, 24, plan=plan)
+
+
+def test_batched_lams_are_bitwise_their_solves_alone(eigen_cache, bump):
+    # One pass steps every lam of a batch; the history sums run once per lam
+    # and every other operation acts on each lam's entries alone, so each
+    # lam carries the bits of its own solve.  At colored-sweep's size the
+    # midpoint budget takes 5 lams a batch, so 7 lams run as 5 + 2.
+    es = eigen_cache(2.0, 32)
+    u0 = bump(es)
+    white = ModelParams(alpha=2.0, beta=0.5)
+    colored = replace(white, noise=NoiseModel("riesz", gamma=0.5))
+    for p, solve, top, sizes in ((white, second_moment_white, 1e6, [7]),
+                                 (colored, second_moment_colored, 1e5, [5, 2])):
+        plan = MomentPlan.build(p, es, u0, 0.1, 192)
+        lams = np.geomspace(1e2, top, 7)
+        batches = plan.batches(lams)
+        assert [len(b) for b in batches] == sizes
+        fields = [f for b in batches for f in solve(p, es, u0, 1.0, 0.1, 192, plan=plan, lams=b)]
+        for lam, field in zip(lams, fields):
+            alone = solve(replace(p, lam=float(lam)), es, u0, 1.0, 0.1, 192, plan=plan)
+            for name in ("values", "log_scale", "node_logs"):
+                assert np.array_equal(getattr(field, name), getattr(alone, name)), (lam, name)
+
+
+def test_batch_overflow_names_its_lam_at_its_own_step(eigen_cache, bump):
+    # lam = 5e153 overflows at step 34 alone (see the white overflow test);
+    # in a batch with smaller lams the solve stops at the same step and
+    # names it.
+    es = eigen_cache(2.0, 32)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.02, lam=5e153)
+    plan = MomentPlan.build(p, es, u0, 0.1, 37)
+    match = re.escape(f"lam={5e153!r} overflowed at step 34") + "$"
+    with pytest.raises(NumericsError, match=match):
+        second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
+    with pytest.raises(NumericsError, match=match):
+        second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan, lams=[1.0, 4e153, 5e153])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_plan_refuses_a_non_finite_u0(eigen_cache, bump, bad):
+    es = eigen_cache(2.0, 16)
+    u0 = bump(es).copy()
+    u0[3] = bad
+    with pytest.raises(DomainError, match="u0 must be finite"):
+        MomentPlan.build(ModelParams(alpha=2.0, beta=0.5), es, u0, 0.1, 24)
+
+
+@pytest.mark.parametrize("lams", [[], [[1.0, 2.0]], [1.0, -1.0], [np.nan], [np.inf]])
+def test_solver_refuses_a_bad_lam_grid(eigen_cache, bump, lams):
+    es = eigen_cache(2.0, 16)
+    with pytest.raises(DomainError, match="lams"):
+        second_moment_white(ModelParams(alpha=2.0, beta=0.5), es, bump(es), 1.0, 0.1, 24,
+                            lams=lams)
+
+
+def test_colored_batch_memory_is_the_midpoint_budget(monkeypatch, eigen_cache, bump):
+    # A batch from MomentPlan.batches at colored-sweep's size (n = 32,
+    # nt = 192, P = n(n+1)/2 = 528) holds 5 lams: 5 nt P = 506,880 doubles
+    # of midpoints, within the 2^19 budget.  The rest of the stepper's live
+    # state, in doubles: a scaled copy of one lam's older midpoints and the
+    # product in its contraction (2 nt P), the block sums of every lam
+    # (L 16 P), the returned values, logs and framed values (3 L (nt+1) n),
+    # and at most 16 arrays of one slice per lam (L n^2).  The newest-cell
+    # closure table is stood in by zeros: its memory is mittag_leffler_log's,
+    # whose own test bounds it.  Measured 6.3 MB; one batch of all 10 lams
+    # of colored-sweep measured 11.7 MB.
+    monkeypatch.setattr(sys.modules["fracstorm.moments"], "mittag_leffler_log",
+                        lambda eta, z: np.zeros(z.shape))
+    es = eigen_cache(2.0, 32)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5))
+    n, nt, P = 32, 192, 32 * 33 // 2
+    plan = MomentPlan.build(p, es, u0, 0.1, nt)
+    batch = plan.batches(np.geomspace(1e2, 1e5, 10))[0]
+    L = len(batch)
+    assert L == 5 and L * nt * P <= 2 ** 19
+    bound = 8 * (2 ** 19 + 2 * nt * P + L * 16 * P + 3 * L * (nt + 1) * n + 16 * L * n * n)
+    tracemalloc.start()
+    try:
+        second_moment_colored(p, es, u0, 1.0, 0.1, nt, plan=plan, lams=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def test_lower_series_small_argument_values():
