@@ -283,8 +283,14 @@ def csv_text(columns, rows, record):
     """
     record = json.dumps(record, sort_keys=True, separators=(",", ":"))
     lines = [f"# fracstorm {__version__} {record}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    # one %-format per row: a column of floats only is written by %.17g
+    # (the bytes of _csv_cell), any other column is formatted cell by cell
+    cells = list(zip(*rows, strict=True))
+    floats = [all(issubclass(t, (float, np.floating)) for t in set(map(type, col)))
+              for col in cells]
+    fmt = ",".join("%.17g" if f else "%s" for f in floats)
+    cells = [col if f else [_csv_cell(v) for v in col] for col, f in zip(cells, floats)]
+    lines += map(fmt.__mod__, zip(*cells))
     return "\r\n".join(lines) + "\r\n"
 
 

@@ -123,14 +123,19 @@ def _ml_series(beta, x, kmax=512):
     benign), summed in blocks of points, each independent of the others."""
     k = np.arange(kmax)
     lg = _lgamma(1.0 + beta * k)
+    sign = (-1.0) ** k
     out = np.empty(x.shape)
     step = _SERIES_DOUBLES // kmax  # kmax <= 20000 keeps this >= 13
+    # one block-sized buffer: each block's term logs, then its terms in place
+    block = np.empty((min(step, x.size), kmax))
     for lo in range(0, x.size, step):
         xb = x[lo:lo + step, None]
         ax = np.abs(xb)
-        with np.errstate(divide="ignore"):
-            logs = np.where(ax > 0, k * np.log(np.where(ax > 0, ax, 1.0)), np.where(k == 0, 0.0, -np.inf))
-        terms = np.exp(logs - lg) * np.where(xb < 0, (-1.0) ** k, 1.0)
+        terms = np.multiply(k, np.log(np.where(ax > 0, ax, 1.0)), out=block[:len(xb)])
+        terms[ax[:, 0] == 0] = np.where(k == 0, 0.0, -np.inf)
+        terms -= lg
+        np.exp(terms, out=terms)
+        np.multiply(terms, sign, out=terms, where=xb < 0)
         out[lo:lo + step] = terms.sum(axis=-1)
     return out
 

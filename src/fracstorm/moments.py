@@ -433,13 +433,14 @@ def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None, *, lams=None)
     table = plan.history.reshape(n, -1)    # row x: S[m][x, :] for every lag m
 
     def far(older, scale, nb):
-        # Toeplitz: column i holds older[k] in the row block of lag i+1+k
-        older = older * scale[:, None]
-        lags = len(older) + nb - 1
-        toeplitz = np.zeros((lags, n, nb))
+        # Toeplitz, one contiguous row per step: row i holds older[k] in the
+        # column block of lag i+1+k
+        older = (older * scale[:, None]).ravel()
+        lags = older.size // n + nb - 1
+        rows = np.zeros((nb, lags * n))
         for i in range(nb):
-            toeplitz[i:i + len(older), :, i] = older
-        return (table[:, n:(lags + 1) * n] @ toeplitz.reshape(-1, nb)).T
+            rows[i, i * n:i * n + older.size] = older
+        return (table[:, n:(lags + 1) * n] @ rows.T).T
 
     def near(base, newer, scale):
         return base + table[:, n:(len(newer) + 1) * n] @ (newer * scale[:, None]).ravel()

@@ -33,7 +33,16 @@ average of |y - z|^(-gamma).
 Determinism: replicate r draws from a counter-based Philox stream keyed by
 (seed, r), and replicate statistics are combined by a fixed pairwise tree
 over fixed-size chunks, so results are bitwise reproducible for a given
-(seed, config) no matter how replicates are scheduled.
+(seed, config) no matter how replicates are scheduled.  The normals are drawn
+one history block at a time from the same per-replicate streams; a stream
+continues across blocks, so replicate r gets the same normals, in the same
+order, as one draw of its whole path would give.
+
+Memory: a chunk of nrep replicates holds its history ``hist`` and its
+squared paths ``traj2``, about 2 * nrep * nt * nx doubles (16.8 MB at
+nrep = 64, nt = 256, nx = 64), plus one block of noise, nrep * _BLOCK * nx
+doubles for the normals and as many for the increments.  Each chunk thread
+holds its own; the Hankel table is shared.
 
 Heavy tails: second moments are finite but sample paths at large lam are
 heavy-tailed; any replicate whose amplitude passes an overflow guard (or
@@ -249,15 +258,6 @@ def _increments(noise, grid, dt, z, cov):
     return (z @ cov.factor.T) * (math.sqrt(dt) * grid.h)
 
 
-def _replicate_normals(seed, rep, nt, nx):
-    """All noise normals for one replicate, from a Philox stream keyed (seed, rep).
-
-    Counter-based keying makes the draw independent of execution order.
-    """
-    bits = np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))
-    return np.random.Generator(bits).standard_normal((nt, nx))
-
-
 def _pairwise_tree_sum(parts):
     """Sum a list of equal-shape arrays by a fixed balanced pairwise tree."""
     parts = list(parts)
@@ -313,10 +313,13 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
     the steps before a block starting at n0 are the contiguous slots
     nt-n0..nt-1, newest first.  One batched gemm with ``hank`` gives their
     contribution to every step of the block; each step adds its in-block lags
-    from ``decay`` (mode-major half-lag decay table).  A replicate that blows
-    up has its history zeroed, and with it the rest of its block's older sum;
-    its sigma(u) dW is masked to 0 from then on (only once some replicate of
-    the chunk has died), and its path is NaN from its blow-up step on.
+    from ``decay`` (mode-major half-lag decay table).  Each block starts by
+    drawing its normals from every replicate's Philox stream, which continues
+    where the last block stopped, so a replicate's noise does not depend on
+    the block length.  A replicate that blows up has its history zeroed, and
+    with it the rest of its block's older sum; its sigma(u) dW is masked to 0
+    from then on (only once some replicate of the chunk has died), and its
+    path is NaN from its blow-up step on.
 
     Returns (sum of u^2, sum of u^4, replicates kept, blow-ups, paths), where
     paths is the (nrep, nt+1, nx) trajectory array when ``keep_paths`` (for
@@ -330,12 +333,9 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
     nrep = hi - lo
     nmodes = phi.shape[1]
 
-    z = np.empty((nrep, nt, grid.n))
-    for r in range(nrep):
-        z[r] = _replicate_normals(config.seed, lo + r, nt, grid.n)
-    dW = _increments(params.noise, grid, dt, z, cov)
-    del z
-
+    streams = [np.random.Generator(np.random.Philox(key=np.array([config.seed, r], np.uint64)))
+               for r in range(lo, hi)]
+    z = np.empty((nrep, _BLOCK, grid.n))     # one block's normals, reused
     traj2 = np.empty((nrep, nt + 1, grid.n))
     traj2[:, 0] = u0 ** 2
     alive = np.ones(nrep, dtype=bool)
@@ -349,30 +349,34 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
 
     for n0 in range(0, nt, _BLOCK):
         nb = min(_BLOCK, nt - n0)
+        for r, stream in enumerate(streams):
+            stream.standard_normal(out=z[r, :nb])
+        dW = _increments(params.noise, grid, dt, z[:, :nb], cov)
         # past[k, i, r] = sum_{m<n0} e[n0+i-m, k] * hist_m[k, r]
         past = np.matmul(hank[:, :nb, :n0], hist[:, nt - n0:])
         for i in range(nb):
             n = n0 + i
             s = nt - 1 - n
-            q = sigma(u) * dW[:, n]
+            q = sigma(u) * dW[:, i]
             if blowups:
                 q[~alive] = 0.0
             hist[:, s] = (q @ phi).T
             # plus sum_{n0<=m<=n} e[n-m, k] * hist_m[k, r], then back to space
             conv = past[:, i] + np.matmul(decay[:, None, : i + 1], hist[:, s: nt - n0])[:, 0]
             u = det[n + 1] + lam * (phi @ conv).T
-            bad = ~np.all(np.abs(u) < BLOWUP_GUARD, axis=1)
-            if bad.any():
+            # NaN fails the comparison too, so it takes the slow path
+            if not np.abs(u).max() < BLOWUP_GUARD:
+                bad = ~np.all(np.abs(u) < BLOWUP_GUARD, axis=1)
                 newly = bad & alive
                 alive &= ~bad
                 u = np.where(bad[:, None], 0.0, u)
                 hist[:, s:, newly] = 0.0
                 past[:, i + 1:, newly] = 0.0
                 blowups += int(np.count_nonzero(newly))
-            traj2[:, n + 1] = u ** 2
+            np.square(u, out=traj2[:, n + 1])
             if keep_paths:
                 full[:, n + 1] = np.where(alive[:, None], u, np.nan)
-    del dW, hist, past
+    del z, dW, hist, past
 
     used = int(np.count_nonzero(alive))
     if used < nrep:

@@ -232,6 +232,34 @@ def test_csv_text_quotes_special_strings():
     assert rows[1] == [tricky, "3"]
 
 
+_SPECIAL_FLOATS = st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                   -2.5e-310, 1e308, 0.1])
+_CSV_FLOATS = st.one_of(
+    _SPECIAL_FLOATS, st.floats(),
+    st.one_of(_SPECIAL_FLOATS, st.floats()).map(np.float64),
+    st.floats(width=32).map(np.float32))
+_CSV_OTHERS = st.one_of(
+    st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.sampled_from([10 ** 17 + 1, -2 ** 70, np.int64(2 ** 63 - 1)]),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.text(max_size=8), st.sampled_from(['a,b', 'say "hi"', "two\nlines", "cr\r", "%s %d"]))
+_CSV_COLUMN = st.sampled_from([_CSV_FLOATS, _CSV_OTHERS, st.one_of(_CSV_FLOATS, _CSV_OTHERS)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csv_text_is_the_per_cell_join(data):
+    # a column of floats only takes the one-%-format route, any other column
+    # goes cell by cell; both must give the bytes of _csv_cell
+    kinds = data.draw(st.lists(_CSV_COLUMN, min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.tuples(*kinds).map(list), max_size=6))
+    columns = [f"c{i}" for i in range(len(kinds))]
+    record = {"command": "test", "flags": {}, "config": {}}
+    expect = cli.csv_text(columns, [], record) + "".join(
+        ",".join(cli._csv_cell(v) for v in row) + "\r\n" for row in rows)
+    assert cli.csv_text(columns, rows, record) == expect
+
+
 def test_write_atomic_leaves_only_the_target(tmp_path):
     target = tmp_path / "a" / "out.csv"
     cli.write_atomic(str(target), "x\r\n1\r\n")

@@ -1,6 +1,7 @@
 """Monte Carlo mild-solution machinery: determinism, exact cases, ensembles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TEST_THREADS
+from fracstorm import simulate
 from fracstorm.errors import DomainError, NumericsError
 from fracstorm.fracfun import mode_decay
 from fracstorm.kernels import apply_semigroup
@@ -143,6 +145,68 @@ def test_blowup_guard_counts_and_excludes(eigen_cache, bump):
     assert est.replicates_used + est.blowups == 32
     assert np.all(np.isfinite(est.mean))
     assert np.all(np.isfinite(est.stderr))
+
+
+@pytest.mark.parametrize("poison", [1e300, np.nan])
+def test_guard_catches_an_infinite_and_a_nan_amplitude(tmp_path, monkeypatch, eigen_cache,
+                                                      bump, poison):
+    # Zero noise everywhere but one increment of replicate 3 at step 21 (the
+    # second block).  With lam = 1e300 the finite 1e300 increment makes
+    # lam * (phi @ conv) overflow, so that replicate's amplitude is +-inf;
+    # a NaN increment makes it NaN.  Every other replicate follows G_B u0.
+    real = simulate._increments
+    blocks = []
+
+    def poisoned(noise, grid, dt, z, cov):
+        dW = np.zeros_like(real(noise, grid, dt, z, cov))
+        if len(blocks) == 1:
+            dW[3, 5] = poison
+        blocks.append(dW.shape)
+        return dW
+
+    monkeypatch.setattr(simulate, "_increments", poisoned)
+    es = eigen_cache(2.0, 24)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5, lam=1e300)
+    cfg = SimConfig(nt=37, T=0.05, replicates=8, seed=0,
+                    ensemble_path=str(tmp_path / "ensemble.bin"))
+    if np.isnan(poison):
+        est = simulate_mild(p, es, u0, cfg)
+    else:
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            est = simulate_mild(p, es, u0, cfg)
+    assert blocks == [(8, 16, 24), (8, 16, 24), (8, 5, 24)]
+    assert (est.blowups, est.replicates_used) == (1, 7)
+    with open(cfg.ensemble_path, "rb") as fh:
+        fh.readline()
+        got = np.fromfile(fh, dtype=[("rep", "<u4"), ("ti", "<u4"), ("xi", "<u4"),
+                                     ("value", "<f8")])["value"].reshape(8, 38, 24)
+    det = np.vstack([u0, apply_semigroup(es, 0.5, np.arange(1, 38) * cfg.T / 37, u0)])
+    assert np.all(np.isnan(got[3, 22:])) and np.array_equal(got[3, :22], det[:22])
+    assert np.array_equal(np.delete(got, 3, axis=0), np.broadcast_to(det, (7, 38, 24)))
+    assert np.allclose(est.mean, det ** 2, rtol=1e-15, atol=0.0)
+
+
+def test_one_chunk_holds_one_block_of_noise(eigen_cache, bump, white_params):
+    # One chunk at the mc-white size: its history and squared paths, the
+    # shared Hankel table, and a few block-sized arrays (one block of normals
+    # and increments, the block's older sums, and their predecessors until
+    # they are replaced).  A chunk that drew all its noise up front would
+    # add 2 * nrep * nt * n doubles (16.8 MB) to this.
+    es = eigen_cache(2.0, 64)
+    u0 = bump(es)
+    nrep, nt, n, nmodes = 64, 256, 64, es.phi.shape[1]
+    # a first call pays the one-time lazy imports outside the traced peak
+    simulate_mild(white_params, es, u0, SimConfig(nt=4, T=0.1, replicates=2, seed=0))
+    tracemalloc.start()
+    try:
+        simulate_mild(white_params, es, u0, SimConfig(nt=nt, T=0.1, replicates=nrep, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = nrep * simulate._BLOCK * n
+    bound = 8 * (2 * nrep * (nt + 1) * n + nmodes * simulate._BLOCK * nt + 8 * block)
+    assert peak <= bound
 
 
 def test_blowup_of_every_replicate_is_an_error(eigen_cache, bump):
