@@ -31,18 +31,28 @@ Walsh measure of a time-space cell); Riesz noise draws factor @ z * sqrt(dt)
 average of |y - z|^(-gamma).
 
 Determinism: replicate r draws from a counter-based Philox stream keyed by
-(seed, r), and replicate statistics are combined by a fixed pairwise tree
-over fixed-size chunks, so results are bitwise reproducible for a given
-(seed, config) no matter how replicates are scheduled.  The normals are drawn
-one history block at a time from the same per-replicate streams; a stream
-continues across blocks, so replicate r gets the same normals, in the same
-order, as one draw of its whole path would give.
+(seed, r).  The normals are drawn one history block at a time from the same
+per-replicate streams; a stream continues across blocks, so replicate r gets
+the same normals, in the same order, as one draw of its whole path would give.
+Replicate statistics are summed by one fixed pairwise tree: within a chunk of
+_CHUNK = 128 replicates over its kept replicates, one history block at a time,
+and across chunks over the chunk sums in replicate order, folded as the chunks
+finish.  Results are therefore bitwise reproducible for a given (seed, config)
+no matter how replicates are scheduled.  _CHUNK is a power of two, so when no
+replicate blows up the two levels make the one tree over all replicates, and
+the sums do not depend on the chunk size; a chunk that lost replicates pairs
+its survivors by their rank among them.
 
-Memory: a chunk of nrep replicates holds its history ``hist`` and its
-squared paths ``traj2``, about 2 * nrep * nt * nx doubles (16.8 MB at
-nrep = 64, nt = 256, nx = 64), plus one block of noise, nrep * _BLOCK * nx
-doubles for the normals and as many for the increments.  Each chunk thread
-holds its own; the Hankel table is shared.
+Memory: a chunk of nrep replicates holds its history ``hist``, nmodes * nt *
+nrep doubles (16.8 MB at nrep = 128, nt = 256, nx = nmodes = 64), and three
+block-sized arrays of nrep * _BLOCK * nx doubles (1 MB each there): the
+block's normals, which white noise scales into increments in place, the
+block's older sums, and its squared paths.  Those are reduced to the chunk's
+sums of u^2 and u^4 as soon as the block is stepped, so no chunk holds its
+whole paths unless an ensemble stream asks for them.  That is about 20 MB per
+chunk thread at that size (23 MB traced for one chunk with the shared Hankel
+table); the fold across chunks keeps about log2(chunks) partial sums of
+2 * (nt+1) * nx doubles.
 
 Heavy tails: second moments are finite but sample paths at large lam are
 heavy-tailed; any replicate whose amplitude passes an overflow guard (or
@@ -50,7 +60,10 @@ turns NaN) is excluded from the estimate and counted in
 ``MomentEstimate.blowups`` rather than clamped (clamping would bias
 silently).  A blown-up replicate gets no more noise: its history is zeroed
 and its sigma * dW masked to 0 from its blow-up step on, and an ensemble
-stream records NaN for it at that step and every later one.
+stream records NaN for it at that step and every later one.  Its chunk's
+earlier blocks were reduced with it, so once stepped the chunk replays its
+survivors' paths from ``hist`` (no noise is drawn again) and reduces every
+block over the survivors alone: a blown-up replicate counts at no time.
 """
 
 import math
@@ -85,8 +98,10 @@ __all__ = [
 # fourth power (1e75**4 = 1e300 < 1.8e308).
 BLOWUP_GUARD = 1e75
 
-# Fixed replicate chunk size; part of the deterministic reduction layout.
-_CHUNK = 64
+# Fixed replicate chunk size; part of the deterministic reduction layout.  A
+# power of two, so that a run without blow-ups sums its replicates by the one
+# pairwise tree over all of them (see the module docstring).
+_CHUNK = 128
 
 # Fixed history block length in steps; part of the deterministic summation
 # order (see the module docstring).
@@ -252,25 +267,55 @@ def sample_noise_slice(noise, grid, dt, rng, cov=None):
 
 
 def _increments(noise, grid, dt, z, cov):
-    """Noise increments from standard normals z of shape (..., n)."""
+    """Noise increments from standard normals z of shape (..., n).
+
+    White noise scales z in place and returns it; Riesz noise returns a new
+    array.
+    """
     if noise.kind == "white":
-        return z * math.sqrt(dt * grid.h)
+        return np.multiply(z, math.sqrt(dt * grid.h), out=z)
     return (z @ cov.factor.T) * (math.sqrt(dt) * grid.h)
 
 
-def _pairwise_tree_sum(parts):
-    """Sum a list of equal-shape arrays by a fixed balanced pairwise tree."""
-    parts = list(parts)
-    if not parts:
+def _tree_sum(t):
+    """Sum t over axis 0 by the fixed pairwise tree.
+
+    Each level adds rows (0, 1), (2, 3), ... and carries an odd last row,
+    until one row is left.  Every element sees the same additions in the same
+    order as in a sum of the rows one array at a time, so the result depends
+    on neither the other axes nor how they are sliced.
+    """
+    if len(t) == 0:
         raise ValueError("nothing to reduce")
-    while len(parts) > 1:
-        nxt = []
-        for i in range(0, len(parts) - 1, 2):
-            nxt.append(parts[i] + parts[i + 1])
-        if len(parts) % 2:
-            nxt.append(parts[-1])
-        parts = nxt
-    return parts[0]
+    while len(t) > 1:
+        m = len(t)
+        pairs = t[0:m - 1:2] + t[1:m:2]
+        t = np.concatenate((pairs, t[m - 1:])) if m % 2 else pairs
+    return t[0]
+
+
+def _tree_fold(parts):
+    """The pairwise tree of ``_tree_sum`` over an iterable of equal-shape arrays.
+
+    Parts are consumed as they arrive, so at most about log2(count) partial
+    sums are alive at once.  A binary counter: the stack holds the sums of
+    complete subtrees of 2**level parts, in decreasing level, and a push
+    merges the top while its level matches.  At the end the subtrees left are
+    added from the right, which is where the tree carries an odd last part.
+    """
+    stack = []
+    for part in parts:
+        level = 0
+        while stack and stack[-1][0] == level:
+            part = stack.pop()[1] + part
+            level += 1
+        stack.append((level, part))
+    if not stack:
+        raise ValueError("nothing to reduce")
+    total = stack.pop()[1]
+    while stack:
+        total = stack.pop()[1] + total
+    return total
 
 
 def _ensemble_header(config, grid, params):
@@ -321,7 +366,17 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
     from then on (only once some replicate of the chunk has died), and its
     path is NaN from its blow-up step on.
 
-    Returns (sum of u^2, sum of u^4, replicates kept, blow-ups, paths), where
+    The squared paths of a block go into one reused buffer and are reduced
+    over the replicates by ``_tree_sum`` once the block is stepped.  Until a
+    replicate dies that is the reduction over the survivors.  A chunk in which
+    some replicate died replays its paths from ``hist`` afterwards, block by
+    block with the same gemm, in-block sum and ``phi`` product at full chunk
+    width, so every survivor's path has the bits it had when stepped; it draws
+    no noise and runs no guard, and each block is reduced again over the
+    survivors alone.
+
+    Returns (sums, replicates kept, blow-ups, paths): sums[0] and sums[1] are
+    the sums of u^2 and u^4 over the kept replicates at every grid time, and
     paths is the (nrep, nt+1, nx) trajectory array when ``keep_paths`` (for
     ensemble streaming) and None otherwise.  Pure function of its inputs, so
     chunks can run concurrently without changing any result.
@@ -336,8 +391,8 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
     streams = [np.random.Generator(np.random.Philox(key=np.array([config.seed, r], np.uint64)))
                for r in range(lo, hi)]
     z = np.empty((nrep, _BLOCK, grid.n))     # one block's normals, reused
-    traj2 = np.empty((nrep, nt + 1, grid.n))
-    traj2[:, 0] = u0 ** 2
+    sq = np.empty((nrep, _BLOCK, grid.n))    # one block's squared paths, reused
+    sums = np.empty((2, nt + 1, grid.n))
     alive = np.ones(nrep, dtype=bool)
     u = np.broadcast_to(u0, (nrep, grid.n)).copy()
     hist = np.zeros((nmodes, nt, nrep))
@@ -347,13 +402,28 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
         full = np.empty((nrep, nt + 1, grid.n))
         full[:, 0] = u
 
+    def older(n0, nb):
+        # past[k, i, r] = sum_{m<n0} e[n0+i-m, k] * hist_m[k, r]
+        return np.matmul(hank[:, :nb, :n0], hist[:, nt - n0:])
+
+    def step(n0, i, past):
+        # u^{n+1} at n = n0+i: the older sum plus sum_{n0<=m<=n} e[n-m, k] * hist_m[k, r]
+        s = nt - 1 - n0 - i
+        conv = past[:, i] + np.matmul(decay[:, None, : i + 1], hist[:, s: nt - n0])[:, 0]
+        return det[n0 + i + 1] + lam * (phi @ conv).T
+
+    def reduce_block(row, sq):
+        # sq (replicates, times, n) holds u^2 at times row, row+1, ...; it is squared in place
+        out = sums[:, row: row + sq.shape[1]]
+        out[0] = _tree_sum(sq)
+        out[1] = _tree_sum(np.square(sq, out=sq))
+
     for n0 in range(0, nt, _BLOCK):
         nb = min(_BLOCK, nt - n0)
         for r, stream in enumerate(streams):
             stream.standard_normal(out=z[r, :nb])
         dW = _increments(params.noise, grid, dt, z[:, :nb], cov)
-        # past[k, i, r] = sum_{m<n0} e[n0+i-m, k] * hist_m[k, r]
-        past = np.matmul(hank[:, :nb, :n0], hist[:, nt - n0:])
+        past = older(n0, nb)
         for i in range(nb):
             n = n0 + i
             s = nt - 1 - n
@@ -361,9 +431,7 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
             if blowups:
                 q[~alive] = 0.0
             hist[:, s] = (q @ phi).T
-            # plus sum_{n0<=m<=n} e[n-m, k] * hist_m[k, r], then back to space
-            conv = past[:, i] + np.matmul(decay[:, None, : i + 1], hist[:, s: nt - n0])[:, 0]
-            u = det[n + 1] + lam * (phi @ conv).T
+            u = step(n0, i, past)
             # NaN fails the comparison too, so it takes the slow path
             if not np.abs(u).max() < BLOWUP_GUARD:
                 bad = ~np.all(np.abs(u) < BLOWUP_GUARD, axis=1)
@@ -373,23 +441,26 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
                 hist[:, s:, newly] = 0.0
                 past[:, i + 1:, newly] = 0.0
                 blowups += int(np.count_nonzero(newly))
-            np.square(u, out=traj2[:, n + 1])
+            np.square(u, out=sq[:, i])
             if keep_paths:
                 full[:, n + 1] = np.where(alive[:, None], u, np.nan)
-    del z, dW, hist, past
+        del dW, past
+        if not blowups:
+            reduce_block(n0 + 1, sq[:, :nb])
+    del z
 
     used = int(np.count_nonzero(alive))
-    if used < nrep:
-        traj2 = traj2[alive]
-    if used:
-        s1 = _pairwise_tree_sum(list(traj2))
-        if used == 1:
-            s1 = s1.copy()  # a lone part comes back as a view of traj2
-        s2 = _pairwise_tree_sum(list(np.square(traj2, out=traj2)))
-    else:
-        s1 = np.zeros((nt + 1, grid.n))
-        s2 = np.zeros((nt + 1, grid.n))
-    return s1, s2, used, blowups, full
+    if not used:
+        return np.zeros_like(sums), 0, blowups, full
+    if blowups:
+        for n0 in range(0, nt, _BLOCK):
+            nb = min(_BLOCK, nt - n0)
+            past = older(n0, nb)
+            for i in range(nb):
+                np.square(step(n0, i, past), out=sq[:, i])
+            reduce_block(n0 + 1, sq[alive, :nb])
+    reduce_block(0, np.tile(u0 ** 2, (used, 1, 1)))
+    return sums, used, blowups, full
 
 
 def _is_integer(value):
@@ -411,10 +482,16 @@ def simulate_mild(params, es, u0, config, threads=1):
     docstring).  Returns a MomentEstimate over all grid times 0..T; replicates
     that trip the overflow guard are excluded and counted, never clamped.
 
-    ``threads`` > 1 runs replicate chunks concurrently.  The Philox streams
-    are keyed by replicate index and the reduction order is fixed, so the
-    estimate is bitwise identical to the sequential run.  Ensemble streaming
-    forces sequential execution (records are written replicate-major).
+    Replicates run in chunks of _CHUNK = 128.  A chunk reduces each history
+    block's squared paths as soon as it has stepped them (replaying its
+    survivors if some replicate blew up), and the chunk sums are folded by a
+    fixed pairwise tree as the chunks finish, so a run holds one chunk's
+    history and a few of its blocks per thread (about 20 MB at nt = 256,
+    nx = 64) but never the paths.  ``threads`` > 1 runs chunks concurrently.
+    The Philox streams are keyed by replicate index and the reduction order is
+    fixed, so the estimate is bitwise identical to the sequential run.
+    Ensemble streaming forces sequential execution (records are written
+    replicate-major).
     """
     threads = check_threads(threads)
     if not isinstance(es, EigenSystem):
@@ -457,20 +534,13 @@ def simulate_mild(params, es, u0, config, threads=1):
         return _run_chunk(b[0], b[1], config, grid, params, u0, det, decay, hank,
                           phi, cov, keep_paths=writer is not None)
 
-    chunk_sums1 = []
-    chunk_sums2 = []
-    chunk_used = []
+    used = 0
     blowups = 0
-    try:
-        if threads > 1 and writer is None and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(work, bounds))
-        else:
-            results = map(work, bounds)
-        for (lo, hi), (s1, s2, used, blew, full) in zip(bounds, results):
-            chunk_sums1.append(s1)
-            chunk_sums2.append(s2)
-            chunk_used.append(used)
+
+    def chunk_sums(results):
+        nonlocal used, blowups
+        for (lo, hi), (sums, kept, blew, full) in zip(bounds, results):
+            used += kept
             blowups += blew
             if writer is not None:
                 nrep = hi - lo
@@ -481,18 +551,23 @@ def simulate_mild(params, es, u0, config, threads=1):
                 rec["xi"] = np.tile(np.arange(grid.n, dtype=np.uint32), nrep * (nt + 1))
                 rec["value"] = full.reshape(-1)
                 writer.write(rec.tobytes())
+            yield sums
+
+    try:
+        if threads > 1 and writer is None and len(bounds) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                s1, s2 = _tree_fold(chunk_sums(pool.map(work, bounds)))
+        else:
+            s1, s2 = _tree_fold(chunk_sums(map(work, bounds)))
     finally:
         if writer is not None:
             writer.close()
 
-    used = int(sum(chunk_used))
     if used < 2:
         raise NumericsError(
             f"blow-up guard excluded {blowups} replicates; only {used} remain, "
             "standard error undefined"
         )
-    s1 = _pairwise_tree_sum(chunk_sums1)
-    s2 = _pairwise_tree_sum(chunk_sums2)
     mean = s1 / used
     var = np.clip(s2 - used * mean ** 2, 0.0, None) / (used - 1)
     stderr = np.sqrt(var / used)

@@ -539,7 +539,8 @@ def _check_mc_determinism(ctx):
     es = ctx.eigen(2.0, 32)
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=1.0)
-    cfg = SimConfig(nt=32, T=0.05, replicates=96, seed=ctx.seed)
+    # two replicate chunks, so that threads=3 runs them concurrently
+    cfg = SimConfig(nt=32, T=0.05, replicates=160, seed=ctx.seed)
     a = simulate_mild(p, es, u0, cfg)
     b = simulate_mild(p, es, u0, cfg)
     c = simulate_mild(p, es, u0, cfg, threads=3)

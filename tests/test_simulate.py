@@ -28,15 +28,54 @@ from fracstorm.simulate import (
 )
 
 
+#: the replicate chunk; the counts below are chosen around it so that the
+#: tests cover a partial chunk, a one-replicate chunk and the fold across chunks
+CHUNK = simulate._CHUNK
+
+
 @pytest.fixture
 def white_params():
     return ModelParams(alpha=2.0, beta=0.5, lam=1.0)
 
 
+def _pairwise_tree_sum(parts):
+    """Reference: sum a list of equal-shape arrays by a fixed balanced pairwise tree."""
+    parts = list(parts)
+    if not parts:
+        raise ValueError("nothing to reduce")
+    while len(parts) > 1:
+        nxt = []
+        for i in range(0, len(parts) - 1, 2):
+            nxt.append(parts[i] + parts[i + 1])
+        if len(parts) % 2:
+            nxt.append(parts[-1])
+        parts = nxt
+    return parts[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(count=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_tree_sum_and_fold_make_the_pairs_of_the_list_tree(count, seed):
+    # mixed magnitudes make the sum depend on its association, so a fold
+    # that pairs the parts in another order differs in the last bits
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((count, 3, 5)) * 10.0 ** rng.integers(-12, 13, (count, 3, 5))
+    ref = _pairwise_tree_sum(list(parts))
+    assert np.array_equal(simulate._tree_sum(parts), ref)
+    assert np.array_equal(simulate._tree_fold(iter(parts)), ref)
+
+
+def test_tree_sum_and_fold_refuse_nothing():
+    with pytest.raises(ValueError):
+        simulate._tree_sum(np.empty((0, 3)))
+    with pytest.raises(ValueError):
+        simulate._tree_fold(iter([]))
+
+
 def test_same_seed_is_bitwise_reproducible(eigen_cache, bump, white_params):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
-    cfg = SimConfig(nt=16, T=0.05, replicates=70, seed=41)
+    cfg = SimConfig(nt=16, T=0.05, replicates=CHUNK + 6, seed=41)
     a = simulate_mild(white_params, es, u0, cfg)
     b = simulate_mild(white_params, es, u0, cfg)
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
@@ -56,7 +95,7 @@ def test_multi_block_run_is_bitwise_reproducible(eigen_cache, bump, white_params
     # nt = 37 spans two full history blocks and a partial one
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
-    cfg = SimConfig(nt=37, T=0.05, replicates=70, seed=41)
+    cfg = SimConfig(nt=37, T=0.05, replicates=CHUNK + 6, seed=41)
     a = simulate_mild(white_params, es, u0, cfg)
     b = simulate_mild(white_params, es, u0, cfg)
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.stderr, b.stderr)
@@ -188,14 +227,22 @@ def test_guard_catches_an_infinite_and_a_nan_amplitude(tmp_path, monkeypatch, ei
 
 
 def test_one_chunk_holds_one_block_of_noise(eigen_cache, bump, white_params):
-    # One chunk at the mc-white size: its history and squared paths, the
-    # shared Hankel table, and a few block-sized arrays (one block of normals
-    # and increments, the block's older sums, and their predecessors until
-    # they are replaced).  A chunk that drew all its noise up front would
-    # add 2 * nrep * nt * n doubles (16.8 MB) to this.
+    # One full chunk at the mc-white grid: its history, the shared Hankel
+    # table and c = 4.5 block-sized arrays.  Three are one block of normals
+    # (white noise scales them into increments in place), the block's older
+    # sums and its squared paths; the rest covers the step temporaries and
+    # the (nt+1, n) tables (det, decay, the chunk's sums).  Measured: 23.0 MB
+    # of the 23.6 MB bound.  A chunk that kept its squared paths, (nrep,
+    # nt+1, n) doubles (8.4 MB), or drew all its noise up front (16.8 MB)
+    # would not fit, nor would one that held the last block's older sums
+    # while it builds the next (1.05 MB).
     es = eigen_cache(2.0, 64)
     u0 = bump(es)
-    nrep, nt, n, nmodes = 64, 256, 64, es.phi.shape[1]
+    nrep, nt, n, nmodes = CHUNK, 256, 64, es.phi.shape[1]
+    # a power of two, so that the replicate tree of one chunk is the tree
+    # over aligned chunks of any smaller power of two: chunks of 128 sum a
+    # run without blow-ups exactly as chunks of 64 did
+    assert CHUNK & (CHUNK - 1) == 0
     # a first call pays the one-time lazy imports outside the traced peak
     simulate_mild(white_params, es, u0, SimConfig(nt=4, T=0.1, replicates=2, seed=0))
     tracemalloc.start()
@@ -205,7 +252,7 @@ def test_one_chunk_holds_one_block_of_noise(eigen_cache, bump, white_params):
     finally:
         tracemalloc.stop()
     block = nrep * simulate._BLOCK * n
-    bound = 8 * (2 * nrep * (nt + 1) * n + nmodes * simulate._BLOCK * nt + 8 * block)
+    bound = 8 * (nmodes * nt * nrep + nmodes * simulate._BLOCK * nt + 4.5 * block)
     assert peak <= bound
 
 
@@ -278,10 +325,11 @@ _ORACLE_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
-@pytest.mark.parametrize("replicates", [70, 65])
+@pytest.mark.parametrize("replicates", [70, 65, CHUNK + 6, CHUNK + 1])
 def test_blocked_history_matches_direct_lag_sum(eigen_cache, bump, case, replicates):
-    # nt = 37 is two full history blocks and a partial one; 70 replicates
-    # are chunks of 64 + 6, and 65 leave a chunk of one replicate
+    # nt = 37 is two full history blocks and a partial one; 70 and 65
+    # replicates are one partial chunk, CHUNK + 6 are a full chunk and one of
+    # 6, and CHUNK + 1 leave a chunk of one replicate
     params, sigma = _ORACLE_CASES[case]
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
@@ -295,7 +343,7 @@ def test_blocked_history_matches_direct_lag_sum(eigen_cache, bump, case, replica
 
 @pytest.mark.parametrize("lam, sigma, dead", [
     (1.0, linear_sigma(1.0), 0),
-    (3e75, table_sigma([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), 18),
+    (3e75, table_sigma([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), 42),
 ])
 def test_streamed_ensemble_matches_direct_lag_sum(tmp_path, eigen_cache, bump, lam, sigma, dead):
     # At lam = 3e75 the bounded sigma keeps |u| near lam times a random
@@ -305,16 +353,17 @@ def test_streamed_ensemble_matches_direct_lag_sum(tmp_path, eigen_cache, bump, l
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
-    cfg = SimConfig(nt=37, T=0.05, replicates=70, seed=0, sigma=sigma,
+    nrep = CHUNK + 6
+    cfg = SimConfig(nt=37, T=0.05, replicates=nrep, seed=0, sigma=sigma,
                     ensemble_path=str(tmp_path / "ensemble.bin"))
     est = simulate_mild(p, es, u0, cfg)
     with open(cfg.ensemble_path, "rb") as fh:
         fh.readline()
         rec = np.fromfile(fh, dtype=[("rep", "<u4"), ("ti", "<u4"), ("xi", "<u4"),
                                      ("value", "<f8")])
-    got = rec["value"].reshape(70, 38, 24)
+    got = rec["value"].reshape(nrep, 38, 24)
     paths, alive, blowups = _direct_paths(p, es, u0, cfg)
-    assert est.blowups == blowups == dead and est.replicates_used == 70 - dead
+    assert est.blowups == blowups == dead and est.replicates_used == nrep - dead
     assert np.array_equal(np.isnan(got), np.isnan(paths))
     live = ~np.isnan(paths).any(axis=2)
     scale = np.abs(paths[live]).max(axis=1, keepdims=True)
@@ -323,18 +372,23 @@ def test_streamed_ensemble_matches_direct_lag_sum(tmp_path, eigen_cache, bump, l
     assert np.all(np.abs(est.mean - ref) <= 1e-13 * ref)
 
 
-@pytest.mark.parametrize("lam, dead", [(7e4, 47), (6e4, 19)])
+@pytest.mark.parametrize("lam, dead", [(7e4, 92), (6e4, 36)])
 def test_blowup_counts_match_direct_lag_sum(eigen_cache, bump, lam, dead):
     # nt = 20 is one full history block and a partial one; the replicates
-    # that die here do so in the last step, inside the partial block
+    # that die here do so in the last step, inside the partial block, after
+    # the first block was reduced with them in it, so their chunks replay
+    # the survivors.  Both the full chunk and the chunk of 6 keep survivors.
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
-    cfg = SimConfig(nt=20, T=0.5, replicates=70, seed=0)
+    nrep = CHUNK + 6
+    cfg = SimConfig(nt=20, T=0.5, replicates=nrep, seed=0)
     est = simulate_mild(p, es, u0, cfg)
     paths, alive, blowups = _direct_paths(p, es, u0, cfg)
     assert est.blowups == blowups == dead
-    assert est.replicates_used == int(alive.sum()) == 70 - dead
+    assert est.replicates_used == int(alive.sum()) == nrep - dead
+    assert alive[:CHUNK].any() and alive[CHUNK:].any()
+    assert np.all(np.isnan(paths[~alive, 20])) and not np.isnan(paths[:, 16]).any()
     ref = (paths[alive] ** 2).mean(axis=0)
     assert np.all(np.abs(est.mean - ref) <= 1e-13 * ref)
 
@@ -467,7 +521,8 @@ def test_ensemble_stream_roundtrip(tmp_path, eigen_cache, bump, white_params):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     path = tmp_path / "ensemble.bin"
-    cfg = SimConfig(nt=8, T=0.05, replicates=70, seed=2,
+    nrep = CHUNK + 6
+    cfg = SimConfig(nt=8, T=0.05, replicates=nrep, seed=2,
                     ensemble_path=str(path))
     est = simulate_mild(white_params, es, u0, cfg)
     record = np.dtype([("rep", "<u4"), ("ti", "<u4"), ("xi", "<u4"),
@@ -476,10 +531,10 @@ def test_ensemble_stream_roundtrip(tmp_path, eigen_cache, bump, white_params):
         header = fh.readline().decode()
         rec = np.fromfile(fh, dtype=record)
     assert "seed=2" in header and "nx=24" in header
-    assert rec.shape[0] == 70 * 9 * 24
+    assert rec.shape[0] == nrep * 9 * 24
     # Replicates appear in order and the recorded paths reproduce the mean.
-    assert np.array_equal(np.unique(rec["rep"]), np.arange(70))
-    u = rec["value"].reshape(70, 9, 24)
+    assert np.array_equal(np.unique(rec["rep"]), np.arange(nrep))
+    u = rec["value"].reshape(nrep, 9, 24)
     assert np.max(np.abs((u ** 2).mean(axis=0) - est.mean)) < 1e-12
 
 
