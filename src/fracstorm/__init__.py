@@ -12,10 +12,7 @@ simulate    Monte Carlo mild-solution simulation with white or Riesz noise.
 excitation  noise-excitation index: theory values, sweeps, and fits.
 cli         command line front end (`fracstorm`).
 
-The solver paths (excite, simulate, moments, the fractional operators)
-import only numpy; Gamma comes from ``math``.  scipy is loaded on first use
-by the free-space stable density in ``kernels`` (alpha other than 1 and 2)
-and by ``validate``'s Fresnel oracle.
+The package imports only numpy; Gamma comes from ``math``.
 """
 
 __version__ = "0.1.0"

@@ -416,7 +416,7 @@ def cmd_kernel(args):
               f"peak {float(G[:, j].max()):.6g} -> {out}")
     else:
         const = green_l2_constant(p)
-        expo = -p.beta * p.d / p.alpha
+        expo = -p.beta / p.alpha
         rows, worst = [], 0.0
         for t in times:
             integral = free_kernel_l2(p, t)

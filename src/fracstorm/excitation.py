@@ -150,7 +150,7 @@ def _fit_top_window(lambdas, log_values, theory):
 
 def _theory_for(params):
     if params.noise.kind == "white":
-        return theoretical_index(params.alpha, params.beta, params.d, "white")
+        return theoretical_index(params.alpha, params.beta, 1, "white")
     return theoretical_index(params.alpha, params.beta, params.noise.gamma, "riesz")
 
 

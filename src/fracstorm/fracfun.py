@@ -265,17 +265,18 @@ def _zolotarev_log_a(beta, phi):
 
 
 def _g_small_u(beta, u):
-    """Kanter integral, exact for all u; used on u < 1 where it is best behaved."""
+    """Kanter integral, exact for all u; used on u < 1 where it is best behaved.
+    The prefactor u^(-1/(1-beta)) sits in the exponent: the left tail underflows to 0.0."""
     ob = 1.0 - beta
     half = np.geomspace(1e-12, 0.5, 44) * np.pi
     edges = np.unique(np.concatenate([[0.0], half, np.pi - half[::-1], [np.pi]]))
     phi, w = fixed_panel_nodes(edges, n=16)
     la = _zolotarev_log_a(beta, phi)
-    c = u ** (-beta / ob)
     with np.errstate(over="ignore", under="ignore"):
-        f = np.exp(la[:, None] - c[None, :] * np.exp(la)[:, None])
-    integral = w @ f
-    return beta / (np.pi * ob) * u ** (-1.0 / ob) * integral
+        c = u ** (-beta / ob)
+        f = np.exp(la[:, None] - c[None, :] * np.exp(la)[:, None]
+                   - np.log(u)[None, :] / ob)
+    return beta / (np.pi * ob) * (w @ f)
 
 
 def _g_large_u(beta, u, kmax=700):

@@ -3,24 +3,21 @@
 Free space
 ----------
 ``stable_density`` evaluates the symmetric alpha-stable transition density
-p(t, x) with Fourier transform exp(-t nu |xi|^alpha) (closed forms for
-alpha = 2 and alpha = 1, oscillatory radial inversion otherwise).  The
-time-fractional free kernel is the subordination mixture
+p(t, x) on the line, with Fourier transform exp(-t nu |xi|^alpha): the
+Gaussian closed form at alpha = 2, and otherwise one Bochner subordination
+sum of Gaussians against the package's own ``stable_subordinator_density``.
+The time-fractional free kernel is the subordination mixture
 
     G_t(x) = int_0^inf p(s, x) f_{E_t}(s) ds,
 
-whose squared L2 norm obeys  int G_t(x)^2 dx = C(alpha,beta,nu,d) t^(-beta d/alpha)
+whose squared L2 norm obeys  int G_t(x)^2 dx = C(alpha,beta,nu) t^(-beta/alpha)
 with
 
-    C = nu^(-d/alpha) 2 pi^(d/2) / (alpha Gamma(d/2)) (2 pi)^(-d)
-        int_0^inf z^(d/alpha - 1) E_beta(-z)^2 dz,
+    C = nu^(-1/alpha) (2 pi)^(-1) (2/alpha) int_0^inf z^(1/alpha - 1) E_beta(-z)^2 dz,
 
-valid for d < 2 alpha; ``green_l2_constant`` evaluates C and
+valid for 1 < 2 alpha; ``green_l2_constant`` evaluates C and
 ``free_kernel_l2`` integrates the kernel directly so the law can be checked
-through two independent routes.  The radial inversion and the spline
-profile behind these are this module's only use of scipy (``quad``,
-``j0``, ``CubicSpline``), imported where they are called, so the bounded
-interval code below runs on numpy alone.
+through two independent routes.  The module runs on numpy alone.
 
 Bounded interval
 ----------------
@@ -46,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .fracfun import inverse_subordinator_density, mittag_leffler, mode_decay
+from .fracfun import (inverse_subordinator_density, mittag_leffler, mode_decay,
+                      stable_subordinator_density)
 from .params import SpaceGrid
 from .quadrature import adaptive_gauss, fixed_panel_nodes, integrate_semi_infinite
 
@@ -97,124 +95,139 @@ def _check_t(t):
 # free-space stable density
 # ---------------------------------------------------------------------------
 
-def _stable_radial(alpha, nu, d, t, r):
-    """Radial Fourier inversion at a single radius r >= 0; NumericsError
-    where the cutoff or the value is not a finite double (tiny alpha)."""
-    from scipy.integrate import quad
-    from scipy.special import j0
-
-    tn = t * nu
-    if math.log(45.0 / tn) / alpha > math.log(np.finfo(float).max):
-        raise NumericsError(f"quadrature cutoff K = (45/(t nu))^(1/alpha) is past the "
-                            f"double range at alpha={alpha!r}, t nu={tn!r}")
-    K = (45.0 / tn) ** (1.0 / alpha)  # exp(-tn k^alpha) < 2e-20 beyond K
-    if d == 1 and r == 0.0:
-        try:
-            val = math.gamma(1.0 + 1.0 / alpha) * tn ** (-1.0 / alpha) / np.pi
-        except OverflowError:
-            val = math.inf
-    elif d == 1:
-        val = quad(lambda k: np.exp(-tn * k ** alpha), 0.0, K,
-                   weight="cos", wvar=r, limit=400)[0] / np.pi
-    elif d == 2:
-        val = quad(lambda k: np.exp(-tn * k ** alpha) * j0(k * r) * k,
-                   0.0, K, limit=800)[0] / (2.0 * np.pi)
-    elif r == 0.0:  # d == 3
-        val = quad(lambda k: np.exp(-tn * k ** alpha) * k * k, 0.0, K,
-                   limit=400)[0] / (2.0 * np.pi ** 2)
-    else:
-        val = quad(lambda k: np.exp(-tn * k ** alpha) * k, 0.0, K,
-                   weight="sin", wvar=r, limit=400)[0] / (2.0 * np.pi ** 2 * r)
-    if not math.isfinite(val):
-        raise NumericsError(f"stable density at r={r!r} is not a finite double at "
-                            f"alpha={alpha!r}, t nu={tn!r}")
-    return val
+_ALPHA_RANGE = (0.5, 1.95)  # where the tests verify the sum; alpha = 2 is closed form
+_U_MAX = 1e16  # last panel edge in u; g's power tail beyond it is closed form
+#: g_beta is off by up to ~1e-9 near u = 1 at beta = 0.975, which leaves the
+#: node mass 2.3e-12 from 1 at alpha = 1.95
+_MASS_TOL = 1e-11
+_SUM_BLOCK = 256  # points per (points x nodes) block of the sum: 5.6 MB
+_TABLE_Y, _TABLE_NODES = 400.0, 2048
+_LINES: dict = {}
 
 
-def stable_density(alpha, nu, d, t, x):
-    """Symmetric alpha-stable density p(t, x), Fourier symbol exp(-t nu |xi|^alpha).
+def _power_series(gamma, sine):
+    """k = 1..8 and (-1)^(k+1) Gamma(gamma k + 1) sin(pi sine k) / (pi k!): the
+    large-argument series of g_beta (gamma = sine = beta) and of p_alpha(1, .)
+    (gamma = alpha, sine = alpha/2)."""
+    k = np.arange(1, 9)
+    lg = np.array([math.lgamma(gamma * j + 1.0) - math.lgamma(j + 1.0) for j in k])
+    return k, (-1.0) ** (k + 1) * np.exp(lg) * np.sin(np.pi * sine * k) / np.pi
 
-    x may be a scalar or an array of displacement magnitudes (for d > 1 the
-    density is radial; pass |x|).  alpha = 2 is the Gaussian with per-axis
-    variance 2 nu t; alpha = 1 the Cauchy/Poisson kernel.
+
+class _StableLine:
+    """p_alpha(1, .) at nu = 1 for one alpha, by Bochner subordination (Sato,
+    Levy Processes and Infinitely Divisible Distributions, sec. 30):
+    p_alpha(1, z) = int_0^inf g_{alpha/2}(u) (4 pi u)^(-1/2) e^(-z^2/(4u)) du.
+
+    ``sum`` takes it on Gauss panels over [1e-6, 1e16], 4 per decade and 0.04
+    wide in log u on [e^-3, e^3], where g_{alpha/2} peaks and narrows as
+    alpha -> 2; g's power tail beyond 1e16 is closed form.  NumericsError
+    outside _ALPHA_RANGE (g's series refuses alpha = 1.99) or where the node
+    mass misses 1 by more than _MASS_TOL.  ``table``, for the free-kernel
+    mixture, is cubic Hermite in v = log(1 + y) of log p to y = 400, filled
+    from ``sum`` and its exact derivative, and p's large-y series beyond.
+    """
+
+    def __init__(self, alpha, where):
+        if not _ALPHA_RANGE[0] <= alpha <= _ALPHA_RANGE[1]:
+            raise NumericsError(f"stable density is verified for alpha in "
+                                f"{list(_ALPHA_RANGE)} and 2 only: {where}")
+        b = 0.5 * alpha
+        edges = np.concatenate([np.geomspace(1e-6, math.exp(-3.0), 20),
+                                np.exp(np.linspace(-3.0, 3.0, 151))[1:-1],
+                                np.geomspace(math.exp(3.0), _U_MAX, 60)])
+        u, w = fixed_panel_nodes(edges, n=12)
+        wg = w * stable_subordinator_density(b, u)
+        k, c = _power_series(b, b)
+        miss = abs(wg.sum() + np.sum(c * _U_MAX ** (-b * k) / (b * k)) - 1.0)
+        if not miss <= _MASS_TOL:
+            raise NumericsError(f"subordination nodes miss unit mass by {miss:.2e}: {where}")
+        s = b * k + 0.5
+        self.tail = np.sum(c * _U_MAX ** -s / s) / math.sqrt(4.0 * np.pi)
+        self.u = u
+        self.cols = np.stack([wg, wg / u], axis=1) / np.sqrt(4.0 * np.pi * u)[:, None]
+        self.alpha, self.dv = alpha, math.log1p(_TABLE_Y) / (_TABLE_NODES - 1)
+        y = np.expm1(self.dv * np.arange(_TABLE_NODES))
+        p, dp = self.sum(y)
+        self.logp, self.dlogp = np.log(p), self.dv * (1.0 + y) * dp / p
+        self.series = np.concatenate([[0.0], _power_series(alpha, b)[1]])
+
+    def sum(self, z):
+        """p_alpha(1, z) and its z-derivative on a 1-d array z >= 0."""
+        p, dp = np.empty(z.shape), np.empty(z.shape)
+        for lo in range(0, z.size, _SUM_BLOCK):
+            zb = z[lo:lo + _SUM_BLOCK]
+            m = np.exp(np.multiply.outer(zb * zb, -0.25 / self.u)) @ self.cols
+            p[lo:lo + _SUM_BLOCK] = m[:, 0] + self.tail
+            dp[lo:lo + _SUM_BLOCK] = -0.5 * zb * m[:, 1]
+        return p, dp
+
+    def table(self, y):
+        """p_alpha(1, y) on an array y >= 0 from the table and the series."""
+        out = np.empty_like(y)
+        near = y <= _TABLE_Y
+        v = np.log1p(y[near]) / self.dv
+        i = np.minimum(v.astype(np.intp), _TABLE_NODES - 2)
+        s = v - i
+        r = 1.0 - s
+        f0, f1, d0, d1 = self.logp[i], self.logp[i + 1], self.dlogp[i], self.dlogp[i + 1]
+        out[near] = np.exp((f0 * (1.0 + 2.0 * s) + d0 * s) * r * r
+                           + (f1 * (3.0 - 2.0 * s) - d1 * r) * s * s)
+        far = y[~near]
+        out[~near] = np.polynomial.polynomial.polyval(far ** -self.alpha, self.series) / far
+        return out
+
+
+def _line(alpha, tn):
+    """The _StableLine of alpha, built once; its errors name alpha and t nu."""
+    a = float(alpha)
+    if a not in _LINES:
+        _LINES[a] = _StableLine(a, f"alpha={alpha!r}, t nu={tn!r}")
+    return _LINES[a]
+
+
+def stable_density(alpha, nu, t, x):
+    """Symmetric alpha-stable density p(t, x) on the line, Fourier symbol
+    exp(-t nu |xi|^alpha); x a scalar or an array.
+
+    alpha = 2 is the Gaussian with variance 2 nu t; every other alpha is
+    p(t, x) = s p(1, s|x|), s = (t nu)^(-1/alpha), by ``_StableLine.sum``.
+    Tested within 1e-11 of 30-digit Fourier inversion and of the closed forms
+    at alpha = 1 and x = 0, and 1e-9 relative of the large-z series at
+    z = s|x| <= 5e3; past z ~ 1e6 only the absolute bound 1e-13 s holds.
+    alpha outside [0.5, 1.95] but 2, or s past the double range: NumericsError.
     """
     a = float(alpha)
     if not (0.0 < a <= 2.0):
         raise DomainError(f"alpha in (0, 2] violated: {alpha}")
-    if d not in (1, 2, 3):
-        raise DomainError(f"d in {{1,2,3}} violated: {d}")
     if nu <= 0.0:
         raise DomainError(f"nu > 0 violated: {nu}")
     t = _check_t(t)
     x = np.asarray(x, float)
-    scalar = x.ndim == 0
-    r = np.abs(np.atleast_1d(x)).astype(float)
+    r = np.abs(np.atleast_1d(x))
     if a == 2.0:
-        out = (4.0 * np.pi * nu * t) ** (-d / 2.0) * np.exp(-r * r / (4.0 * nu * t))
-    elif a == 1.0:
-        cd = math.gamma((d + 1.0) / 2.0) / np.pi ** ((d + 1.0) / 2.0)
-        out = cd * nu * t / ((nu * t) ** 2 + r * r) ** ((d + 1.0) / 2.0)
+        out = (4.0 * np.pi * nu * t) ** -0.5 * np.exp(-r * r / (4.0 * nu * t))
     else:
-        out = np.array([_stable_radial(a, nu, d, t, float(ri)) for ri in r])
-    return float(out[0]) if scalar else out
-
-
-class _StableProfile1d:
-    """Cubic-spline profile of p(1, u) for nu=1, d=1, plus the exact tail law.
-
-    Self-similarity p(t, x) = (nu t)^(-1/alpha) profile(|x| (nu t)^(-1/alpha))
-    turns this single table into a fast vectorized evaluator used inside
-    subordination quadratures.  The public ``stable_density`` never uses it,
-    so profile-vs-direct agreement stays a meaningful test.
-    """
-
-    U_MAX = 400.0
-
-    def __init__(self, alpha):
-        from scipy.interpolate import CubicSpline
-
-        self.alpha = float(alpha)
-        u = np.concatenate([np.linspace(0.0, 2.0, 321),
-                            np.geomspace(2.02, self.U_MAX, 700)])
-        p = np.array([_stable_radial(self.alpha, 1.0, 1, 1.0, float(ui)) for ui in u])
-        self._spline = CubicSpline(u, p)
-        self.tail_c = math.gamma(1.0 + self.alpha) * np.sin(np.pi * self.alpha / 2.0) / np.pi
-
-    def __call__(self, u):
-        u = np.abs(np.asarray(u, float))
-        out = np.empty_like(u)
-        near = u <= self.U_MAX
-        out[near] = self._spline(u[near])
-        out[~near] = self.tail_c * u[~near] ** (-1.0 - self.alpha)
-        return out
-
-
-_PROFILES: dict = {}
-
-
-def _profile(alpha):
-    key = round(float(alpha), 12)
-    if key not in _PROFILES:
-        _PROFILES[key] = _StableProfile1d(alpha)
-    return _PROFILES[key]
+        tn = t * nu
+        with np.errstate(over="ignore"):
+            scale = np.float64(tn) ** (-1.0 / a)
+        if not 0.0 < scale < math.inf:
+            raise NumericsError(f"density scale (t nu)^(-1/alpha) is past the double "
+                                f"range at alpha={alpha!r}, t nu={tn!r}")
+        out = scale * _line(a, tn).sum(scale * r.ravel())[0].reshape(r.shape)
+    return float(out[0]) if x.ndim == 0 else out
 
 
 def _p_free(params, s, x):
-    """p(s, x) vectorized over the outer product of s and x."""
-    a, nu, d = params.alpha, params.nu, params.d
+    """p(s, x) vectorized over the outer product of s and x (alpha < 2: the table)."""
+    a, nu = params.alpha, params.nu
     s = np.atleast_1d(np.asarray(s, float))
     r = np.abs(np.asarray(x, float))
     if a == 2.0:
         sn = nu * s[:, None]
-        return (4.0 * np.pi * sn) ** (-d / 2.0) * np.exp(-r[None, :] ** 2 / (4.0 * sn))
-    if a == 1.0:
-        cd = math.gamma((d + 1.0) / 2.0) / np.pi ** ((d + 1.0) / 2.0)
-        sn = nu * s[:, None]
-        return cd * sn / (sn ** 2 + r[None, :] ** 2) ** ((d + 1.0) / 2.0)
-    if d == 1:
-        scale = (nu * s) ** (-1.0 / a)
-        return scale[:, None] * _profile(a)(scale[:, None] * r[None, :])
-    return np.stack([stable_density(a, nu, d, float(si), r) for si in s])
+        return (4.0 * np.pi * sn) ** -0.5 * np.exp(-r[None, :] ** 2 / (4.0 * sn))
+    scale = (nu * s) ** (-1.0 / a)
+    return scale[:, None] * _line(a, 1.0).table(scale[:, None] * r[None, :])
 
 
 def fractional_free_kernel(params, t, x):
@@ -222,14 +235,12 @@ def fractional_free_kernel(params, t, x):
 
     x scalar or array of displacement magnitudes.  In the classical limit
     (beta = 1) the subordinator degenerates and G_t = p(t, .).  At x = 0 the
-    mixture converges only for d < alpha.
+    mixture converges only for alpha > 1.
     """
     t = _check_t(t)
     x = np.asarray(x, float)
-    if np.any(x == 0.0) and params.d >= params.alpha and not params.classical:
-        raise DomainError(
-            f"free kernel diverges at x=0 for d >= alpha (d={params.d}, alpha={params.alpha})"
-        )
+    if np.any(x == 0.0) and params.alpha <= 1.0 and not params.classical:
+        raise DomainError(f"free kernel diverges at x=0 for alpha <= 1 (alpha={params.alpha})")
     vals = _free_kernel_at(params, t)(np.atleast_1d(x))
     return float(vals[0]) if x.ndim == 0 else vals
 
@@ -238,7 +249,7 @@ def _free_kernel_at(params, t):
     """x -> G_t(x) on a 1-d array of |x|; f_{E_t}(s), which depends only on
     (beta, t), is evaluated once here for every later x."""
     if params.classical:
-        return lambda xv: np.atleast_1d(stable_density(params.alpha, params.nu, params.d, t, xv))
+        return lambda xv: np.atleast_1d(stable_density(params.alpha, params.nu, t, xv))
     b = float(params.beta)
     tb = t ** b
     # f_{E_t} lives on s ~ t^beta; panels cover both its flat head and
@@ -250,15 +261,15 @@ def _free_kernel_at(params, t):
 
 
 def green_l2_constant(params):
-    """Constant C in the free-kernel L2 law  int G_t^2 dx = C t^(-beta d/alpha).
+    """Constant C in the free-kernel L2 law  int G_t^2 dx = C t^(-beta/alpha).
 
-    C = nu^(-d/alpha) 2 pi^(d/2) / (alpha Gamma(d/2)) (2 pi)^(-d)
-        int_0^inf z^(d/alpha-1) E_beta(-z)^2 dz,   requires d < 2 alpha.
+    C = nu^(-1/alpha) 2 pi^(1/2) / (alpha Gamma(1/2)) (2 pi)^(-1)
+        int_0^inf z^(1/alpha-1) E_beta(-z)^2 dz,   requires 1 < 2 alpha.
     """
-    a, b, d, nu = float(params.alpha), float(params.beta), params.d, params.nu
-    if not d < 2.0 * a:
-        raise DomainError(f"L2 law requires d < 2*alpha, got d={d}, alpha={a}")
-    p = d / a
+    a, b, nu = float(params.alpha), float(params.beta), params.nu
+    if not 1.0 < 2.0 * a:
+        raise DomainError(f"L2 law requires 1 < 2*alpha, got alpha={a}")
+    p = 1.0 / a
 
     # z = v^(1/p) flattens the z^(p-1) head; z = r^(-1/(2-p)) flattens the
     # E^2 ~ z^(-2) tail.  Both pieces become bounded integrands on (0, 1).
@@ -274,23 +285,20 @@ def green_l2_constant(params):
 
     integral = (adaptive_gauss(head, 0.0, 1.0, tol=1e-12) / p
                 + s * adaptive_gauss(tail, 0.0, 1.0, tol=1e-12))
-    front = nu ** (-p) * 2.0 * np.pi ** (d / 2.0) / (a * math.gamma(d / 2.0))
-    return front * (2.0 * np.pi) ** (-d) * integral
+    front = nu ** (-p) * 2.0 * np.pi ** 0.5 / (a * math.gamma(0.5))
+    return front * (2.0 * np.pi) ** -1.0 * integral
 
 
 def free_kernel_l2(params, t):
-    """Direct quadrature of int_{R^d} G_t(x)^2 dx (the independent route).
+    """Direct quadrature of int_R G_t(x)^2 dx (the independent route).
 
-    Requires d < alpha so the kernel stays bounded at the origin; the law
-    itself extends to d < 2 alpha but this direct check does not chase the
-    origin singularity.  As alpha <= 2, only d = 1 qualifies: the integral
-    is twice the one over the half-line.
+    Requires alpha > 1 so the kernel stays bounded at the origin; the law
+    itself extends to alpha > 1/2 but this direct check does not chase the
+    origin singularity.  The integral is twice the one over the half-line.
     """
     t = _check_t(t)
-    d = params.d
-    if not d < params.alpha:
-        raise DomainError(
-            f"direct L2 quadrature needs d < alpha, got d={d}, alpha={params.alpha}")
+    if not 1.0 < params.alpha:
+        raise DomainError(f"direct L2 quadrature needs alpha > 1, got alpha={params.alpha}")
 
     kernel = _free_kernel_at(params, t)
 
@@ -452,12 +460,11 @@ def riesz_kernel_matrix(grid, gamma):
     return Cbar
 
 
-def estimate_floor_constant(es, beta, alpha, d=1, interior_frac=0.75,
-                            t_grid=None):
+def estimate_floor_constant(es, beta, alpha, interior_frac=0.75, t_grid=None):
     """Near-diagonal kernel floor: fit C and the onset horizon t0.
 
     Scans dyadic times for the region {|x-y| < t^(beta/alpha), |x|,|y| <=
-    interior_frac * R} and records m(t) = min G_B * t^(beta d / alpha) there.
+    interior_frac * R} and records m(t) = min G_B * t^(beta / alpha) there.
     Returns (C, t0, table): C is the smallest positive m(t) over the passing
     prefix, t0 the largest scanned t such that every scanned t' <= t has
     m(t') > 0.  t0 is measured, never assumed.
@@ -471,7 +478,7 @@ def estimate_floor_constant(es, beta, alpha, d=1, interior_frac=0.75,
     table = []
     for t, G in zip(ts.tolist(), dirichlet_fractional_kernel(es, b, ts)):
         sel = (np.abs(x[:, None] - x[None, :]) < t ** (b / alpha)) & np.outer(keep, keep)
-        table.append((t, float((G[sel] * t ** (b * d / alpha)).min())))
+        table.append((t, float((G[sel] * t ** (b / alpha)).min())))
     t0, C = 0.0, np.inf
     for t, m in table:  # descending t; the passing prefix must be contiguous
         if m > 0.0:

@@ -13,7 +13,7 @@ K(t;y,z) = E[u_t(y) u_t(z)]:
                iint G_B(t-s,y,w) |w-w'|^(-gamma) G_B(t-s,z,w') K(s;w,w') dw dw' ds.
 
 The lag kernel carries an integrable singularity (t-s)^(eta-1) with
-eta = 1 - d beta / alpha (white) or 1 - gamma beta / alpha (colored).  Naive
+eta = 1 - beta / alpha (white) or 1 - gamma beta / alpha (colored).  Naive
 quadrature of the newest time cell both diverges and, at large lam, caps the
 per-step growth at the size of a single quadrature weight, so the solver
 closes the newest cell with the scalar renewal resolvent instead: freezing
@@ -232,10 +232,8 @@ class MomentPlan:
     def build(cls, params, es, u0, T, nt):
         """Validate the inputs of a solve and precompute its lam-free part."""
         colored = params.noise.kind == "riesz"
-        q = float(params.noise.gamma) if colored else params.d
+        q = float(params.noise.gamma) if colored else 1.0
         eta = 1.0 - q * float(params.beta) / float(params.alpha)
-        if params.d != 1:
-            raise DomainError("moment solver is one-dimensional (d=1)")
         if eta <= 0.0:
             raise DomainError(f"lag singularity not integrable: eta = {eta} <= 0")
         if nt < 2:

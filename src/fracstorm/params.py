@@ -9,8 +9,8 @@ where F is either space-time white noise or white-in-time noise with a
 Riesz spatial covariance |x-y|^(-gamma).  Parameter admissibility encodes
 the moment-existence conditions:
 
-    white noise:  d < (2 AND 1/beta) * alpha
-    Riesz noise:  0 < gamma < min(alpha, d)
+    white noise:  1 < min(2, 1/beta) * alpha
+    Riesz noise:  0 < gamma < min(alpha, 1)
 
 beta = 1 selects the classical (non-fractional) limit and is tracked by the
 ``classical`` flag rather than through the subordination machinery.
@@ -51,7 +51,6 @@ class ModelParams:
     nu: float = 1.0
     R: float = 1.0
     lam: float = 1.0
-    d: int = 1
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
@@ -66,21 +65,14 @@ class ModelParams:
             raise DomainError(f"R > 0 violated: R={self.R}")
         if not np.isfinite(self.lam) or self.lam < 0.0:
             raise DomainError(f"lambda >= 0 violated: lambda={self.lam}")
-        if self.d not in (1, 2, 3):
-            raise DomainError(f"d in {{1,2,3}} violated: d={self.d}")
         if self.noise.kind == "white":
             cap = min(2.0, 1.0 / b) * a
-            if not self.d < cap:
-                raise DomainError(
-                    f"d < (2 AND 1/beta)*alpha violated: d={self.d}, bound={cap:.6g}"
-                )
+            if not 1.0 < cap:
+                raise DomainError(f"1 < min(2, 1/beta)*alpha violated: bound={cap:.6g}")
         else:
             g = float(self.noise.gamma)
-            if not (0.0 < g < min(a, float(self.d))):
-                raise DomainError(
-                    f"0 < gamma < min(alpha, d) violated: gamma={g}, "
-                    f"min(alpha,d)={min(a, float(self.d)):.6g}"
-                )
+            if not (0.0 < g < min(a, 1.0)):
+                raise DomainError(f"0 < gamma < min(alpha, 1) violated: gamma={g}, alpha={a}")
 
     @property
     def classical(self):

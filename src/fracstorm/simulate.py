@@ -496,8 +496,6 @@ def simulate_mild(params, es, u0, config, threads=1):
     threads = check_threads(threads)
     if not isinstance(es, EigenSystem):
         raise DomainError("es must be an EigenSystem")
-    if params.d != 1:
-        raise DomainError(f"simulation supports d=1 only, got d={params.d}")
     grid = es.grid
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n,):

@@ -285,10 +285,9 @@ def _check_quad_poly(ctx):
 def _check_quad_singular(ctx):
     val = quadrature.integrate_left_power(
         lambda r: np.cos(r) / np.sqrt(r), 0.0, 1.0, -0.5)
-    # int_0^1 cos(r) r^-1/2 dr = sqrt(2 pi) C(sqrt(2/pi)) with C the Fresnel
-    # cosine integral.
-    from scipy.special import fresnel
-    ref = math.sqrt(2.0 * math.pi) * fresnel(math.sqrt(2.0 / math.pi))[1]
+    # termwise over the cosine series: int_0^1 cos(r) r^-1/2 dr
+    # = sum_k (-1)^k / ((2k)! (2k + 1/2)); twelve terms reach 1e-16.
+    ref = sum((-1) ** k / (math.factorial(2 * k) * (2 * k + 0.5)) for k in range(12))
     err = abs(val - ref)
     return err <= 1e-8, f"|int cos(r)/sqrt(r) - exact| = {_num(err)}", "<= 1e-8"
 
@@ -297,23 +296,29 @@ def _check_quad_singular(ctx):
 # kernels
 # ---------------------------------------------------------------------------
 
-@_register("kernels", "stable-scaling-identities", "definition")
+@_register("kernels", "stable-scaling-identities", "closed-form")
 def _check_stable_scaling(ctx):
+    # The sum is self-similar by construction, so closed forms carry the check:
+    # Cauchy at alpha = 1 (a sum like any other) and p(t, 0) = Gamma(1 + 1/a) t^(-1/a) / pi.
     rng = ctx.rng("stable-scaling")
-    worst = 0.0
-    for alpha in (1.5, 2.0):
-        for _ in range(25):
-            t = float(rng.uniform(0.1, 4.0))
-            s = float(rng.uniform(0.2, 3.0))
-            x = float(rng.uniform(-4.0, 4.0))
-            p = stable_density(alpha, 1.0, 1, t, x)
+    worst = oracle = 0.0
+    for _ in range(25):
+        t, s, x = (float(v) for v in rng.uniform([0.1, 0.2, -4.0], [4.0, 3.0, 4.0]))
+        for alpha in (1.5, 2.0):
+            p = stable_density(alpha, 1.0, t, x)
             self_sim = t ** (-1.0 / alpha) * stable_density(
-                alpha, 1.0, 1, 1.0, x * t ** (-1.0 / alpha))
+                alpha, 1.0, 1.0, x * t ** (-1.0 / alpha))
             joint = s ** (1.0 / alpha) * stable_density(
-                alpha, 1.0, 1, s * t, x * s ** (1.0 / alpha))
+                alpha, 1.0, s * t, x * s ** (1.0 / alpha))
             scale = max(abs(p), 1e-12)
             worst = max(worst, abs(p - self_sim) / scale, abs(p - joint) / scale)
-    return worst <= 1e-8, f"max scaling defect = {_num(worst)}", "<= 1e-8"
+        cauchy = t / (math.pi * (t * t + x * x))
+        oracle = max(oracle, abs(stable_density(1.0, 1.0, t, x) / cauchy - 1.0))
+        for alpha in (1.5, 1.8):
+            peak = math.gamma(1.0 + 1.0 / alpha) * t ** (-1.0 / alpha) / math.pi
+            oracle = max(oracle, abs(stable_density(alpha, 1.0, t, 0.0) / peak - 1.0))
+    return (worst <= 1e-8 and oracle <= 1e-10,
+            f"scaling defect {_num(worst)}, rel closed-form gap {_num(oracle)}", "<= 1e-8; <= 1e-10")
 
 
 @_register("kernels", "stable-two-sided-bounds", "self-consistency")
@@ -323,7 +328,7 @@ def _check_stable_bounds(ctx):
         ratios = []
         for t in np.geomspace(0.05, 5.0, 6):
             for x in np.geomspace(0.05, 20.0, 8):
-                p = stable_density(alpha, 1.0, 1, float(t), float(x))
+                p = stable_density(alpha, 1.0, float(t), float(x))
                 env = min(t ** (-1.0 / alpha), t / abs(x) ** (1.0 + alpha))
                 ratios.append(p / env)
         ratios = np.array(ratios)
@@ -340,7 +345,7 @@ def _check_l2_law(ctx):
         p = ModelParams(alpha=alpha, beta=beta)
         cstar = green_l2_constant(p)
         for t in (0.05, 0.3, 0.4, 1.0, 2.0, 4.0):
-            ratio = free_kernel_l2(p, t) / (cstar * t ** (-beta * p.d / alpha))
+            ratio = free_kernel_l2(p, t) / (cstar * t ** (-beta / alpha))
             worst = max(worst, abs(ratio - 1.0))
     return worst <= 1e-3, f"max|l2 ratio - 1| = {_num(worst)}", "<= 1e-3"
 

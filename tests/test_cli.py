@@ -2,10 +2,12 @@
 
 import argparse
 import csv
+import glob
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.dom.minidom
@@ -641,9 +643,11 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert proc.stdout.startswith("usage: fracstorm kernel ")
 
 
-# One fresh interpreter runs a small version of each benchmarked command, then
-# prints the scipy modules it holds.  Only validate and the free-space density
-# (the kernel command) may load scipy.
+# One fresh interpreter runs a small version of each benchmarked command,
+# validate's quadrature group (the Fresnel oracle, once scipy's), the kernel
+# command's L2 mode and the free-space density (once quad, j0 and a spline),
+# then prints the scipy modules it holds: none may load scipy.  The full
+# validate run (about 18 s) is left to the source scan below.
 _SOLVER_RUNS = """\
 import json, sys
 from fracstorm import charts, cli, excitation, fracfun, kernels, moments, simulate
@@ -658,6 +662,8 @@ runs = [
     ["simulate", *small, "--out", "simulate.csv"],
     ["moments", "renewal", "--rho", "0.5", "--kappa", "1", "--c1", "1", "--T", "1",
      "--out", "renewal.csv"],
+    ["validate", "--only", "quadrature"],
+    ["kernel", "--mode", "l2", "--set", "model.alpha=1.5", "--t", "0.5,1", "--out", "l2.csv"],
 ]
 for argv in runs:
     assert cli.main(argv) == 0, argv
@@ -665,6 +671,7 @@ t = np.linspace(0.0, 1.0, 65)
 g = fracfun.SampledFunction(times=t, values=t * t)
 fracfun.fractional_integral(g, 0.5, t[1:])
 fracfun.caputo_derivative(g, 0.5, t[1:])
+kernels.stable_density(1.8, 1.0, 1.0, [0.0, 1.0])
 print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
 """
 
@@ -676,3 +683,7 @@ def test_solver_commands_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+    # and no source file names scipy in an import
+    for path in glob.glob(os.path.join(src, "fracstorm", "*.py")):
+        with open(path) as fh:
+            assert not re.search(r"^\s*(import|from)\s+scipy", fh.read(), re.M), path

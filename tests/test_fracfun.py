@@ -139,6 +139,14 @@ def test_stable_density_laplace_transform():
             assert lap == pytest.approx(math.exp(-s ** beta), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_subordinator_left_tail_underflows_to_zero_not_nan():
+    # At beta = 0.995, u^(-1/(1-beta)) overflows where the Kanter integral
+    # underflows; the value is below the double floor and must read 0.0.
+    assert np.array_equal(stable_subordinator_density(0.995, np.array([0.001, 0.01])), [0.0, 0.0])
+    assert stable_subordinator_density(0.995, 0.99) > 0.0
+
+
 def test_stable_density_limit_laws():
     # Saddle-point law near zero, series tail law at infinity.
     assert stable_subordinator_density(0.5, 0.01) == pytest.approx(

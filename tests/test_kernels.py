@@ -1,12 +1,14 @@
 """Kernel layer: stable densities, eigen systems, subordinated Dirichlet kernels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+from fracstorm import kernels
 from fracstorm.errors import DomainError, NumericsError
 from fracstorm.fracfun import inverse_subordinator_density, mittag_leffler, mode_decay
 from fracstorm.kernels import (
@@ -23,19 +25,39 @@ from fracstorm.params import ModelParams, NoiseModel, SpaceGrid
 
 @pytest.mark.parametrize("x", [0.0, 1.0])
 def test_stable_density_cutoff_past_the_double_range_raises(x):
-    # (45/(t nu))^(1/alpha) at alpha = 0.005 is about 1e330
-    with pytest.raises(NumericsError, match="cutoff"):
-        stable_density(0.005, 1.0, 1, 1.0, x)
+    # alpha = 0.005 is far below the verified range; g_{alpha/2} would put
+    # most of its mass past any node set in u
+    with pytest.raises(NumericsError, match=r"verified for alpha in \[0\.5, 1\.95\]"):
+        stable_density(0.005, 1.0, 1.0, x)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("x", [0.0, 1.0])
 def test_stable_density_past_the_double_range_raises_naming_alpha_and_t_nu(x):
-    # At t nu = 2 the cutoff (45/2)^200 ~ 1e270 is in range, but at x = 0 the
-    # value Gamma(201) 2^-200 / pi ~ 5e314 is not (Gamma alone overflows),
-    # and at x = 1 the cosine quadrature returns NaN.
     with pytest.raises(NumericsError, match=r"alpha=0\.005, t nu=2\.0"):
-        stable_density(0.005, 1.0, 1, 2.0, x)
+        stable_density(0.005, 1.0, 2.0, x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x", [0.0, 1.0])
+def test_stable_density_near_two_raises_naming_alpha_and_t_nu(x):
+    # 1.99 is outside the verified range (g_{0.995}'s series would refuse);
+    # (t nu)^(-1/alpha) overflows at t nu = 1e-200 and underflows at 1e300
+    with pytest.raises(NumericsError, match=r"alpha=1\.99, t nu=0\.5"):
+        stable_density(1.99, 0.5, 1.0, x)
+    for t in (1e-200, 1e300):
+        with pytest.raises(NumericsError, match=re.escape(f"alpha=0.5, t nu={t!r}")):
+            stable_density(0.5, 1.0, t, x)
+
+
+def test_subordination_nodes_refuse_a_missed_mass(monkeypatch):
+    # The node set is its own accuracy check: g off by 1e-9 relative moves
+    # the mass past _MASS_TOL.
+    g = kernels.stable_subordinator_density
+    monkeypatch.setattr(kernels, "_LINES", {})
+    monkeypatch.setattr(kernels, "stable_subordinator_density",
+                        lambda b, u: g(b, u) * (1.0 + 1e-9))
+    with pytest.raises(NumericsError, match=r"unit mass by 1\.0\de-09: alpha=1\.5, t nu=3\.0"):
+        stable_density(1.5, 1.0, 3.0, 0.5)
 
 
 def test_stable_density_gaussian_case():
@@ -43,15 +65,18 @@ def test_stable_density_gaussian_case():
     for t in (0.1, 1.0):
         for x in (0.0, 0.5, 2.0):
             exact = math.exp(-x * x / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-            assert stable_density(2.0, 1.0, 1, t, x) == pytest.approx(exact, rel=1e-10)
+            assert stable_density(2.0, 1.0, t, x) == pytest.approx(exact, rel=1e-10)
 
 
 def test_stable_density_cauchy_case():
-    # alpha = 1 in one dimension is the Cauchy (Poisson) kernel.
+    # alpha = 1 goes through the subordination sum like any other alpha; the
+    # Cauchy (Poisson) kernel is its oracle.
     for t in (0.2, 1.5):
         for x in (0.0, 0.3, 4.0):
             exact = t / (math.pi * (t * t + x * x))
-            assert stable_density(1.0, 1.0, 1, t, x) == pytest.approx(exact, rel=1e-8)
+            assert stable_density(1.0, 1.0, t, x) == pytest.approx(exact, rel=1e-12)
+    x = np.linspace(0.0, 40.0, 801)
+    assert np.max(np.abs(stable_density(1.0, 1.0, 1.0, x) - 1.0 / (np.pi * (1.0 + x * x)))) <= 1e-12
 
 
 def test_stable_density_scaling_identity():
@@ -60,9 +85,58 @@ def test_stable_density_scaling_identity():
     for alpha in (1.5, 1.8):
         for t, x in zip(rng.uniform(0.2, 3.0, 8), rng.uniform(-5.0, 5.0, 8)):
             scaled = t ** (-1.0 / alpha) * stable_density(
-                alpha, 1.0, 1, 1.0, t ** (-1.0 / alpha) * x)
-            assert stable_density(alpha, 1.0, 1, t, x) == pytest.approx(
+                alpha, 1.0, 1.0, t ** (-1.0 / alpha) * x)
+            assert stable_density(alpha, 1.0, t, x) == pytest.approx(
                 scaled, rel=1e-8)
+
+
+def _fourier_30_digits(alpha, x):
+    """(1/pi) int_0^inf e^(-k^alpha) cos(k x) dk at 30 digits, on panels of
+    two periods up to where e^(-k^alpha) < 3e-33."""
+    with mp.workdps(30):
+        a, x = mp.mpf(alpha), mp.mpf(x)
+        K = mp.mpf(75) ** (1 / a)
+        n = max(8, int(K * x / (4 * mp.pi)) + 1)
+        return mp.quad(lambda k: mp.exp(-k ** a) * mp.cos(k * x),
+                       [K * j / n for j in range(n + 1)]) / mp.pi
+
+
+@pytest.mark.parametrize("alpha, x", [(a, x) for a in (0.8, 1.5, 1.8) for x in (0.0, 0.3, 1.0, 5.0)]
+                         + [(1.5, 40.0)])
+def test_stable_density_matches_30_digit_fourier_inversion(alpha, x):
+    assert abs(stable_density(alpha, 1.0, 1.0, x) - float(_fourier_30_digits(alpha, x))) <= 1e-11
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.2, 1.95])
+def test_stable_density_at_the_origin_is_closed_form(alpha):
+    # p(1, 0) = (1/pi) int_0^inf e^(-k^alpha) dk = Gamma(1 + 1/alpha) / pi
+    exact = math.gamma(1.0 + 1.0 / alpha) / math.pi
+    assert abs(stable_density(alpha, 1.0, 1.0, 0.0) - exact) <= 1e-11
+
+
+def _tail_series(alpha, x):
+    """First three terms of p(1, x)'s large-x series."""
+    return sum((-1) ** (k + 1) * math.gamma(alpha * k + 1.0) / math.factorial(k)
+               * math.sin(math.pi * alpha * k / 2.0) * x ** (-alpha * k - 1.0)
+               for k in (1, 2, 3)) / math.pi
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.8])
+def test_stable_density_far_field_follows_the_tail_series(alpha):
+    # three terms leave below 1e-13 of the value at x >= 1e3
+    for x in (1e3, 5e3):
+        assert stable_density(alpha, 1.0, 1.0, x) / _tail_series(alpha, x) - 1.0 == (
+            pytest.approx(0.0, abs=1e-9))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 1.8])
+def test_profile_matches_the_direct_sum(alpha):
+    # The free kernel's fast table (Hermite on y <= 400, series beyond)
+    # against stable_density itself, across the seam at y = 400.
+    y = np.concatenate([np.linspace(0.0, 2.0, 2001), np.geomspace(2.0, 1e4, 20001),
+                        [399.0, 400.0, 401.0]])
+    direct = stable_density(alpha, 1.0, 1.0, y)
+    assert np.max(np.abs(kernels._line(alpha, 1.0).table(y) / direct - 1.0)) <= 1e-9
 
 
 def test_eigen_system_matches_interval_laplacian(eigen_cache):
@@ -223,7 +297,7 @@ def test_free_kernel_via_subordination_identity():
     def mixture(t, x):
         def f(s):
             s = np.atleast_1d(s)
-            dens = np.array([stable_density(2.0, 1.0, 1, float(si), x)
+            dens = np.array([stable_density(2.0, 1.0, float(si), x)
                              for si in s])
             return dens * inverse_subordinator_density(0.5, t, s)
 
@@ -236,15 +310,16 @@ def test_free_kernel_via_subordination_identity():
 
 def test_l2_decay_follows_power_law(check_outcome):
     # The law's one implementation is the registry check: three (alpha, beta)
-    # regimes, six t, |l2 / (C t^(-beta d/alpha)) - 1| <= 1e-3.
+    # regimes, six t, |l2 / (C t^(-beta/alpha)) - 1| <= 1e-3.
     passed, measured, tolerance, _ = check_outcome("l2-decay-law")
     assert passed, f"{measured} (tolerance {tolerance})"
 
 
 def test_l2_constant_requires_integrability():
-    with pytest.raises(DomainError):
-        green_l2_constant(ModelParams(alpha=1.0, beta=0.9, d=2,
-                                      noise=NoiseModel("riesz", gamma=0.5)))
+    # alpha = 0.4 fails 1 < 2 alpha; Riesz noise admits it with gamma < alpha
+    with pytest.raises(DomainError, match="1 < 2"):
+        green_l2_constant(ModelParams(alpha=0.4, beta=0.9,
+                                      noise=NoiseModel("riesz", gamma=0.3)))
 
 
 def test_riesz_matrix_properties():

