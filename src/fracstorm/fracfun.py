@@ -5,28 +5,27 @@ Contents
 * ``mittag_leffler(beta, x)``      E_beta(x) = sum_k x^k / Gamma(1 + beta k)
 * ``mittag_leffler_log(beta, x)``  log E_beta(x) for x >= 0 (huge arguments)
 * ``mode_decay(mu, beta, t)``      E_beta(-mu_k t^beta) for many modes and times
+* ``ExpSum``                       sums of exponentials (r_l, W_lk) for E_beta(-mu
+                                   t^beta) per mode and for t^(gamma-1)/Gamma(gamma)
 * ``stable_subordinator_density``  density g_beta of the standard beta-stable
                                    subordinator at time 1 (Laplace exponent s^beta)
+* ``subordinator_small_u_law``,    its leading laws as u -> 0 and u -> inf
+  ``subordinator_tail_law``
 * ``inverse_subordinator_density`` density of the first-passage inverse E_t
+* ``SampledFunction``              samples on a time grid from 0: the operators' input
 * ``caputo_derivative``            order-beta Caputo derivative of sampled data
                                    (L1 rule, L1-2 quadratic on the cells next to t)
 * ``fractional_integral``          order-gamma Riemann-Liouville integral of
                                    sampled data (exact cells next to t,
-                                   sum-of-exponentials history)
+                                   ``ExpSum.power`` history)
 
 Evaluation strategy for E_beta(-y), y > 0, 0 < beta < 1: the Taylor series
 is used only for y <= 0.9 where alternating cancellation costs at most one
-digit.  Beyond the seam E_beta(-y) = ``mode_decay(y, beta, 1)``, the one
-sum of exponentials of the package for the completely monotone form
-
-    E_beta(-mu t^beta) = int_0^inf K_beta(r; mu) e^(-r t) dr,   K_beta > 0,
-
-whose denominator v^2/y + 2 v cos(pi beta) + y (v = r^beta) never vanishes
-and does not overflow for any finite y, so no asymptotic branch is needed.
-The positive weights leave no cancellation.  Both sides of the seam, and
-y up to 1e8, are checked against 30-digit values in the test suite (1e-13),
-and y = 1e300 against the leading law 1/(Gamma(1-beta) y).  Near beta = 1
-the rule needs thousands of exponents (see ``mittag_leffler``).
+digit.  Beyond the seam the positive sum of exponentials
+``ExpSum.mittag_leffler`` of the completely monotone form leaves no
+cancellation and needs no asymptotic branch; the test suite checks it
+against 30-digit values up to y = 1e8 (see ``mittag_leffler``) and at
+y = 1e300 against the leading law 1/(Gamma(1-beta) y).
 
 g_beta is evaluated from the exact single-integral representation
 
@@ -53,6 +52,7 @@ __all__ = [
     "mittag_leffler",
     "mittag_leffler_log",
     "mode_decay",
+    "ExpSum",
     "stable_subordinator_density",
     "subordinator_small_u_law",
     "subordinator_tail_law",
@@ -175,8 +175,10 @@ def mittag_leffler(beta, x):
         if near.any():
             out[near] = _ml_series(b, x[near])
         if pos.any():
+            # from x = 1e308^b on, log E_b(x) >= 1e308 and E_b(x) is inf: the
+            # cap keeps the log finite
             with np.errstate(over="ignore"):
-                out[pos] = np.exp(mittag_leffler_log(b, x[pos]))
+                out[pos] = np.exp(mittag_leffler_log(b, np.minimum(x[pos], 1e308 ** b)))
     return float(out[0]) if scalar else out
 
 
@@ -188,7 +190,8 @@ def mittag_leffler_log(beta, x):
     window); beyond that the exponential asymptotic
     log E_beta(x) = x^(1/beta) - log(beta) holds with relative error below
     e^-40 of an e^40-sized value, far under double precision.  The seam is
-    therefore exact to working precision.
+    therefore exact to working precision.  NumericsError where x^(1/beta)
+    is past the double range.
     """
     b = _check_beta(beta)
     x = np.asarray(x, float)
@@ -210,21 +213,145 @@ def mittag_leffler_log(beta, x):
         if lo.any():
             out[lo] = np.log(_ml_series(b, x[lo], kmax=kmax))
         if (~lo).any():
-            out[~lo] = x[~lo] ** (1.0 / b) - np.log(b)
+            with np.errstate(over="ignore"):
+                out[~lo] = x[~lo] ** (1.0 / b) - np.log(b)
+            if not np.all(np.isfinite(out)):
+                raise NumericsError(f"log E_beta(x) is past the double range at "
+                                    f"beta={b!r}, x={float(x.max())!r}")
     return float(out[0]) if scalar else out
 
 
-def mode_decay(mu, beta, t):
-    """E_beta(-mu_k t^beta) for modes mu_k > 0 at time(s) t > 0, one row per time.
+# ---------------------------------------------------------------------------
+# sums of exponentials
+# ---------------------------------------------------------------------------
 
-    One sum of exponentials for all modes: exp(-outer(t, r)) @ W, W[l, k] =
-    w_l K(r_l; mu_k) > 0, with K = mu r^(beta-1) sin(pi beta) / (pi |r^beta
-    e^(i pi beta) + mu|^2) the density of E_beta(-mu t^beta) in e^(-r t).  Nodes:
-    80-point Gauss-Legendre in r^beta up to 0.01 min(mu_min^(1/beta), 1/t_max),
-    then 14-point log-r panels to 45/t_min, 0.5 wide (x sin(pi beta), K's peak
-    width, for beta > 1/2).  Relative error < 1e-13 (head <= 4e-14, rounding
-    ~1e-14) whatever other times and modes share the call; exp(-t r) and W
-    are formed in blocks of DECAY_CHUNK doubles; beta = 1 is exact.
+#: Taylor coefficients 1/(k+2)! of p(z) = (z - 1 + e^-z)/z^2 in powers of -z
+_P_SERIES = np.array([1.0 / math.factorial(k) for k in range(2, 16)])
+
+
+def _gauss_jacobi(n, beta):
+    """n-point Gauss rule for int_-1^1 (1+y)^beta f(y) dy, -1 < beta < 0.
+
+    Golub-Welsch on the Jacobi recurrence with numpy's eigensolver (scipy's
+    ``roots_jacobi`` would import scipy.linalg, about 7 MB of resident memory).
+    """
+    k = np.arange(n, dtype=float)
+    diag = beta * beta / ((2.0 * k + beta) * (2.0 * k + beta + 2.0))
+    k = k[1:]
+    off = np.sqrt(4.0 * k ** 2 * (k + beta) ** 2 / (
+        (2.0 * k + beta) ** 2 * (2.0 * k + beta + 1.0) * (2.0 * k + beta - 1.0)))
+    y, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return y, 2.0 ** (beta + 1.0) / (beta + 1.0) * vec[0] ** 2
+
+
+def _exp_cell_weights(z):
+    """p(z) = int_0^1 e^(-z v) (1-v) dv and q(z) = int_0^1 e^(-z v) v dv, z >= 0.
+
+    The closed form of p cancels for small z, so p comes from its Taylor
+    series below z = 0.5; q follows from p + q = (1 - e^-z)/z.
+    """
+    em = np.expm1(-z)
+    zz = z * z
+    p = np.divide(z + em, zz, out=np.empty_like(z), where=zz > 0.0)
+    small = z < 0.5
+    neg = -z[small]
+    ps = np.full_like(neg, _P_SERIES[-1])
+    for c in _P_SERIES[-2::-1]:
+        ps *= neg
+        ps += c
+    p[small] = ps
+    r = np.divide(-em, z, out=np.ones_like(z), where=z > 0.0)
+    return p, r - p
+
+
+@dataclass(frozen=True)
+class ExpSum:
+    """sum_l W_l e^(-r_l t) for t_min <= t <= t_max, exponents ``rates`` ascending.
+
+    ``weights()`` gives W: ``coef`` for a ``power`` sum; for a
+    ``mittag_leffler`` sum one column per mode mu_k, W_lk = coef_l / ((v_l /
+    mu_k + 2 cos(pi beta)) v_l + mu_k) with v_l = ``powers``_l = r_l^beta.
+    ``march`` advances the history states of the exponents.
+    """
+
+    rates: np.ndarray
+    coef: np.ndarray
+    powers: np.ndarray | None = None
+    beta: float = 1.0
+
+    @classmethod
+    def mittag_leffler(cls, beta, mu_min, t_min, t_max):
+        """E_beta(-mu t^beta), modes mu >= mu_min > 0, 0 < beta < 1, relative error < 1e-13
+        (head <= 4e-14, rounding ~1e-14): W_lk = w_l K(r_l; mu_k) > 0, K = mu r^(beta-1)
+        sin(pi beta) / (pi |r^beta e^(i pi beta) + mu|^2) the density in e^(-r t), on
+        80-point Gauss-Legendre in r^beta up to 0.01 min(mu_min^(1/beta), 1/t_max), then
+        14-point log-r panels to 45/t_min, 0.5 wide (x sin(pi beta), K's peak width, for
+        beta > 1/2)."""
+        b = _check_beta(beta, strict_upper=True)
+        t_min, t_max = float(t_min), float(t_max)
+        if not (0.0 < t_min <= t_max < math.inf and mu_min > 0.0):  # refuses NaN too
+            raise DomainError(f"mu_min > 0, 0 < t_min <= t_max < inf violated: "
+                              f"{mu_min}, {t_min}, {t_max}")
+        with np.errstate(over="ignore"):  # a huge mu_min leaves 1/t_max
+            r_head = 0.01 * min(np.float64(mu_min) ** (1.0 / b), 1.0 / t_max)
+        v, wv = fixed_panel_nodes([0.0, r_head ** b], n=80)
+        u0, u1 = np.log(r_head), np.log(45.0 / t_min)
+        width = 0.5 * (np.sin(np.pi * b) if b > 0.5 else 1.0)
+        u, wu = fixed_panel_nodes(np.linspace(u0, u1, int(np.ceil((u1 - u0) / width)) + 1), 14)
+        # K dr = sin(pi b) / (pi (v^2/mu + 2 v cos(pi b) + mu)) (dv / b head, v du
+        # panels); no term of that denominator overflows for a finite mu
+        return cls(np.concatenate([v ** (1.0 / b), np.exp(u)]),
+                   np.sin(np.pi * b) / np.pi * np.concatenate([wv / b, wu * np.exp(b * u)]),
+                   np.concatenate([v, np.exp(b * u)]), b)
+
+    @classmethod
+    def power(cls, order, t_min, t_max):
+        """t^(order-1)/Gamma(order), 0 < order <= 1, relative error below 3e-14 (a few
+        1e-15 for orders up to 0.99): t^(order-1) = 1/Gamma(1-order) int_0^inf s^(-order)
+        e^(-s t) ds on 6 Gauss-Jacobi nodes (weight s^-order) in [0, 1/t_max] and 14-point
+        Gauss-Legendre panels, 2 wide in log s, to 45/t_min, beyond which the integrand
+        is below e^-45 of its scale.  Order 1 is the single exponent 0."""
+        gam = _check_beta(order)
+        delta, horizon = float(t_min), float(t_max)
+        if not 0.0 < delta <= horizon < math.inf:  # refuses NaN too
+            raise DomainError(f"0 < t_min <= t_max < inf violated: {t_min}, {t_max}")
+        if gam == 1.0:
+            return cls(np.zeros(1), np.ones(1))
+        y, wy = _gauss_jacobi(6, -gam)
+        lo, hi = -np.log(horizon), np.log(45.0 / delta)
+        u, wu = fixed_panel_nodes(np.linspace(lo, hi, int(np.ceil((hi - lo) / 2.0)) + 1), n=14)
+        s = np.concatenate([(1.0 + y) / (2.0 * horizon), np.exp(u)])
+        w = np.concatenate([wy * (2.0 * horizon) ** (gam - 1.0), wu * np.exp((1.0 - gam) * u)])
+        return cls(s, np.sin(np.pi * gam) / np.pi * w)
+
+    def weights(self, mu=None):
+        """Fixed weights (``power``), or W (rates x modes) for a block of modes mu."""
+        if self.powers is None:
+            return self.coef
+        v, m = self.powers[:, None], np.asarray(mu, float)
+        return self.coef[:, None] / ((v / m + 2.0 * np.cos(np.pi * self.beta)) * v + m)
+
+    def march(self, times, n=None):
+        """advance(U(times[0]), g on times) -> U(times[-1]) for the states U_l(t) =
+        int_0^t e^(-r_l (t - tau)) g(tau) dtau, l < n, of a piecewise-linear g."""
+        s = self.rates[:n]
+        h = np.diff(times)[:, None]
+        p, q = _exp_cell_weights(h * s)
+        decay = np.exp(-(times[-1] - times[1:])[:, None] * s)
+        block_decay = np.exp(-(times[-1] - times[0]) * s)
+
+        def advance(state, values):
+            # int over cell i of e^(-s (t_(i+1) - tau)) g, then decay to the block end
+            cells = h * (values[1:, None] * p + values[:-1, None] * q)
+            return block_decay * state + np.einsum("ij,ij->j", decay, cells)
+
+        return advance
+
+
+def mode_decay(mu, beta, t):
+    """E_beta(-mu_k t^beta) for modes mu_k > 0 at time(s) t > 0, one row per time:
+    exp(-outer(t, r)) @ W of one ``ExpSum.mittag_leffler`` for the call, formed
+    in blocks of DECAY_CHUNK doubles of exp(-t r) and of W.  beta = 1 is exact.
     """
     b = _check_beta(beta)
     ts = np.asarray(t, float)
@@ -233,24 +360,13 @@ def mode_decay(mu, beta, t):
     ts, mu = np.atleast_1d(ts), np.asarray(mu, float)
     if b == 1.0:
         return np.exp(-np.outer(ts, mu)) if np.ndim(t) else np.exp(-mu * ts[0])
-    with np.errstate(over="ignore"):  # a huge mu_min leaves 1/t_max
-        r_head = 0.01 * min(mu.min() ** (1.0 / b), 1.0 / float(ts.max()))
-    v, wv = fixed_panel_nodes([0.0, r_head ** b], n=80)
-    u0, u1 = np.log(r_head), np.log(45.0 / float(ts.min()))
-    width = 0.5 * (np.sin(np.pi * b) if b > 0.5 else 1.0)
-    u, wu = fixed_panel_nodes(np.linspace(u0, u1, int(np.ceil((u1 - u0) / width)) + 1), 14)
-    r = np.concatenate([v ** (1.0 / b), np.exp(u)])
-    # K dr = sin(pi b) / (pi (v^2/mu + 2 v cos(pi b) + mu)) (dv / b head, v du
-    # panels); no term of that denominator overflows for a finite mu
-    v = np.concatenate([v, np.exp(b * u)])[:, None]
-    a = np.sin(np.pi * b) / np.pi * np.concatenate([wv / b, wu * np.exp(b * u)])[:, None]
-    step = max(1, DECAY_CHUNK // r.size)
+    soe = ExpSum.mittag_leffler(b, mu.min(), ts.min(), ts.max())
+    step = max(1, DECAY_CHUNK // soe.rates.size)
     out = np.empty((ts.size, mu.size))
     for k in range(0, mu.size, step):
-        m = mu[k:k + step]
-        W = a / ((v / m + 2.0 * np.cos(np.pi * b)) * v + m)
+        W = soe.weights(mu[k:k + step])
         for i in range(0, ts.size, step):
-            out[i:i + step, k:k + step] = np.exp(-np.outer(ts[i:i + step], r)) @ W
+            out[i:i + step, k:k + step] = np.exp(-np.outer(ts[i:i + step], soe.rates)) @ W
     return out if np.ndim(t) else out[0]
 
 
@@ -427,85 +543,11 @@ def caputo_derivative(g, beta, t):
     return float(out[0]) if scalar else out
 
 
-#: grid cells per block of the history march (here and in the renewal solve);
-#: a query of ``fractional_integral`` integrates its last 2 to B + 1 exactly.
+#: grid cells per block of the history march of ``fractional_integral``; a
+#: query integrates its last 2 to B + 1 cells exactly.
 _HISTORY_BLOCK = 64
 #: doubles per working array of a chunk of queries (bounds the extra memory)
 _QUERY_CHUNK = 16384
-#: Taylor coefficients 1/(k+2)! of p(z) = (z - 1 + e^-z)/z^2 in powers of -z
-_P_SERIES = np.array([1.0 / math.factorial(k) for k in range(2, 16)])
-
-
-def _gauss_jacobi(n, beta):
-    """n-point Gauss rule for int_-1^1 (1+y)^beta f(y) dy, -1 < beta < 0.
-
-    Golub-Welsch on the Jacobi recurrence with numpy's eigensolver (scipy's
-    ``roots_jacobi`` would import scipy.linalg, about 7 MB of resident memory).
-    """
-    k = np.arange(n, dtype=float)
-    diag = beta * beta / ((2.0 * k + beta) * (2.0 * k + beta + 2.0))
-    k = k[1:]
-    off = np.sqrt(4.0 * k ** 2 * (k + beta) ** 2 / (
-        (2.0 * k + beta) ** 2 * (2.0 * k + beta + 1.0) * (2.0 * k + beta - 1.0)))
-    y, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return y, 2.0 ** (beta + 1.0) / (beta + 1.0) * vec[0] ** 2
-
-
-def _soe_kernel(gam, delta, horizon):
-    """Sum-of-exponentials form of the Riemann-Liouville kernel.
-
-    Returns (s, w), s ascending, with x^(gam-1)/Gamma(gam) =
-    sum_j w_j exp(-s_j x) to a relative error below 3e-14 for
-    delta <= x <= horizon (a few 1e-15 for orders up to 0.99).  It
-    discretizes x^(gam-1) = 1/Gamma(1-gam) int_0^inf s^(-gam) e^(-s x) ds with
-    6 Gauss-Jacobi nodes (weight s^-gam) on [0, 1/horizon] and 14-point
-    Gauss-Legendre panels, 2 wide in log s, up to 45/delta, beyond which the
-    integrand is below e^-45 of its scale.  Order 1 is the single exponent 0.
-    """
-    if gam == 1.0:
-        return np.zeros(1), np.ones(1)
-    y, wy = _gauss_jacobi(6, -gam)
-    lo, hi = -np.log(horizon), np.log(45.0 / delta)
-    u, wu = fixed_panel_nodes(np.linspace(lo, hi, int(np.ceil((hi - lo) / 2.0)) + 1), n=14)
-    s = np.concatenate([(1.0 + y) / (2.0 * horizon), np.exp(u)])
-    w = np.concatenate([wy * (2.0 * horizon) ** (gam - 1.0), wu * np.exp((1.0 - gam) * u)])
-    return s, np.sin(np.pi * gam) / np.pi * w
-
-
-def _exp_cell_weights(z):
-    """p(z) = int_0^1 e^(-z v) (1-v) dv and q(z) = int_0^1 e^(-z v) v dv, z >= 0.
-
-    The closed form of p cancels for small z, so p comes from its Taylor
-    series below z = 0.5; q follows from p + q = (1 - e^-z)/z.
-    """
-    em = np.expm1(-z)
-    zz = z * z
-    p = np.divide(z + em, zz, out=np.empty_like(z), where=zz > 0.0)
-    small = z < 0.5
-    neg = -z[small]
-    ps = np.full_like(neg, _P_SERIES[-1])
-    for c in _P_SERIES[-2::-1]:
-        ps *= neg
-        ps += c
-    p[small] = ps
-    r = np.divide(-em, z, out=np.ones_like(z), where=z > 0.0)
-    return p, r - p
-
-
-def _soe_block(s, times):
-    """advance(U(times[0]), g on times) -> U(times[-1]) for the history states
-    U_j(t) = int_0^t e^(-s_j (t - tau)) g(tau) dtau of a piecewise-linear g."""
-    h = np.diff(times)[:, None]
-    p, q = _exp_cell_weights(h * s)
-    decay = np.exp(-(times[-1] - times[1:])[:, None] * s)
-    block_decay = np.exp(-(times[-1] - times[0]) * s)
-
-    def advance(state, values):
-        # int over cell i of e^(-s (t_(i+1) - tau)) g, then decay to the block end
-        cells = h * (values[1:, None] * p + values[:-1, None] * q)
-        return block_decay * state + np.einsum("ij,ij->j", decay, cells)
-
-    return advance
 
 
 def fractional_integral(g, order, t):
@@ -517,7 +559,7 @@ def fractional_integral(g, order, t):
     _HISTORY_BLOCK cells.  The cells from the last block edge at or before
     the cell two back from t up to t are integrated exactly, in a closed form
     that does not cancel.  The older history uses the sum-of-exponentials
-    kernel of ``_soe_kernel`` (relative error below 3e-14 at the distances it
+    kernel ``ExpSum.power`` (relative error below 3e-14 at the distances it
     sees, which exceed the smallest cell width), marched from edge to edge in
     O(cells x exponents) work and O(block x exponents) memory.  The result
     agrees with the exact cell-by-cell integral to within 1e-13 of
@@ -535,19 +577,19 @@ def fractional_integral(g, order, t):
     lasts = _last_cells(times, ts)
     B = _HISTORY_BLOCK
     edges = np.maximum(lasts - 2, 0) // B  # block edge index, in blocks
-    s, w = _soe_kernel(gam, float(h.min()), g.horizon)
+    soe = ExpSum.power(gam, float(h.min()), g.horizon)
     # history states at the block edges t_k, k = m B; a state at t_k is used only
     # beyond h_k after it, where exponents s_j > 45/h_k weigh < e^-45: left at 0
     nblocks = int(edges.max(initial=0))
-    states = np.zeros((nblocks + 1, s.size))
+    states = np.zeros((nblocks + 1, soe.rates.size))
     kept = np.zeros(nblocks + 1, dtype=int)
     for m in range(nblocks):
         k0, k1 = m * B, (m + 1) * B
-        J = kept[m + 1] = np.searchsorted(s, 45.0 / h[k1], side="right")
-        states[m + 1, :J] = _soe_block(s[:J], times[k0:k1 + 1])(states[m, :J], values[k0:k1 + 1])
+        J = kept[m + 1] = np.searchsorted(soe.rates, 45.0 / h[k1], side="right")
+        states[m + 1, :J] = soe.march(times[k0:k1 + 1], J)(states[m, :J], values[k0:k1 + 1])
     offsets = np.arange(B + 1)
     out = np.empty_like(ts)
-    step = max(1, _QUERY_CHUNK // max(s.size, B + 1))
+    step = max(1, _QUERY_CHUNK // max(soe.rates.size, B + 1))
     for lo in range(0, ts.size, step):
         q = slice(lo, lo + step)
         tq, kb = ts[q], edges[q] * B
@@ -571,7 +613,7 @@ def fractional_integral(g, order, t):
                       wa * pa - wc * pc) / (gam + 1.0)
         local = (values[cells] * d0 + slopes[cells] * (wa * d0 - d1)).sum(axis=1)
         J = kept[edges[q]].max()
-        decay = np.exp(-(tq - times[kb])[:, None] * s[:J])
+        decay = np.exp(-(tq - times[kb])[:, None] * soe.rates[:J])
         out[q] = (local / math.gamma(gam)
-                  + np.einsum("ij,ij,j->i", decay, states[edges[q], :J], w[:J]))
+                  + np.einsum("ij,ij,j->i", decay, states[edges[q], :J], soe.weights()[:J]))
     return float(out[0]) if scalar else out

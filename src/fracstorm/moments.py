@@ -68,12 +68,12 @@ nt = 192, 28 MB at n = 192; the grid is not capped.
 
 The scalar renewal solver ``renewal_volterra_solve`` handles the equality
 case f = c1 + kappa int (t-s)^(rho-1) f(s) ds, 0 < rho <= 1 (exact cells in
-a block, sum-of-exponentials history before it); its closed-form solution
-c1 E_rho(kappa Gamma(rho) t^rho) is kept in the test suite as an
-independent oracle.  ``lower_series_log`` evaluates log S(t) of the series
-S(t) = sum_k (t / k^rho)^k that governs the lower excitation bound, in log
-space so it stays finite far beyond overflow; ``lower_series`` is its
-exponential.
+a block, the history before it from ``fracfun.ExpSum.power``); its
+closed-form solution c1 E_rho(kappa Gamma(rho) t^rho) is kept in the test
+suite as an independent oracle.  ``lower_series_log`` evaluates log S(t) of
+the series S(t) = sum_k (t / k^rho)^k that governs the lower excitation
+bound, in log space so it stays finite far beyond overflow, in bounded time;
+``lower_series`` is its exponential.
 """
 
 import math
@@ -83,8 +83,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .fracfun import DECAY_CHUNK, SampledFunction, mittag_leffler, mittag_leffler_log, mode_decay
-from .fracfun import _HISTORY_BLOCK, _soe_block, _soe_kernel
+from .fracfun import (DECAY_CHUNK, ExpSum, SampledFunction, mittag_leffler, mittag_leffler_log,
+                      mode_decay)
 from .kernels import (
     EigenSystem,
     apply_semigroup,
@@ -510,17 +510,20 @@ def _renewal_kernel(kappa, rho):
     return float(kappa), float(rho)
 
 
+_RENEWAL_BLOCK = 64  # grid cells per block of ``renewal_volterra_solve``
+
+
 def renewal_volterra_solve(c1, kappa, rho, T, nt):
     """Equality case of the renewal inequality:
 
         f(t) = c1 + kappa int_0^t (t-s)^(rho-1) f(s) ds,  0 < rho <= 1.
 
     Piecewise-linear product integration on the uniform grid, in blocks of
-    _HISTORY_BLOCK cells: the nodes of a block solve one lower-triangular
+    _RENEWAL_BLOCK cells: the nodes of a block solve one lower-triangular
     Toeplitz system of its exact cells (the same for every block), and the
-    cells before it enter through the sum-of-exponentials history states of
-    ``fracfun`` (kernel error below 3e-14; rho <= 1 keeps the kernel
-    completely monotone), O(nt) work.  Returns a SampledFunction on the grid.
+    cells before it enter through the history states of ``ExpSum.power``
+    (kernel error below 3e-14; rho <= 1 keeps the kernel completely
+    monotone), O(nt) work.  Returns a SampledFunction on the grid.
     """
     kappa, rho = _renewal_kernel(kappa, rho)
     c1, T, nt = float(c1), float(T), int(nt)
@@ -533,7 +536,7 @@ def renewal_volterra_solve(c1, kappa, rho, T, nt):
     # Lag cell m is [m Delta, (m+1) Delta]; with tau = m Delta + r there,
     #   f(t_j - tau) = f_{j-m} (1 - r/Delta) + f_{j-m-1} r/Delta,
     # so the cell weighs f at lag m by w_near[m] and at lag m+1 by w_far[m].
-    B = min(_HISTORY_BLOCK, nt)
+    B = min(_RENEWAL_BLOCK, nt)
     a, b = delta * np.arange(B), delta * np.arange(1, B + 1)
     I0 = (b ** rho - a ** rho) / rho                           # int tau^(rho-1)
     w_far = ((b ** (rho + 1.0) - a ** (rho + 1.0)) / (rho + 1.0) - a * I0) / delta
@@ -545,10 +548,10 @@ def renewal_volterra_solve(c1, kappa, rho, T, nt):
     lag = np.subtract.outer(np.arange(B), np.arange(B))
     solve = np.linalg.inv(np.eye(B) - kappa * np.where(lag >= 0, omega[lag], 0.0))
     # kernel (t_(J0+r) - tau)^(rho-1) = Gamma(rho) sum_l w_l e^(-s_l (r Delta + t_J0 - tau))
-    s, w = _soe_kernel(rho, delta, T)
-    history = kappa * math.gamma(rho) * w * np.exp(-np.outer(b, s))
-    advance = _soe_block(s, times[:B + 1])
-    state = np.zeros(s.size)
+    soe = ExpSum.power(rho, delta, T)
+    history = kappa * math.gamma(rho) * soe.weights() * np.exp(-np.outer(b, soe.rates))
+    advance = soe.march(times[:B + 1])
+    state = np.zeros(soe.rates.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(0, nt, B):
             if j0:
@@ -576,7 +579,8 @@ def renewal_growth_exponent(kappa, rho):
     return scale
 
 
-_SERIES_BLOCK = 1 << 18  # terms per block of the log-space series sum
+#: terms per block of the log-space series sum; a wider window may be integrated
+_SERIES_BLOCK = 1 << 18
 _SERIES_KMAX = 2 ** 53  # every integer up to here is an exact double
 
 
@@ -587,20 +591,18 @@ def _series_args(t, rho):
     return float(t), float(rho)
 
 
-def _lower_series_log_terms(t, rho, kmin, kmax):
-    k = np.arange(kmin, kmax + 1, dtype=float)
-    return k * (math.log(t) - rho * np.log(k))
-
-
 def lower_series_log(t, rho):
     """log S(t) with S(t) = sum_{k>=1} (t / k^rho)^k.
 
     The log-terms peak at k* = t^(1/rho)/e with Gaussian half-width
     sqrt(k*/rho); summing a +-12 half-width window in log space bounds the
     neglected tail below e^-70 of the total.  The window is summed in blocks
-    of 2^18 terms, so memory stays bounded when it spans millions.  Valid
-    while the window ends below 2^53, i.e. k* up to about 9e15 (t up to
-    about 1.6e8 at rho = 0.5, 2.4e16 at rho = 1); DomainError beyond.
+    of 2^18 terms, unless it is wider and ends 12 half-widths from the peak
+    on both sides: then the summand is smooth on the scale of the half-width
+    (> 10^4) and tiny at the ends, so its integral, 16-point Gauss-Legendre
+    on 24 panels, equals the sum to rounding.  Valid while the window ends
+    below 2^53, i.e. k* up to about 9e15 (t up to about 1.6e8 at rho = 0.5,
+    2.4e16 at rho = 1); DomainError beyond.
     """
     t, rho = _series_args(t, rho)
     if t == 0.0:
@@ -621,14 +623,20 @@ def lower_series_log(t, rho):
         kmax = int(kstar + half) + 1
     if kmax > _SERIES_KMAX:
         raise refused
+    if kmin > 1 and kmax - kmin >= _SERIES_BLOCK:
+        blocks = [fixed_panel_nodes(np.linspace(kmin, kmax, 25), n=16)]
+    else:
+        blocks = ((np.arange(lo, min(lo + _SERIES_BLOCK - 1, kmax) + 1, dtype=float), None)
+                  for lo in range(kmin, kmax + 1, _SERIES_BLOCK))
     m, total = -np.inf, 0.0
-    for lo in range(kmin, kmax + 1, _SERIES_BLOCK):
-        terms = _lower_series_log_terms(t, rho, lo, min(lo + _SERIES_BLOCK - 1, kmax))
+    for k, w in blocks:
+        terms = k * (math.log(t) - rho * np.log(k))
         block_max = float(terms.max())
         if block_max > m:
             total *= math.exp(m - block_max)
             m = block_max
-        total += float(np.exp(terms - m).sum())
+        terms = np.exp(terms - m)
+        total += float(terms.sum() if w is None else w @ terms)
     return float(m + np.log(total))
 
 

@@ -48,7 +48,9 @@ nrep doubles (16.8 MB at nrep = 128, nt = 256, nx = nmodes = 64), and three
 block-sized arrays of nrep * _BLOCK * nx doubles (1 MB each there): the
 block's normals, which white noise scales into increments in place, the
 block's older sums, and its squared paths.  Those are reduced to the chunk's
-sums of u^2 and u^4 as soon as the block is stepped, so no chunk holds its
+sums of u^2 - c and (u^2 - c)^2 as soon as the block is stepped, c = (G_B
+u0)^2 the square of the deterministic part, so that the variance taken from
+them does not cancel (at t = 0 both are exactly 0), and no chunk holds its
 whole paths unless an ensemble stream asks for them.  That is about 20 MB per
 chunk thread at that size (23 MB traced for one chunk with the shared Hankel
 table); the fold across chunks keeps about log2(chunks) partial sums of
@@ -350,7 +352,7 @@ def _hankel_table(decay):
     return padded[:, np.arange(1, _BLOCK + 1)[:, None] + np.arange(nt)]
 
 
-def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, keep_paths):
+def _run_chunk(lo, hi, config, grid, params, u0, det, shift, decay, hank, phi, cov, keep_paths):
     """Evolve replicates [lo, hi) and reduce them to chunk statistics.
 
     The noise history is stored mode-major with the newest step in the lowest
@@ -376,9 +378,10 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
     survivors alone.
 
     Returns (sums, replicates kept, blow-ups, paths): sums[0] and sums[1] are
-    the sums of u^2 and u^4 over the kept replicates at every grid time, and
-    paths is the (nrep, nt+1, nx) trajectory array when ``keep_paths`` (for
-    ensemble streaming) and None otherwise.  Pure function of its inputs, so
+    the sums of u^2 - shift and (u^2 - shift)^2 over the kept replicates at
+    every grid time (shift = det^2), and paths is the (nrep, nt+1, nx)
+    trajectory array when ``keep_paths`` (for ensemble streaming) and None
+    otherwise.  Pure function of its inputs, so
     chunks can run concurrently without changing any result.
     """
     nt = config.nt
@@ -413,8 +416,10 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
         return det[n0 + i + 1] + lam * (phi @ conv).T
 
     def reduce_block(row, sq):
-        # sq (replicates, times, n) holds u^2 at times row, row+1, ...; it is squared in place
+        # sq (replicates, times, n) holds u^2 at times row, row+1, ...; it is
+        # shifted and squared in place
         out = sums[:, row: row + sq.shape[1]]
+        sq -= shift[row: row + sq.shape[1]]
         out[0] = _tree_sum(sq)
         out[1] = _tree_sum(np.square(sq, out=sq))
 
@@ -459,7 +464,7 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, decay, hank, phi, cov, kee
             for i in range(nb):
                 np.square(step(n0, i, past), out=sq[:, i])
             reduce_block(n0 + 1, sq[alive, :nb])
-    reduce_block(0, np.tile(u0 ** 2, (used, 1, 1)))
+    sums[:, 0] = 0.0  # every replicate starts at u0, and u0^2 is shift[0]
     return sums, used, blowups, full
 
 
@@ -500,6 +505,8 @@ def simulate_mild(params, es, u0, config, threads=1):
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n,):
         raise DomainError(f"u0 must have shape ({grid.n},), got {u0.shape}")
+    if not np.all(np.isfinite(u0)):
+        raise DomainError("u0 must be finite")
 
     nt, T = config.nt, float(config.T)
     dt = T / nt
@@ -511,6 +518,7 @@ def simulate_mild(params, es, u0, config, threads=1):
 
     # Deterministic part at every grid time.
     det = np.vstack([u0, apply_semigroup(es, beta, np.arange(1, nt + 1) * dt, u0)])
+    shift = np.square(det)
 
     cov = None
     if params.noise.kind == "riesz":
@@ -529,7 +537,7 @@ def simulate_mild(params, es, u0, config, threads=1):
     ]
 
     def work(b):
-        return _run_chunk(b[0], b[1], config, grid, params, u0, det, decay, hank,
+        return _run_chunk(b[0], b[1], config, grid, params, u0, det, shift, decay, hank,
                           phi, cov, keep_paths=writer is not None)
 
     used = 0
@@ -566,8 +574,8 @@ def simulate_mild(params, es, u0, config, threads=1):
             f"blow-up guard excluded {blowups} replicates; only {used} remain, "
             "standard error undefined"
         )
-    mean = s1 / used
-    var = np.clip(s2 - used * mean ** 2, 0.0, None) / (used - 1)
+    mean = shift + s1 / used
+    var = np.clip(s2 - s1 ** 2 / used, 0.0, None) / (used - 1)
     stderr = np.sqrt(var / used)
     times = np.arange(nt + 1) * dt
     return MomentEstimate(

@@ -1,7 +1,9 @@
 """Public surface: every name a module exports exists; pinned signatures."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -30,3 +32,20 @@ def test_second_moment_solver_signature_is_pinned(name):
     # a lam batch is keyword-only, so the seven positional parameters stay
     assert params["lams"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["lams"].default is None
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(fracstorm.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    # what one module needs of another is public there; dunders such as
+    # __version__ are public by convention
+    private = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "fracstorm"):
+            private += [alias.name for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.startswith("__")]
+        elif isinstance(node, ast.Import):
+            private += [alias.name for alias in node.names if alias.name.startswith("fracstorm.")
+                        and alias.name.split(".")[-1].startswith("_")]
+    assert private == []

@@ -475,6 +475,16 @@ def test_threads_from_set(sim_config_path, tmp_path, capsys):
         assert json.loads((tmp_path / f"t{n}.json").read_text())["threads"] == n
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["simulate", "excite"])
+def test_non_finite_initial_value_exits_2(command, value, sim_config_path, tmp_path, capsys):
+    code, _, err = run_main(
+        [command, "--config", str(sim_config_path), "--set", f"initial.value={value}"], capsys)
+    assert code == 2 and "u0 must be finite" in err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "excite"])
 def test_threads_zero_exits_2_naming_the_key(command, sim_config_path, tmp_path, capsys):
     code, _, err = run_main(

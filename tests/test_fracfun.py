@@ -7,6 +7,7 @@ formulas for the fractional operators on monomials.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,14 +15,16 @@ import pytest
 from mpmath import mp
 from scipy.special import erfcx, gamma
 
-from fracstorm.errors import DomainError
+from fracstorm.errors import DomainError, NumericsError
 from fracstorm.fracfun import (
+    ExpSum,
     SampledFunction,
     caputo_derivative,
     fractional_integral,
     inverse_subordinator_density,
     mittag_leffler,
     mittag_leffler_log,
+    mode_decay,
     stable_subordinator_density,
     subordinator_small_u_law,
     subordinator_tail_law,
@@ -100,6 +103,18 @@ def test_mittag_leffler_log_matches_40_digit_series(beta):
     exact = np.array([_log_ml_40_digits(beta, xi) for xi in x])
     err = np.abs(got - exact) / np.maximum(1.0, np.abs(exact))
     assert np.all(err <= 1e-15), err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta, x", [(0.5, 1e300), (0.1, 1e40), (0.9, 1e300)])
+def test_mittag_leffler_log_past_the_double_range_raises(beta, x):
+    # x^(1/beta) overflows: no silent inf and no numpy overflow warning
+    with pytest.raises(NumericsError, match=re.escape(f"beta={beta!r}, x={x!r}")):
+        mittag_leffler_log(beta, x)
+    with pytest.raises(NumericsError, match=re.escape(f"x={x!r}")):
+        mittag_leffler_log(beta, np.array([1.0, x]))
+    # E_beta itself is past the double range there: +inf, as documented
+    assert mittag_leffler(beta, x) == math.inf
 
 
 def test_log_form_consistent_and_asymptotic():
@@ -355,3 +370,54 @@ def test_mittag_leffler_memory_is_bounded():
         assert peak < 64e6, (fn.__name__, beta, peak)
         # a point's value does not depend on where it falls in the call
         assert np.array_equal(vals, fn(beta, x[::-1])[::-1])
+
+
+# ---------------------------------------------------------------------------
+# sums of exponentials
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", [0.1, 0.5, 0.9, 0.99])
+def test_power_sum_meets_its_documented_accuracy(order):
+    # t^(order-1)/Gamma(order) to below 3e-14 relative on [delta, horizon];
+    # delta/horizon = 1.5e-11 is the smallest cell of a cubic-graded grid of
+    # 4,096 cells over its horizon
+    horizon = 2.0
+    delta = 1.5e-11 * horizon
+    soe = ExpSum.power(order, delta, horizon)
+    t = np.geomspace(delta, horizon, 1500)
+    got = np.exp(-np.outer(t, soe.rates)) @ soe.weights()
+    exact = np.array([x ** (order - 1.0) / math.gamma(order) for x in t])
+    assert np.all(np.diff(soe.rates) > 0.0) and np.all(soe.weights() > 0.0)
+    assert np.max(np.abs(got - exact) / exact) < 3e-14
+
+
+def test_power_sum_of_order_one_is_the_exponent_zero():
+    soe = ExpSum.power(1.0, 1e-3, 1.0)
+    assert soe.rates.tolist() == [0.0] and soe.weights().tolist() == [1.0]
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
+def test_mode_decay_is_its_mittag_leffler_sum(beta):
+    # the public (r_l, W_lk) reproduce mode_decay bit for bit
+    mu = np.geomspace(1.0, 1e4, 7)
+    t = np.geomspace(1e-4, 1.0, 9)
+    soe = ExpSum.mittag_leffler(beta, mu.min(), t.min(), t.max())
+    W = soe.weights(mu)
+    assert W.shape == (soe.rates.size, mu.size) and np.all(W > 0.0)
+    assert np.array_equal(np.exp(-np.outer(t, soe.rates)) @ W, mode_decay(mu, beta, t))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ExpSum.power(0.5, 0.0, 1.0),
+    lambda: ExpSum.power(0.5, 2.0, 1.0),
+    lambda: ExpSum.power(0.5, 1e-3, math.inf),
+    lambda: ExpSum.power(0.5, math.nan, 1.0),
+    lambda: ExpSum.power(1.5, 1e-3, 1.0),
+    lambda: ExpSum.mittag_leffler(1.0, 1.0, 1e-3, 1.0),
+    lambda: ExpSum.mittag_leffler(0.5, 0.0, 1e-3, 1.0),
+    lambda: ExpSum.mittag_leffler(0.5, math.nan, 1e-3, 1.0),
+    lambda: ExpSum.mittag_leffler(0.5, 1.0, 0.0, 1.0),
+])
+def test_exp_sums_refuse_an_empty_or_broken_range(make):
+    with pytest.raises(DomainError):
+        make()

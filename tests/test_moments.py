@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -670,6 +671,40 @@ def test_lower_series_log_growth_exponent():
     for rho, theta in ((0.5, 1e6), (1.0, 1e8)):
         ratio = math.log(lower_series_log(theta, rho)) / math.log(theta)
         assert ratio > 1.0 / rho - 0.15
+
+
+def _window_sum_log(t, rho):
+    """Reference: log of the term-by-term sum over the +-12 half-width window
+    around k* = t^(1/rho)/e, in blocks of 2^20 terms."""
+    kstar = t ** (1.0 / rho) / math.e
+    half = 12.0 * math.sqrt(kstar / rho)
+    kmin, kmax = max(1, int(kstar - half)), int(kstar + half) + 1
+    m, total = -math.inf, 0.0
+    for lo in range(kmin, kmax + 1, 1 << 20):
+        k = np.arange(lo, min(lo + (1 << 20) - 1, kmax) + 1, dtype=float)
+        logs = k * (math.log(t) - rho * np.log(k))
+        top = float(logs.max())
+        if top > m:
+            total, m = total * math.exp(m - top), top
+        total += float(np.exp(logs - m).sum())
+    return m + math.log(total)
+
+
+@pytest.mark.parametrize("t, rho", [(2e4, 0.5), (1e6, 0.5), (2.6, 0.05), (6e2, 0.3),
+                                    (1e8, 0.9), (2e9, 1.0), (1e30, 3.0)])
+def test_wide_series_windows_match_their_term_by_term_sum(t, rho):
+    # windows of 4e5 to 2e7 terms, integrated rather than summed
+    ref = _window_sum_log(t, rho)
+    assert abs(lower_series_log(t, rho) - ref) <= 1e-14 * abs(ref)
+
+
+def test_series_near_the_top_of_its_range_takes_bounded_time():
+    # k* = 3.7e15: about 2e9 terms in the window
+    start = time.perf_counter()
+    value = lower_series_log(1e8, 0.5)
+    assert time.perf_counter() - start < 1.0
+    kstar = 1e16 / math.e  # log S = rho k* + log sqrt(2 pi k*/rho) to O(1/k*)
+    assert value == pytest.approx(0.5 * kstar + 0.5 * math.log(4.0 * math.pi * kstar), rel=1e-14)
 
 
 def test_colored_lower_bound_increases_with_lambda(eigen_cache, bump):

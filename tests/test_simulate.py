@@ -256,6 +256,28 @@ def test_one_chunk_holds_one_block_of_noise(eigen_cache, bump, white_params):
     assert peak <= bound
 
 
+@pytest.mark.parametrize("lam, replicates, kept", [(1.0, 300, 300), (7e4, CHUNK + 6, 42)])
+def test_time_zero_mean_and_stderr_are_exact(eigen_cache, bump, lam, replicates, kept):
+    # every replicate starts at u0, so at t = 0 the mean is u0^2 and the
+    # standard error 0, bit for bit, with and without blow-ups
+    es = eigen_cache(2.0, 24)
+    u0 = bump(es)
+    est = simulate_mild(ModelParams(alpha=2.0, beta=0.5, lam=lam), es, u0,
+                        SimConfig(nt=20, T=0.5, replicates=replicates, seed=0))
+    assert est.replicates_used == kept
+    assert np.array_equal(est.stderr[0], np.zeros(24))
+    assert np.array_equal(est.mean[0], u0 ** 2)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_initial_data_is_refused(eigen_cache, bump, white_params, bad):
+    es = eigen_cache(2.0, 24)
+    u0 = bump(es).copy()
+    u0[5] = bad
+    with pytest.raises(DomainError, match="u0 must be finite"):
+        simulate_mild(white_params, es, u0, SimConfig(nt=4, T=0.05, replicates=4, seed=0))
+
+
 def test_blowup_of_every_replicate_is_an_error(eigen_cache, bump):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
