@@ -204,8 +204,8 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
         fields = []
         for lv in lam:
             est = simulate_mild(replace(params, lam=float(lv)), es, u0, cfg, threads=threads)
-            fields.append(MomentField(times=est.times, grid=es.grid, values=est.mean,
-                                      log_scale=np.zeros(nt + 1)))
+            with np.errstate(divide="ignore"):    # a vanishing moment's log is -inf
+                fields.append(MomentField(times=est.times, grid=es.grid, logs=np.log(est.mean)))
     logv = np.array([f.energy_log() if functional == "energy" else f.sup_log()
                      for f in fields])
 
@@ -252,7 +252,7 @@ def index_vs_position_check(params, es, u0, t, epsilon, lambda_grid=None, nt=Non
     idx = sorted(set(int(np.argmin(np.abs(nodes - xt))) for xt in targets))
 
     fields = _volterra_fields(params, es, u0, t, lam, nt, l_sigma=1.0)
-    logM = np.array([f.log_values()[-1] for f in fields])   # (nlam, nx)
+    logM = np.array([f.logs[-1] for f in fields])   # (nlam, nx)
     energy = np.array([f.energy_log() for f in fields])
 
     slopes = []

@@ -96,6 +96,7 @@ def _check_t(t):
 # ---------------------------------------------------------------------------
 
 _ALPHA_RANGE = (0.5, 1.95)  # where the tests verify the sum; alpha = 2 is closed form
+_TABLE_ALPHA_MIN = 0.7  # the table is within 1e-9 of the sum from here to 1.95
 _U_MAX = 1e16  # last panel edge in u; g's power tail beyond it is closed form
 #: g_beta is off by up to ~1e-9 near u = 1 at beta = 0.975, which leaves the
 #: node mass 2.3e-12 from 1 at alpha = 1.95
@@ -125,7 +126,8 @@ class _StableLine:
     outside _ALPHA_RANGE (g's series refuses alpha = 1.99) or where the node
     mass misses 1 by more than _MASS_TOL.  ``table``, for the free-kernel
     mixture, is cubic Hermite in v = log(1 + y) of log p to y = 400, filled
-    from ``sum`` and its exact derivative, and p's large-y series beyond.
+    from ``sum`` and its exact derivative, and p's large-y series beyond;
+    NumericsError below _TABLE_ALPHA_MIN (6e-8 from ``sum`` at alpha = 0.5).
     """
 
     def __init__(self, alpha, where):
@@ -164,6 +166,9 @@ class _StableLine:
 
     def table(self, y):
         """p_alpha(1, y) on an array y >= 0 from the table and the series."""
+        if self.alpha < _TABLE_ALPHA_MIN:
+            raise NumericsError(f"free-kernel table is verified for alpha in [{_TABLE_ALPHA_MIN}, "
+                                f"{_ALPHA_RANGE[1]}] and 2 only: alpha={self.alpha!r}")
         out = np.empty_like(y)
         near = y <= _TABLE_Y
         v = np.log1p(y[near]) / self.dv
@@ -235,7 +240,8 @@ def fractional_free_kernel(params, t, x):
 
     x scalar or array of displacement magnitudes.  In the classical limit
     (beta = 1) the subordinator degenerates and G_t = p(t, .).  At x = 0 the
-    mixture converges only for alpha > 1.
+    mixture converges only for alpha > 1.  For beta < 1 it is verified for
+    alpha in [0.7, 1.95] and 2; other alpha raise NumericsError.
     """
     t = _check_t(t)
     x = np.asarray(x, float)

@@ -23,8 +23,9 @@ the history by E_eta(kappa A Gamma(eta) Delta^eta), where A is matched to the
 exact kernel mass of the cell.  To first order this reproduces implicit
 product integration; composed over steps it reproduces the continuum renewal
 growth exp(t (kappa A Gamma(eta))^(1/eta)) exactly, which is what makes
-noise-level sweeps up to lam = 1e6 representable.  All slices are stored in
-split form value * exp(log_scale) so nothing overflows.
+noise-level sweeps up to lam = 1e6 representable.  A solve returns log M at
+every node, so nothing overflows; the stepper frames each slice by its own
+log scale.
 
 Everything in a solve that does not depend on lam (G_B u0 at every time,
 the newest-cell mass, the history tables) is a frozen ``MomentPlan``, which
@@ -132,55 +133,34 @@ def _log_positive(x):
 
 @dataclass(frozen=True)
 class MomentField:
-    """Second-moment surface M(t_j, x_i) in split representation.
-
-    values[j] * exp(log_scale[j]) is the moment slice at times[j]; each
-    nonzero slice is normalized so its maximum lies in [1, e); all-zero
-    slices carry log_scale 0.
+    """Second-moment surface as logs[j, i] = log M(t_j, x_i), -inf where the
+    moment vanishes: at large lam log M spans far more than the double range.
     """
 
     times: np.ndarray
     grid: SpaceGrid
-    values: np.ndarray
-    log_scale: np.ndarray
-    node_logs: np.ndarray | None = None
+    logs: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (len(self.times), self.grid.n):
+        if self.logs.shape != (len(self.times), self.grid.n):
             raise DomainError("MomentField shape mismatch")
-        if np.any(self.values < 0.0):
-            raise DomainError("moment values must be nonnegative")
-        if self.node_logs is not None and self.node_logs.shape != self.values.shape:
-            raise DomainError("node_logs shape mismatch")
+        if np.any(np.isnan(self.logs)):
+            raise DomainError("moment values must be nonnegative (a log is NaN)")
 
     def dense(self):
         """M as plain floats (may overflow to inf for large lam)."""
-        return self.values * np.exp(self.log_scale)[:, None]
-
-    def log_values(self):
-        """log M, elementwise (-inf where the moment vanishes).
-
-        Prefers the solver's exact per-node logs when present: the framed
-        (values, log_scale) pair can only span ~e^700 within one time slice,
-        while at large lam the spatial profile of log M spans far more; the
-        per-node logs keep every node's magnitude exactly.
-        """
-        if self.node_logs is not None:
-            return self.node_logs.copy()
-        with np.errstate(divide="ignore"):
-            return np.log(self.values) + self.log_scale[:, None]
+        return np.exp(self.logs)
 
     def sup_log(self, j=-1):
         """log sup_x M(t_j, x)."""
-        m = float(self.values[j].max())
-        return -np.inf if m == 0.0 else math.log(m) + float(self.log_scale[j])
+        return float(self.logs[j].max())
 
     def energy_log(self, j=-1):
         """log of the energy functional sqrt(int_B M(t_j, x) dx)."""
-        s = float(self.values[j].sum() * self.grid.h)
-        if s == 0.0:
-            return -np.inf
-        return 0.5 * (math.log(s) + float(self.log_scale[j]))
+        top = self.sup_log(j)
+        if top == -np.inf:
+            return top
+        return 0.5 * (math.log(float(np.exp(self.logs[j] - top).sum() * self.grid.h)) + top)
 
 
 def _closure_nodes(eta, delta):
@@ -311,10 +291,10 @@ def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep)
 
     Slices are flat: source(j) is the deterministic term at t_j, kappa =
     (lam l_sigma)^2, and slice[keep] the entries a solve returns.  Returns
-    (values, log_scale, logs), lam first: values[i, j] * exp(log_scale[i, j])
-    are the kept entries of slice j, logs[i, j] their exact logs (a framed
-    slice loses entries ~e^700 below its maximum).  Only slices j-1 and j are
-    live.  Each pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for
+    logs, lam first: logs[i, j] the logs of the kept entries of slice j, -inf
+    where they vanish.  Inside, slice j is stored as values exp(w - max w)
+    with its log scale, the log of its largest entry; only slices j-1 and j
+    are live.  Each pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for
     exponential growth) is lifted once and re-framed by a scalar each step
     (the history sums are taken on lifted midpoints, unlift maps them back);
     the frame is the largest pair scale so far, so nothing overflows.  Log
@@ -337,13 +317,12 @@ def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep)
     nt, batch = plan.nt, len(lams)
     kappa = [(lam * l_sigma) ** 2 for lam in lams]
     first = source(0)
-    prev, first_scale = _frame(first, 0.0)
-    values = np.zeros((batch, nt + 1) + first[keep].shape)
-    log_scale = np.zeros((batch, nt + 1))
-    logs = np.full(values.shape, -np.inf)
-    values[:, 0], log_scale[:, 0], logs[:, 0] = prev[keep], first_scale, _log_positive(first[keep])
+    logs = np.full((batch, nt + 1) + first[keep].shape, -np.inf)
+    logs[:, 0] = _log_positive(first[keep])
     if not first.any():
-        return values, log_scale, logs
+        return logs
+    k = math.floor(math.log(first.max()))    # slice 0's maximum framed into [1, e)
+    prev, scale = first * math.exp(-k), [float(k)] * batch
 
     # newest-cell resolvent closure: z = kappa A Gamma(eta) Delta^eta, A matched
     # to the exact cell mass; each distinct z is evaluated once (a colored mass
@@ -372,42 +351,29 @@ def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep)
             tilt = np.array([math.exp(-f) for f in frame])[:, None]
             w = _log_positive(source(j) * tilt + kappa * sums) + ln_fac
             wmax = w.max(axis=1).tolist()
-            scale = [f + m for f, m in zip(frame, wmax)]
+            last, scale = scale, [f + m for f, m in zip(frame, wmax)]
             for lam, s in zip(lams, scale):
                 if not math.isfinite(s):
                     raise NumericsError(f"moment solver at lam={lam!r} overflowed at step {j}")
             slices = np.exp(w - np.array(wmax)[:, None])
-            values[:, j] = slices[:, keep]
             logs[:, j] = w[:, keep] + np.array(frame)[:, None]
             mids[:, nt - j] = lift(np.sqrt(slices * prev))
             # halves first: the sum of two finite scales may pass the double range
-            mean = [0.5 * s + 0.5 * p for s, p in zip(scale, log_scale[:, j - 1].tolist())]
-            log_scale[:, j], mean_log[:, nt - j] = scale, mean
+            mean = [0.5 * s + 0.5 * p for s, p in zip(scale, last)]
+            mean_log[:, nt - j] = mean
             frame = [max(f, m) for f, m in zip(frame, mean)]
             prev = slices
-    return values, log_scale, logs
-
-
-def _frame(values, log_scale):
-    """Slices values[..., j, :] * exp(log_scale[..., j]) with each maximum put
-    in [1, e) by integer log offsets; an all-zero slice gets log_scale 0."""
-    top = values.max(axis=-1)
-    k = [math.floor(math.log(x)) if x > 0.0 else 0 for x in top.ravel().tolist()]
-    scale = np.reshape([math.exp(-x) for x in k], top.shape + (1,))
-    return values * scale, np.where(top > 0.0, np.reshape(k, top.shape) + log_scale, 0.0)
+    return logs
 
 
 def _solve(plan, params, l_sigma, lams, source, far, near, lift, unlift, keep=np.s_[:]):
     """The field of params.lam, or one field per lam of ``lams``, from one
-    pass of the stepper, each kept slice framed by ``_frame``."""
+    pass of the stepper: its logs of the kept entries are the field."""
     grid = np.asarray([params.lam] if lams is None else lams, float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
         raise DomainError(f"lams must be a non-empty 1-d grid of finite lam >= 0, got {lams!r}")
-    values, log_scale, logs = _log_split_steps(
-        plan, grid.tolist(), l_sigma, source, far, near, lift, unlift, keep)
-    values, log_scale = _frame(values, log_scale)
-    fields = [MomentField(times=plan.times, grid=plan.es.grid, values=v, log_scale=s,
-                          node_logs=g) for v, s, g in zip(values, log_scale, logs)]
+    logs = _log_split_steps(plan, grid.tolist(), l_sigma, source, far, near, lift, unlift, keep)
+    fields = [MomentField(times=plan.times, grid=plan.es.grid, logs=g) for g in logs]
     return fields[0] if lams is None else fields
 
 
@@ -582,6 +548,7 @@ def renewal_growth_exponent(kappa, rho):
 #: terms per block of the log-space series sum; a wider window may be integrated
 _SERIES_BLOCK = 1 << 18
 _SERIES_KMAX = 2 ** 53  # every integer up to here is an exact double
+_SERIES_TERMS = 1 << 26  # last index of a window from k = 1 (~0.6 s of terms)
 
 
 def _series_args(t, rho):
@@ -595,14 +562,16 @@ def lower_series_log(t, rho):
     """log S(t) with S(t) = sum_{k>=1} (t / k^rho)^k.
 
     The log-terms peak at k* = t^(1/rho)/e with Gaussian half-width
-    sqrt(k*/rho); summing a +-12 half-width window in log space bounds the
-    neglected tail below e^-70 of the total.  The window is summed in blocks
-    of 2^18 terms, unless it is wider and ends 12 half-widths from the peak
-    on both sides: then the summand is smooth on the scale of the half-width
-    (> 10^4) and tiny at the ends, so its integral, 16-point Gauss-Legendre
-    on 24 panels, equals the sum to rounding.  Valid while the window ends
-    below 2^53, i.e. k* up to about 9e15 (t up to about 1.6e8 at rho = 0.5,
-    2.4e16 at rho = 1); DomainError beyond.
+    sqrt(k*/rho).  A window of +-12 half-widths, or for k* <= 5e4 one from
+    k = 1 past where the log-terms (concave in k) are 70 below their peak,
+    bounds the neglected tail below e^-70 of the total.  It is summed in
+    blocks of 2^18 terms, unless it is wider and ends 12 half-widths from
+    the peak on both sides: then the summand is smooth on the scale of the
+    half-width (> 10^4) and tiny at the ends, so its integral, 16-point
+    Gauss-Legendre on 24 panels, equals the sum to rounding.  Valid while
+    the window ends below 2^53, i.e. k* up to about 9e15 (t up to about
+    1.6e8 at rho = 0.5, 2.4e16 at rho = 1), and one from k = 1 below 2^26
+    (rho above about 2e-7); DomainError beyond.
     """
     t, rho = _series_args(t, rho)
     if t == 0.0:
@@ -617,12 +586,17 @@ def lower_series_log(t, rho):
     kstar = t ** (1.0 / rho) / math.e
     if kstar <= 5e4:
         kmin, kmax = 1, max(200, int(3 * kstar) + 50)
+        peak = max(1.0, kstar) * (math.log(t) - rho * math.log(max(1.0, kstar)))
+        while kmax <= _SERIES_KMAX and kmax * (math.log(t) - rho * math.log(kmax)) > peak - 70.0:
+            kmax *= 2
     else:
         half = 12.0 * math.sqrt(kstar / rho)
         kmin = max(1, int(kstar - half))
         kmax = int(kstar + half) + 1
     if kmax > _SERIES_KMAX:
         raise refused
+    if kmin == 1 and kmax > _SERIES_TERMS:
+        raise DomainError(f"lower series at t={t}, rho={rho}: window from k = 1 past 2^26")
     if kmin > 1 and kmax - kmin >= _SERIES_BLOCK:
         blocks = [fixed_panel_nodes(np.linspace(kmin, kmax, 25), n=16)]
     else:

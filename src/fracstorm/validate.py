@@ -423,7 +423,7 @@ def _check_volterra_monotone(ctx):
     p = ModelParams(alpha=2.0, beta=0.5)
     plan = MomentPlan.build(p, es, u0, 0.1, 96)
     lams = (1.0, 2.0, 4.0)
-    fields = {(lam, ls): f.log_values()[-1] for ls in (0.5, 1.0) for lam, f in
+    fields = {(lam, ls): f.logs[-1] for ls in (0.5, 1.0) for lam, f in
               zip(lams, second_moment_white(p, es, u0, ls, 0.1, 96, plan=plan, lams=lams))}
     worst = np.inf
     for ls in (0.5, 1.0):

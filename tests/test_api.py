@@ -1,6 +1,7 @@
 """Public surface: every name a module exports exists; pinned signatures."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -32,6 +33,14 @@ def test_second_moment_solver_signature_is_pinned(name):
     # a lam batch is keyword-only, so the seven positional parameters stay
     assert params["lams"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["lams"].default is None
+
+
+def test_moment_field_surface_is_pinned():
+    # the benchmark's reference solve reads .dense() of the returned field
+    from fracstorm.moments import MomentField
+
+    assert [f.name for f in dataclasses.fields(MomentField)] == ["times", "grid", "logs"]
+    assert all(callable(getattr(MomentField, name)) for name in ("dense", "sup_log", "energy_log"))
 
 
 @pytest.mark.parametrize("path", sorted(pathlib.Path(fracstorm.__file__).parent.glob("*.py")),

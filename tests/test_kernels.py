@@ -129,7 +129,7 @@ def test_stable_density_far_field_follows_the_tail_series(alpha):
             pytest.approx(0.0, abs=1e-9))
 
 
-@pytest.mark.parametrize("alpha", [1.0, 1.5, 1.8])
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 1.8, 1.95])
 def test_profile_matches_the_direct_sum(alpha):
     # The free kernel's fast table (Hermite on y <= 400, series beyond)
     # against stable_density itself, across the seam at y = 400.
@@ -137,6 +137,12 @@ def test_profile_matches_the_direct_sum(alpha):
                         [399.0, 400.0, 401.0]])
     direct = stable_density(alpha, 1.0, 1.0, y)
     assert np.max(np.abs(kernels._line(alpha, 1.0).table(y) / direct - 1.0)) <= 1e-9
+
+
+def test_free_kernel_table_refuses_alpha_below_its_verified_range():
+    # at alpha = 0.6 the table is 1.7e-9 from the sum, at 0.5 6.1e-8
+    with pytest.raises(NumericsError, match="alpha in \\[0.7, 1.95\\]"):
+        fractional_free_kernel(ModelParams(alpha=0.6, beta=0.5), 0.1, 0.5)
 
 
 def test_eigen_system_matches_interval_laplacian(eigen_cache):

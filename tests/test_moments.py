@@ -19,7 +19,6 @@ from fracstorm.fracfun import mittag_leffler, mittag_leffler_log, mode_decay
 from fracstorm.kernels import apply_semigroup, dirichlet_fractional_kernel
 from fracstorm.moments import (
     MomentPlan,
-    _frame,
     colored_lower_bound_series,
     initial_term_floor,
     lower_series,
@@ -181,45 +180,10 @@ def test_colored_two_point_symmetry_and_diagonal(eigen_cache, bump):
     p = ModelParams(alpha=2.0, beta=0.5, lam=2.0,
                     noise=NoiseModel("riesz", gamma=0.5))
     field = second_moment_colored(p, es, u0, 1.0, 0.1, 64)
-    assert field.values.shape == field.node_logs.shape == (65, 32)
+    assert field.logs.shape == (65, 32)
     M = field.dense()
     assert np.all(M >= 0.0)
     assert np.max(np.abs(M - M[:, ::-1])) <= 1e-10 * M.max()
-
-
-def _normalize(vals):
-    """Reference: one slice split into (scaled, log_offset), max in [1, e)."""
-    m = float(np.max(np.abs(vals)))
-    if m == 0.0:
-        return vals, 0.0
-    k = math.floor(math.log(m))
-    return vals * math.exp(-k), float(k)
-
-
-def test_solver_frames_every_slice_as_normalize(eigen_cache, bump):
-    # Both solvers frame every returned slice of every lam with _frame, all
-    # at once; each must carry the bits of the per-slice _normalize, an
-    # all-zero slice included (log_scale 0), and a solver's own output is
-    # framed already.
-    es = eigen_cache(2.0, 16)
-    u0 = bump(es)
-    p = ModelParams(alpha=2.0, beta=0.5, lam=30.0, noise=NoiseModel("riesz", gamma=0.5))
-    fields = [second_moment_colored(p, es, u0, 1.0, 0.1, 24),
-              second_moment_white(replace(p, noise=NoiseModel()), es, u0, 1.0, 0.1, 24)]
-    for f in fields:
-        again = _frame(f.values, f.log_scale)
-        assert np.array_equal(again[0], f.values) and np.array_equal(again[1], f.log_scale)
-    values = np.stack([f.values for f in fields]) * np.geomspace(1e-3, 1e3, 25)[:, None]
-    values[0, 3] = 0.0
-    values[1, 5] *= 1e-300
-    log_scale = np.stack([f.log_scale for f in fields])
-    got_values, got_scale = _frame(values, log_scale)
-    for i in range(2):
-        for j in range(25):
-            v, k = _normalize(values[i, j])
-            assert np.array_equal(got_values[i, j], v), (i, j)
-            assert got_scale[i, j] == (k + log_scale[i, j] if values[i, j].max() > 0.0 else 0.0)
-    assert got_scale[0, 3] == 0.0 and not got_values[0, 3].any()
 
 
 def test_colored_moment_monotone_in_lambda(eigen_cache, bump):
@@ -256,8 +220,7 @@ def test_sweep_with_one_plan_matches_planless_solves(eigen_cache, bump):
     q = replace(colored, lam=30.0)
     shared = second_moment_colored(q, es, u0, 1.0, 0.1, 24, plan=plan)
     own = second_moment_colored(q, es, u0, 1.0, 0.1, 24)
-    for name in ("values", "log_scale", "node_logs"):
-        assert np.array_equal(getattr(shared, name), getattr(own, name))
+    assert np.array_equal(shared.logs, own.logs)
 
 
 def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
@@ -351,7 +314,7 @@ def _direct_white(plan, kappa):
     sqrt(v_{p+1} v_p) framed by the largest pair-mean log scale so far; the
     newest cell is the scalar renewal closure.  Log scales and pair means
     are added in Python floats, halves first, so no finite pair overflows.
-    Returns the per-node logs, as the solver's node_logs, or raises
+    Returns the per-node logs, as the solver's field logs, or raises
     NumericsError at the first step whose log scale is not finite.
     """
     nt = plan.nt
@@ -402,7 +365,7 @@ def test_blocked_white_stepper_matches_direct_lag_sum(eigen_cache, bump, nt, lam
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
     plan = MomentPlan.build(p, es, u0, 0.1, nt)
-    got = second_moment_white(p, es, u0, 1.0, 0.1, nt, plan=plan).node_logs
+    got = second_moment_white(p, es, u0, 1.0, 0.1, nt, plan=plan).logs
     ref = _direct_white(plan, lam ** 2)
     assert np.array_equal(np.isinf(got), np.isinf(ref))
     finite = np.isfinite(ref)
@@ -418,17 +381,18 @@ def test_blocked_white_overflow_raises_at_the_direct_step(eigen_cache, bump, lam
     # 33..37) passes the double range, and both steppers must raise there,
     # with no RuntimeWarning; at lam = 4e153 every log scale and every pair
     # mean stays finite, though the sum of two neighbouring scales does not.
+    # A slice's log scale is its largest log.
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.02, lam=lam)
     plan = MomentPlan.build(p, es, u0, 0.1, 37)
     if step is None:
         field = second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
-        scales = field.log_scale.tolist()
+        scales = field.logs.max(axis=1).tolist()
         assert all(map(math.isfinite, scales))
         assert max(a + b for a, b in zip(scales[1:], scales[:-1])) == math.inf
         ref = _direct_white(plan, lam ** 2)
-        assert np.all(np.abs(field.node_logs - ref) <= 1e-12 * np.abs(ref))
+        assert np.all(np.abs(field.logs - ref) <= 1e-12 * np.abs(ref))
         return
     match = f"overflowed at step {step}$"
     with pytest.raises(NumericsError, match=match):
@@ -444,8 +408,8 @@ def _sandwich_colored(plan, kappa):
     cells m = 1..j-1, one pair of n x n x n products per cell, with Gmid[m]
     the clipped kernel at the cell's midpoint lag.  Pair midpoints are
     sqrt(v_{p+1} v_p) framed by the largest pair-mean log scale so far; the
-    newest cell is the scalar renewal closure.  Returns (values, log_scale,
-    logs), as the solver's stepper does.
+    newest cell is the scalar renewal closure.  Returns the logs of the
+    two-point function at every step.
     """
     es, nt = plan.es, plan.nt
     delta = plan.T / nt
@@ -470,7 +434,7 @@ def _sandwich_colored(plan, kappa):
         logs[j] = w + frame
         values[j] = np.exp(w - w.max())
         log_scale[j] = frame + w.max()
-    return values, log_scale, logs
+    return logs
 
 
 @pytest.mark.parametrize("lam", [1.0, 30.0, 1e3])
@@ -495,18 +459,13 @@ def test_colored_solve_matches_physical_sandwich(eigen_cache, bump, n, lam):
     for nt in (24, 33, 37, 64):
         plan = MomentPlan.build(p, es, u0, 0.1, nt)
         got = second_moment_colored(p, es, u0, 1.0, 0.1, nt, plan=plan)
-        values, log_scale, logs = _sandwich_colored(plan, lam ** 2)
+        logs = _sandwich_colored(plan, lam ** 2)
         r = nt * 4 * n * 2.0 ** -53
         ref = np.diagonal(logs, axis1=1, axis2=2)
-        assert np.array_equal(np.isinf(got.node_logs), np.isinf(ref)), nt
+        assert np.array_equal(np.isinf(got.logs), np.isinf(ref)), nt
         finite = np.isfinite(ref)
-        assert np.all(np.abs(got.node_logs[finite] - ref[finite])
+        assert np.all(np.abs(got.logs[finite] - ref[finite])
                       <= r + 2.0 ** -51 * np.abs(ref[finite])), nt
-        # values * exp(log_scale) on the diagonal of every slice, in units of
-        # the oracle's slice maximum (1)
-        dense = got.values * np.exp(got.log_scale - log_scale)[:, None]
-        err = np.abs(dense - np.diagonal(values, axis1=1, axis2=2)).max(axis=1)
-        assert np.all(err <= r + 2.0 ** -52 * np.abs(log_scale)), (nt, err)
 
 
 def test_plan_built_for_other_inputs_is_refused(eigen_cache, bump):
@@ -548,8 +507,7 @@ def test_batched_lams_are_bitwise_their_solves_alone(eigen_cache, bump):
         fields = [f for b in batches for f in solve(p, es, u0, 1.0, 0.1, 192, plan=plan, lams=b)]
         for lam, field in zip(lams, fields):
             alone = solve(replace(p, lam=float(lam)), es, u0, 1.0, 0.1, 192, plan=plan)
-            for name in ("values", "log_scale", "node_logs"):
-                assert np.array_equal(getattr(field, name), getattr(alone, name)), (lam, name)
+            assert np.array_equal(field.logs, alone.logs), lam
 
 
 def test_batch_overflow_names_its_lam_at_its_own_step(eigen_cache, bump):
@@ -656,12 +614,23 @@ def test_series_lemma_refuses_windows_past_exact_doubles():
         colored_lower_bound_series(replace(_RIESZ, lam=1e12), 1.0, 0.1, g_t=0.3)
 
 
-@pytest.mark.parametrize("t, rho", [(1.0, 1.0), (10.0, 0.5), (20.0, 0.5)])
+@pytest.mark.parametrize("t, rho", [(1.0, 1.0), (10.0, 0.5), (20.0, 0.5)] + [
+    ((math.e * kstar) ** rho, rho) for rho, kstar in ((0.05, 100), (0.01, 100), (0.001, 1000))])
 def test_lower_series_matches_30_digit_reference(t, rho):
+    # Small rho puts the last e^-70 of the terms far past 3 k* + 50: at
+    # (rho, k*) = (0.001, 1000) about 29000 terms.  The reference adds the
+    # terms one by one until they fall below 30 digits; nsum's default
+    # extrapolation misses that sum by 3.4e-6.
     with mpmath.workdps(30):
         ref = mpmath.nsum(lambda k: (mpmath.mpf(t) / k ** mpmath.mpf(rho)) ** k,
-                          [1, mpmath.inf])
+                          [1, mpmath.inf], method="direct", steps=[1000], maxterms=10 ** 6)
         assert abs(lower_series(t, rho) - ref) / ref <= 1e-13
+
+
+def test_series_window_from_one_is_bounded():
+    # at rho = 3e-8 the terms fall e^-70 below their peak only past 1e8
+    with pytest.raises(DomainError, match="2\\^26"):
+        lower_series_log((math.e * 100) ** 3e-8, 3e-8)
 
 
 def test_lower_series_log_growth_exponent():
