@@ -382,10 +382,12 @@ def _zolotarev_log_a(beta, phi):
 
 def _g_small_u(beta, u):
     """Kanter integral, exact for all u; used on u < 1 where it is best behaved.
-    The prefactor u^(-1/(1-beta)) sits in the exponent: the left tail underflows to 0.0."""
+    The prefactor u^(-1/(1-beta)) sits in the exponent: the left tail underflows to 0.0.
+    Panels: geometric towards 0 and pi, 0.034 pi wide on [0.25 pi, 0.9 pi] where u ~ 1 peaks."""
     ob = 1.0 - beta
     half = np.geomspace(1e-12, 0.5, 44) * np.pi
-    edges = np.unique(np.concatenate([[0.0], half, np.pi - half[::-1], [np.pi]]))
+    edges = np.unique(np.concatenate([[0.0], half, np.pi - half[::-1], [np.pi],
+                                      np.linspace(0.25, 0.9, 20) * np.pi]))
     phi, w = fixed_panel_nodes(edges, n=16)
     la = _zolotarev_log_a(beta, phi)
     with np.errstate(over="ignore", under="ignore"):

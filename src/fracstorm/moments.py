@@ -45,10 +45,14 @@ needs no clip (see ``kernels.dirichlet_fractional_kernel``).
 The stepper sums the history in fixed blocks of _STEP_BLOCK = 16 steps
 (Hairer, Lubich & Schlichte 1985): at the start of a block, the cells over
 the midpoints made before it are summed for every step of the block at
-once, and each step adds only its <= 16 in-block cells.  The white table is
-stored node-major, (n, nt, n), so viewed as (n, nt n) its row x holds
-S[m][x, :] for every lag m: the older cells of a whole block are one gemm
-against a Toeplitz arrangement of the older midpoints, and a step's
+once, and each step adds only its <= 16 in-block cells.  Interval, grid and
+generator are symmetric under J: x -> -x, so each S[m] is centrosymmetric,
+with parity blocks (S + S J)[:c, :c] and (S - S J)[:f, :f], c = ceil(n/2),
+f = floor(n/2) (Cantoni & Butler 1976): the white lift folds a midpoint o to
+(o + J o)[:c] (an odd n's middle node once) and (o - J o)[:f], which halves
+the table and the flops of S[m] @ mid.  Row x of a block's (c, nt c) view
+holds S[m][x, :] for every lag m, so a block's older cells are one gemm per
+parity against a Toeplitz arrangement of the older midpoints, and a step's
 in-block cells one gemv.  The colored contraction works entry by entry on
 the packed triangle: a block's older cells are one two-operand dot per step
 over midpoints pre-scaled once per block, and a step's in-block cells one
@@ -86,12 +90,7 @@ import numpy as np
 from .errors import DomainError, NumericsError
 from .fracfun import (DECAY_CHUNK, ExpSum, SampledFunction, mittag_leffler, mittag_leffler_log,
                       mode_decay)
-from .kernels import (
-    EigenSystem,
-    apply_semigroup,
-    dirichlet_fractional_kernel,
-    riesz_kernel_matrix,
-)
+from .kernels import EigenSystem, apply_semigroup, riesz_kernel_matrix
 from .params import ModelParams, SpaceGrid
 from .quadrature import fixed_panel_nodes
 
@@ -185,10 +184,10 @@ class MomentPlan:
     det[j]:     (G_B u0)(t_j), with det[0] = u0
     cell_mass:  exact kernel mass of the newest time cell, (n,) for white
                 noise, (n, n) for colored
-    history:    the lag-cell tables, lag m = 0 unused (zero).  White:
-                node-major (n, nt, n), history[:, m] = S[m], h times the
-                integral of G(tau)^2 over [m Delta, (m+1) Delta], so the
-                (n, nt n) view holds every lag of node x in row x.
+    history:    the lag-cell tables, lag m = 0 unused (zero).  White: the
+                parity blocks (even, odd) of S[m] = h int G(tau)^2 over
+                [m Delta, (m+1) Delta], node-major: S[m] is centrosymmetric,
+                so (S + SJ)[:c, :c] and (S - SJ)[:f, :f] hold it in half the memory.
                 Colored: lag-major (nt, n(n+1)/2), history[m] the upper
                 triangle of outer(e_m, e_m), packed in np.triu_indices(n)
                 order, e_m the mode decay at the cell's midpoint lag, so the
@@ -205,7 +204,7 @@ class MomentPlan:
     times: np.ndarray
     det: np.ndarray
     cell_mass: np.ndarray
-    history: np.ndarray
+    history: tuple[np.ndarray, np.ndarray] | np.ndarray
     riesz: np.ndarray | None = None
 
     @classmethod
@@ -254,13 +253,24 @@ class MomentPlan:
         else:
             # cell_mass[x] = int_0^Delta sum_n E_beta(-mu_n tau^beta)^2 phi_n(x)^2
             cell_mass = np.tensordot(jac, e ** 2 @ (es.phi ** 2).T, axes=(0, 0))
+            # parity blocks from the top c rows: E_+- sums the even (odd) modes,
+            # G[:c, :c] = clip(E_+ + E_-) = A and (G J)[:c, :c] = clip(E_+ - E_-) = B
+            parity = h * np.einsum("xk,xk->k", es.phi, es.phi[::-1])
+            for k in np.flatnonzero(np.abs(np.abs(parity) - 1.0) > 1e-8).tolist():
+                raise NumericsError(f"mode {k} is neither even nor odd, parity {parity[k]!r}")
+            even, top = parity > 0.0, es.phi[:(n + 1) // 2]
+            history = tuple(np.zeros((size, nt, size)) for size in ((n + 1) // 2, n // 2))
             # 6 Gauss nodes on each lag cell [m Delta, (m+1) Delta], m >= 1
             nodes, s_w = fixed_panel_nodes(delta * np.arange(1, nt + 1), n=6)
             step = 6 * max(1, DECAY_CHUNK // (6 * n * n))  # whole lag cells per call
             for q in range(0, nodes.size, step):
-                G = dirichlet_fractional_kernel(es, beta, nodes[q:q + step])
-                cells = h * (s_w[q:q + step, None, None] * G * G).reshape(-1, 6, n, n).sum(axis=1)
-                history[:, 1 + q // 6:1 + (q + step) // 6] = cells.transpose(1, 0, 2)
+                e = mode_decay(es.mu, beta, nodes[q:q + step])[:, None, :]
+                plus, minus = ((top[:, p] * e[..., p]) @ top[:, p].T for p in (even, ~even))
+                A2, B2 = (np.clip(X, 0.0, None) ** 2 for X in (plus + minus, plus - minus))
+                w = h * s_w[q:q + step, None, None]
+                for table, cells in zip(history, (w * (A2 + B2), w * (A2 - B2))):
+                    cells = cells[:, :len(table), :len(table)].reshape(-1, 6, *table.shape[::2])
+                    table[:, 1 + q // 6:1 + (q + step) // 6] = cells.sum(axis=1).transpose(1, 0, 2)
         return cls(es=es, params=replace(params, lam=0.0), u0=u0, T=T, nt=nt,
                    eta=eta, times=times, det=det, cell_mass=cell_mass,
                    history=history, riesz=riesz)
@@ -269,7 +279,8 @@ class MomentPlan:
         """lams cut into runs for one solve each: as many as fit their lifted
         midpoints, nt n (white) or nt n(n+1)/2 (colored) doubles per lam,
         into _BATCH_DOUBLES, and at least one."""
-        size = max(1, _BATCH_DOUBLES // (self.nt * self.history.shape[-1]))
+        n = self.es.grid.n
+        size = max(1, _BATCH_DOUBLES // (self.nt * (n if self.riesz is None else n * (n + 1) // 2)))
         return [lams[i:i + size] for i in range(0, len(lams), size)]
 
     def check(self, params, es, u0, T, nt):
@@ -393,25 +404,37 @@ def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None, *, lams=None)
     plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
             else plan.check(params, es, u0, T, nt))
 
-    n = es.grid.n
-    table = plan.history.reshape(n, -1)    # row x: S[m][x, :] for every lag m
+    c, f = (es.grid.n + 1) // 2, es.grid.n // 2
+    # row x of a parity block holds its S[m][x, :] for every lag m
+    tables = [(t.reshape(len(t), -1), p) for t, p in zip(plan.history, (np.s_[:c], np.s_[c:]))]
+
+    def lift(mids):    # the fold: (o + Jo)[:c], an odd n's middle node once; (o - Jo)[:f]
+        flip = mids[:, ::-1]
+        return np.hstack([mids[:, :f] + flip[:, :f], mids[:, f:c], mids[:, :f] - flip[:, :f]])
+
+    def unlift(sums):
+        even, odd = sums[:, :c], sums[:, c:]
+        return 0.5 * np.hstack([even[:, :f] + odd, even[:, f:], (even[:, :f] - odd)[:, ::-1]])
 
     def far(older, scale, nb):
-        # Toeplitz, one contiguous row per step: row i holds older[k] in the
-        # column block of lag i+1+k
-        older = (older * scale[:, None]).ravel()
-        lags = older.size // n + nb - 1
-        rows = np.zeros((nb, lags * n))
-        for i in range(nb):
-            rows[i, i * n:i * n + older.size] = older
-        return (table[:, n:(lags + 1) * n] @ rows.T).T
+        # per parity, Toeplitz, one contiguous row per step: row i holds
+        # older[k] in the column block of lag i+1+k
+        older, sums = older * scale[:, None], []
+        for table, part in tables:
+            size, block = len(table), older[:, part].ravel()
+            lags = len(older) + nb - 1
+            rows = np.zeros((nb, lags * size))
+            for i in range(nb):
+                rows[i, i * size:i * size + block.size] = block
+            sums.append((table[:, size:(lags + 1) * size] @ rows.T).T)
+        return np.hstack(sums)
 
     def near(base, newer, scale):
-        return base + table[:, n:(len(newer) + 1) * n] @ (newer * scale[:, None]).ravel()
+        newer = newer * scale[:, None]
+        return base + np.hstack([table[:, len(table):(len(newer) + 1) * len(table)]
+                                 @ newer[:, part].ravel() for table, part in tables])
 
-    det = plan.det
-    return _solve(plan, params, l_sigma, lams, lambda j: det[j] * det[j], far, near,
-                  lambda mids: mids, lambda sums: sums)
+    return _solve(plan, params, l_sigma, lams, lambda j: plan.det[j] ** 2, far, near, lift, unlift)
 
 
 def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None, *, lams=None):

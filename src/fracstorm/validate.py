@@ -120,6 +120,11 @@ def _num(x):
     return f"{float(x):.6g}"
 
 
+def _residual(x):
+    """'= x', or the bound '< 1e-13' where x's digits are roundoff."""
+    return "< 1e-13" if float(x) < 1e-13 else f"= {_num(x)}"
+
+
 class CheckContext:
     """Shared per-run state: seed, thread budget, and cached heavy objects."""
 
@@ -155,21 +160,21 @@ class CheckContext:
 def _check_ml_exp(ctx):
     x = np.linspace(-5.0, 5.0, 201)
     err = float(np.max(np.abs(mittag_leffler(1.0, x) - np.exp(x))))
-    return err <= 1e-12, f"max|E_1(x)-e^x| = {_num(err)}", "<= 1e-12"
+    return err <= 1e-12, f"max|E_1(x)-e^x| {_residual(err)}", "<= 1e-12"
 
 
 @_register("fracfun", "ml-half-golden", "closed-form", criterion=1, budget=0.25,
            golden="mittag_leffler:beta=0.5;x=-1")
 def _check_ml_half(ctx, expected, tol):
     err = abs(float(mittag_leffler(0.5, -1.0)) - expected)
-    return err <= tol, f"|E_1/2(-1) - golden| = {_num(err)}", f"<= {_num(tol)}"
+    return err <= tol, f"|E_1/2(-1) - golden| {_residual(err)}", f"<= {_num(tol)}"
 
 
 @_register("fracfun", "subordinator-half-golden", "closed-form", criterion=1, budget=0.25,
            golden="subordinator_density:beta=0.5;u=1")
 def _check_gsub_half(ctx, expected, tol):
     err = abs(float(stable_subordinator_density(0.5, 1.0)) - expected)
-    return err <= tol, f"|g_1/2(1) - golden| = {_num(err)}", f"<= {_num(tol)}"
+    return err <= tol, f"|g_1/2(1) - golden| {_residual(err)}", f"<= {_num(tol)}"
 
 
 @_register("fracfun", "inverse-subordinator-golden", "closed-form", criterion=1, budget=0.25,
@@ -178,7 +183,7 @@ def _check_invsub(ctx, expected, tol):
     err = abs(float(inverse_subordinator_density(0.5, 1.0, 1.0)) - expected)
     support = float(inverse_subordinator_density(0.5, 1.0, -1.0))
     ok = err <= tol and support == 0.0
-    return ok, f"|f(1) - golden| = {_num(err)}, f(-1) = {_num(support)}", f"<= {_num(tol)}; = 0"
+    return ok, f"|f(1) - golden| {_residual(err)}, f(-1) = {_num(support)}", f"<= {_num(tol)}; = 0"
 
 
 @_register("fracfun", "fractional-left-inverse", "definition", criterion=2, budget=5.0)
@@ -215,7 +220,7 @@ def _check_invsub_norm(ctx):
             val = quadrature.integrate_semi_infinite(
                 lambda x: inverse_subordinator_density(beta, t, x), tol=1e-10)
             worst = max(worst, abs(val - 1.0))
-    return worst <= 1e-6, f"max|int f - 1| = {_num(worst)}", "<= 1e-6"
+    return worst <= 1e-6, f"max|int f - 1| {_residual(worst)}", "<= 1e-6"
 
 
 @_register("fracfun", "laplace-ml-consistency", "self-consistency")
@@ -228,7 +233,7 @@ def _check_laplace_ml(ctx):
                 tol=1e-10)
             rhs = float(mittag_leffler(beta, -mu))
             worst = max(worst, abs(lhs - rhs))
-    return worst <= 1e-6, f"max|Laplace f - E_b| = {_num(worst)}", "<= 1e-6"
+    return worst <= 1e-6, f"max|Laplace f - E_b| {_residual(worst)}", "<= 1e-6"
 
 
 @_register("fracfun", "ml-complete-monotone", "definition")
@@ -271,14 +276,14 @@ def _check_gsub_tail(ctx):
 def _check_quad_semiinf(ctx):
     val = quadrature.integrate_semi_infinite(lambda x: np.exp(-x), tol=1e-12)
     err = abs(val - 1.0)
-    return err <= 1e-10, f"|int e^-x - 1| = {_num(err)}", "<= 1e-10"
+    return err <= 1e-10, f"|int e^-x - 1| {_residual(err)}", "<= 1e-10"
 
 
 @_register("quadrature", "adaptive-polynomial", "closed-form")
 def _check_quad_poly(ctx):
     val = quadrature.adaptive_gauss(lambda x: x ** 7, 0.0, 1.0, tol=1e-13)
     err = abs(val - 0.125)
-    return err <= 1e-12, f"|int x^7 - 1/8| = {_num(err)}", "<= 1e-12"
+    return err <= 1e-12, f"|int x^7 - 1/8| {_residual(err)}", "<= 1e-12"
 
 
 @_register("quadrature", "singular-left-endpoint", "closed-form")
@@ -289,7 +294,7 @@ def _check_quad_singular(ctx):
     # = sum_k (-1)^k / ((2k)! (2k + 1/2)); twelve terms reach 1e-16.
     ref = sum((-1) ** k / (math.factorial(2 * k) * (2 * k + 0.5)) for k in range(12))
     err = abs(val - ref)
-    return err <= 1e-8, f"|int cos(r)/sqrt(r) - exact| = {_num(err)}", "<= 1e-8"
+    return err <= 1e-8, f"|int cos(r)/sqrt(r) - exact| {_residual(err)}", "<= 1e-8"
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +323,7 @@ def _check_stable_scaling(ctx):
             peak = math.gamma(1.0 + 1.0 / alpha) * t ** (-1.0 / alpha) / math.pi
             oracle = max(oracle, abs(stable_density(alpha, 1.0, t, 0.0) / peak - 1.0))
     return (worst <= 1e-8 and oracle <= 1e-10,
-            f"scaling defect {_num(worst)}, rel closed-form gap {_num(oracle)}", "<= 1e-8; <= 1e-10")
+            f"scaling defect {_residual(worst)}, rel closed-form gap {_residual(oracle)}", "<= 1e-8; <= 1e-10")
 
 
 @_register("kernels", "stable-two-sided-bounds", "self-consistency")
@@ -355,7 +360,7 @@ def _check_l2_law(ctx):
 def _check_l2_frozen(ctx, expected, tol):
     val = green_l2_constant(ModelParams(alpha=2.0, beta=0.5))
     err = abs(val - expected)
-    return err <= tol, f"|C(2,0.5,1,1) - frozen| = {_num(err)}", f"<= {_num(tol)}"
+    return err <= tol, f"|C(2,0.5,1,1) - frozen| {_residual(err)}", f"<= {_num(tol)}"
 
 
 @_register("kernels", "l2-constant-classical", "closed-form", criterion=3, budget=1.0,
@@ -363,7 +368,7 @@ def _check_l2_frozen(ctx, expected, tol):
 def _check_l2_classical(ctx, expected, tol):
     val = green_l2_constant(ModelParams(alpha=2.0, beta=1.0))
     err = abs(val - expected)
-    return err <= tol, f"|C(2,1,1,1) - (8 pi)^-1/2| = {_num(err)}", f"<= {_num(tol)}"
+    return err <= tol, f"|C(2,1,1,1) - (8 pi)^-1/2| {_residual(err)}", f"<= {_num(tol)}"
 
 
 @_register("kernels", "cross-representation", "self-consistency", criterion=4, budget=60.0)
@@ -378,7 +383,7 @@ def _check_cross_repr(ctx):
             i, j = (int(v) for v in rng.integers(16, 48, 2))
             ref = max(abs(Gs[i, j]), 1e-30)
             worst = max(worst, abs(Gs[i, j] - Gb[i, j]) / ref)
-    return worst <= 1e-5, f"max rel spectral-vs-subordination = {_num(worst)}", "<= 1e-5"
+    return worst <= 1e-5, f"max rel spectral-vs-subordination {_residual(worst)}", "<= 1e-5"
 
 
 @_register("kernels", "bounded-by-free", "self-consistency", criterion=5, budget=30.0)
@@ -409,7 +414,7 @@ def _check_riesz_diag(ctx, expected, tol):
     grid = SpaceGrid(R=1.0, n=20)   # h = 0.1
     M = riesz_kernel_matrix(grid, 0.5)
     err = abs(float(M[3, 3]) - expected)
-    return err <= tol, f"|diag - golden| = {_num(err)}", f"<= {_num(tol)}"
+    return err <= tol, f"|diag - golden| {_residual(err)}", f"<= {_num(tol)}"
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +480,7 @@ def _check_renewal_ratio(ctx):
 
     ratio = late_rate(4.0) / late_rate(1.0)
     dev = abs(ratio / 4.0 ** (1.0 / rho) - 1.0)
-    return dev <= 0.05, f"rate ratio = {_num(ratio)} (target 16), rel dev = {_num(dev)}", "<= 0.05"
+    return dev <= 0.05, f"rate ratio = {_num(ratio)} (target 16), rel dev {_residual(dev)}", "<= 0.05"
 
 
 @_register("moments", "renewal-envelope-sandwich", "self-consistency")
@@ -524,7 +529,7 @@ def _check_colored_envelope(ctx):
            golden="lower_series:rho=1;theta=1")
 def _check_series_golden(ctx, expected, tol):
     err = abs(lower_series(1.0, 1.0) - expected)
-    return err <= tol, f"|S(1) - sum k^-k| = {_num(err)}", f"<= {_num(tol)}"
+    return err <= tol, f"|S(1) - sum k^-k| {_residual(err)}", f"<= {_num(tol)}"
 
 
 @_register("moments", "series-lemma-growth", "self-consistency", criterion=10, budget=0.5)

@@ -58,3 +58,24 @@ def test_no_module_imports_a_private_name_of_another(path):
             private += [alias.name for alias in node.names if alias.name.startswith("fracstorm.")
                         and alias.name.split(".")[-1].startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(fracstorm.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # an unused import keeps a dead dependency and is compiled again at every
+    # process start that writes no bytecode; a name in __all__ is used (it is
+    # re-exported), and __future__ imports are directives
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    assert sorted(imported - used) == []

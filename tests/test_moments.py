@@ -16,7 +16,7 @@ from fracstorm.errors import DomainError, NumericsError
 from fracstorm.excitation import excitation_sweep
 from fracstorm import fracfun
 from fracstorm.fracfun import mittag_leffler, mittag_leffler_log, mode_decay
-from fracstorm.kernels import apply_semigroup, dirichlet_fractional_kernel
+from fracstorm.kernels import EigenSystem, apply_semigroup, dirichlet_fractional_kernel
 from fracstorm.moments import (
     MomentPlan,
     colored_lower_bound_series,
@@ -224,14 +224,16 @@ def test_sweep_with_one_plan_matches_planless_solves(eigen_cache, bump):
 
 
 def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
-    # The white tables are built from kernel calls on chunks of whole lag
-    # cells, the colored ones from one mode_decay call on all midpoints; the
-    # reference is one call per node.  At n = 32 a white chunk holds 42 cells,
-    # so nt = 300 crosses chunk edges; the colored lags sample both ends and
-    # the middle of the table.  Each modal value of the two routes agrees to
-    # 2e-13 (test_kernels' DECAY_RTOL twice); a kernel entry then to
-    # delta = 2e-13 + n ulp of its absolute modal sum A, a squared entry to
-    # 3 delta A^2, a product e_i e_k to 4e-13 + 1 ulp of itself.
+    # The white parity blocks are built from mode_decay on chunks of whole
+    # lag cells, the colored tables from one mode_decay call on all
+    # midpoints; the reference is one kernel call per node, S[m] folded by
+    # the reflection J: (S + S J)[:c, :c] and (S - S J)[:f, :f].  At n = 32
+    # a white chunk holds 42 cells, so nt = 300 crosses chunk edges; the
+    # colored lags sample both ends and the middle of the table.  Each modal
+    # value of the two routes agrees to 2e-13 (test_kernels' DECAY_RTOL
+    # twice); a kernel entry then to delta = 2e-13 + n ulp of its absolute
+    # modal sum A, a squared entry to 3 delta A^2, a sum or difference of two
+    # to 3 delta of their A^2 sum, a product e_i e_k to 4e-13 + 1 ulp of itself.
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
     n, h, nt, T = es.grid.n, es.grid.h, 300, 0.1
@@ -241,13 +243,19 @@ def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
         return (np.abs(es.phi) * mode_decay(es.mu, 0.5, t)) @ np.abs(es.phi).T
 
     white = MomentPlan.build(ModelParams(alpha=2.0, beta=0.5), es, u0, T, nt)
+    even, odd = white.history
+    assert even.shape == odd.shape == (n // 2, nt, n // 2)
     nodes, weights = fixed_panel_nodes(T / nt * np.arange(1, nt + 1), n=6)
     for m in (1, 41, 42, 43, 84, 85, nt - 1):
         q = slice(6 * (m - 1), 6 * m)
         ref = h * sum(w * dirichlet_fractional_kernel(es, 0.5, t) ** 2
                       for t, w in zip(nodes[q], weights[q]))
         size = h * sum(w * absolute(t) ** 2 for t, w in zip(nodes[q], weights[q]))
-        assert np.all(np.abs(white.history[:, m] - ref) <= 3 * delta * size), m
+        for table, sign in ((even, 1.0), (odd, -1.0)):
+            k = len(table)
+            folded = (ref + sign * ref[:, ::-1])[:k, :k]
+            bound = 3 * delta * (size + size[:, ::-1])[:k, :k]
+            assert np.all(np.abs(table[:, m] - folded) <= bound), (m, sign)
     colored = MomentPlan.build(
         ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5)),
         es, u0, T, nt)
@@ -258,7 +266,32 @@ def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
     for m in (1, 255, 256, 257, nt - 1):
         ref = np.outer(*2 * [mode_decay(es.mu, 0.5, (m + 0.5) * T / nt)])[upper]
         assert np.all(np.abs(colored.history[m] - ref) <= (4e-13 + 2.0 ** -52) * ref), m
-    assert not white.history[:, 0].any() and not colored.history[0].any()
+    assert not even[:, 0].any() and not odd[:, 0].any() and not colored.history[0].any()
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+@pytest.mark.parametrize("n", [32, 33])
+def test_white_plan_accepts_the_modes_of_eigen_system(eigen_cache, bump, alpha, n):
+    # Interval, cell-centred grid and generator are symmetric under x -> -x,
+    # so every eigenvector is even or odd: h sum phi_k(x) phi_k(-x) = +-1.
+    es = eigen_cache(alpha, n)
+    parity = es.grid.h * np.einsum("xk,xk->k", es.phi, es.phi[::-1])
+    assert np.all(np.abs(np.abs(parity) - 1.0) <= 1e-8)
+    plan = MomentPlan.build(ModelParams(alpha=alpha, beta=0.5), es, bump(es), 0.1, 4)
+    c, f = (n + 1) // 2, n // 2
+    assert [t.shape for t in plan.history] == [(c, 4, c), (f, 4, f)]
+
+
+def test_white_plan_refuses_modes_without_parity(eigen_cache, bump):
+    # Rotating two modes of opposite parity into each other keeps the basis
+    # orthonormal but leaves both columns neither even nor odd.
+    es = eigen_cache(2.0, 32)
+    phi = es.phi.copy()
+    phi[:, 3], phi[:, 4] = (es.phi[:, 3] + es.phi[:, 4]) / math.sqrt(2.0), \
+        (es.phi[:, 3] - es.phi[:, 4]) / math.sqrt(2.0)
+    mixed = EigenSystem(mu=es.mu, phi=phi, grid=es.grid)
+    with pytest.raises(NumericsError, match="^mode 3 is neither even nor odd"):
+        MomentPlan.build(ModelParams(alpha=2.0, beta=0.5), mixed, bump(es), 0.1, 24)
 
 
 def test_white_plan_build_leaves_only_the_closure_on_mittag_leffler(
@@ -306,11 +339,39 @@ def test_colored_solve_makes_no_kernel_matrix(monkeypatch, eigen_cache, bump):
     assert calls == []
 
 
-def _direct_white(plan, kappa):
+def _lag_tables(plan):
+    """S[m] = h int G(tau)^2 over lag cell m (S[0] zero), by 6-point
+    Gauss-Legendre on each cell with kernels from dirichlet_fractional_kernel,
+    192 nodes a call: the full n x n tables, no parity."""
+    es, nt, n = plan.es, plan.nt, plan.es.grid.n
+    nodes, weights = fixed_panel_nodes(plan.T / nt * np.arange(1, nt + 1), n=6)
+    S = np.zeros((nt, n, n))
+    for q in range(0, nodes.size, 192):
+        G = dirichlet_fractional_kernel(es, plan.params.beta, nodes[q:q + 192])
+        cells = (weights[q:q + 192, None, None] * G * G).reshape(-1, 6, n, n).sum(axis=1)
+        S[1 + q // 6:1 + (q + 192) // 6] = es.grid.h * cells
+    return S
+
+
+@pytest.fixture(scope="module")
+def lag_tables():
+    """``_lag_tables`` once per eigen system, beta, T and nt for this module:
+    its eigen systems come from the session's eigen_cache, so an id names one."""
+    memo = {}
+
+    def tables(plan):
+        key = (id(plan.es), float(plan.params.beta), plan.T, plan.nt)
+        if key not in memo:
+            memo[key] = _lag_tables(plan)
+        return memo[key]
+    return tables
+
+
+def _direct_white(plan, kappa, S):
     """Reference: the white stepper with the direct per-lag contraction.
 
     Every step sums S[m] @ mid over the lag cells m = 1..j-1, one gemv per
-    cell, with S[m] = plan.history[:, m] and the pair midpoints
+    cell, with S[m] the full table S of ``_lag_tables`` and the pair midpoints
     sqrt(v_{p+1} v_p) framed by the largest pair-mean log scale so far; the
     newest cell is the scalar renewal closure.  Log scales and pair means
     are added in Python floats, halves first, so no finite pair overflows.
@@ -318,7 +379,6 @@ def _direct_white(plan, kappa):
     NumericsError at the first step whose log scale is not finite.
     """
     nt = plan.nt
-    S = np.ascontiguousarray(plan.history.transpose(1, 0, 2))
     z = kappa * gamma(plan.eta) * plan.eta * plan.cell_mass
     ln_fac = mittag_leffler_log(plan.eta, np.maximum(z, 0.0))
     source = plan.det * plan.det
@@ -350,23 +410,43 @@ def _direct_white(plan, kappa):
 
 @pytest.mark.parametrize("lam", [1.0, 30.0, 1e4])
 @pytest.mark.parametrize("nt", [24, 33, 37, 192])
-def test_blocked_white_stepper_matches_direct_lag_sum(eigen_cache, bump, nt, lam):
+def test_blocked_white_stepper_matches_direct_lag_sum(eigen_cache, bump, lag_tables, nt, lam):
     # The stepper sums the history in blocks of 16 steps: nt = 24 ends in a
     # partial block of 8 steps, 33 in a block of one step, 37 in one of 5,
     # and 192 (the white-sweep grid) is twelve full blocks.  Bound, set
-    # beforehand: both routes add the same nonnegative products, in another
-    # order (one gemm over the older cells and one gemv over the in-block
-    # ones, against one gemv per cell), so a step's history sums differ by a
-    # few ulp of themselves, which later steps carry forward through positive
-    # combinations; log M then differs by about that relative error, plus an
-    # ulp of |log M| from the log and the frame.  1e-12 leaves room for
-    # 192 steps of it; measured: at most 8.9e-16.
+    # beforehand: the routes' tables agree to a few 1e-13 of their entries
+    # (the plan-table test), and both add nonnegative products in another
+    # order (the folded blocks, one gemm over the older cells and one gemv
+    # over the in-block ones, against the full table, one gemv per cell), so
+    # a step's history sums differ by that relative error, which later steps
+    # carry forward through positive combinations; log M then differs by
+    # about that relative error, plus an ulp of |log M| from the log and the
+    # frame.  1e-12 leaves room for it; measured: at most 2.1e-14 (8.9e-16
+    # when the reference summed the plan's own full table).
     es = eigen_cache(2.0, 64)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
     plan = MomentPlan.build(p, es, u0, 0.1, nt)
     got = second_moment_white(p, es, u0, 1.0, 0.1, nt, plan=plan).logs
-    ref = _direct_white(plan, lam ** 2)
+    ref = _direct_white(plan, lam ** 2, lag_tables(plan))
+    assert np.array_equal(np.isinf(got), np.isinf(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.abs(got[finite] - ref[finite])
+                  <= 1e-12 * np.maximum(1.0, np.abs(ref[finite])))
+
+
+@pytest.mark.parametrize("lam", [1.0, 30.0, 1e4])
+def test_white_solve_at_odd_n_matches_direct_lag_sum(eigen_cache, bump, lag_tables, lam):
+    # At odd n the fold keeps the middle node once in the even block and the
+    # odd block is one node smaller; nt = 37 ends in a partial block of 5
+    # steps.  Bound and reasoning as in the blocked-stepper test above;
+    # measured: at most 2.8e-14.
+    es = eigen_cache(2.0, 33)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
+    plan = MomentPlan.build(p, es, u0, 0.1, 37)
+    got = second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan).logs
+    ref = _direct_white(plan, lam ** 2, lag_tables(plan))
     assert np.array_equal(np.isinf(got), np.isinf(ref))
     finite = np.isfinite(ref)
     assert np.all(np.abs(got[finite] - ref[finite])
@@ -375,7 +455,8 @@ def test_blocked_white_stepper_matches_direct_lag_sum(eigen_cache, bump, nt, lam
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("lam, step", [(4e153, None), (5e153, 34)])
-def test_blocked_white_overflow_raises_at_the_direct_step(eigen_cache, bump, lam, step):
+def test_blocked_white_overflow_raises_at_the_direct_step(eigen_cache, bump, lag_tables, lam,
+                                                          step):
     # With beta = 0.02 the closure raises the log scale by ~2e306 or more a
     # step.  At lam = 5e153 the log scale of step 34 (third block, steps
     # 33..37) passes the double range, and both steppers must raise there,
@@ -391,12 +472,12 @@ def test_blocked_white_overflow_raises_at_the_direct_step(eigen_cache, bump, lam
         scales = field.logs.max(axis=1).tolist()
         assert all(map(math.isfinite, scales))
         assert max(a + b for a, b in zip(scales[1:], scales[:-1])) == math.inf
-        ref = _direct_white(plan, lam ** 2)
+        ref = _direct_white(plan, lam ** 2, lag_tables(plan))
         assert np.all(np.abs(field.logs - ref) <= 1e-12 * np.abs(ref))
         return
     match = f"overflowed at step {step}$"
     with pytest.raises(NumericsError, match=match):
-        _direct_white(plan, lam ** 2)
+        _direct_white(plan, lam ** 2, lag_tables(plan))
     with pytest.raises(NumericsError, match=match):
         second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
 
@@ -571,6 +652,31 @@ def test_colored_batch_memory_is_the_midpoint_budget(monkeypatch, eigen_cache, b
     finally:
         tracemalloc.stop()
     assert peak < bound, (peak, bound)
+
+
+def test_white_tables_are_the_parity_blocks(eigen_cache, bump):
+    # A structural guard, no clock: at white-sweep's size (n = 64, nt = 192)
+    # the white tables are the even and odd blocks of every S[m], c = f = 32
+    # nodes square, 8 nt (c^2 + f^2) = 3.1 MB where the full (n, nt, n)
+    # table held 6.3 MB; at odd n the even block has the middle node.  The
+    # batch budget counts the lifted midpoints, n a lam (white) or
+    # n(n+1)/2 (colored), and never the tables, so a plan stripped of its
+    # tables batches the same: white-sweep's 13 lams in one batch,
+    # colored-sweep's 10 as 5 + 5.
+    white = ModelParams(alpha=2.0, beta=0.5)
+    for n, nt, size in ((33, 37, 8 * 37 * (17 * 17 + 16 * 16)), (64, 192, 3_145_728)):
+        es = eigen_cache(2.0, n)
+        plan = MomentPlan.build(white, es, bump(es), 0.1, nt)
+        assert sum(table.nbytes for table in plan.history) == size, n
+    lams = np.geomspace(1e2, 1e6, 13)
+    assert [len(b) for b in plan.batches(lams)] == [13]
+    assert [len(b) for b in replace(plan, history=None).batches(lams)] == [13]
+    es = eigen_cache(2.0, 32)
+    colored = MomentPlan.build(replace(white, noise=NoiseModel("riesz", gamma=0.5)),
+                               es, bump(es), 0.1, 192)
+    lams = np.geomspace(1e2, 1e5, 10)
+    assert [len(b) for b in colored.batches(lams)] == [5, 5]
+    assert [len(b) for b in replace(colored, history=None).batches(lams)] == [5, 5]
 
 
 def test_lower_series_small_argument_values():
