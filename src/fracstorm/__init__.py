@@ -7,7 +7,7 @@ fracfun     Mittag-Leffler functions, stable subordinator densities,
 kernels     symmetric-stable transition densities, subordinated free and
             Dirichlet heat kernels, discrete generators and eigensystems.
 moments     second-moment Volterra solvers (white and spatially colored
-            noise), renewal machinery, series lower bounds.
+            noise), renewal machinery, the lower-bound lemma's series.
 simulate    Monte Carlo mild-solution simulation with white or Riesz noise.
 excitation  noise-excitation index: theory values, sweeps, and fits.
 cli         command line front end (`fracstorm`).

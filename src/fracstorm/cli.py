@@ -3,9 +3,10 @@
 Commands and their options
 --------------------------
 specfun           evaluate the special functions at given points (CSV on
-                  stdout): --beta --order --x --u --t --g --grid-n
-kernel            Dirichlet kernel slice or L2-decay table (CSV artifact):
-                  --config --set --mode --t --y --out
+                  stdout; fet writes a row per --t and --x pair):
+                  --beta --order --x --u --t --g --grid-n
+kernel            Dirichlet kernel slice at one --t, or L2-decay table over
+                  every --t (CSV artifact): --config --set --mode --t --y --out
 moments renewal   renewal benchmark (CSV artifact):
                   --config --set --rho --kappa --c1 --T --nt --out
 moments field     second-moment energy trace on [0, grid.t] with grid.nt
@@ -366,9 +367,8 @@ def cmd_specfun(args):
         cols = ["beta", "u", "value"]
     elif what == "fet":
         _require(args, ["beta", "t", "x"], "specfun fet")
-        t = args.t[0]
         rows = [[args.beta, t, x, inverse_subordinator_density(args.beta, t, x)]
-                for x in args.x]
+                for t in args.t for x in args.x]
         cols = ["beta", "t", "x", "value"]
     elif what == "caputo":
         _require(args, ["beta", "t"], "specfun caputo")
@@ -407,6 +407,8 @@ def cmd_kernel(args):
     out = args.out or os.path.join(cfg.outdir, "kernel.csv")
     record = _run_record(args, cfg)
     if args.mode == "slice":
+        if len(times) != 1:
+            raise DomainError(f"kernel --mode slice takes one --t, got {len(times)}")
         t = times[0]
         G = dirichlet_fractional_kernel(es, p.beta, t)
         j = int(np.argmin(np.abs(grid.nodes - args.y)))

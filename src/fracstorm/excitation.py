@@ -33,7 +33,6 @@ __all__ = [
     "ExcitationFit",
     "theoretical_index",
     "excitation_sweep",
-    "index_vs_position_check",
 ]
 
 _FUNCTIONALS = ("energy", "sup")
@@ -148,25 +147,6 @@ def _fit_top_window(lambdas, log_values, theory):
     return fit, usable, residuals
 
 
-def _theory_for(params):
-    if params.noise.kind == "white":
-        return theoretical_index(params.alpha, params.beta, 1, "white")
-    return theoretical_index(params.alpha, params.beta, params.noise.gamma, "riesz")
-
-
-def _volterra_fields(params, es, u0, t, lambdas, nt, l_sigma):
-    """Moment fields for every lambda, in grid order: one MomentPlan for the
-    sweep, one solve per batch of ``MomentPlan.batches``."""
-    plan = MomentPlan.build(params, es, u0, t, nt)
-    solve = second_moment_white if params.noise.kind == "white" else second_moment_colored
-    return [field for lams in plan.batches(lambdas)
-            for field in solve(params, es, u0, l_sigma, t, nt, plan=plan, lams=lams)]
-
-
-def _default_nt(method):
-    return 192 if method == "volterra" else 128
-
-
 def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
                      functional="energy", nt=None, sigma=SigmaSpec(), replicates=400,
                      seed=0, threads=1):
@@ -194,11 +174,18 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
     if t <= 0.0:
         raise DomainError(f"t > 0 violated: t={t}")
     lam = _check_lambda_grid(lambda_grid, method)
-    theory = _theory_for(params)
-    nt = _default_nt(method) if nt is None else int(nt)
+    white = params.noise.kind == "white"
+    theory = theoretical_index(params.alpha, params.beta, 1 if white else params.noise.gamma,
+                               params.noise)
+    nt = (192 if method == "volterra" else 128) if nt is None else int(nt)
 
     if method == "volterra":
-        fields = _volterra_fields(params, es, u0, t, lam, nt, sigma.linear_slope)
+        # one MomentPlan for the sweep, one solve per batch, fields in grid order
+        plan = MomentPlan.build(params, es, u0, t, nt)
+        solve = second_moment_white if white else second_moment_colored
+        fields = [field for lams in plan.batches(lam)
+                  for field in solve(params, es, u0, sigma.linear_slope, t, nt,
+                                     plan=plan, lams=lams)]
     else:
         cfg = SimConfig(nt=nt, T=t, replicates=replicates, seed=seed, sigma=sigma)
         fields = []
@@ -221,56 +208,3 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
         fit_mask=mask,
         residuals=residuals,
     )
-
-
-def index_vs_position_check(params, es, u0, t, epsilon, lambda_grid=None, nt=None):
-    """Fit the index pointwise at 5 interior probes and compare across probes.
-
-    The index theorems are pointwise on the shrunken ball |x| <= R - epsilon;
-    this re-fits the slope from M(t, x_probe) per probe (one Volterra solve
-    per lambda, shared across probes) and reports the spread, plus the
-    energy-functional slope from the same solves.
-    """
-    t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"t > 0 violated: t={t}")
-    R = es.grid.R
-    eps = float(epsilon)
-    if not (0.0 < eps <= R):
-        raise DomainError(f"epsilon in (0, R] violated: epsilon={epsilon}")
-    if lambda_grid is None:
-        top = 1e6 if params.noise.kind == "white" else 1e5
-        npts = 13 if params.noise.kind == "white" else 10
-        lambda_grid = np.geomspace(1e2, top, npts)
-    lam = _check_lambda_grid(lambda_grid, "volterra")
-    theory = _theory_for(params)
-    nt = _default_nt("volterra") if nt is None else int(nt)
-
-    half = max(R - eps, 0.0)
-    targets = np.linspace(-half, half, 5)
-    nodes = es.grid.nodes
-    idx = sorted(set(int(np.argmin(np.abs(nodes - xt))) for xt in targets))
-
-    fields = _volterra_fields(params, es, u0, t, lam, nt, l_sigma=1.0)
-    logM = np.array([f.logs[-1] for f in fields])   # (nlam, nx)
-    energy = np.array([f.energy_log() for f in fields])
-
-    slopes = []
-    for i in idx:
-        s, _, _ = _fit_top_window(lam, logM[:, i], theory)
-        slopes.append(s)
-    energy_slope, _, _ = _fit_top_window(lam, energy, theory)
-    center = int(np.argmin(np.abs(nodes)))
-    s_center, _, _ = _fit_top_window(lam, logM[:, center], theory)
-
-    slopes = np.asarray(slopes)
-    return {
-        "probes": nodes[idx],
-        "slopes": slopes,
-        "max_deviation": float(slopes.max() - slopes.min()),
-        "energy_slope": float(energy_slope),
-        "center_slope": float(s_center),
-        "center_vs_energy": float(abs(s_center - energy_slope)),
-        "theory": float(theory),
-        "t": t,
-    }

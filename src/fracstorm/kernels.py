@@ -98,9 +98,9 @@ def _check_t(t):
 _ALPHA_RANGE = (0.5, 1.95)  # where the tests verify the sum; alpha = 2 is closed form
 _TABLE_ALPHA_MIN = 0.7  # the table is within 1e-9 of the sum from here to 1.95
 _U_MAX = 1e16  # last panel edge in u; g's power tail beyond it is closed form
-#: set when g_beta was off by ~1e-9 near u = 1 at beta = 0.975 (node mass 2.3e-12
-#: from 1 at alpha = 1.95); the mass now misses 1 by at most 6.7e-16 on [0.5, 1.95]
-_MASS_TOL = 1e-11
+#: the node mass misses 1 by at most 7.8e-16 over alpha in [0.5, 1.95] in steps of
+#: 0.01 (worst at alpha = 0.53); a g_beta off by 1e-12 relative would miss it
+_MASS_TOL = 1e-14
 _SUM_BLOCK = 256  # points per (points x nodes) block of the sum: 5.6 MB
 _TABLE_Y, _TABLE_NODES = 400.0, 2048
 _LINES: dict = {}
@@ -466,33 +466,28 @@ def riesz_kernel_matrix(grid, gamma):
     return Cbar
 
 
-def estimate_floor_constant(es, beta, alpha, interior_frac=0.75, t_grid=None):
+def estimate_floor_constant(es, beta, alpha):
     """Near-diagonal kernel floor: fit C and the onset horizon t0.
 
-    Scans dyadic times for the region {|x-y| < t^(beta/alpha), |x|,|y| <=
-    interior_frac * R} and records m(t) = min G_B * t^(beta / alpha) there.
-    Returns (C, t0, table): C is the smallest positive m(t) over the passing
-    prefix, t0 the largest scanned t such that every scanned t' <= t has
-    m(t') > 0.  t0 is measured, never assumed.
+    Scans the dyadic times t = 0.8 * 2^-k, k = 0..7, for the region
+    {|x-y| < t^(beta/alpha), |x|,|y| <= 0.75 R} and records m(t) = min G_B *
+    t^(beta / alpha) there.  Returns (C, t0): C is the smallest positive m(t)
+    over the passing prefix, t0 the largest scanned t such that every scanned
+    t' <= t has m(t') > 0; (0, 0) when none passes.  t0 is measured, never
+    assumed.
     """
     b = float(beta)
-    if t_grid is None:
-        t_grid = 0.8 * 2.0 ** -np.arange(0, 8)
+    ts = 0.8 * 2.0 ** -np.arange(0, 8)
     x = es.grid.nodes
-    keep = np.abs(x) <= interior_frac * es.grid.R
-    ts = np.sort(np.asarray(t_grid, float))[::-1]
-    table = []
+    keep = np.abs(x) <= 0.75 * es.grid.R
+    t0, C = 0.0, np.inf
     for t, G in zip(ts.tolist(), dirichlet_fractional_kernel(es, b, ts)):
         sel = (np.abs(x[:, None] - x[None, :]) < t ** (b / alpha)) & np.outer(keep, keep)
-        table.append((t, float((G[sel] * t ** (b / alpha)).min())))
-    t0, C = 0.0, np.inf
-    for t, m in table:  # descending t; the passing prefix must be contiguous
-        if m > 0.0:
+        m = float((G[sel] * t ** (b / alpha)).min())
+        if m > 0.0:  # descending t; the passing prefix must be contiguous
             if t0 == 0.0:
                 t0 = t
             C = min(C, m)
         else:
             t0, C = 0.0, np.inf
-    if not np.isfinite(C):
-        return 0.0, 0.0, table
-    return C, t0, table
+    return (C, t0) if np.isfinite(C) else (0.0, 0.0)

@@ -76,13 +76,12 @@ case f = c1 + kappa int (t-s)^(rho-1) f(s) ds, 0 < rho <= 1 (exact cells in
 a block, the history before it from ``fracfun.ExpSum.power``); its
 closed-form solution c1 E_rho(kappa Gamma(rho) t^rho) is kept in the test
 suite as an independent oracle.  ``lower_series_log`` evaluates log S(t) of
-the series S(t) = sum_k (t / k^rho)^k that governs the lower excitation
-bound, in log space so it stays finite far beyond overflow, in bounded time;
-``lower_series`` is its exponential.
+the series S(t) = sum_k (t / k^rho)^k of the paper's lower-bound lemma (the
+``series-lemma-growth`` check), in log space so it stays finite far beyond
+overflow, in bounded time; ``lower_series`` is its exponential.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,17 +102,7 @@ __all__ = [
     "renewal_growth_exponent",
     "lower_series",
     "lower_series_log",
-    "colored_lower_bound_series",
-    "initial_term_floor",
-    "DEFAULT_LOWER_C1",
 ]
-
-# Calibrated against the measured near-diagonal kernel floor of the default
-# colored configuration (alpha=2, beta=0.5, n=128): floor constant ~ 0.055,
-# squared because the recursion inserts two kernel factors per step.  The
-# lower-bound slope checks are insensitive to this value; it only shifts the
-# series' constant offset.
-DEFAULT_LOWER_C1 = 3.0e-3
 
 # Fixed history block length of the moment stepper, in steps; part of the
 # deterministic summation order (see ``_log_split_steps``).
@@ -647,54 +636,3 @@ def lower_series(t, rho):
         return math.exp(lower_series_log(t, rho))
     except OverflowError:
         return math.inf
-
-
-def colored_lower_bound_series(params, l_sigma, t, g_t, c1=DEFAULT_LOWER_C1):
-    """log of the colored-noise lower bound
-
-        g_t^2 (1 + sum_{k>=1} (lam^2 l^2 c1)^k (t/k)^(k (alpha-gamma beta)/alpha)).
-
-    Returned in log space (the series dwarfs float range for large lam).
-    lam and the Riesz exponent gamma come from ``params`` (riesz noise only).
-    The series is lower_series(theta, eta) with eta = 1 - gamma beta / alpha
-    and theta = lam^2 l^2 c1 t^eta.  c1 is a calibration constant measured
-    from the near-diagonal kernel floor; it shifts the bound's offset, not
-    its lam-scaling.
-    """
-    if params.noise.kind != "riesz":
-        raise DomainError("colored_lower_bound_series requires riesz noise parameters")
-    eta = 1.0 - float(params.noise.gamma) * float(params.beta) / float(params.alpha)
-    if g_t <= 0.0:
-        raise DomainError(f"g_t > 0 violated: {g_t}")
-    t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"t > 0 violated: {t}")
-    theta = (float(params.lam) * float(l_sigma)) ** 2 * float(c1) * t ** eta
-    base = 2.0 * math.log(float(g_t))
-    if theta == 0.0:
-        return base
-    return base + float(np.logaddexp(0.0, lower_series_log(theta, eta)))
-
-
-def initial_term_floor(es, beta, u0, epsilon, t, t0, n_s=33):
-    """Interior floor of the deterministic part:
-
-        inf over |x| <= R - epsilon and s in [0, t] of (G_B u0)(s + t0, x).
-
-    Strictly positive for nonnegative u0 that is positive somewhere; returns
-    0.0 (with a warning) only when u0 vanishes identically on the grid.
-    """
-    eps = float(epsilon)
-    if not (0.0 < eps < es.grid.R):
-        raise DomainError(f"epsilon in (0, R) violated: {epsilon}")
-    if t0 <= 0.0 or t < 0.0:
-        raise DomainError("need t0 > 0 and t >= 0")
-    s = np.linspace(0.0, float(t), int(n_s)) + float(t0)
-    field = apply_semigroup(es, float(beta), s, u0)
-    if not np.any(u0):
-        warnings.warn("u0 is identically zero on the grid; floor is 0")
-        return 0.0
-    keep = np.abs(es.grid.nodes) <= es.grid.R - eps
-    if not keep.any():
-        raise DomainError("epsilon leaves no interior grid nodes")
-    return float(field[:, keep].min())

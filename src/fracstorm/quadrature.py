@@ -3,9 +3,7 @@
 All integrals here are evaluated with composite Gauss-Legendre panels and
 interval bisection, never with randomized or platform-dependent methods, so
 repeated runs produce bit-identical values.  Semi-infinite integrals use the
-documented substitution u = x/(1-x), mapping (0,1) -> (0,inf); integrable
-endpoint power singularities are removed by an explicit power substitution
-before any Gauss rule sees the integrand.
+documented substitution u = x/(1-x), mapping (0,1) -> (0,inf).
 
 Integrands are called with ndarray arguments and must evaluate pointwise.
 """
@@ -84,24 +82,6 @@ def integrate_semi_infinite(f, tol=1e-10, max_depth=48):
     # used here.
     eps = 1e-14
     return adaptive_gauss(g, eps, 1.0 - eps, tol=tol, max_depth=max_depth)
-
-
-def integrate_left_power(f, a, b, power, n=40):
-    """int_a^b f(x) dx where f ~ (x-a)^power * smooth near a, power > -1.
-
-    Substituting x = a + (b-a) v^(1/(1+power)) turns the singular factor into
-    a constant Jacobian, so a single moderate Gauss rule resolves it exactly
-    up to the smooth remainder.  No solver calls it; the quadrature
-    self-check pins it to a closed form.
-    """
-    if power <= -1.0:
-        raise NumericsError(f"non-integrable endpoint power {power}")
-    q = 1.0 / (1.0 + power)
-    x, w = _rule(n)
-    v = 0.5 * (x + 1.0)
-    jac = 0.5 * (b - a) * q * v ** (q - 1.0)
-    xs = a + (b - a) * v ** q
-    return float(np.dot(w * jac, f(xs)))
 
 
 def fixed_panel_nodes(edges, n=12):

@@ -286,17 +286,6 @@ def _check_quad_poly(ctx):
     return err <= 1e-12, f"|int x^7 - 1/8| {_residual(err)}", "<= 1e-12"
 
 
-@_register("quadrature", "singular-left-endpoint", "closed-form")
-def _check_quad_singular(ctx):
-    val = quadrature.integrate_left_power(
-        lambda r: np.cos(r) / np.sqrt(r), 0.0, 1.0, -0.5)
-    # termwise over the cosine series: int_0^1 cos(r) r^-1/2 dr
-    # = sum_k (-1)^k / ((2k)! (2k + 1/2)); twelve terms reach 1e-16.
-    ref = sum((-1) ** k / (math.factorial(2 * k) * (2 * k + 0.5)) for k in range(12))
-    err = abs(val - ref)
-    return err <= 1e-8, f"|int cos(r)/sqrt(r) - exact| {_residual(err)}", "<= 1e-8"
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -404,7 +393,7 @@ def _check_bounded_by_free(ctx):
 @_register("kernels", "near-diagonal-floor", "self-consistency", criterion=5, budget=30.0)
 def _check_floor(ctx):
     es = ctx.eigen(2.0, 64)
-    C, t0, _table = estimate_floor_constant(es, 0.5, 2.0)
+    C, t0 = estimate_floor_constant(es, 0.5, 2.0)
     ok = C > 0.0 and t0 > 0.0
     return ok, f"floor C = {_num(C)} up to t0 = {_num(t0)}", "C > 0"
 

@@ -292,6 +292,27 @@ def test_specfun_missing_flag_is_domain_error(capsys):
     assert code == 2 and "specfun ml" in err
 
 
+def test_specfun_fet_writes_a_row_per_t_and_x(capsys):
+    # at beta = 1/2, E_t is half-normal: density e^(-x^2/(4t)) / sqrt(pi t)
+    code, out, _ = run_main(["specfun", "fet", "--beta", "0.5", "--t", "1,2",
+                             "--x", "0.5,1.5"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.split("\r\n")[2:-1]]
+    assert [(float(t), float(x)) for _, t, x, _ in rows] == [
+        (1.0, 0.5), (1.0, 1.5), (2.0, 0.5), (2.0, 1.5)]
+    for _, t, x, value in rows:
+        exact = math.exp(-float(x) ** 2 / (4.0 * float(t))) / math.sqrt(math.pi * float(t))
+        assert float(value) == pytest.approx(exact, rel=1e-12)
+
+
+def test_kernel_slice_refuses_more_than_one_time(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    code, _, err = run_main(["kernel", "--mode", "slice", "--t", "0.1,0.5",
+                             "--set", "grid.nx=8", "--out", str(out)], capsys)
+    assert code == 2 and "one --t, got 2" in err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code, _, err = run_main(
         ["simulate", "--config", str(tmp_path / "nope.cfg")], capsys)
@@ -545,7 +566,7 @@ def test_moments_field_reads_the_sigma_slope(tmp_path, capsys):
 #: one small run of each command that writes a CSV (argv, CSV name); each also
 #: sets model.lam and sigma.slope to values that 6 significant digits would round
 _RERUNS = {
-    "kernel-slice": (["kernel", "--mode", "slice", "--t", "0.03,0.07", "--y", "0.25",
+    "kernel-slice": (["kernel", "--mode", "slice", "--t", "0.03", "--y", "0.25",
                       "--set", "grid.nx=12", "--set", "model.beta=0.7"], "kernel.csv"),
     "renewal": (["moments", "renewal", "--rho", "0.6", "--kappa", "1.23456789",
                  "--c1", "2", "--T", "0.5", "--nt", "64"], "renewal.csv"),

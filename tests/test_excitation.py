@@ -8,7 +8,6 @@ from fracstorm.errors import DomainError, NumericsError
 from fracstorm.excitation import (
     ExcitationFit,
     excitation_sweep,
-    index_vs_position_check,
     theoretical_index,
 )
 from fracstorm.params import ModelParams, NoiseModel
@@ -110,15 +109,6 @@ def test_sweep_couples_noise_as_lambda_times_sigma_slope(eigen_cache, bump, meth
     assert np.array_equal(scaled.log_values, doubled.log_values)
     plain = excitation_sweep(WHITE, es, u0, 0.1, lam, **kw)
     assert not np.array_equal(scaled.log_values, plain.log_values)
-
-
-def test_index_fit_is_uniform_over_interior_positions(eigen_cache, bump):
-    es = eigen_cache(2.0, 32)
-    chk = index_vs_position_check(WHITE, es, bump(es), 0.1, 0.25, nt=96)
-    assert len(chk["probes"]) == 5
-    assert chk["max_deviation"] < 1e-6
-    assert chk["center_vs_energy"] < 1e-6
-    assert chk["energy_slope"] == pytest.approx(chk["theory"], rel=1e-6)
 
 
 def test_lambda_grid_validation(eigen_cache, bump):

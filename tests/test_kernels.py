@@ -107,7 +107,7 @@ def test_stable_density_matches_30_digit_fourier_inversion(alpha, x):
     assert abs(stable_density(alpha, 1.0, 1.0, x) - float(_fourier_30_digits(alpha, x))) <= 1e-11
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.2, 1.95])
+@pytest.mark.parametrize("alpha", [0.5, 0.53, 1.2, 1.95])
 def test_stable_density_at_the_origin_is_closed_form(alpha):
     # p(1, 0) = (1/pi) int_0^inf e^(-k^alpha) dk = Gamma(1 + 1/alpha) / pi
     exact = math.gamma(1.0 + 1.0 / alpha) / math.pi

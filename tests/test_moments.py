@@ -1,4 +1,4 @@
-"""Moment solvers: renewal equation, white/colored second moments, series bounds."""
+"""Moment solvers: renewal equation, white/colored second moments, the lower-bound series."""
 
 import math
 import re
@@ -19,8 +19,6 @@ from fracstorm.fracfun import mittag_leffler, mittag_leffler_log, mode_decay
 from fracstorm.kernels import EigenSystem, apply_semigroup, dirichlet_fractional_kernel
 from fracstorm.moments import (
     MomentPlan,
-    colored_lower_bound_series,
-    initial_term_floor,
     lower_series,
     lower_series_log,
     renewal_growth_exponent,
@@ -692,17 +690,11 @@ def test_lower_series_log_consistent_with_direct():
             math.log(lower_series(t, rho)), abs=1e-10)
 
 
-_RIESZ = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5))
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda v: lower_series(1.0, v), lambda v: lower_series(v, 0.5),
     lambda v: lower_series_log(1.0, v), lambda v: lower_series_log(v, 0.5),
-    lambda v: colored_lower_bound_series(replace(_RIESZ, lam=v), 1.0, 0.1, g_t=0.3),
-    lambda v: colored_lower_bound_series(_RIESZ, v, 0.1, g_t=0.3),
-    lambda v: colored_lower_bound_series(replace(_RIESZ, lam=1e2), 1.0, v, g_t=0.3),
-], ids=["S-rho", "S-t", "logS-rho", "logS-t", "colored-lam", "colored-l", "colored-t"])
+], ids=["S-rho", "S-t", "logS-rho", "logS-t"])
 def test_series_lemma_refuses_non_finite_arguments(call, bad):
     # no silent NaN, no ValueError from int(inf), no 1e7-term loop
     with pytest.raises(DomainError):
@@ -715,9 +707,6 @@ def test_series_lemma_refuses_windows_past_exact_doubles():
         lower_series_log(1e300, 0.5)
     with pytest.raises(DomainError, match="2\\^53"):
         lower_series(1e300, 0.5)
-    # theta = lam^2 c1 t^eta ~ 4e20 puts k* near 1e23, past 2^53
-    with pytest.raises(DomainError, match="2\\^53"):
-        colored_lower_bound_series(replace(_RIESZ, lam=1e12), 1.0, 0.1, g_t=0.3)
 
 
 @pytest.mark.parametrize("t, rho", [(1.0, 1.0), (10.0, 0.5), (20.0, 0.5)] + [
@@ -780,32 +769,3 @@ def test_series_near_the_top_of_its_range_takes_bounded_time():
     assert time.perf_counter() - start < 1.0
     kstar = 1e16 / math.e  # log S = rho k* + log sqrt(2 pi k*/rho) to O(1/k*)
     assert value == pytest.approx(0.5 * kstar + 0.5 * math.log(4.0 * math.pi * kstar), rel=1e-14)
-
-
-def test_colored_lower_bound_increases_with_lambda(eigen_cache, bump):
-    lo = colored_lower_bound_series(replace(_RIESZ, lam=1e2), 1.0, 0.1, g_t=0.3)
-    hi = colored_lower_bound_series(replace(_RIESZ, lam=1e4), 1.0, 0.1, g_t=0.3)
-    assert hi > lo
-    # Doubling log-lambda quadruples.. the bound scales like theta^(1/eta)
-    # with theta ~ lam^2; check the exponent between the two evaluations.
-    eta = 1.0 - 0.5 * 0.5 / 2.0
-    measured = (math.log(hi) - math.log(lo)) / (math.log(1e4) - math.log(1e2))
-    assert measured == pytest.approx(2.0 / eta, rel=0.15)
-
-
-def test_colored_lower_bound_reads_gamma_and_lambda_from_params():
-    base = colored_lower_bound_series(replace(_RIESZ, lam=1e2), 1.0, 0.1, g_t=0.3)
-    # lam l is the coupling, and a larger gamma lowers eta = 1 - gamma beta / alpha
-    assert colored_lower_bound_series(replace(_RIESZ, lam=50.0), 2.0, 0.1, g_t=0.3) == base
-    other = replace(_RIESZ, lam=1e2, noise=NoiseModel("riesz", gamma=0.9))
-    assert colored_lower_bound_series(other, 1.0, 0.1, g_t=0.3) != base
-    with pytest.raises(DomainError, match="riesz"):
-        colored_lower_bound_series(ModelParams(alpha=2.0, beta=0.5, lam=1e2), 1.0, 0.1,
-                                   g_t=0.3)
-
-
-def test_initial_term_floor_positive(eigen_cache, bump):
-    es = eigen_cache(2.0, 32)
-    u0 = bump(es)
-    val = initial_term_floor(es, 0.5, u0, 0.25, 0.1, 0.8)
-    assert val > 0.0

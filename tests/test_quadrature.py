@@ -1,4 +1,4 @@
-"""Quadrature layer: panel rules, adaptivity, semi-infinite and singular maps."""
+"""Quadrature layer: panel rules, adaptivity and the semi-infinite map."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from fracstorm.quadrature import (
     adaptive_gauss,
     fixed_panel_nodes,
     gauss_panel,
-    integrate_left_power,
     integrate_semi_infinite,
 )
 
@@ -38,25 +37,6 @@ def test_semi_infinite_exponential_moments():
     assert abs(integrate_semi_infinite(lambda x: np.exp(-x)) - 1.0) < 1e-10
     second = integrate_semi_infinite(lambda x: x ** 2 * np.exp(-x))
     assert abs(second - 2.0) < 1e-9
-
-
-def test_left_power_singularity_vs_mpmath():
-    # integral of cos(r) r^(-1/2) over (0, 1): integrable endpoint singularity.
-    val = integrate_left_power(lambda r: np.cos(r) / np.sqrt(r), 0.0, 1.0,
-                               power=-0.5)
-    mp.dps = 30
-    ref = float(mp.quad(lambda r: mp.cos(r) / mp.sqrt(r), [0, 1]))
-    assert abs(val - ref) < 1e-10
-
-
-def test_left_power_plain_when_regular():
-    val = integrate_left_power(lambda r: r ** 2, 0.0, 2.0, power=0.0)
-    assert val == pytest.approx(8.0 / 3.0, rel=1e-12)
-
-
-def test_left_power_rejects_non_integrable_exponent():
-    with pytest.raises(NumericsError):
-        integrate_left_power(lambda r: r, 0.0, 1.0, power=-1.0)
 
 
 def test_fixed_panel_nodes_matches_closed_form():
