@@ -581,9 +581,10 @@ def cmd_excite(args):
 def cmd_validate(args):
     from .validate import format_report, run_validation
 
-    if args.threads < 1:
-        raise DomainError(f"--threads must be >= 1, got {args.threads}")
-    results = run_validation(only=args.only, seed=args.seed, threads=args.threads)
+    try:
+        results = run_validation(only=args.only, seed=args.seed, threads=args.threads)
+    except DomainError as exc:    # it names the argument first, and its flag has that name
+        raise DomainError(f"--{exc}") from exc
     report = format_report(results, seed=args.seed, only=args.only)
     print(report)
     if args.out:

@@ -17,7 +17,7 @@ the asymptotic regime soonest.
 The Monte Carlo backend cannot represent moments beyond roughly e^700 and is
 restricted to a single decade of moderate lambda; it exists to cross-check
 the Volterra backend on the overlap window, not to fit the index.  Only it
-uses threads; the Volterra backend solves its lambdas in batches.
+uses threads; the Volterra backend is one solver call over the whole grid.
 """
 
 from dataclasses import dataclass, replace
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NumericsError
 from .kernels import EigenSystem
-from .moments import MomentField, MomentPlan, second_moment_colored, second_moment_white
+from .moments import MomentField, second_moment_colored, second_moment_white
 from .simulate import SigmaSpec, SimConfig, check_threads, simulate_mild
 
 __all__ = [
@@ -98,8 +98,6 @@ def _check_lambda_grid(lambda_grid, method):
     lam = np.asarray(lambda_grid, dtype=float)
     if lam.ndim != 1 or lam.size < 2:
         raise DomainError("lambda grid must be a 1-d array with >= 2 points")
-    if np.all(lam == lam[0]):
-        raise NumericsError("degenerate regression: all lambda values equal")
     if np.any(lam < 1.0) or np.any(np.diff(lam) <= 0.0):
         raise DomainError("lambda grid must be strictly increasing and >= 1")
     if lam.size < 6:
@@ -158,7 +156,7 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
     ``seed`` on es.grid and is restricted to one decade of moderate lambda.
     ``threads`` serves the Monte Carlo backend only: > 1 runs replicate
     chunks concurrently, with the result of the sequential sweep.  The
-    Volterra backend solves its lambdas in batches on the calling thread.
+    Volterra backend solves the grid in one solver call on the calling thread.
     """
     threads = check_threads(threads)
     if not isinstance(es, EigenSystem):
@@ -177,15 +175,12 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
     white = params.noise.kind == "white"
     theory = theoretical_index(params.alpha, params.beta, 1 if white else params.noise.gamma,
                                params.noise)
-    nt = (192 if method == "volterra" else 128) if nt is None else int(nt)
+    # an nt given is checked where it is used, by the solver's plan or SimConfig
+    nt = (192 if method == "volterra" else 128) if nt is None else nt
 
     if method == "volterra":
-        # one MomentPlan for the sweep, one solve per batch, fields in grid order
-        plan = MomentPlan.build(params, es, u0, t, nt)
         solve = second_moment_white if white else second_moment_colored
-        fields = [field for lams in plan.batches(lam)
-                  for field in solve(params, es, u0, sigma.linear_slope, t, nt,
-                                     plan=plan, lams=lams)]
+        fields = solve(params, es, u0, sigma.linear_slope, t, nt, lams=lam)
     else:
         cfg = SimConfig(nt=nt, T=t, replicates=replicates, seed=seed, sigma=sigma)
         fields = []

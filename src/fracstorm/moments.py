@@ -29,7 +29,7 @@ log scale.
 
 Everything in a solve that does not depend on lam (G_B u0 at every time,
 the newest-cell mass, the history tables) is a frozen ``MomentPlan``, which
-a lam sweep builds once and passes as ``plan=``; its tables come from
+each solver call builds once for its whole lam grid; its tables come from
 ``fracfun.mode_decay``, its 32 closure nodes per mode from
 ``mittag_leffler`` (the same sum of exponentials).  Both solvers run one
 log-split stepper that only the lift of a new midpoint slice and the
@@ -60,16 +60,16 @@ more, unpacked into a single reused n x n buffer for the two phi products.
 The block length is fixed, so a solve's summation order depends on neither
 lam nor nt.
 
-One pass steps a batch of lam (``lams=``): frames, log scales, pair means,
-the closure table and each step's elementwise work are per-lam arrays; the
-history sums run once per lam, so a lam's bits do not depend on its batch.
-The live state is slices j-1 and j per lam (a colored solve returns the
-diagonal K(t; x, x), never an (nt+1, n, n) array) and the lifted
-midpoints, nt n (white) or nt n(n+1)/2 (colored) doubles per lam, which
-``MomentPlan.batches`` fits into _BATCH_DOUBLES = 2^19 (4 MB), at least one
-lam a batch.  Beyond that a colored solve holds about twice nt n(n+1)/2
-doubles (plan table, one lam's scaled midpoints): 7.2 MB each at n = 96,
-nt = 192, 28 MB at n = 192; the grid is not capped.
+A solver call steps its lams (``lams=``) in batches, one pass each: frames,
+log scales, pair means, the closure table and each step's elementwise work
+are per-lam arrays; the history sums run once per lam, so a lam's bits do
+not depend on its batch.  The live state is slices j-1 and j per lam (a
+colored solve returns the diagonal K(t; x, x), never an (nt+1, n, n) array)
+and the lifted midpoints, nt n (white) or nt n(n+1)/2 (colored) doubles per
+lam, which ``MomentPlan.batches`` fits into _BATCH_DOUBLES = 2^19 (4 MB) in
+every call, at least one lam a batch.  Beyond that a colored solve holds
+about twice nt n(n+1)/2 doubles (plan table, one lam's scaled midpoints):
+7.2 MB each at n = 96, nt = 192, 28 MB at n = 192; the grid is not capped.
 
 The scalar renewal solver ``renewal_volterra_solve`` handles the equality
 case f = c1 + kappa int (t-s)^(rho-1) f(s) ds, 0 < rho <= 1 (exact cells in
@@ -82,7 +82,8 @@ overflow, in bounded time; ``lower_series`` is its exponential.
 """
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,7 +91,7 @@ from .errors import DomainError, NumericsError
 from .fracfun import (DECAY_CHUNK, ExpSum, SampledFunction, mittag_leffler, mittag_leffler_log,
                       mode_decay)
 from .kernels import EigenSystem, apply_semigroup, riesz_kernel_matrix
-from .params import ModelParams, SpaceGrid
+from .params import SpaceGrid
 from .quadrature import fixed_panel_nodes
 
 __all__ = [
@@ -111,6 +112,14 @@ _STEP_BLOCK = 16
 # Doubles of lifted midpoint history one batch of lam may hold (4 MB): a
 # colored sweep at n = 32, nt = 192 batches 5 lam with flat peak memory.
 _BATCH_DOUBLES = 2 ** 19
+
+
+def _steps(nt):
+    """nt as an int; DomainError unless an integer >= 2 (a numpy one too,
+    never a bool or a float, which would be truncated)."""
+    if isinstance(nt, bool) or not isinstance(nt, numbers.Integral) or nt < 2:
+        raise DomainError(f"integer nt >= 2 violated: nt={nt!r}")
+    return int(nt)
 
 
 def _log_positive(x):
@@ -166,10 +175,6 @@ def _closure_nodes(eta, delta):
 class MomentPlan:
     """Everything in a second-moment solve that does not depend on lam.
 
-    Records what it was built for: es, params (with lam = 0, so beta, eta
-    and the noise), u0, T and nt.  A solver handed a plan built for other
-    inputs raises DomainError.
-
     det[j]:     (G_B u0)(t_j), with det[0] = u0
     cell_mass:  exact kernel mass of the newest time cell, (n,) for white
                 noise, (n, n) for colored
@@ -185,8 +190,6 @@ class MomentPlan:
     """
 
     es: EigenSystem
-    params: ModelParams
-    u0: np.ndarray
     T: float
     nt: int
     eta: float
@@ -204,8 +207,7 @@ class MomentPlan:
         eta = 1.0 - q * float(params.beta) / float(params.alpha)
         if eta <= 0.0:
             raise DomainError(f"lag singularity not integrable: eta = {eta} <= 0")
-        if nt < 2:
-            raise DomainError("nt >= 2 required")
+        nt = _steps(nt)
         T = float(T)
         if T <= 0.0:
             raise DomainError("horizon T must be positive")
@@ -260,8 +262,7 @@ class MomentPlan:
                 for table, cells in zip(history, (w * (A2 + B2), w * (A2 - B2))):
                     cells = cells[:, :len(table), :len(table)].reshape(-1, 6, *table.shape[::2])
                     table[:, 1 + q // 6:1 + (q + step) // 6] = cells.sum(axis=1).transpose(1, 0, 2)
-        return cls(es=es, params=replace(params, lam=0.0), u0=u0, T=T, nt=nt,
-                   eta=eta, times=times, det=det, cell_mass=cell_mass,
+        return cls(es=es, T=T, nt=nt, eta=eta, times=times, det=det, cell_mass=cell_mass,
                    history=history, riesz=riesz)
 
     def batches(self, lams):
@@ -271,19 +272,6 @@ class MomentPlan:
         n = self.es.grid.n
         size = max(1, _BATCH_DOUBLES // (self.nt * (n if self.riesz is None else n * (n + 1) // 2)))
         return [lams[i:i + size] for i in range(0, len(lams), size)]
-
-    def check(self, params, es, u0, T, nt):
-        """This plan, or DomainError unless it was built for these inputs."""
-        wrong = [name for name, same in (
-            ("es", self.es is es),
-            ("params", self.params == replace(params, lam=0.0)),
-            ("u0", np.array_equal(self.u0, np.asarray(u0, float))),
-            ("T", self.T == float(T)),
-            ("nt", self.nt == nt),
-        ) if not same]
-        if wrong:
-            raise DomainError(f"plan was built for another {', '.join(wrong)}")
-        return self
 
 
 def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep):
@@ -368,30 +356,30 @@ def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep)
 
 def _solve(plan, params, l_sigma, lams, source, far, near, lift, unlift, keep=np.s_[:]):
     """The field of params.lam, or one field per lam of ``lams``, from one
-    pass of the stepper: its logs of the kept entries are the field."""
+    stepper pass per plan batch: its logs of the kept entries are the field."""
     grid = np.asarray([params.lam] if lams is None else lams, float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
         raise DomainError(f"lams must be a non-empty 1-d grid of finite lam >= 0, got {lams!r}")
-    logs = _log_split_steps(plan, grid.tolist(), l_sigma, source, far, near, lift, unlift, keep)
-    fields = [MomentField(times=plan.times, grid=plan.es.grid, logs=g) for g in logs]
+    fields = [MomentField(times=plan.times, grid=plan.es.grid, logs=g)
+              for batch in plan.batches(grid.tolist())
+              for g in _log_split_steps(plan, batch, l_sigma, source, far, near, lift, unlift, keep)]
     return fields[0] if lams is None else fields
 
 
-def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None, *, lams=None):
+def second_moment_white(params, es, u0, l_sigma, T, nt, *, lams=None):
     """Solve the white-noise second-moment Volterra equation exactly (linear sigma).
 
     Returns a MomentField on the uniform time grid j T / nt.  Log-scaled
-    throughout, so lam up to 1e6 and beyond stays representable.  ``plan``
-    takes a MomentPlan built for the same inputs, so a lam sweep pays for
-    G_B u0 and the kernel tables once; without one, a plan is built here.
-    ``lams``, a 1-d grid of lam (params.lam is then not read), returns one
-    field per lam from one pass, each with the bits of its own solve;
-    ``MomentPlan.batches`` cuts a grid into batches that fit the budget.
+    throughout, so lam up to 1e6 and beyond stays representable.  ``lams``,
+    a 1-d grid of lam (params.lam is then not read), returns one field per
+    lam, each with the bits of its own solve: the call builds one
+    MomentPlan, so G_B u0 and the kernel tables are paid for once, and steps
+    the grid in the batches of ``MomentPlan.batches``, so its midpoint
+    history stays within the budget (see the module docstring).
     """
     if params.noise.kind != "white":
         raise DomainError("second_moment_white requires white noise parameters")
-    plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
-            else plan.check(params, es, u0, T, nt))
+    plan = MomentPlan.build(params, es, u0, T, nt)
 
     c, f = (es.grid.n + 1) // 2, es.grid.n // 2
     # row x of a parity block holds its S[m][x, :] for every lag m
@@ -426,7 +414,7 @@ def second_moment_white(params, es, u0, l_sigma, T, nt, plan=None, *, lams=None)
     return _solve(plan, params, l_sigma, lams, lambda j: plan.det[j] ** 2, far, near, lift, unlift)
 
 
-def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None, *, lams=None):
+def second_moment_colored(params, es, u0, l_sigma, T, nt, *, lams=None):
     """Two-point Volterra solver for Riesz-colored noise (linear sigma).
 
     Same stepper as the white solver, applied per entry of the two-point
@@ -440,12 +428,11 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, plan=None, *, lams=Non
     triangle U of a symmetric X with U + U^T = X, so the history term
     phi X phi^T is H + H^T with H = phi U phi^T, symmetric by construction.
     Memory: see the module docstring.  The Riesz exponent gamma is
-    ``params.noise.gamma``; ``plan`` and ``lams`` as in the white solver.
+    ``params.noise.gamma``; ``lams`` as in the white solver.
     """
     if params.noise.kind != "riesz":
         raise DomainError("second_moment_colored requires riesz noise parameters")
-    plan = (MomentPlan.build(params, es, u0, T, nt) if plan is None
-            else plan.check(params, es, u0, T, nt))
+    plan = MomentPlan.build(params, es, u0, T, nt)
     phi = es.phi
     n = es.grid.n
     upper = np.triu_indices(n)
@@ -504,9 +491,9 @@ def renewal_volterra_solve(c1, kappa, rho, T, nt):
     monotone), O(nt) work.  Returns a SampledFunction on the grid.
     """
     kappa, rho = _renewal_kernel(kappa, rho)
-    c1, T, nt = float(c1), float(T), int(nt)
-    if not (math.isfinite(c1) and 0.0 < T < math.inf and nt >= 2):
-        raise DomainError(f"finite c1, finite T > 0, nt >= 2 violated: {c1}, {T}, {nt}")
+    c1, T, nt = float(c1), float(T), _steps(nt)
+    if not (math.isfinite(c1) and 0.0 < T < math.inf):
+        raise DomainError(f"finite c1, finite T > 0 violated: {c1}, {T}")
 
     delta = T / nt
     times = delta * np.arange(nt + 1)

@@ -56,7 +56,6 @@ from .kernels import (
     stable_density,
 )
 from .moments import (
-    MomentPlan,
     lower_series,
     lower_series_log,
     renewal_growth_exponent,
@@ -65,7 +64,7 @@ from .moments import (
     second_moment_white,
 )
 from .params import ModelParams, NoiseModel, SpaceGrid
-from .simulate import SimConfig, simulate_mild
+from .simulate import SimConfig, check_threads, simulate_mild
 from .excitation import excitation_sweep, theoretical_index
 
 __all__ = ["Check", "CHECKS", "CheckContext", "CheckResult", "GROUPS",
@@ -415,10 +414,10 @@ def _check_volterra_monotone(ctx):
     es = ctx.eigen(2.0, 48)
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5)
-    plan = MomentPlan.build(p, es, u0, 0.1, 96)
-    lams = (1.0, 2.0, 4.0)
-    fields = {(lam, ls): f.logs[-1] for ls in (0.5, 1.0) for lam, f in
-              zip(lams, second_moment_white(p, es, u0, ls, 0.1, 96, plan=plan, lams=lams))}
+    pairs = [(lam, ls) for ls in (0.5, 1.0) for lam in (1.0, 2.0, 4.0)]
+    # kappa = (lam l)^2, so lam l at l = 1 is the solve at (lam, l)
+    fields = dict(zip(pairs, (f.logs[-1] for f in second_moment_white(
+        p, es, u0, 1.0, 0.1, 96, lams=[lam * ls for lam, ls in pairs]))))
     worst = np.inf
     for ls in (0.5, 1.0):
         worst = min(worst, float(np.min(fields[(2.0, ls)] - fields[(1.0, ls)])),
@@ -735,13 +734,16 @@ GROUPS = tuple(dict.fromkeys(check.group for check in CHECKS))
 def run_validation(only=None, seed=0, threads=1):
     """Run the registered checks (optionally one group) and return results.
 
-    A check that raises is reported as failed with the exception text; the
-    suite always completes.
+    An argument out of its domain raises DomainError, whose message starts
+    with the argument's name, before any check runs.  A check that raises
+    is reported as failed with the exception text; the suite always
+    completes.
     """
     if only is not None and only not in GROUPS:
-        raise DomainError(
-            f"unknown validation group {only!r}; choose one of {', '.join(GROUPS)}")
-    ctx = CheckContext(seed=seed, threads=threads)
+        raise DomainError(f"only must name a validation group, one of {', '.join(GROUPS)}; "
+                          f"got {only!r}")
+    SimConfig(seed=seed)    # refuses a seed outside [0, 2^64)
+    ctx = CheckContext(seed=seed, threads=check_threads(threads))
     results = []
     for check in CHECKS:
         if only is not None and check.group != only:

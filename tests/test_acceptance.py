@@ -12,11 +12,14 @@ invariants and compare the golden table's closed-form rows with 30-digit
 mpmath values, an oracle that shares nothing with the CSV.
 """
 
+import dataclasses
 import math
 
 import mpmath
 import pytest
 
+from fracstorm import validate
+from fracstorm.errors import DomainError
 from fracstorm.validate import CHECKS, golden_table
 
 #: acceptance criterion -> (label, wall-time budget in seconds)
@@ -110,6 +113,21 @@ def test_criterion_09_montecarlo_matches_exact_moments(check_outcome, request):
 
 def test_criterion_10_series_lower_bound(check_outcome, request):
     _criterion(10, check_outcome, request)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(seed=-1), "seed"), (dict(seed=2 ** 64), "seed"), (dict(seed=1.5), "seed"),
+    (dict(threads=0), "threads"), (dict(threads=True), "threads"),
+    (dict(only="astrology"), "only"),
+])
+def test_run_validation_refuses_bad_arguments_before_any_check(monkeypatch, kwargs, name):
+    # a bad argument is invalid input, named first in the message, and no
+    # check runs on it
+    ran = []
+    monkeypatch.setattr(validate, "CHECKS", [dataclasses.replace(CHECKS[0], fn=ran.append)])
+    with pytest.raises(DomainError, match=f"^{name} "):
+        validate.run_validation(**kwargs)
+    assert ran == []
 
 
 def test_check_names_are_unique():

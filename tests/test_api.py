@@ -28,9 +28,8 @@ def test_second_moment_solver_signature_is_pinned(name):
     from fracstorm import moments
 
     params = inspect.signature(getattr(moments, name)).parameters
-    assert list(params) == ["params", "es", "u0", "l_sigma", "T", "nt", "plan", "lams"]
-    assert params["plan"].default is None
-    # a lam batch is keyword-only, so the seven positional parameters stay
+    assert list(params) == ["params", "es", "u0", "l_sigma", "T", "nt", "lams"]
+    # a lam grid is keyword-only, so the six positional parameters stay
     assert params["lams"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["lams"].default is None
 
@@ -41,6 +40,16 @@ def test_moment_field_surface_is_pinned():
 
     assert [f.name for f in dataclasses.fields(MomentField)] == ["times", "grid", "logs"]
     assert all(callable(getattr(MomentField, name)) for name in ("dense", "sup_log", "energy_log"))
+
+
+def test_moment_plan_fields_are_pinned():
+    # the lam-free part of a solve: the reference solvers of the moment tests
+    # read its tables, and the exact-rate and exact-value oracles planned in
+    # the roadmap (D10, D13) are to build on them
+    from fracstorm.moments import MomentPlan
+
+    assert [f.name for f in dataclasses.fields(MomentPlan)] == [
+        "es", "T", "nt", "eta", "times", "det", "cell_mass", "history", "riesz"]
 
 
 @pytest.mark.parametrize("path", sorted(pathlib.Path(fracstorm.__file__).parent.glob("*.py")),

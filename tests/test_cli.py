@@ -519,6 +519,14 @@ def test_validate_threads_zero_exits_2(capsys):
     assert code == 2 and "--threads" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_validate_bad_seed_exits_2_before_any_check(seed, capsys):
+    # invalid input, not a failed suite: no check runs and no report prints
+    code, out, err = run_main(["validate", "--seed", seed], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("fracstorm: error: --seed ")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--replicates", "4"], ["simulate", "--nt", "4"],
     ["simulate", "--T", "0.1"], ["simulate", "--seed", "1"],

@@ -196,8 +196,9 @@ def test_colored_moment_monotone_in_lambda(eigen_cache, bump):
 
 
 def test_sweep_with_one_plan_matches_planless_solves(eigen_cache, bump):
-    # excitation_sweep builds one MomentPlan and shares it across lambda;
-    # every lambda must give the bits of a solve that built its own plan.
+    # excitation_sweep hands its grid to one solver call, which builds one
+    # MomentPlan for every lambda; each lambda must give the bits of a solve
+    # of its own.
     es = eigen_cache(2.0, 16)
     u0 = bump(es)
     lams = np.geomspace(1e2, 1e5, 10)
@@ -213,12 +214,6 @@ def test_sweep_with_one_plan_matches_planless_solves(eigen_cache, bump):
             else:
                 alone.append(second_moment_colored(q, es, u0, 1.0, 0.1, 24).energy_log())
         assert np.array_equal(fit.log_values, alone)
-
-    plan = MomentPlan.build(colored, es, u0, 0.1, 24)
-    q = replace(colored, lam=30.0)
-    shared = second_moment_colored(q, es, u0, 1.0, 0.1, 24, plan=plan)
-    own = second_moment_colored(q, es, u0, 1.0, 0.1, 24)
-    assert np.array_equal(shared.logs, own.logs)
 
 
 def test_plan_tables_match_per_node_kernels(eigen_cache, bump):
@@ -316,8 +311,8 @@ def test_white_plan_build_leaves_only_the_closure_on_mittag_leffler(
 
 def test_colored_solve_makes_no_kernel_matrix(monkeypatch, eigen_cache, bump):
     # A structural guard, no clock: the colored history lives in
-    # eigencoordinates, so a plan build and a solve at colored-sweep's size
-    # (n = 32, nt = 192) form no physical kernel matrix at any lag.
+    # eigencoordinates, so a solve at colored-sweep's size (n = 32, nt = 192),
+    # its plan build included, forms no physical kernel matrix at any lag.
     calls = []
     original = dirichlet_fractional_kernel
 
@@ -332,12 +327,11 @@ def test_colored_solve_makes_no_kernel_matrix(monkeypatch, eigen_cache, bump):
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=30.0, noise=NoiseModel("riesz", gamma=0.5))
-    plan = MomentPlan.build(p, es, u0, 0.1, 192)
-    second_moment_colored(p, es, u0, 1.0, 0.1, 192, plan=plan)
+    second_moment_colored(p, es, u0, 1.0, 0.1, 192)
     assert calls == []
 
 
-def _lag_tables(plan):
+def _lag_tables(plan, beta):
     """S[m] = h int G(tau)^2 over lag cell m (S[0] zero), by 6-point
     Gauss-Legendre on each cell with kernels from dirichlet_fractional_kernel,
     192 nodes a call: the full n x n tables, no parity."""
@@ -345,7 +339,7 @@ def _lag_tables(plan):
     nodes, weights = fixed_panel_nodes(plan.T / nt * np.arange(1, nt + 1), n=6)
     S = np.zeros((nt, n, n))
     for q in range(0, nodes.size, 192):
-        G = dirichlet_fractional_kernel(es, plan.params.beta, nodes[q:q + 192])
+        G = dirichlet_fractional_kernel(es, beta, nodes[q:q + 192])
         cells = (weights[q:q + 192, None, None] * G * G).reshape(-1, 6, n, n).sum(axis=1)
         S[1 + q // 6:1 + (q + 192) // 6] = es.grid.h * cells
     return S
@@ -357,10 +351,10 @@ def lag_tables():
     its eigen systems come from the session's eigen_cache, so an id names one."""
     memo = {}
 
-    def tables(plan):
-        key = (id(plan.es), float(plan.params.beta), plan.T, plan.nt)
+    def tables(plan, beta):
+        key = (id(plan.es), float(beta), plan.T, plan.nt)
         if key not in memo:
-            memo[key] = _lag_tables(plan)
+            memo[key] = _lag_tables(plan, beta)
         return memo[key]
     return tables
 
@@ -425,8 +419,8 @@ def test_blocked_white_stepper_matches_direct_lag_sum(eigen_cache, bump, lag_tab
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
     plan = MomentPlan.build(p, es, u0, 0.1, nt)
-    got = second_moment_white(p, es, u0, 1.0, 0.1, nt, plan=plan).logs
-    ref = _direct_white(plan, lam ** 2, lag_tables(plan))
+    got = second_moment_white(p, es, u0, 1.0, 0.1, nt).logs
+    ref = _direct_white(plan, lam ** 2, lag_tables(plan, p.beta))
     assert np.array_equal(np.isinf(got), np.isinf(ref))
     finite = np.isfinite(ref)
     assert np.all(np.abs(got[finite] - ref[finite])
@@ -443,8 +437,8 @@ def test_white_solve_at_odd_n_matches_direct_lag_sum(eigen_cache, bump, lag_tabl
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
     plan = MomentPlan.build(p, es, u0, 0.1, 37)
-    got = second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan).logs
-    ref = _direct_white(plan, lam ** 2, lag_tables(plan))
+    got = second_moment_white(p, es, u0, 1.0, 0.1, 37).logs
+    ref = _direct_white(plan, lam ** 2, lag_tables(plan, p.beta))
     assert np.array_equal(np.isinf(got), np.isinf(ref))
     finite = np.isfinite(ref)
     assert np.all(np.abs(got[finite] - ref[finite])
@@ -466,21 +460,21 @@ def test_blocked_white_overflow_raises_at_the_direct_step(eigen_cache, bump, lag
     p = ModelParams(alpha=2.0, beta=0.02, lam=lam)
     plan = MomentPlan.build(p, es, u0, 0.1, 37)
     if step is None:
-        field = second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
+        field = second_moment_white(p, es, u0, 1.0, 0.1, 37)
         scales = field.logs.max(axis=1).tolist()
         assert all(map(math.isfinite, scales))
         assert max(a + b for a, b in zip(scales[1:], scales[:-1])) == math.inf
-        ref = _direct_white(plan, lam ** 2, lag_tables(plan))
+        ref = _direct_white(plan, lam ** 2, lag_tables(plan, p.beta))
         assert np.all(np.abs(field.logs - ref) <= 1e-12 * np.abs(ref))
         return
     match = f"overflowed at step {step}$"
     with pytest.raises(NumericsError, match=match):
-        _direct_white(plan, lam ** 2, lag_tables(plan))
+        _direct_white(plan, lam ** 2, lag_tables(plan, p.beta))
     with pytest.raises(NumericsError, match=match):
-        second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
+        second_moment_white(p, es, u0, 1.0, 0.1, 37)
 
 
-def _sandwich_colored(plan, kappa):
+def _sandwich_colored(plan, beta, kappa):
     """Reference: the two-point stepper with the physical kernel sandwich.
 
     Every step sums h^2 Delta Gmid[m] (Cbar * mid) Gmid[m]^T over the lag
@@ -492,7 +486,7 @@ def _sandwich_colored(plan, kappa):
     """
     es, nt = plan.es, plan.nt
     delta = plan.T / nt
-    G = dirichlet_fractional_kernel(es, plan.params.beta, (np.arange(1, nt) + 0.5) * delta)
+    G = dirichlet_fractional_kernel(es, beta, (np.arange(1, nt) + 0.5) * delta)
     z = kappa * gamma(plan.eta) * plan.eta * plan.cell_mass
     ln_fac = mittag_leffler_log(plan.eta, np.maximum(z, 0.0).ravel()).reshape(z.shape)
     source = plan.det[:, :, None] * plan.det[:, None, :]
@@ -537,8 +531,8 @@ def test_colored_solve_matches_physical_sandwich(eigen_cache, bump, n, lam):
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam, noise=NoiseModel("riesz", gamma=0.5))
     for nt in (24, 33, 37, 64):
         plan = MomentPlan.build(p, es, u0, 0.1, nt)
-        got = second_moment_colored(p, es, u0, 1.0, 0.1, nt, plan=plan)
-        logs = _sandwich_colored(plan, lam ** 2)
+        got = second_moment_colored(p, es, u0, 1.0, 0.1, nt)
+        logs = _sandwich_colored(plan, p.beta, lam ** 2)
         r = nt * 4 * n * 2.0 ** -53
         ref = np.diagonal(logs, axis1=1, axis2=2)
         assert np.array_equal(np.isinf(got.logs), np.isinf(ref)), nt
@@ -547,45 +541,24 @@ def test_colored_solve_matches_physical_sandwich(eigen_cache, bump, n, lam):
                       <= r + 2.0 ** -51 * np.abs(ref[finite])), nt
 
 
-def test_plan_built_for_other_inputs_is_refused(eigen_cache, bump):
-    es = eigen_cache(2.0, 16)
-    u0 = bump(es)
-    p = ModelParams(alpha=2.0, beta=0.5, lam=10.0)
-    plan = MomentPlan.build(p, es, u0, 0.1, 24)
-    second_moment_white(p, es, u0, 1.0, 0.1, 24, plan=plan)
-    with pytest.raises(DomainError, match="another T$"):
-        second_moment_white(p, es, u0, 1.0, 0.2, 24, plan=plan)
-    with pytest.raises(DomainError, match="another nt$"):
-        second_moment_white(p, es, u0, 1.0, 0.1, 32, plan=plan)
-    with pytest.raises(DomainError, match="another u0$"):
-        second_moment_white(p, es, 2.0 * u0, 1.0, 0.1, 24, plan=plan)
-    with pytest.raises(DomainError, match="another params$"):
-        second_moment_white(replace(p, beta=0.6), es, u0, 1.0, 0.1, 24, plan=plan)
-    with pytest.raises(DomainError, match="another es$"):
-        second_moment_white(p, eigen_cache(2.0, 16, R=2.0), u0, 1.0, 0.1, 24, plan=plan)
-    colored = replace(p, noise=NoiseModel("riesz", gamma=0.5))
-    with pytest.raises(DomainError, match="another params$"):
-        second_moment_colored(colored, es, u0, 1.0, 0.1, 24, plan=plan)
-
-
 def test_batched_lams_are_bitwise_their_solves_alone(eigen_cache, bump):
     # One pass steps every lam of a batch; the history sums run once per lam
     # and every other operation acts on each lam's entries alone, so each
     # lam carries the bits of its own solve.  At colored-sweep's size the
-    # midpoint budget takes 5 lams a batch, so 7 lams run as 5 + 2.
+    # midpoint budget takes 5 lams a batch, so one call with 7 lams runs
+    # them as 5 + 2.
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
     white = ModelParams(alpha=2.0, beta=0.5)
     colored = replace(white, noise=NoiseModel("riesz", gamma=0.5))
     for p, solve, top, sizes in ((white, second_moment_white, 1e6, [7]),
                                  (colored, second_moment_colored, 1e5, [5, 2])):
-        plan = MomentPlan.build(p, es, u0, 0.1, 192)
         lams = np.geomspace(1e2, top, 7)
-        batches = plan.batches(lams)
-        assert [len(b) for b in batches] == sizes
-        fields = [f for b in batches for f in solve(p, es, u0, 1.0, 0.1, 192, plan=plan, lams=b)]
+        assert [len(b) for b in MomentPlan.build(p, es, u0, 0.1, 192).batches(lams)] == sizes
+        fields = solve(p, es, u0, 1.0, 0.1, 192, lams=lams)
+        assert len(fields) == 7
         for lam, field in zip(lams, fields):
-            alone = solve(replace(p, lam=float(lam)), es, u0, 1.0, 0.1, 192, plan=plan)
+            alone = solve(replace(p, lam=float(lam)), es, u0, 1.0, 0.1, 192)
             assert np.array_equal(field.logs, alone.logs), lam
 
 
@@ -596,12 +569,11 @@ def test_batch_overflow_names_its_lam_at_its_own_step(eigen_cache, bump):
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.02, lam=5e153)
-    plan = MomentPlan.build(p, es, u0, 0.1, 37)
     match = re.escape(f"lam={5e153!r} overflowed at step 34") + "$"
     with pytest.raises(NumericsError, match=match):
-        second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan)
+        second_moment_white(p, es, u0, 1.0, 0.1, 37)
     with pytest.raises(NumericsError, match=match):
-        second_moment_white(p, es, u0, 1.0, 0.1, 37, plan=plan, lams=[1.0, 4e153, 5e153])
+        second_moment_white(p, es, u0, 1.0, 0.1, 37, lams=[1.0, 4e153, 5e153])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -613,6 +585,25 @@ def test_plan_refuses_a_non_finite_u0(eigen_cache, bump, bad):
         MomentPlan.build(ModelParams(alpha=2.0, beta=0.5), es, u0, 0.1, 24)
 
 
+@pytest.mark.parametrize("nt", [24.0, 24.5, True])
+def test_non_integer_nt_is_refused(eigen_cache, bump, nt):
+    # a float nt used to be truncated (24.5 solved on 24 steps) or to fail
+    # inside numpy, and True is the integer 1; a numpy integer is an integer
+    es = eigen_cache(2.0, 16)
+    u0 = bump(es)
+    p = ModelParams(alpha=2.0, beta=0.5)
+    for call in (lambda: MomentPlan.build(p, es, u0, 0.1, nt),
+                 lambda: second_moment_white(p, es, u0, 1.0, 0.1, nt),
+                 lambda: renewal_volterra_solve(1.0, 1.0, 0.5, 1.0, nt),
+                 lambda: excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e5, 6), nt=nt),
+                 lambda: excitation_sweep(p, es, u0, 0.1, np.geomspace(2.0, 20.0, 6),
+                                          method="montecarlo", nt=nt)):
+        with pytest.raises(DomainError, match="integer nt"):
+            call()
+    assert MomentPlan.build(p, es, u0, 0.1, np.int64(24)).nt == 24
+    assert len(renewal_volterra_solve(1.0, 1.0, 0.5, 1.0, np.int32(24)).times) == 25
+
+
 @pytest.mark.parametrize("lams", [[], [[1.0, 2.0]], [1.0, -1.0], [np.nan], [np.inf]])
 def test_solver_refuses_a_bad_lam_grid(eigen_cache, bump, lams):
     es = eigen_cache(2.0, 16)
@@ -622,30 +613,29 @@ def test_solver_refuses_a_bad_lam_grid(eigen_cache, bump, lams):
 
 
 def test_colored_batch_memory_is_the_midpoint_budget(monkeypatch, eigen_cache, bump):
-    # A batch from MomentPlan.batches at colored-sweep's size (n = 32,
-    # nt = 192, P = n(n+1)/2 = 528) holds 5 lams: 5 nt P = 506,880 doubles
-    # of midpoints, within the 2^19 budget.  The rest of the stepper's live
-    # state, in doubles: a scaled copy of one lam's older midpoints and the
-    # product in its contraction (2 nt P), the block sums of every lam
-    # (L 16 P), the returned values, logs and framed values (3 L (nt+1) n),
-    # and at most 16 arrays of one slice per lam (L n^2).  The newest-cell
-    # closure table is stood in by zeros: its memory is mittag_leffler_log's,
-    # whose own test bounds it.  Measured 6.3 MB; one batch of all 10 lams
-    # of colored-sweep measured 11.7 MB.
+    # One call with all 10 lams of colored-sweep (n = 32, nt = 192,
+    # P = n(n+1)/2 = 528) steps them in batches of L = 5: 5 nt P = 506,880
+    # doubles of midpoints, within the 2^19 budget.  The rest of the
+    # stepper's live state, in doubles: a scaled copy of one lam's older
+    # midpoints and the product in its contraction (2 nt P), the block sums
+    # of every lam (L 16 P), the returned values, logs and framed values
+    # (3 L (nt+1) n), and at most 16 arrays of one slice per lam (L n^2).
+    # The newest-cell closure table is stood in by zeros: its memory is
+    # mittag_leffler_log's, whose own test bounds it.  Measured 7.2 MB,
+    # the plan build included; one batch of all 10 lams measured 11.7 MB.
     monkeypatch.setattr(sys.modules["fracstorm.moments"], "mittag_leffler_log",
                         lambda eta, z: np.zeros(z.shape))
     es = eigen_cache(2.0, 32)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5))
-    n, nt, P = 32, 192, 32 * 33 // 2
-    plan = MomentPlan.build(p, es, u0, 0.1, nt)
-    batch = plan.batches(np.geomspace(1e2, 1e5, 10))[0]
-    L = len(batch)
-    assert L == 5 and L * nt * P <= 2 ** 19
+    n, nt, P, L = 32, 192, 32 * 33 // 2, 5
+    lams = np.geomspace(1e2, 1e5, 10)
+    assert [len(b) for b in MomentPlan.build(p, es, u0, 0.1, nt).batches(lams)] == [L, L]
+    assert L * nt * P <= 2 ** 19
     bound = 8 * (2 ** 19 + 2 * nt * P + L * 16 * P + 3 * L * (nt + 1) * n + 16 * L * n * n)
     tracemalloc.start()
     try:
-        second_moment_colored(p, es, u0, 1.0, 0.1, nt, plan=plan, lams=batch)
+        second_moment_colored(p, es, u0, 1.0, 0.1, nt, lams=lams)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
