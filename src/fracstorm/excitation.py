@@ -85,9 +85,12 @@ def theoretical_index(alpha, beta, d_or_gamma, noise):
     if kind not in ("white", "riesz"):
         raise DomainError(f"noise must be 'white' or 'riesz', got {noise!r}")
     a, b, q = float(alpha), float(beta), float(d_or_gamma)
+    label = "d" if kind == "white" else "gamma"
+    for name, v in (("alpha", a), ("beta", b), (label, q)):
+        if not np.isfinite(v):
+            raise DomainError(f"finite {name} violated: {name}={v}")
     den = a - q * b
     if den <= 0.0:
-        label = "d" if kind == "white" else "gamma"
         raise DomainError(
             f"alpha - {label}*beta > 0 violated: alpha={a}, beta={b}, {label}={q}"
         )
@@ -169,8 +172,8 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
         raise DomainError("the volterra sweep needs a linear sigma; "
                           "a table sigma runs only with method='montecarlo'")
     t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"t > 0 violated: t={t}")
+    if not 0.0 < t < np.inf:    # refuses NaN too
+        raise DomainError(f"finite t > 0 violated: t={t}")
     lam = _check_lambda_grid(lambda_grid, method)
     white = params.noise.kind == "white"
     theory = theoretical_index(params.alpha, params.beta, 1 if white else params.noise.gamma,

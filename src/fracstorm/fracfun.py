@@ -397,9 +397,12 @@ def _g_small_u(beta, u):
     return beta / (np.pi * ob) * (w @ f)
 
 
-def _g_large_u(beta, u, kmax=700):
+_G_TERMS = 700  # terms of the large-u series of g_beta
+
+
+def _g_large_u(beta, u):
     """Reciprocal power series sum_k (-1)^(k+1) Gamma(beta k + 1)/k! sin(pi beta k) u^(-beta k - 1) / pi."""
-    k = np.arange(1, kmax + 1)
+    k = np.arange(1, _G_TERMS + 1)
     lg = _lgamma(beta * k + 1.0) - _lgamma(k + 1.0)
     sk = np.sin(np.pi * beta * k) * (-1.0) ** (k + 1)
     logs = lg[None, :] - (beta * k + 1.0)[None, :] * np.log(u)[:, None]

@@ -205,10 +205,12 @@ def stable_density(alpha, nu, t, x):
     a = float(alpha)
     if not (0.0 < a <= 2.0):
         raise DomainError(f"alpha in (0, 2] violated: {alpha}")
-    if nu <= 0.0:
-        raise DomainError(f"nu > 0 violated: {nu}")
+    if not 0.0 < nu < math.inf:    # refuses NaN too
+        raise DomainError(f"finite nu > 0 violated: nu={nu}")
     t = _check_t(t)
     x = np.asarray(x, float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("displacement x must be finite")
     r = np.abs(np.atleast_1d(x))
     if a == 2.0:
         out = (4.0 * np.pi * nu * t) ** -0.5 * np.exp(-r * r / (4.0 * nu * t))
@@ -245,6 +247,8 @@ def fractional_free_kernel(params, t, x):
     """
     t = _check_t(t)
     x = np.asarray(x, float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("displacement x must be finite")
     if np.any(x == 0.0) and params.alpha <= 1.0 and not params.classical:
         raise DomainError(f"free kernel diverges at x=0 for alpha <= 1 (alpha={params.alpha})")
     vals = _free_kernel_at(params, t)(np.atleast_1d(x))
@@ -444,6 +448,8 @@ def apply_semigroup(es, beta, t, v):
     v = np.asarray(v, float)
     if v.shape != (es.grid.n,):
         raise DomainError("field shape must match the grid")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("field v must be finite")
     coef = es.grid.h * (es.phi.T @ v)
     return (mode_decay(es.mu, beta, t) * coef) @ es.phi.T
 
@@ -476,7 +482,9 @@ def estimate_floor_constant(es, beta, alpha):
     t' <= t has m(t') > 0; (0, 0) when none passes.  t0 is measured, never
     assumed.
     """
-    b = float(beta)
+    b, alpha = float(beta), float(alpha)
+    if not 0.0 < alpha <= 2.0:    # refuses NaN too
+        raise DomainError(f"alpha in (0, 2] violated: alpha={alpha}")
     ts = 0.8 * 2.0 ** -np.arange(0, 8)
     x = es.grid.nodes
     keep = np.abs(x) <= 0.75 * es.grid.R

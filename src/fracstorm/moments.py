@@ -45,20 +45,20 @@ needs no clip (see ``kernels.dirichlet_fractional_kernel``).
 The stepper sums the history in fixed blocks of _STEP_BLOCK = 16 steps
 (Hairer, Lubich & Schlichte 1985): at the start of a block, the cells over
 the midpoints made before it are summed for every step of the block at
-once, and each step adds only its <= 16 in-block cells.  Interval, grid and
-generator are symmetric under J: x -> -x, so each S[m] is centrosymmetric,
-with parity blocks (S + S J)[:c, :c] and (S - S J)[:f, :f], c = ceil(n/2),
-f = floor(n/2) (Cantoni & Butler 1976): the white lift folds a midpoint o to
-(o + J o)[:c] (an odd n's middle node once) and (o - J o)[:f], which halves
-the table and the flops of S[m] @ mid.  Row x of a block's (c, nt c) view
-holds S[m][x, :] for every lag m, so a block's older cells are one gemm per
-parity against a Toeplitz arrangement of the older midpoints, and a step's
-in-block cells one gemv.  The colored contraction works entry by entry on
-the packed triangle: a block's older cells are one two-operand dot per step
-over midpoints pre-scaled once per block, and a step's in-block cells one
-more, unpacked into a single reused n x n buffer for the two phi products.
-The block length is fixed, so a solve's summation order depends on neither
-lam nor nt.
+once, and each step adds its <= 16 in-block cells as a block of one step.
+Interval, grid and generator are symmetric under J: x -> -x, so each S[m]
+is centrosymmetric, with parity blocks (S + S J)[:c, :c] and
+(S - S J)[:f, :f], c = ceil(n/2), f = floor(n/2) (Cantoni & Butler 1976):
+the white lift folds a midpoint o to (o + J o)[:c] (an odd n's middle node
+once) and (o - J o)[:f], which halves the table and the flops of
+S[m] @ mid.  Row x of a block's (c, nt c) view holds S[m][x, :] for every
+lag m, so a block's older cells are one gemm per parity against a Toeplitz
+arrangement of the older midpoints, and a step's in-block cells one gemv.
+The colored contraction works entry by entry on the packed triangle: a
+block's older cells are one two-operand dot per step over midpoints
+pre-scaled once per block, and a step's in-block cells one more, unpacked
+into a single reused n x n buffer for the two phi products.  The block
+length is fixed, so a solve's summation order depends on neither lam nor nt.
 
 A solver call steps its lams (``lams=``) in batches, one pass each: frames,
 log scales, pair means, the closure table and each step's elementwise work
@@ -209,8 +209,8 @@ class MomentPlan:
             raise DomainError(f"lag singularity not integrable: eta = {eta} <= 0")
         nt = _steps(nt)
         T = float(T)
-        if T <= 0.0:
-            raise DomainError("horizon T must be positive")
+        if not 0.0 < T < math.inf:    # refuses NaN too
+            raise DomainError(f"horizon T must be positive and finite, got T={T}")
         u0 = np.asarray(u0, float)
         if not np.all(np.isfinite(u0)):
             raise DomainError("u0 must be finite")
@@ -274,7 +274,7 @@ class MomentPlan:
         return [lams[i:i + size] for i in range(0, len(lams), size)]
 
 
-def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep):
+def _log_split_steps(plan, lams, l_sigma, source, far, lift, unlift, keep):
     """The time stepper of both second-moment solvers, for a batch of lam.
 
     Slices are flat: source(j) is the deterministic term at t_j, kappa =
@@ -296,11 +296,11 @@ def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep)
     at lag cell i+1+k, each weighed by scale[k] = exp(mean_log - frame0) in
     the block's starting frame frame0.  Step j rescales that sum by the
     scalar exp(frame0 - frame), should its frame have risen since, and
-    near(base, newer, scale) adds to it its in-block pairs newer[k] = pair
-    j-2-k at lag cell k+1, weighed in the step's frame.  The block length is
-    fixed, so the summation order depends on neither lam nor nt.  far and
-    near run once per lam on its midpoints, and every other operation acts
-    on each lam's entries alone, so a lam's bits do not depend on its batch.
+    far(newer, scale, 1)[0] adds its in-block pairs newer[k] = pair j-2-k at
+    lag cell k+1, weighed in the step's frame.  The block length is fixed,
+    so the summation order depends on neither lam nor nt.  far, the only
+    history call, runs once per lam on its midpoints and all else on each
+    lam's entries alone, so a lam's bits do not depend on its batch.
     """
     nt, batch = plan.nt, len(lams)
     kappa = [(lam * l_sigma) ** 2 for lam in lams]
@@ -334,7 +334,7 @@ def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep)
             j = j0 + i
             newer = np.s_[nt + 1 - j:nt + 1 - j0]
             scales = np.exp(mean_log[:, newer] - np.array(frame)[:, None])
-            sums = unlift(np.stack([near(p[i] * math.exp(f0 - f), m[newer], s)
+            sums = unlift(np.stack([p[i] * math.exp(f0 - f) + far(m[newer], s, 1)[0]
                                     for p, f0, f, m, s in zip(past, frame0, frame, mids, scales)]))
             tilt = np.array([math.exp(-f) for f in frame])[:, None]
             w = _log_positive(source(j) * tilt + kappa * sums) + ln_fac
@@ -354,15 +354,17 @@ def _log_split_steps(plan, lams, l_sigma, source, far, near, lift, unlift, keep)
     return logs
 
 
-def _solve(plan, params, l_sigma, lams, source, far, near, lift, unlift, keep=np.s_[:]):
+def _solve(plan, params, l_sigma, lams, source, far, lift, unlift, keep=np.s_[:]):
     """The field of params.lam, or one field per lam of ``lams``, from one
     stepper pass per plan batch: its logs of the kept entries are the field."""
+    if not math.isfinite(l_sigma):
+        raise DomainError(f"noise slope l_sigma must be finite, got l_sigma={l_sigma}")
     grid = np.asarray([params.lam] if lams is None else lams, float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
         raise DomainError(f"lams must be a non-empty 1-d grid of finite lam >= 0, got {lams!r}")
     fields = [MomentField(times=plan.times, grid=plan.es.grid, logs=g)
               for batch in plan.batches(grid.tolist())
-              for g in _log_split_steps(plan, batch, l_sigma, source, far, near, lift, unlift, keep)]
+              for g in _log_split_steps(plan, batch, l_sigma, source, far, lift, unlift, keep)]
     return fields[0] if lams is None else fields
 
 
@@ -406,12 +408,7 @@ def second_moment_white(params, es, u0, l_sigma, T, nt, *, lams=None):
             sums.append((table[:, size:(lags + 1) * size] @ rows.T).T)
         return np.hstack(sums)
 
-    def near(base, newer, scale):
-        newer = newer * scale[:, None]
-        return base + np.hstack([table[:, len(table):(len(newer) + 1) * len(table)]
-                                 @ newer[:, part].ravel() for table, part in tables])
-
-    return _solve(plan, params, l_sigma, lams, lambda j: plan.det[j] ** 2, far, near, lift, unlift)
+    return _solve(plan, params, l_sigma, lams, lambda j: plan.det[j] ** 2, far, lift, unlift)
 
 
 def second_moment_colored(params, es, u0, l_sigma, T, nt, *, lams=None):
@@ -450,9 +447,6 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, *, lams=None):
         return [np.einsum("kp,kp->p", table[i + 1:i + 1 + len(older)], older)
                 for i in range(nb)]
 
-    def near(base, newer, scale):
-        return base + np.einsum("kp,kp->p", table[1:len(newer) + 1], newer * scale[:, None])
-
     def unlift(sums):
         U = np.zeros((len(sums), n, n))    # its lower triangles stay zero
         U[:, upper[0], upper[1]] = sums
@@ -461,7 +455,7 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, *, lams=None):
 
     det = plan.det
     return _solve(plan, params, l_sigma, lams, lambda j: np.outer(det[j], det[j]).ravel(),
-                  far, near, lift, unlift, np.arange(n) * (n + 1))
+                  far, lift, unlift, np.arange(n) * (n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ beta = 1 selects the classical (non-fractional) limit and is tracked by the
 ``classical`` flag rather than through the subordination machinery.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,8 +91,9 @@ class SpaceGrid:
     def __post_init__(self):
         if not np.isfinite(self.R) or self.R <= 0.0:
             raise DomainError(f"grid R > 0 violated: R={self.R}")
-        if int(self.n) != self.n or self.n < 4:
-            raise DomainError(f"grid needs n >= 4 cells, got {self.n}")
+        # a float n, even an integral one, would fail later as an array size
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 4:
+            raise DomainError(f"grid needs an integer n >= 4 cells, got {self.n!r}")
 
     @property
     def h(self):

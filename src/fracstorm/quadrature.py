@@ -14,6 +14,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import NumericsError
 
 _RULES = {}
+_PANEL_NODES = 15  # Gauss points per panel of ``adaptive_gauss``
+_MAX_DEPTH = 48  # bisection depth at which ``adaptive_gauss`` gives up
 
 
 def _rule(n):
@@ -29,7 +31,7 @@ def gauss_panel(f, a, b, n=15):
     return half * np.dot(w, f(mid + half * x))
 
 
-def adaptive_gauss(f, a, b, tol=1e-10, max_depth=48, _n=15):
+def adaptive_gauss(f, a, b, tol=1e-10):
     """Adaptive composite Gauss-Legendre integration of f on [a, b].
 
     A panel is accepted when its n-point estimate agrees with the sum of the
@@ -42,21 +44,21 @@ def adaptive_gauss(f, a, b, tol=1e-10, max_depth=48, _n=15):
         raise NumericsError("adaptive_gauss requires finite endpoints")
     if a == b:
         return 0.0
-    whole = gauss_panel(f, a, b, _n)
+    whole = gauss_panel(f, a, b, _PANEL_NODES)
     # iterative stack to avoid Python recursion limits at deep subdivision
     stack = [(a, b, whole, tol, 0)]
     total = 0.0
     while stack:
         a_, b_, est, tol_, depth = stack.pop()
         m = 0.5 * (a_ + b_)
-        left = gauss_panel(f, a_, m, _n)
-        right = gauss_panel(f, m, b_, _n)
+        left = gauss_panel(f, a_, m, _PANEL_NODES)
+        right = gauss_panel(f, m, b_, _PANEL_NODES)
         err = abs(left + right - est)
         if err <= tol_ or (b_ - a_) <= abs(m) * 1e-15:
             total += left + right
-        elif depth >= max_depth:
+        elif depth >= _MAX_DEPTH:
             raise NumericsError(
-                f"adaptive_gauss: depth {max_depth} exceeded on "
+                f"adaptive_gauss: depth {_MAX_DEPTH} exceeded on "
                 f"[{a_:.3e}, {b_:.3e}] (residual {err:.1e} > {tol_:.1e})"
             )
         else:
@@ -65,7 +67,7 @@ def adaptive_gauss(f, a, b, tol=1e-10, max_depth=48, _n=15):
     return total
 
 
-def integrate_semi_infinite(f, tol=1e-10, max_depth=48):
+def integrate_semi_infinite(f, tol=1e-10):
     """int_0^inf f(u) du via the substitution u = x/(1-x).
 
     The image integrand is g(x) = f(x/(1-x)) / (1-x)^2 on (0,1); adaptive
@@ -81,7 +83,7 @@ def integrate_semi_infinite(f, tol=1e-10, max_depth=48):
     # integrability of f and shrink the result below tol for the tolerances
     # used here.
     eps = 1e-14
-    return adaptive_gauss(g, eps, 1.0 - eps, tol=tol, max_depth=max_depth)
+    return adaptive_gauss(g, eps, 1.0 - eps, tol=tol)
 
 
 def fixed_panel_nodes(edges, n=12):

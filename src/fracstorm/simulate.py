@@ -258,8 +258,8 @@ def sample_noise_slice(noise, grid, dt, rng, cov=None):
     so the slice covariance is dt * h^2 * C.  ``cov`` may carry a precomputed
     RieszCovariance; otherwise it is built on the fly.
     """
-    if dt <= 0.0:
-        raise DomainError(f"dt > 0 violated: dt={dt}")
+    if not 0.0 < dt < math.inf:    # refuses NaN too
+        raise DomainError(f"finite dt > 0 violated: dt={dt}")
     if noise.kind == "riesz":
         if cov is None:
             cov = build_riesz_covariance(grid, noise.gamma)

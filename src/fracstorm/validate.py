@@ -140,12 +140,12 @@ class CheckContext:
             self._cache[key] = build()
         return self._cache[key]
 
-    def eigen(self, alpha, n, R=1.0, nu=1.0):
+    def eigen(self, alpha, n):
         def build():
-            p = ModelParams(alpha=alpha, beta=0.5, nu=nu, R=R)
-            grid = SpaceGrid(R=R, n=n)
+            p = ModelParams(alpha=alpha, beta=0.5)    # nu = R = 1
+            grid = SpaceGrid(R=p.R, n=n)
             return eigen_system(build_discrete_generator(p, grid), grid)
-        return self.memo(("eigen", alpha, n, R, nu), build)
+        return self.memo(("eigen", alpha, n), build)
 
     def bump(self, es):
         return np.cos(0.5 * np.pi * es.grid.nodes / es.grid.R)

@@ -3,7 +3,7 @@
 ``validation_ctx`` is the session's ``fracstorm.validate.CheckContext`` (seed
 0, ``TEST_THREADS`` threads).  The registry checks share its memoised eigen
 systems and white sweep, as one ``fracstorm validate`` run does; the unit
-tests reach the same eigen systems, keyed by (alpha, n, R, nu), through
+tests reach the same eigen systems, keyed by (alpha, n), through
 ``eigen_cache``.  ``e_30_digits(beta, y)`` is E_beta(-y) in 30 digits, the
 reference of the Mittag-Leffler and mode-decay accuracy tests.
 ``check_outcome(name)`` runs a registry check once per session, so the

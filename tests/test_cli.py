@@ -506,6 +506,19 @@ def test_non_finite_initial_value_exits_2(command, value, sim_config_path, tmp_p
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command, key, argument", [
+    (["moments", "field"], "grid.t", "T"), (["excite"], "excite.t", "t")],
+    ids=["moments-field", "excite"])
+def test_non_finite_horizon_exits_2_naming_it(command, key, argument, value, sim_config_path,
+                                              tmp_path, capsys):
+    code, _, err = run_main(
+        command + ["--config", str(sim_config_path), "--set", f"{key}={value}"], capsys)
+    assert code == 2 and f"{argument}={value}" in err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "excite"])
 def test_threads_zero_exits_2_naming_the_key(command, sim_config_path, tmp_path, capsys):
     code, _, err = run_main(

@@ -10,17 +10,20 @@ from mpmath import mp
 
 from fracstorm import kernels
 from fracstorm.errors import DomainError, NumericsError
+from fracstorm.excitation import theoretical_index
 from fracstorm.fracfun import inverse_subordinator_density, mittag_leffler, mode_decay
 from fracstorm.kernels import (
     apply_semigroup,
     dirichlet_fractional_kernel,
     dirichlet_kernel_subordination,
+    estimate_floor_constant,
     fractional_free_kernel,
     green_l2_constant,
     riesz_kernel_matrix,
     stable_density,
 )
 from fracstorm.params import ModelParams, NoiseModel, SpaceGrid
+from fracstorm.simulate import sample_noise_slice
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0])
@@ -335,3 +338,41 @@ def test_riesz_matrix_properties():
     assert np.all(np.diff(C[0]) < 0.0)  # decays away from the diagonal
     w = np.linalg.eigvalsh(C)
     assert w.min() > -1e-8  # positive semidefinite covariance
+
+
+def _one_nan(es):
+    v = np.ones(es.grid.n)
+    v[3] = math.nan
+    return v
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda es: stable_density(2.0, math.nan, 1.0, 0.0), "nu"),
+    (lambda es: stable_density(2.0, math.inf, 1.0, 0.0), "nu"),
+    (lambda es: stable_density(1.5, math.nan, 1.0, 0.0), "nu"),
+    (lambda es: stable_density(2.0, 1.0, 1.0, math.nan), "x"),
+    (lambda es: fractional_free_kernel(ModelParams(alpha=2.0, beta=0.5), 0.5, math.nan), "x"),
+    (lambda es: apply_semigroup(es, 0.5, 0.1, _one_nan(es)), "v"),
+    (lambda es: theoretical_index(math.nan, 0.5, 1, "white"), "alpha"),
+    (lambda es: sample_noise_slice(NoiseModel("white"), es.grid, math.nan,
+                                   np.random.default_rng(0)), "dt"),
+    (lambda es: sample_noise_slice(NoiseModel("white"), es.grid, math.inf,
+                                   np.random.default_rng(0)), "dt"),
+    (lambda es: estimate_floor_constant(es, 0.5, math.nan), "alpha"),
+], ids=["density-nu-nan", "density-nu-inf", "density-1.5-nu-nan", "density-x-nan",
+        "free-kernel-x-nan", "semigroup-v-nan", "index-alpha-nan", "noise-dt-nan",
+        "noise-dt-inf", "floor-alpha-nan"])
+def test_kernel_layer_refuses_non_finite_input(eigen_cache, call, argument):
+    # invalid input is a DomainError naming its argument, never a NaN, inf,
+    # 0.0 or NumericsError computed from it
+    with pytest.raises(DomainError, match=rf"\b{argument}\b"):
+        call(eigen_cache(2.0, 16))
+
+
+@pytest.mark.parametrize("n", [64.0, np.float64(16), 16.5, True])
+def test_space_grid_refuses_a_non_integer_cell_count(n):
+    # a float n, even an integral one, would fail later as an array size; a
+    # numpy integer is an integer
+    with pytest.raises(DomainError, match="integer n"):
+        SpaceGrid(R=1.0, n=n)
+    assert SpaceGrid(R=1.0, n=np.int64(16)).n == 16

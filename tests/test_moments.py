@@ -604,6 +604,27 @@ def test_non_integer_nt_is_refused(eigen_cache, bump, nt):
     assert len(renewal_volterra_solve(1.0, 1.0, 0.5, 1.0, np.int32(24)).times) == 25
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("entry, argument", [
+    ("white", "T"), ("colored", "T"), ("white", "l_sigma"), ("colored", "l_sigma"),
+    ("sweep", "t")])
+def test_non_finite_horizon_time_and_slope_are_refused(eigen_cache, bump, entry, argument, bad):
+    # each is refused, naming its argument, before it reaches the time grid
+    # (where inf * 0 is NaN) or the closure table
+    es = eigen_cache(2.0, 16)
+    u0 = bump(es)
+    white = ModelParams(alpha=2.0, beta=0.5)
+    colored = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5))
+    args = {"l_sigma": 1.0, "T": 0.1, argument: bad}
+    calls = {
+        "white": lambda: second_moment_white(white, es, u0, args["l_sigma"], args["T"], 24),
+        "colored": lambda: second_moment_colored(colored, es, u0, args["l_sigma"], args["T"], 24),
+        "sweep": lambda: excitation_sweep(white, es, u0, bad, np.geomspace(1e2, 1e5, 6)),
+    }
+    with pytest.raises(DomainError, match=rf"\b{argument}={bad}"):
+        calls[entry]()
+
+
 @pytest.mark.parametrize("lams", [[], [[1.0, 2.0]], [1.0, -1.0], [np.nan], [np.inf]])
 def test_solver_refuses_a_bad_lam_grid(eigen_cache, bump, lams):
     es = eigen_cache(2.0, 16)
