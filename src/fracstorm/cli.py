@@ -37,6 +37,9 @@ a JSON summary holds the same record under ``"run"``; fields use '.' as the
 decimal separator and 17 significant digits.
 
 Exit codes: 0 success, 1 numerical failure, 2 invalid input or domain error.
+A refused argument's DomainError message starts with the argument's name, as
+in ``T must be a finite number in (0, inf), got T=inf``; a refused config
+value's starts with ``config key`` and the key.
 """
 
 from __future__ import annotations

@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, integer, number
 from .kernels import EigenSystem
 from .moments import MomentField, second_moment_colored, second_moment_white
-from .simulate import SigmaSpec, SimConfig, check_threads, simulate_mild
+from .simulate import SigmaSpec, SimConfig, simulate_mild
 
 __all__ = [
     "ExcitationFit",
@@ -84,11 +84,9 @@ def theoretical_index(alpha, beta, d_or_gamma, noise):
     kind = getattr(noise, "kind", noise)
     if kind not in ("white", "riesz"):
         raise DomainError(f"noise must be 'white' or 'riesz', got {noise!r}")
-    a, b, q = float(alpha), float(beta), float(d_or_gamma)
     label = "d" if kind == "white" else "gamma"
-    for name, v in (("alpha", a), ("beta", b), (label, q)):
-        if not np.isfinite(v):
-            raise DomainError(f"finite {name} violated: {name}={v}")
+    a, b = number("alpha", alpha, 0.0, 2.0, "right"), number("beta", beta, 0.0, 1.0, "right")
+    q = number(label, d_or_gamma, 0.0, np.inf)
     den = a - q * b
     if den <= 0.0:
         raise DomainError(
@@ -161,7 +159,7 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
     chunks concurrently, with the result of the sequential sweep.  The
     Volterra backend solves the grid in one solver call on the calling thread.
     """
-    threads = check_threads(threads)
+    threads = integer("threads", threads, 1)
     if not isinstance(es, EigenSystem):
         raise DomainError("es must be an EigenSystem")
     if method not in ("volterra", "montecarlo"):
@@ -171,9 +169,7 @@ def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
     if method == "volterra" and sigma.linear_slope is None:
         raise DomainError("the volterra sweep needs a linear sigma; "
                           "a table sigma runs only with method='montecarlo'")
-    t = float(t)
-    if not 0.0 < t < np.inf:    # refuses NaN too
-        raise DomainError(f"finite t > 0 violated: t={t}")
+    t = number("t", t, 0.0, np.inf)
     lam = _check_lambda_grid(lambda_grid, method)
     white = params.noise.kind == "white"
     theory = theoretical_index(params.alpha, params.beta, 1 if white else params.noise.gamma,

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, number
 from .quadrature import fixed_panel_nodes
 
 __all__ = [
@@ -103,15 +103,6 @@ class SampledFunction:
         return float(self.times[-1])
 
 
-def _check_beta(beta, strict_upper=False):
-    b = float(beta)
-    hi_ok = b < 1.0 if strict_upper else b <= 1.0
-    if not np.isfinite(b) or not (0.0 < b and hi_ok):
-        rng = "(0, 1)" if strict_upper else "(0, 1]"
-        raise DomainError(f"order must lie in {rng}, got {beta}")
-    return b
-
-
 def _lgamma(x):
     """log Gamma of each entry of a 1-d array, by math.lgamma (the series
     coefficient vectors are 512 to 20000 long: 0.1 to 4 ms a call)."""
@@ -154,7 +145,7 @@ def mittag_leffler(beta, x):
     0.9), about 8 and 40 us per point; no moment solve or registry check
     runs at such orders.
     """
-    b = _check_beta(beta)
+    b = number("beta", beta, 0.0, 1.0, "right")
     x = np.asarray(x, float)
     if not np.all(np.isfinite(x)):
         raise DomainError("mittag_leffler requires finite arguments")
@@ -193,7 +184,7 @@ def mittag_leffler_log(beta, x):
     therefore exact to working precision.  NumericsError where x^(1/beta)
     is past the double range.
     """
-    b = _check_beta(beta)
+    b = number("beta", beta, 0.0, 1.0, "right")
     x = np.asarray(x, float)
     if np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise DomainError("mittag_leffler_log requires finite x >= 0")
@@ -287,7 +278,7 @@ class ExpSum:
         80-point Gauss-Legendre in r^beta up to 0.01 min(mu_min^(1/beta), 1/t_max), then
         14-point log-r panels to 45/t_min, 0.5 wide (x sin(pi beta), K's peak width, for
         beta > 1/2)."""
-        b = _check_beta(beta, strict_upper=True)
+        b = number("beta", beta, 0.0, 1.0)
         t_min, t_max = float(t_min), float(t_max)
         if not (0.0 < t_min <= t_max < math.inf and mu_min > 0.0):  # refuses NaN too
             raise DomainError(f"mu_min > 0, 0 < t_min <= t_max < inf violated: "
@@ -311,7 +302,7 @@ class ExpSum:
         e^(-s t) ds on 6 Gauss-Jacobi nodes (weight s^-order) in [0, 1/t_max] and 14-point
         Gauss-Legendre panels, 2 wide in log s, to 45/t_min, beyond which the integrand
         is below e^-45 of its scale.  Order 1 is the single exponent 0."""
-        gam = _check_beta(order)
+        gam = number("order", order, 0.0, 1.0, "right")
         delta, horizon = float(t_min), float(t_max)
         if not 0.0 < delta <= horizon < math.inf:  # refuses NaN too
             raise DomainError(f"0 < t_min <= t_max < inf violated: {t_min}, {t_max}")
@@ -353,7 +344,7 @@ def mode_decay(mu, beta, t):
     exp(-outer(t, r)) @ W of one ``ExpSum.mittag_leffler`` for the call, formed
     in blocks of DECAY_CHUNK doubles of exp(-t r) and of W.  beta = 1 is exact.
     """
-    b = _check_beta(beta)
+    b = number("beta", beta, 0.0, 1.0, "right")
     ts = np.asarray(t, float)
     if ts.ndim > 1 or not np.all(np.isfinite(ts) & (ts > 0.0)):
         raise DomainError(f"times must be positive and finite, got {t}")
@@ -421,7 +412,7 @@ def stable_subordinator_density(beta, u):
     Positive on u > 0; tiny left-tail values below the double floor are
     reported as 0.0.  Scalar or ndarray u.
     """
-    b = _check_beta(beta, strict_upper=True)
+    b = number("beta", beta, 0.0, 1.0)
     u = np.asarray(u, float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
@@ -443,7 +434,7 @@ def subordinator_small_u_law(beta, u):
     constant; it reproduces the beta=1/2 closed form exactly and is validated
     against the density's normalization in the tests.
     """
-    b = _check_beta(beta, strict_upper=True)
+    b = number("beta", beta, 0.0, 1.0)
     u = np.asarray(u, float)
     ob = 1.0 - b
     K = 1.0 / np.sqrt(2.0 * np.pi * b * ob)
@@ -452,7 +443,7 @@ def subordinator_small_u_law(beta, u):
 
 def subordinator_tail_law(beta, u):
     """Leading large-u law beta/Gamma(1-beta) * u^(-beta-1)."""
-    b = _check_beta(beta, strict_upper=True)
+    b = number("beta", beta, 0.0, 1.0)
     u = np.asarray(u, float)
     return b / math.gamma(1.0 - b) * u ** (-b - 1.0)
 
@@ -465,10 +456,8 @@ def inverse_subordinator_density(beta, t, x):
     int_0^inf e^(-mu x) f_{E_t}(x) dx = E_beta(-mu t^beta) ties this to the
     Mittag-Leffler function and is enforced as a test oracle.
     """
-    b = _check_beta(beta, strict_upper=True)
-    t = float(t)
-    if not np.isfinite(t) or t <= 0.0:
-        raise DomainError(f"inverse_subordinator_density requires t > 0, got {t}")
+    b = number("beta", beta, 0.0, 1.0)
+    t = number("t", t, 0.0, math.inf)
     x = np.asarray(x, float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -518,7 +507,7 @@ def caputo_derivative(g, beta, t):
     """
     if not isinstance(g, SampledFunction):
         raise DomainError("caputo_derivative expects a SampledFunction")
-    b = _check_beta(beta, strict_upper=True)
+    b = number("beta", beta, 0.0, 1.0)
     ts = np.atleast_1d(np.asarray(t, float))
     scalar = np.ndim(t) == 0
     times = g.times
@@ -572,7 +561,7 @@ def fractional_integral(g, order, t):
     """
     if not isinstance(g, SampledFunction):
         raise DomainError("fractional_integral expects a SampledFunction")
-    gam = _check_beta(order)  # (0, 1]; order 1 reduces to the plain integral
+    gam = number("order", order, 0.0, 1.0, "right")  # order 1 reduces to the plain integral
     ts = np.atleast_1d(np.asarray(t, float))
     scalar = np.ndim(t) == 0
     times, values = g.times, g.values

@@ -82,12 +82,11 @@ overflow, in bounded time; ``lower_series`` is its exponential.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, integer, number
 from .fracfun import (DECAY_CHUNK, ExpSum, SampledFunction, mittag_leffler, mittag_leffler_log,
                       mode_decay)
 from .kernels import EigenSystem, apply_semigroup, riesz_kernel_matrix
@@ -112,14 +111,6 @@ _STEP_BLOCK = 16
 # Doubles of lifted midpoint history one batch of lam may hold (4 MB): a
 # colored sweep at n = 32, nt = 192 batches 5 lam with flat peak memory.
 _BATCH_DOUBLES = 2 ** 19
-
-
-def _steps(nt):
-    """nt as an int; DomainError unless an integer >= 2 (a numpy one too,
-    never a bool or a float, which would be truncated)."""
-    if isinstance(nt, bool) or not isinstance(nt, numbers.Integral) or nt < 2:
-        raise DomainError(f"integer nt >= 2 violated: nt={nt!r}")
-    return int(nt)
 
 
 def _log_positive(x):
@@ -205,12 +196,8 @@ class MomentPlan:
         colored = params.noise.kind == "riesz"
         q = float(params.noise.gamma) if colored else 1.0
         eta = 1.0 - q * float(params.beta) / float(params.alpha)
-        if eta <= 0.0:
-            raise DomainError(f"lag singularity not integrable: eta = {eta} <= 0")
-        nt = _steps(nt)
-        T = float(T)
-        if not 0.0 < T < math.inf:    # refuses NaN too
-            raise DomainError(f"horizon T must be positive and finite, got T={T}")
+        nt = integer("nt", nt, 2)
+        T = number("T", T, 0.0, math.inf)
         u0 = np.asarray(u0, float)
         if not np.all(np.isfinite(u0)):
             raise DomainError("u0 must be finite")
@@ -357,8 +344,7 @@ def _log_split_steps(plan, lams, l_sigma, source, far, lift, unlift, keep):
 def _solve(plan, params, l_sigma, lams, source, far, lift, unlift, keep=np.s_[:]):
     """The field of params.lam, or one field per lam of ``lams``, from one
     stepper pass per plan batch: its logs of the kept entries are the field."""
-    if not math.isfinite(l_sigma):
-        raise DomainError(f"noise slope l_sigma must be finite, got l_sigma={l_sigma}")
+    number("l_sigma", l_sigma)
     grid = np.asarray([params.lam] if lams is None else lams, float)
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
         raise DomainError(f"lams must be a non-empty 1-d grid of finite lam >= 0, got {lams!r}")
@@ -462,13 +448,6 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, *, lams=None):
 # scalar renewal machinery
 # ---------------------------------------------------------------------------
 
-def _renewal_kernel(kappa, rho):
-    """(kappa, rho) as floats; DomainError unless 0 <= kappa < inf, 0 < rho <= 1."""
-    if not (0.0 <= float(kappa) < math.inf and 0.0 < float(rho) <= 1.0):  # refuses NaN too
-        raise DomainError(f"finite kappa >= 0, rho in (0, 1] violated: {kappa}, {rho}")
-    return float(kappa), float(rho)
-
-
 _RENEWAL_BLOCK = 64  # grid cells per block of ``renewal_volterra_solve``
 
 
@@ -484,10 +463,9 @@ def renewal_volterra_solve(c1, kappa, rho, T, nt):
     (kernel error below 3e-14; rho <= 1 keeps the kernel completely
     monotone), O(nt) work.  Returns a SampledFunction on the grid.
     """
-    kappa, rho = _renewal_kernel(kappa, rho)
-    c1, T, nt = float(c1), float(T), _steps(nt)
-    if not (math.isfinite(c1) and 0.0 < T < math.inf):
-        raise DomainError(f"finite c1, finite T > 0 violated: {c1}, {T}")
+    kappa = number("kappa", kappa, 0.0, math.inf, "left")
+    rho = number("rho", rho, 0.0, 1.0, "right")
+    c1, T, nt = number("c1", c1), number("T", T, 0.0, math.inf), integer("nt", nt, 2)
 
     delta = T / nt
     times = delta * np.arange(nt + 1)
@@ -527,7 +505,8 @@ def renewal_volterra_solve(c1, kappa, rho, T, nt):
 def renewal_growth_exponent(kappa, rho):
     """Growth-rate scale (Gamma(rho) kappa)^(1/rho) of the renewal solution;
     NumericsError when it is past the double range."""
-    kappa, rho = _renewal_kernel(kappa, rho)
+    kappa = number("kappa", kappa, 0.0, math.inf, "left")
+    rho = number("rho", rho, 0.0, 1.0, "right")
     try:
         scale = (math.gamma(rho) * kappa) ** (1.0 / rho)
     except OverflowError:
@@ -542,13 +521,6 @@ def renewal_growth_exponent(kappa, rho):
 _SERIES_BLOCK = 1 << 18
 _SERIES_KMAX = 2 ** 53  # every integer up to here is an exact double
 _SERIES_TERMS = 1 << 26  # last index of a window from k = 1 (~0.6 s of terms)
-
-
-def _series_args(t, rho):
-    """(t, rho) as floats; DomainError unless 0 <= t < inf, 0 < rho < inf."""
-    if not (0.0 <= float(t) < math.inf and 0.0 < float(rho) < math.inf):  # refuses NaN too
-        raise DomainError(f"finite t >= 0, finite rho > 0 violated: {t}, {rho}")
-    return float(t), float(rho)
 
 
 def lower_series_log(t, rho):
@@ -566,7 +538,7 @@ def lower_series_log(t, rho):
     1.6e8 at rho = 0.5, 2.4e16 at rho = 1), and one from k = 1 below 2^26
     (rho above about 2e-7); DomainError beyond.
     """
-    t, rho = _series_args(t, rho)
+    t, rho = number("t", t, 0.0, math.inf, "left"), number("rho", rho, 0.0, math.inf)
     if t == 0.0:
         return -np.inf
     # every window index must be an exact double; testing log k* first keeps

@@ -16,12 +16,11 @@ beta = 1 selects the classical (non-fractional) limit and is tracked by the
 ``classical`` flag rather than through the subordination machinery.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer, number
 
 __all__ = ["NoiseModel", "ModelParams", "SpaceGrid"]
 
@@ -37,8 +36,7 @@ class NoiseModel:
         if self.kind not in ("white", "riesz"):
             raise DomainError(f"noise kind must be 'white' or 'riesz', got {self.kind!r}")
         if self.kind == "riesz":
-            if self.gamma is None or not np.isfinite(self.gamma) or self.gamma <= 0.0:
-                raise DomainError("riesz noise requires gamma > 0")
+            number("gamma", self.gamma, 0.0, np.inf)
         elif self.gamma is not None:
             raise DomainError("gamma is only meaningful for riesz noise")
 
@@ -55,17 +53,11 @@ class ModelParams:
     noise: NoiseModel = field(default_factory=NoiseModel)
 
     def __post_init__(self):
-        a, b = float(self.alpha), float(self.beta)
-        if not np.isfinite(a) or not (0.0 < a <= 2.0):
-            raise DomainError(f"alpha in (0, 2] violated: alpha={self.alpha}")
-        if not np.isfinite(b) or not (0.0 < b <= 1.0):
-            raise DomainError(f"beta in (0, 1] violated: beta={self.beta}")
-        if not np.isfinite(self.nu) or self.nu <= 0.0:
-            raise DomainError(f"nu > 0 violated: nu={self.nu}")
-        if not np.isfinite(self.R) or self.R <= 0.0:
-            raise DomainError(f"R > 0 violated: R={self.R}")
-        if not np.isfinite(self.lam) or self.lam < 0.0:
-            raise DomainError(f"lambda >= 0 violated: lambda={self.lam}")
+        a = number("alpha", self.alpha, 0.0, 2.0, "right")
+        b = number("beta", self.beta, 0.0, 1.0, "right")
+        number("nu", self.nu, 0.0, np.inf)
+        number("R", self.R, 0.0, np.inf)
+        number("lam", self.lam, 0.0, np.inf, "left")
         if self.noise.kind == "white":
             cap = min(2.0, 1.0 / b) * a
             if not 1.0 < cap:
@@ -89,11 +81,9 @@ class SpaceGrid:
     n: int
 
     def __post_init__(self):
-        if not np.isfinite(self.R) or self.R <= 0.0:
-            raise DomainError(f"grid R > 0 violated: R={self.R}")
+        number("R", self.R, 0.0, np.inf)
         # a float n, even an integral one, would fail later as an array size
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 4:
-            raise DomainError(f"grid needs an integer n >= 4 cells, got {self.n!r}")
+        integer("n", self.n, 4)
 
     @property
     def h(self):

@@ -69,13 +69,12 @@ block over the survivors alone: a blown-up replicate counts at no time.
 """
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, integer, number
 from .fracfun import mode_decay
 from .kernels import EigenSystem, apply_semigroup, riesz_kernel_matrix
 from .params import NoiseModel, SpaceGrid
@@ -90,7 +89,6 @@ __all__ = [
     "MomentEstimate",
     "build_riesz_covariance",
     "sample_noise_slice",
-    "check_threads",
     "simulate_mild",
 ]
 
@@ -128,8 +126,7 @@ class SigmaSpec:
         if self.kind not in ("linear", "table"):
             raise DomainError(f"sigma kind must be 'linear' or 'table', got {self.kind!r}")
         if self.kind == "linear":
-            if not np.isfinite(self.slope):
-                raise DomainError(f"sigma slope must be finite, got {self.slope}")
+            number("slope", self.slope)
         else:
             x = np.asarray(self.table_x, dtype=float)
             y = np.asarray(self.table_y, dtype=float)
@@ -205,14 +202,10 @@ class SimConfig:
     ensemble_path: str | None = None
 
     def __post_init__(self):
-        if not _is_integer(self.nt) or self.nt < 1:
-            raise DomainError(f"integer nt >= 1 violated: nt={self.nt!r}")
-        if not np.isfinite(self.T) or self.T <= 0.0:
-            raise DomainError(f"T > 0 violated: T={self.T}")
-        if not _is_integer(self.replicates) or self.replicates < 2:
-            raise DomainError(f"integer replicates >= 2 violated: {self.replicates!r}")
-        if not _is_integer(self.seed) or not (0 <= self.seed < 2 ** 64):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        integer("nt", self.nt, 1)
+        number("T", self.T, 0.0, math.inf)
+        integer("replicates", self.replicates, 2)
+        integer("seed", self.seed, 0, 2 ** 64 - 1)
 
 
 @dataclass(frozen=True)
@@ -258,8 +251,7 @@ def sample_noise_slice(noise, grid, dt, rng, cov=None):
     so the slice covariance is dt * h^2 * C.  ``cov`` may carry a precomputed
     RieszCovariance; otherwise it is built on the fly.
     """
-    if not 0.0 < dt < math.inf:    # refuses NaN too
-        raise DomainError(f"finite dt > 0 violated: dt={dt}")
+    number("dt", dt, 0.0, math.inf)
     if noise.kind == "riesz":
         if cov is None:
             cov = build_riesz_covariance(grid, noise.gamma)
@@ -468,18 +460,6 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, shift, decay, hank, phi, c
     return sums, used, blowups, full
 
 
-def _is_integer(value):
-    """True for a Python or numpy integer; False for bool, float and the rest."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def check_threads(threads):
-    """Validate a worker-thread count: an integer >= 1, else DomainError."""
-    if not _is_integer(threads) or threads < 1:
-        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
-    return int(threads)
-
-
 def simulate_mild(params, es, u0, config, threads=1):
     """Monte Carlo second-moment estimate of the mild solution.
 
@@ -498,7 +478,7 @@ def simulate_mild(params, es, u0, config, threads=1):
     Ensemble streaming forces sequential execution (records are written
     replicate-major).
     """
-    threads = check_threads(threads)
+    threads = integer("threads", threads, 1)
     if not isinstance(es, EigenSystem):
         raise DomainError("es must be an EigenSystem")
     grid = es.grid

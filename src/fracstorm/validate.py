@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 from . import quadrature
 from .fracfun import (
     SampledFunction,
@@ -64,7 +64,7 @@ from .moments import (
     second_moment_white,
 )
 from .params import ModelParams, NoiseModel, SpaceGrid
-from .simulate import SimConfig, check_threads, simulate_mild
+from .simulate import SimConfig, simulate_mild
 from .excitation import excitation_sweep, theoretical_index
 
 __all__ = ["Check", "CHECKS", "CheckContext", "CheckResult", "GROUPS",
@@ -742,8 +742,8 @@ def run_validation(only=None, seed=0, threads=1):
     if only is not None and only not in GROUPS:
         raise DomainError(f"only must name a validation group, one of {', '.join(GROUPS)}; "
                           f"got {only!r}")
-    SimConfig(seed=seed)    # refuses a seed outside [0, 2^64)
-    ctx = CheckContext(seed=seed, threads=check_threads(threads))
+    ctx = CheckContext(seed=integer("seed", seed, 0, 2 ** 64 - 1),
+                       threads=integer("threads", threads, 1))
     results = []
     for check in CHECKS:
         if only is not None and check.group != only:

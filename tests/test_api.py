@@ -88,3 +88,18 @@ def test_no_module_imports_a_name_it_never_uses(path):
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
             used.update(ast.literal_eval(node.value))
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(fracstorm.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_only_errors_states_the_integer_rule(path):
+    # what counts as an integer argument (numbers.Integral, never a bool) is
+    # errors.integer's rule; a module that restates it can drift from it
+    if path.name == "errors.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+             or isinstance(node, ast.Attribute) and node.attr == "Integral"]
+    assert found == []

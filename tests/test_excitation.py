@@ -41,6 +41,12 @@ def test_theoretical_index_rejects_degenerate_parameters():
         theoretical_index(2.0, 1.0, 2, "white")   # alpha - d*beta = 0
     with pytest.raises(DomainError):
         theoretical_index(2.0, 0.5, 1, "pink")
+    # outside the model's alpha in (0, 2] and beta in (0, 1], although
+    # alpha - d*beta > 0
+    with pytest.raises(DomainError, match="^beta"):
+        theoretical_index(2.0, -0.5, 1, "white")
+    with pytest.raises(DomainError, match="^alpha"):
+        theoretical_index(2.5, 0.5, 1, "white")
 
 
 def test_volterra_sweep_recovers_white_index(white_fit):
@@ -141,7 +147,7 @@ def test_sweep_rejects_bad_arguments(eigen_cache, bump):
         excitation_sweep(WHITE, es, u0, 0.1, LAM13, method="exact")
     with pytest.raises(DomainError, match="functional"):
         excitation_sweep(WHITE, es, u0, 0.1, LAM13, functional="max")
-    with pytest.raises(DomainError, match="t > 0"):
+    with pytest.raises(DomainError, match=r"^t must be a finite number in \(0, inf\)"):
         excitation_sweep(WHITE, es, u0, 0.0, LAM13)
     with pytest.raises(DomainError, match="EigenSystem"):
         excitation_sweep(WHITE, np.eye(4), u0, 0.1, LAM13)

@@ -50,6 +50,22 @@ def test_stable_density_near_two_raises_naming_alpha_and_t_nu(x):
     for t in (1e-200, 1e300):
         with pytest.raises(NumericsError, match=re.escape(f"alpha=0.5, t nu={t!r}")):
             stable_density(0.5, 1.0, t, x)
+    # t nu underflows to 0.0, whose negative power would warn of a division by zero
+    with pytest.raises(NumericsError, match=r"alpha=1\.5, t nu=0\.0"):
+        stable_density(1.5, 1e-300, 1e-300, x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stable_density_past_the_series_cutoff_is_the_series():
+    # z = s|x| past the double range is inf, where the series is 0.0; the
+    # true density, about z^-2.5 here, is far below the smallest double
+    assert stable_density(1.5, 1.0, 1.0, 1e300) == 0.0
+    assert stable_density(1.5, 1.0, 1e-3, 1e306) == 0.0
+    assert np.all(stable_density(1.5, 1.0, 1.0, np.array([-1e300, 1e308])) == 0.0)
+    z = 2.0 * kernels._SERIES_Z
+    p = stable_density(1.5, 1.0, 1.0, z)
+    assert p == kernels._line(1.5, 1.0).series(np.array([z]))[0]
+    assert p == pytest.approx(_tail_series(1.5, z), rel=1e-13)
 
 
 def test_subordination_nodes_refuse_a_missed_mass(monkeypatch):
@@ -373,6 +389,6 @@ def test_kernel_layer_refuses_non_finite_input(eigen_cache, call, argument):
 def test_space_grid_refuses_a_non_integer_cell_count(n):
     # a float n, even an integral one, would fail later as an array size; a
     # numpy integer is an integer
-    with pytest.raises(DomainError, match="integer n"):
+    with pytest.raises(DomainError, match="^n must be an integer"):
         SpaceGrid(R=1.0, n=n)
     assert SpaceGrid(R=1.0, n=np.int64(16)).n == 16

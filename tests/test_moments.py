@@ -598,7 +598,7 @@ def test_non_integer_nt_is_refused(eigen_cache, bump, nt):
                  lambda: excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e5, 6), nt=nt),
                  lambda: excitation_sweep(p, es, u0, 0.1, np.geomspace(2.0, 20.0, 6),
                                           method="montecarlo", nt=nt)):
-        with pytest.raises(DomainError, match="integer nt"):
+        with pytest.raises(DomainError, match="^nt must be an integer"):
             call()
     assert MomentPlan.build(p, es, u0, 0.1, np.int64(24)).nt == 24
     assert len(renewal_volterra_solve(1.0, 1.0, 0.5, 1.0, np.int32(24)).times) == 25

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import TEST_THREADS
 from fracstorm import simulate
-from fracstorm.errors import DomainError, NumericsError
+from fracstorm.errors import DomainError, NumericsError, integer
 from fracstorm.fracfun import mode_decay
 from fracstorm.kernels import apply_semigroup
 from fracstorm.params import ModelParams, NoiseModel
@@ -20,7 +20,6 @@ from fracstorm.simulate import (
     SimConfig,
     SigmaSpec,
     build_riesz_covariance,
-    check_threads,
     linear_sigma,
     sample_noise_slice,
     simulate_mild,
@@ -581,7 +580,7 @@ def test_config_refuses_floats_and_bools_as_counts(bad):
 def test_config_and_threads_take_numpy_integers():
     cfg = SimConfig(nt=np.int64(8), replicates=np.int32(4), seed=np.uint64(2 ** 63))
     assert (cfg.nt, cfg.replicates) == (8, 4)
-    assert check_threads(np.int64(2)) == 2
+    assert integer("threads", np.int64(2), 1) == 2
     for bad in (True, 2.0):
         with pytest.raises(DomainError):
-            check_threads(bad)
+            integer("threads", bad, 1)
