@@ -14,7 +14,8 @@ moments field     second-moment energy trace on [0, grid.t] with grid.nt
                   --config --set --out
 simulate          Monte Carlo mild-solution run (CSV + JSON artifacts):
                   --config --set --out
-excite            lambda sweep with growth-index fit (CSV + JSON + SVG
+excite            lambda sweep of the Volterra second moment of sigma(u) =
+                  sigma.slope u, with growth-index fit (CSV + JSON + SVG
                   artifacts): --config --set --out-prefix
 validate          run the self-check suite and print the report:
                   --only --seed --threads --out
@@ -22,7 +23,9 @@ validate          run the self-check suite and print the report:
 Every run setting that has a config key is set only through the config.
 Configuration files are flat ``key = value`` text with dotted section
 prefixes (``model.alpha = 2.0``); '#' starts a comment and blank lines are
-ignored.  ``KNOWN_KEYS`` lists the vocabulary; model invariants are enforced
+ignored.  ``KNOWN_KEYS`` lists the vocabulary, and every key is read by some
+command.  Model invariants, run.threads >= 1 and a lambda grid that
+np.geomspace can build (ends finite and > 0, excite.count >= 0) are enforced
 at parse time with messages quoting the violated condition.  A setting takes
 its built-in default, then the value in the ``--config`` file, then each
 ``--set key=value`` in command-line order, the last one winning.  No
@@ -101,6 +104,23 @@ def _float(raw, key):
         raise DomainError(f"config key {key} expects a number, got {raw!r}") from None
 
 
+def _int_from(low):
+    def cast(raw, key):
+        value = _int(raw, key)
+        if value < low:
+            raise DomainError(f"config key {key} must be >= {low}, got {value}")
+        return value
+    return cast
+
+
+def _positive(raw, key):
+    # a lambda-grid end: np.geomspace takes neither a zero nor an infinite end
+    value = _float(raw, key)
+    if not 0.0 < value < np.inf:
+        raise DomainError(f"config key {key} must be a finite number > 0, got {raw!r}")
+    return value
+
+
 def _str(raw, key):
     # the config text cannot carry a '#' (it starts a comment) or a line break
     if "#" in raw or len(raw.splitlines()) > 1:
@@ -122,18 +142,17 @@ KNOWN_KEYS = {
     "grid.t": _float,
     "run.seed": _int,
     "run.outdir": _str,
-    "run.threads": _int,
+    "run.threads": _int_from(1),
     "sigma.slope": _float,
     "initial.kind": _choice("bump", "constant", "zero"),
     "initial.value": _float,
     "simulate.replicates": _int,
     "simulate.ensemble": _str,
-    "excite.lam_min": _float,
-    "excite.lam_max": _float,
-    "excite.count": _int,
+    "excite.lam_min": _positive,
+    "excite.lam_max": _positive,
+    "excite.count": _int_from(0),
     "excite.t": _float,
     "excite.nt": _int,
-    "excite.method": _choice("volterra", "montecarlo"),
     "excite.functional": _choice("energy", "sup"),
 }
 
@@ -191,13 +210,6 @@ class RunConfig:
     @property
     def outdir(self):
         return self.get("run.outdir", ".")
-
-    @property
-    def threads(self):
-        n = self.get("run.threads", 1)
-        if n < 1:
-            raise DomainError(f"config key run.threads must be >= 1, got {n}")
-        return n
 
 
 def _parse_line(line, lineno):
@@ -483,7 +495,7 @@ def cmd_simulate(args):
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
-    threads = cfg.threads
+    threads = cfg.get("run.threads", 1)
     sim = SimConfig(
         nt=cfg.get("grid.nt", 128),
         T=cfg.get("grid.t", 0.1),
@@ -529,21 +541,11 @@ def cmd_excite(args):
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
-    method = cfg.get("excite.method", "volterra")
-    functional = cfg.get("excite.functional", "energy")
-    t = cfg.get("excite.t", 0.1)
-    nt = cfg.get("excite.nt")
-    if method == "montecarlo":
-        lam_min, lam_max = cfg.get("excite.lam_min", 2.0), cfg.get("excite.lam_max", 20.0)
-        count = cfg.get("excite.count", 6)
-    else:
-        lam_min, lam_max = cfg.get("excite.lam_min", 1e2), cfg.get("excite.lam_max", 1e6)
-        count = cfg.get("excite.count", 13)
-    lambdas = np.geomspace(lam_min, lam_max, count)
-    fit = excitation_sweep(p, es, u0, t, lambdas, method=method,
-                           functional=functional, nt=nt, sigma=cfg.sigma(),
-                           replicates=cfg.get("simulate.replicates", 400),
-                           seed=cfg.seed, threads=cfg.threads)
+    lambdas = np.geomspace(cfg.get("excite.lam_min", 1e2), cfg.get("excite.lam_max", 1e6),
+                           cfg.get("excite.count", 13))
+    fit = excitation_sweep(p, es, u0, cfg.get("excite.t", 0.1), lambdas,
+                           functional=cfg.get("excite.functional", "energy"),
+                           nt=cfg.get("excite.nt"), sigma=cfg.sigma())
     dev = fit.slope / fit.theory - 1.0
     verdict = ("PASS" if abs(dev) <= 0.10 else "FAIL") + " ±10%"
     prefix = args.out_prefix or os.path.join(cfg.outdir, "excite")
@@ -662,8 +664,8 @@ def build_parser():
     xp.add_argument("--out", help="output CSV path")
     xp.set_defaults(func=cmd_simulate)
 
-    text = ("lambda sweep and growth-index fit; excite.*, run.seed and run.threads "
-            "come from the config; run.threads serves the montecarlo method only")
+    text = ("lambda sweep of the Volterra second moment and growth-index fit; excite.* "
+            "and sigma.slope come from the config")
     ep = sub.add_parser("excite", help=text, description=text)
     _add_config_flags(ep)
     ep.add_argument("--out-prefix", help="artifact path prefix (.csv/.json/.svg)")

@@ -5,7 +5,7 @@ exp(c (lambda)^(2 alpha / (alpha - d beta)) t) under white noise and with
 exponent 2 alpha / (alpha - gamma beta) under Riesz noise; the index is the
 log lambda slope of log log E_t(lambda).  The limits hold as lambda -> inf,
 and finite-lambda slopes creep upward slowly, so the fit uses only the top
-decade of a grid spanning at least three decades (Volterra backend) and the
+decade of a grid spanning at least three decades (Volterra route) and the
 verdict windows are +-10-12%.
 
 E_t(lambda) can be either the square-rooted energy (int_B M dx)^(1/2) or
@@ -14,10 +14,11 @@ carry the same index.  The evaluation time defaults to small t (the sweeps
 here use t = 0.1): the index is t-independent in theory, and small t reaches
 the asymptotic regime soonest.
 
-The Monte Carlo backend cannot represent moments beyond roughly e^700 and is
-restricted to a single decade of moderate lambda; it exists to cross-check
-the Volterra backend on the overlap window, not to fit the index.  Only it
-uses threads; the Volterra backend is one solver call over the whole grid.
+The route comes from sigma.  A linear sigma(u) = l u has a closed Volterra
+equation for the second moment, solved in one solver call over the whole
+grid.  Any other sigma (a table) has no such equation and runs Monte Carlo,
+which cannot represent moments beyond roughly e^700 and is restricted to a
+single decade of moderate lambda; only it uses threads.
 """
 
 from dataclasses import dataclass, replace
@@ -42,6 +43,7 @@ _FUNCTIONALS = ("energy", "sup")
 class ExcitationFit:
     """Result of a lambda sweep: log E_t per lambda and the top-window fit.
 
+    ``method`` is the route the sweep took, 'volterra' or 'montecarlo';
     ``fit_mask`` marks the points the slope was fitted on (top decade, after
     dropping any E_t <= 1); ``residuals`` are the fit residuals in
     log log E coordinates at those points.
@@ -146,29 +148,24 @@ def _fit_top_window(lambdas, log_values, theory):
     return fit, usable, residuals
 
 
-def excitation_sweep(params, es, u0, t, lambda_grid, method="volterra",
-                     functional="energy", nt=None, sigma=SigmaSpec(), replicates=400,
-                     seed=0, threads=1):
+def excitation_sweep(params, es, u0, t, lambda_grid, functional="energy", nt=None,
+                     sigma=SigmaSpec(), replicates=400, seed=0, threads=1):
     """Sweep lambda, compute log E_t(lambda), and fit the growth index.
 
-    method 'volterra' solves the exact second-moment equation in log scale
-    (lambda up to 1e6) and needs a linear ``sigma`` (default sigma(u) = u);
-    'montecarlo' averages ``replicates`` simulate_mild replicates drawn from
-    ``seed`` on es.grid and is restricted to one decade of moderate lambda.
-    ``threads`` serves the Monte Carlo backend only: > 1 runs replicate
-    chunks concurrently, with the result of the sequential sweep.  The
-    Volterra backend solves the grid in one solver call on the calling thread.
+    The route comes from ``sigma``.  A linear sigma (default sigma(u) = u)
+    runs 'volterra': the exact second-moment equation in log scale, lambda
+    up to 1e6, solved in one solver call on the calling thread.  A table
+    sigma runs 'montecarlo', its only route: ``replicates`` simulate_mild
+    replicates drawn from ``seed`` on es.grid, on one decade of moderate
+    lambda; ``threads`` > 1 runs replicate chunks concurrently, with the
+    result of the sequential sweep.
     """
     threads = integer("threads", threads, 1)
     if not isinstance(es, EigenSystem):
         raise DomainError("es must be an EigenSystem")
-    if method not in ("volterra", "montecarlo"):
-        raise DomainError(f"method must be 'volterra' or 'montecarlo', got {method!r}")
     if functional not in _FUNCTIONALS:
         raise DomainError(f"functional must be one of {_FUNCTIONALS}")
-    if method == "volterra" and sigma.linear_slope is None:
-        raise DomainError("the volterra sweep needs a linear sigma; "
-                          "a table sigma runs only with method='montecarlo'")
+    method = "montecarlo" if sigma.linear_slope is None else "volterra"
     t = number("t", t, 0.0, np.inf)
     lam = _check_lambda_grid(lambda_grid, method)
     white = params.noise.kind == "white"

@@ -290,7 +290,12 @@ def _log_split_steps(plan, lams, l_sigma, source, far, lift, unlift, keep):
     lam's entries alone, so a lam's bits do not depend on its batch.
     """
     nt, batch = plan.nt, len(lams)
-    kappa = [(lam * l_sigma) ** 2 for lam in lams]
+    kappa = []
+    for lam in lams:
+        try:
+            kappa.append((lam * l_sigma) ** 2)
+        except OverflowError:    # a float power past the double range raises; z names it below
+            kappa.append(math.inf)
     first = source(0)
     logs = np.full((batch, nt + 1) + first[keep].shape, -np.inf)
     logs[:, 0] = _log_positive(first[keep])
@@ -302,8 +307,13 @@ def _log_split_steps(plan, lams, l_sigma, source, far, lift, unlift, keep):
     # newest-cell resolvent closure: z = kappa A Gamma(eta) Delta^eta, A matched
     # to the exact cell mass; each distinct z is evaluated once (a colored mass
     # is exactly symmetric)
-    z = np.maximum(np.multiply.outer([k * math.gamma(plan.eta) * plan.eta for k in kappa],
-                                     plan.cell_mass.ravel()), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.maximum(np.multiply.outer([k * math.gamma(plan.eta) * plan.eta for k in kappa],
+                                         plan.cell_mass.ravel()), 0.0)
+    for lam, row in zip(lams, z):
+        if not np.isfinite(row).all():
+            raise NumericsError(f"moment solver at lam={lam!r} overflowed: its closure argument "
+                                "(lam l_sigma)^2 Gamma(eta) eta cell_mass is past the double range")
     distinct, at = np.unique(z, return_inverse=True)
     ln_fac = mittag_leffler_log(plan.eta, distinct)[at].reshape(z.shape)
     kappa = np.array(kappa)[:, None]

@@ -113,8 +113,9 @@ class SigmaSpec:
     """Multiplicative nonlinearity sigma, Lipschitz with sigma(0) = 0.
 
     kind 'linear' scales by ``slope``; kind 'table' interpolates a sampled
-    Lipschitz function piecewise-linearly (clamped to the end values outside
-    the table, which keeps the extension Lipschitz).
+    Lipschitz function piecewise-linearly and extends each end linearly by
+    its end slope, so the extension keeps the table's Lipschitz constant and
+    sigma(u)/u tends to the end slopes, not to 0, as |u| grows.
     """
 
     kind: str = "linear"
@@ -146,7 +147,9 @@ class SigmaSpec:
             return self.slope * u
         x = np.asarray(self.table_x, dtype=float)
         y = np.asarray(self.table_y, dtype=float)
-        return np.interp(u, x, y)
+        left, right = (y[1] - y[0]) / (x[1] - x[0]), (y[-1] - y[-2]) / (x[-1] - x[-2])
+        return (np.interp(u, x, y) + left * np.minimum(u - x[0], 0.0)
+                + right * np.maximum(u - x[-1], 0.0))
 
     @property
     def linear_slope(self):

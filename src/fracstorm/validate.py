@@ -602,8 +602,7 @@ def _white_fit(ctx):
         es = ctx.eigen(2.0, 96)
         u0 = ctx.bump(es)
         p = ModelParams(alpha=2.0, beta=0.5)
-        return excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e6, 13),
-                                nt=192, threads=ctx.threads)
+        return excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e6, 13), nt=192)
     return ctx.memo("white-fit", build)
 
 
@@ -619,8 +618,7 @@ def _check_index_colored(ctx):
     es = ctx.eigen(2.0, 32)
     u0 = ctx.bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel(kind="riesz", gamma=0.5))
-    fit = excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e5, 10),
-                           nt=192, threads=ctx.threads)
+    fit = excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e5, 10), nt=192)
     ok = 2.01 <= fit.slope <= 2.56
     return ok, f"slope = {_num(fit.slope)} (theory {_num(fit.theory)})", "in [2.01, 2.56]"
 
@@ -678,8 +676,7 @@ def _check_beta_ordering(ctx):
     u0 = ctx.bump(es)
     lo = _white_fit(ctx).slope
     p = ModelParams(alpha=2.0, beta=0.8)
-    hi = excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e6, 13),
-                          nt=96, threads=ctx.threads).slope
+    hi = excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e6, 13), nt=96).slope
     ok = hi > lo
     return ok, f"slope(beta=0.8) = {_num(hi)} vs slope(beta=0.5) = {_num(lo)}", "increasing in beta"
 

@@ -1,12 +1,14 @@
 """Command-line interface: config parsing, artifact contracts, exit codes."""
 
 import argparse
+import ast
 import csv
 import glob
 import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -57,6 +59,7 @@ def test_config_round_trip():
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+_FINITE_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _PLAIN_TEXT = st.text(st.sampled_from("abc/_.-0189"), min_size=1, max_size=12)
 
 
@@ -79,14 +82,13 @@ def _valid_config_entries(draw):
         "model.lam": st.floats(min_value=0.0, max_value=1e6),
         "grid.nx": st.integers(4, 4096), "grid.nt": st.integers(-10, 10 ** 6),
         "grid.t": _FINITE, "run.seed": st.integers(0, 2 ** 63),
-        "run.outdir": _PLAIN_TEXT, "run.threads": st.integers(-4, 64),
+        "run.outdir": _PLAIN_TEXT, "run.threads": st.integers(1, 64),
         "sigma.slope": _FINITE,
         "initial.kind": st.sampled_from(["bump", "constant", "zero"]),
         "initial.value": _FINITE, "simulate.replicates": st.integers(2, 10 ** 6),
-        "simulate.ensemble": _PLAIN_TEXT, "excite.lam_min": _FINITE,
-        "excite.lam_max": _FINITE, "excite.count": st.integers(0, 100),
+        "simulate.ensemble": _PLAIN_TEXT, "excite.lam_min": _FINITE_POSITIVE,
+        "excite.lam_max": _FINITE_POSITIVE, "excite.count": st.integers(0, 100),
         "excite.t": _FINITE, "excite.nt": st.integers(2, 4096),
-        "excite.method": st.sampled_from(["volterra", "montecarlo"]),
         "excite.functional": st.sampled_from(["energy", "sup"]),
     }
     for key in draw(st.sets(st.sampled_from(sorted(optional)))):
@@ -433,8 +435,7 @@ def test_csv_header_records_a_sigma_slope_other_than_1(command, sim_config_path,
                 else ["--out-prefix", str(out)])
         code, _, _ = run_main(
             [command, "--config", str(sim_config_path), "--set", f"sigma.slope={slope}",
-             "--set", "initial.value=10", "--set", "excite.method=montecarlo",
-             "--set", "excite.nt=8"] + dest, capsys)
+             "--set", "initial.value=10", "--set", "excite.nt=8"] + dest, capsys)
         assert code == 0
         head = out.with_suffix(".csv").read_bytes().decode().split("\r\n", 1)[0]
         records[slope] = json.loads(out.with_suffix(".json").read_text())["run"]
@@ -460,26 +461,24 @@ def test_simulate_reads_every_run_setting_from_set(sim_config_path, tmp_path, ca
     assert ensemble.read_bytes().startswith(b"fracstorm-ensemble v1 seed=9 replicates=4 nt=6")
 
 
-def test_excite_reads_method_t_and_nt_from_set(tmp_path, capsys):
+def test_excite_reads_t_and_nt_from_set(tmp_path, capsys):
     from fracstorm.excitation import excitation_sweep
 
-    cfg_path = tmp_path / "mc.cfg"
-    cfg_path.write_text("grid.nx = 8\ninitial.value = 10\nsimulate.replicates = 4\nrun.seed = 3\n")
-    prefix = tmp_path / "mc"
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text("grid.nx = 8\ninitial.value = 10\nsigma.slope = 1.5\n")
+    prefix = tmp_path / "sweep"
     code, _, _ = run_main(
-        ["excite", "--config", str(cfg_path), "--set", "excite.method=montecarlo",
-         "--set", "excite.t=0.05", "--set", "excite.nt=12",
+        ["excite", "--config", str(cfg_path), "--set", "excite.t=0.05", "--set", "excite.nt=12",
          "--out-prefix", str(prefix)], capsys)
     assert code == 0
     summary = json.loads(prefix.with_suffix(".json").read_text())
-    assert summary["method"] == "montecarlo" and summary["t"] == 0.05
+    assert summary["method"] == "volterra" and summary["t"] == 0.05
 
-    # the logged values are those of a 12-step sweep
+    # the logged values are those of a 12-step sweep of the config's sigma
     cfg = cli.parse_config_text(cfg_path.read_text())
     p, grid, es = cli._eigen_from(cfg)
     fit = excitation_sweep(p, es, cfg.initial_profile(grid), 0.05, summary["lambda"],
-                           method="montecarlo", nt=12, sigma=cfg.sigma(), replicates=4,
-                           seed=3)
+                           nt=12, sigma=cfg.sigma())
     assert summary["log_value"] == fit.log_values.tolist()
 
 
@@ -525,6 +524,31 @@ def test_threads_zero_exits_2_naming_the_key(command, sim_config_path, tmp_path,
         [command, "--config", str(sim_config_path), "--set", "run.threads=0"], capsys)
     assert code == 2 and "run.threads" in err
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("excite.count", "-1"), ("excite.lam_min", "0"), ("excite.lam_min", "-5"),
+    ("excite.lam_min", "-inf"), ("excite.lam_max", "inf"), ("excite.lam_max", "nan")])
+def test_lambda_grid_setting_that_geomspace_cannot_take_exits_2(key, value, sim_config_path,
+                                                               tmp_path, capsys):
+    # refused by name when the config is read, before a grid is built: no
+    # traceback, no numpy warning (every warning is an error here), no artifact
+    code, _, err = run_main(
+        ["excite", "--config", str(sim_config_path), "--set", f"{key}={value}"], capsys)
+    assert code == 2 and err.startswith(f"fracstorm: error: config key {key} ")
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("route", ["--set", "--config"])
+def test_excite_method_is_an_unknown_key(route, tmp_path, capsys):
+    # the sweep's route comes from sigma; there is no setting for it
+    path = tmp_path / "method.cfg"
+    path.write_text("excite.method = montecarlo\n")
+    flags = (["--set", "excite.method=montecarlo"] if route == "--set"
+             else ["--config", str(path)])
+    code, _, err = run_main(["excite", "--set", f"run.outdir={tmp_path}"] + flags, capsys)
+    assert code == 2 and "unknown config key 'excite.method'" in err
+    assert sorted(os.listdir(tmp_path)) == ["method.cfg"]
 
 
 def test_validate_threads_zero_exits_2(capsys):
@@ -601,10 +625,6 @@ _RERUNS = {
     "excite": (["excite", "--set", "grid.nx=8", "--set", "excite.nt=12",
                 "--set", "excite.count=10", "--set", "excite.lam_max=1e5",
                 "--set", "excite.t=0.05", "--set", "initial.value=2.5"], "excite.csv"),
-    "excite-mc": (["excite", "--set", "grid.nx=8", "--set", "excite.method=montecarlo",
-                   "--set", "excite.nt=8", "--set", "excite.t=0.05",
-                   "--set", "initial.value=10", "--set", "simulate.replicates=4",
-                   "--set", "run.seed=3"], "excite.csv"),
 }
 
 
@@ -640,8 +660,8 @@ def test_every_csv_reruns_from_its_own_header(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("noise", [[], ["--set", "noise.kind=riesz", "--set", "noise.gamma=0.5"]])
 def test_volterra_excite_bytes_do_not_depend_on_threads(noise, tmp_path, capsys):
-    # run.threads serves the Monte Carlo backend only; a Volterra sweep
-    # batches its lambdas on one thread, so its artifacts are the same bytes
+    # excite reads no run.threads: its Volterra sweep batches its lambdas on
+    # one thread, so its artifacts are the same bytes
     csvs = []
     for threads in (2, 1):
         out = tmp_path / f"t{threads}"
@@ -682,7 +702,18 @@ def test_option_inventory_is_pinned():
         "validate": ["--only", "--seed", "--threads", "--out"],
     }
     assert sum(map(len, _options(cli.build_parser()).values())) == 35
-    assert len(cli.KNOWN_KEYS) == 25
+    assert len(cli.KNOWN_KEYS) == 24
+
+
+def test_every_config_key_is_read():
+    # a key that no command reads is a dead knob: each one is the literal
+    # first argument of some .get(...) call in cli.py
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and node.args
+            and isinstance(node.args[0], ast.Constant)}
+    assert sorted(set(cli.KNOWN_KEYS) - read) == []
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):

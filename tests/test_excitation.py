@@ -16,6 +16,8 @@ from fracstorm.simulate import linear_sigma, table_sigma
 WHITE = ModelParams(alpha=2.0, beta=0.5)
 COLORED = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel(kind="riesz", gamma=0.5))
 LAM13 = np.geomspace(1e2, 1e6, 13)
+# a non-linear sigma: a table has no Volterra equation, so it runs Monte Carlo
+TABLE = table_sigma([-1.0, 0.0, 1.0], [-0.5, 0.0, 2.0])
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +91,9 @@ def test_montecarlo_sweep_runs_and_is_thread_deterministic(eigen_cache, bump):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     lam = np.geomspace(5.0, 50.0, 6)
-    seq = excitation_sweep(WHITE, es, u0, 0.1, lam, method="montecarlo",
+    seq = excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=TABLE,
                            nt=64, replicates=200, seed=3, threads=1)
-    par = excitation_sweep(WHITE, es, u0, 0.1, lam, method="montecarlo",
+    par = excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=TABLE,
                            nt=64, replicates=200, seed=3, threads=TEST_THREADS)
     assert seq.method == "montecarlo"
     assert np.isfinite(seq.slope)
@@ -102,18 +104,17 @@ def test_montecarlo_sweep_runs_and_is_thread_deterministic(eigen_cache, bump):
 
 @pytest.mark.parametrize("method, lam, nt", [
     ("volterra", np.geomspace(1e2, 1e5, 10), 48),
-    ("montecarlo", np.geomspace(5.0, 50.0, 6), 16),
 ])
 def test_sweep_couples_noise_as_lambda_times_sigma_slope(eigen_cache, bump, method, lam, nt):
     # sigma(u) = l u enters only through lam l, so slope 2 at lam is the
-    # default sigma at 2 lam, to the bit
+    # default sigma at 2 lam, to the bit (the Monte Carlo scheme's case is
+    # test_simulate's test_mc_couples_noise_as_lambda_times_sigma_slope)
     es = eigen_cache(2.0, 16)
     u0 = bump(es)
-    kw = dict(method=method, nt=nt, replicates=8, seed=1)
-    scaled = excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=linear_sigma(2.0), **kw)
-    doubled = excitation_sweep(WHITE, es, u0, 0.1, 2.0 * lam, **kw)
+    scaled = excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=linear_sigma(2.0), nt=nt)
+    doubled = excitation_sweep(WHITE, es, u0, 0.1, 2.0 * lam, nt=nt)
     assert np.array_equal(scaled.log_values, doubled.log_values)
-    plain = excitation_sweep(WHITE, es, u0, 0.1, lam, **kw)
+    plain = excitation_sweep(WHITE, es, u0, 0.1, lam, nt=nt)
     assert not np.array_equal(scaled.log_values, plain.log_values)
 
 
@@ -121,8 +122,8 @@ def test_lambda_grid_validation(eigen_cache, bump):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
 
-    def sweep(lam, method="volterra"):
-        return excitation_sweep(WHITE, es, u0, 0.1, lam, method=method, nt=48)
+    def sweep(lam, sigma=linear_sigma()):
+        return excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=sigma, nt=48)
 
     with pytest.raises(DomainError, match=">= 6 points"):
         sweep(np.geomspace(1e2, 1e6, 4))
@@ -137,32 +138,32 @@ def test_lambda_grid_validation(eigen_cache, bump):
     with pytest.raises(DomainError, match="3 decades"):
         sweep(np.geomspace(10.0, 100.0, 6))
     with pytest.raises(DomainError, match="1 decade"):
-        sweep(np.geomspace(2.0, 200.0, 6), method="montecarlo")
+        sweep(np.geomspace(2.0, 200.0, 6), sigma=TABLE)
 
 
 def test_sweep_rejects_bad_arguments(eigen_cache, bump):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
-    with pytest.raises(DomainError, match="method"):
-        excitation_sweep(WHITE, es, u0, 0.1, LAM13, method="exact")
     with pytest.raises(DomainError, match="functional"):
         excitation_sweep(WHITE, es, u0, 0.1, LAM13, functional="max")
     with pytest.raises(DomainError, match=r"^t must be a finite number in \(0, inf\)"):
         excitation_sweep(WHITE, es, u0, 0.0, LAM13)
     with pytest.raises(DomainError, match="EigenSystem"):
         excitation_sweep(WHITE, np.eye(4), u0, 0.1, LAM13)
-    with pytest.raises(DomainError, match="linear sigma"):
-        excitation_sweep(WHITE, es, u0, 0.1, LAM13,
-                         sigma=table_sigma([-1.0, 0.0, 1.0], [-0.5, 0.0, 2.0]))
+    # the route comes from sigma, so there is no route to ask for
+    with pytest.raises(TypeError, match="method"):
+        excitation_sweep(WHITE, es, u0, 0.1, LAM13, method="volterra")
 
 
 @pytest.mark.parametrize("method", ["volterra", "montecarlo"])
 @pytest.mark.parametrize("threads", [0, -3, 2.5])
 def test_sweep_rejects_bad_thread_counts(eigen_cache, bump, method, threads):
+    # either route: sigma picks it, the threads rule holds for both
     es = eigen_cache(2.0, 24)
-    lam = LAM13 if method == "volterra" else np.geomspace(5.0, 50.0, 6)
+    sigma, lam = ((linear_sigma(), LAM13) if method == "volterra"
+                  else (TABLE, np.geomspace(5.0, 50.0, 6)))
     with pytest.raises(DomainError, match="threads"):
-        excitation_sweep(WHITE, es, bump(es), 0.1, lam, method=method, nt=8,
+        excitation_sweep(WHITE, es, bump(es), 0.1, lam, sigma=sigma, nt=8,
                          replicates=2, threads=threads)
 
 

@@ -28,6 +28,7 @@ from fracstorm.moments import (
 )
 from fracstorm.params import ModelParams, NoiseModel
 from fracstorm.quadrature import fixed_panel_nodes
+from fracstorm.simulate import table_sigma
 
 
 def test_renewal_without_kernel_is_constant():
@@ -576,6 +577,21 @@ def test_batch_overflow_names_its_lam_at_its_own_step(eigen_cache, bump):
         second_moment_white(p, es, u0, 1.0, 0.1, 37, lams=[1.0, 4e153, 5e153])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("noise", ["white", "riesz"])
+@pytest.mark.parametrize("lam", [1.3e154, 1e200])
+def test_a_lam_past_the_closure_range_is_a_numerics_error(eigen_cache, bump, noise, lam):
+    # At 1.3e154 the closure argument (lam l_sigma)^2 Gamma(eta) eta passes
+    # the double range, and at 1e200 the square itself does.  The input is
+    # valid and evaluation fails: a NumericsError naming the lam, no warning.
+    es = eigen_cache(2.0, 16)
+    p = ModelParams(alpha=2.0, beta=0.5,
+                    noise=NoiseModel(noise, gamma=0.5 if noise == "riesz" else None))
+    solve = second_moment_white if noise == "white" else second_moment_colored
+    with pytest.raises(NumericsError, match=re.escape(f"lam={lam!r} overflowed")):
+        solve(p, es, bump(es), 1.0, 0.1, 8, lams=[1.0, lam])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_plan_refuses_a_non_finite_u0(eigen_cache, bump, bad):
     es = eigen_cache(2.0, 16)
@@ -597,7 +613,8 @@ def test_non_integer_nt_is_refused(eigen_cache, bump, nt):
                  lambda: renewal_volterra_solve(1.0, 1.0, 0.5, 1.0, nt),
                  lambda: excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e5, 6), nt=nt),
                  lambda: excitation_sweep(p, es, u0, 0.1, np.geomspace(2.0, 20.0, 6),
-                                          method="montecarlo", nt=nt)):
+                                          sigma=table_sigma([-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0]),
+                                          nt=nt)):
         with pytest.raises(DomainError, match="^nt must be an integer"):
             call()
     assert MomentPlan.build(p, es, u0, 0.1, np.int64(24)).nt == 24

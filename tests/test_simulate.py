@@ -364,10 +364,11 @@ def test_blocked_history_matches_direct_lag_sum(eigen_cache, bump, case, replica
 
 @pytest.mark.parametrize("lam, sigma, dead", [
     (1.0, linear_sigma(1.0), 0),
-    (3e75, table_sigma([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]), 42),
+    (3e75, table_sigma([-2.0, -1.0, 0.0, 1.0, 2.0], [-1.0, -1.0, 0.0, 1.0, 1.0]), 42),
 ])
 def test_streamed_ensemble_matches_direct_lag_sum(tmp_path, eigen_cache, bump, lam, sigma, dead):
-    # At lam = 3e75 the bounded sigma keeps |u| near lam times a random
+    # The table's flat ends extend as constants, so |sigma| <= 1.  At
+    # lam = 3e75 the bounded sigma keeps |u| near lam times a random
     # factor, so the guard trips at random steps in all three blocks and the
     # survivors stay finite.  A dead replicate streams NaN from its blow-up
     # step on, and only then.
@@ -414,12 +415,31 @@ def test_blowup_counts_match_direct_lag_sum(eigen_cache, bump, lam, dead):
     assert np.all(np.abs(est.mean - ref) <= 1e-13 * ref)
 
 
+def test_mc_couples_noise_as_lambda_times_sigma_slope(eigen_cache, bump):
+    # sigma(u) = l u enters the scheme only through lam l, and a factor 2 is
+    # exact in floating point, so slope 2 at lam is slope 1 at 2 lam, to the bit
+    es = eigen_cache(2.0, 16)
+    u0 = bump(es)
+
+    def run(lam, slope):
+        cfg = SimConfig(nt=16, T=0.1, replicates=8, seed=1, sigma=linear_sigma(slope))
+        return simulate_mild(ModelParams(alpha=2.0, beta=0.5, lam=lam), es, u0, cfg)
+
+    scaled, doubled, plain = run(5.0, 2.0), run(10.0, 1.0), run(5.0, 1.0)
+    assert np.array_equal(scaled.mean, doubled.mean)
+    assert np.array_equal(scaled.stderr, doubled.stderr)
+    assert not np.array_equal(scaled.mean, plain.mean)
+
+
 def test_sigma_specs():
     lin = linear_sigma(2.5)
     assert lin(3.0) == 7.5 and lin.linear_slope == 2.5
     tab = table_sigma([-1.0, 0.0, 1.0], [-0.5, 0.0, 0.5])
     assert tab(0.5) == pytest.approx(0.25)
-    assert tab(100.0) == pytest.approx(0.5)  # clamped extension
+    # each end extends by its end slope, so sigma(u)/u keeps away from 0
+    assert tab(100.0) == pytest.approx(50.0) and tab(-100.0) == pytest.approx(-50.0)
+    kinked = table_sigma([-1.0, 0.0, 1.0], [-1.0, 0.0, 3.0])
+    assert kinked(-10.0) == pytest.approx(-10.0) and kinked(10.0) == pytest.approx(30.0)
     assert tab.linear_slope is None
     with pytest.raises(DomainError):
         SigmaSpec(kind="table", table_x=(0.0, 1.0), table_y=(1.0, 2.0))  # sigma(0) != 0
@@ -440,7 +460,7 @@ def _tables(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(table=_tables(), slope=_VALUES, u=st.lists(_VALUES, min_size=2, max_size=16))
-def test_sigma_is_zero_at_zero_lipschitz_and_clamped(table, slope, u):
+def test_sigma_is_zero_at_zero_lipschitz_and_extended_linearly(table, slope, u):
     x, y = table
     u = np.array(u + [x[0] - 1.0, x[-1] + 1.0, 0.0])
     for sig, lip in ((linear_sigma(slope), abs(slope)),
@@ -451,8 +471,12 @@ def test_sigma_is_zero_at_zero_lipschitz_and_clamped(table, slope, u):
         slack = 1e-12 * max(np.max(np.abs(y)), abs(slope) * np.max(np.abs(u)))
         assert np.all(np.abs(np.subtract.outer(su, su))
                       <= lip * np.abs(np.subtract.outer(u, u)) * (1 + 1e-12) + slack)
+    # outside its nodes a table goes on along its end segments
     tab = table_sigma(x, y)
-    assert np.all(tab(u[u <= x[0]]) == y[0]) and np.all(tab(u[u >= x[-1]]) == y[-1])
+    lo, hi = u[u <= x[0]], u[u >= x[-1]]
+    left, right = (y[1] - y[0]) / (x[1] - x[0]), (y[-1] - y[-2]) / (x[-1] - x[-2])
+    np.testing.assert_allclose(tab(lo), y[0] + left * (lo - x[0]), rtol=1e-12, atol=slack)
+    np.testing.assert_allclose(tab(hi), y[-1] + right * (hi - x[-1]), rtol=1e-12, atol=slack)
 
 
 _BAD_SIGMA = st.one_of(
