@@ -212,16 +212,14 @@ class RunConfig:
         return self.get("run.outdir", ".")
 
 
-def _parse_line(line, lineno):
+def _parse_line(line, where):
     if "=" not in line:
-        raise DomainError(
-            f"config line {lineno} is not 'key = value': {line!r}")
+        raise DomainError(f"config entry {where} is not 'key = value': {line!r}")
     key, raw = line.split("=", 1)
     key, raw = key.strip(), raw.strip()
     if key not in KNOWN_KEYS:
         raise DomainError(
-            f"unknown config key {key!r} on line {lineno}; known keys: "
-            + ", ".join(sorted(KNOWN_KEYS)))
+            f"unknown config key {key!r} {where}; known keys: " + ", ".join(sorted(KNOWN_KEYS)))
     return key, KNOWN_KEYS[key](raw, key)
 
 
@@ -236,7 +234,7 @@ def parse_config_text(text):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        key, value = _parse_line(line, lineno)
+        key, value = _parse_line(line, f"on line {lineno}")
         if key in pairs:
             raise DomainError(f"duplicate config key {key!r} on line {lineno}")
         pairs[key] = value
@@ -254,7 +252,7 @@ def serialize_config(cfg):
 def _apply_overrides(cfg, sets):
     pairs = dict(cfg.entries)
     for item in sets or ():
-        key, value = _parse_line(item, lineno=0)
+        key, value = _parse_line(item, f"in --set {item}")
         pairs[key] = value
     cfg = RunConfig(entries=tuple(sorted(pairs.items())))
     cfg.params()

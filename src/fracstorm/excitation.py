@@ -142,10 +142,7 @@ def _fit_top_window(lambdas, log_values, theory):
     y = np.log(logv[usable])
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)
-    fit = float(slope)
-    if not np.isfinite(fit):
-        raise NumericsError("excitation slope fit produced a non-finite value")
-    return fit, usable, residuals
+    return float(slope), usable, residuals
 
 
 def excitation_sweep(params, es, u0, t, lambda_grid, functional="energy", nt=None,

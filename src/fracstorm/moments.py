@@ -60,16 +60,17 @@ pre-scaled once per block, and a step's in-block cells one more, unpacked
 into a single reused n x n buffer for the two phi products.  The block
 length is fixed, so a solve's summation order depends on neither lam nor nt.
 
-A solver call steps its lams (``lams=``) in batches, one pass each: frames,
-log scales, pair means, the closure table and each step's elementwise work
-are per-lam arrays; the history sums run once per lam, so a lam's bits do
-not depend on its batch.  The live state is slices j-1 and j per lam (a
-colored solve returns the diagonal K(t; x, x), never an (nt+1, n, n) array)
-and the lifted midpoints, nt n (white) or nt n(n+1)/2 (colored) doubles per
-lam, which ``MomentPlan.batches`` fits into _BATCH_DOUBLES = 2^19 (4 MB) in
-every call, at least one lam a batch.  Beyond that a colored solve holds
-about twice nt n(n+1)/2 doubles (plan table, one lam's scaled midpoints):
-7.2 MB each at n = 96, nt = 192, 28 MB at n = 192; the grid is not capped.
+A solver call steps its lams (``lams=``) in batches, one pass each, with
+lam the leading axis of every array; a step's in-block history is one call
+for the batch and a block start's runs a lam at a time, for memory, and a
+lam's bits do not depend on its batch (``_log_split_steps`` says why).
+The live state is slices j-1 and j per lam (a colored solve returns the
+diagonal K(t; x, x), never an (nt+1, n, n) array) and the lifted
+midpoints, nt n (white) or nt n(n+1)/2 (colored) doubles per lam, which
+``MomentPlan.batches`` fits into _BATCH_DOUBLES = 2^19 (4 MB) in every
+call, at least one lam a batch.  Beyond that a colored solve holds about
+twice nt n(n+1)/2 doubles (plan table, one lam's scaled midpoints): 7.2 MB
+each at n = 96, nt = 192, 28 MB at n = 192; the grid is not capped.
 
 The scalar renewal solver ``renewal_volterra_solve`` handles the equality
 case f = c1 + kappa int (t-s)^(rho-1) f(s) ds, 0 < rho <= 1 (exact cells in
@@ -272,22 +273,25 @@ def _log_split_steps(plan, lams, l_sigma, source, far, lift, unlift, keep):
     are live.  Each pair's geometric midpoint sqrt(v_{p+1} v_p) (exact for
     exponential growth) is lifted once and re-framed by a scalar each step
     (the history sums are taken on lifted midpoints, unlift maps them back);
-    the frame is the largest pair scale so far, so nothing overflows.  Log
-    scales and pair means are added in Python floats, so a scale past the
-    double range raises NumericsError, naming its lam, at its own step.
+    the frame is the largest pair scale so far, so nothing overflows.
+    Frames, log scales and pair means are (batch, 1) columns; a lam whose
+    closure or log scale passes the double range raises NumericsError that
+    names it, the latter at its own step.
 
     The history is summed in blocks of _STEP_BLOCK steps (Hairer, Lubich &
     Schlichte 1985).  Step j weighs pair p = j-1-m at lag cell m = 1..j-1.
-    At the start of a block j0..j0+nb-1, far(older, scale, nb)[i] is step
-    j0+i's sum over the pairs made before the block, older[k] = pair j0-2-k
-    at lag cell i+1+k, each weighed by scale[k] = exp(mean_log - frame0) in
-    the block's starting frame frame0.  Step j rescales that sum by the
-    scalar exp(frame0 - frame), should its frame have risen since, and
-    far(newer, scale, 1)[0] adds its in-block pairs newer[k] = pair j-2-k at
+    At the start of a block j0..j0+nb-1, far(older, scale, nb)[b, i] is lam
+    b's step j0+i sum over the pairs made before the block, older[b, k] =
+    pair j0-2-k at lag cell i+1+k, each weighed by scale[b, k] =
+    exp(mean_log - frame0) in the block's starting frame frame0; for memory
+    it runs a lam at a time.  Step j rescales that sum by exp(frame0 -
+    frame), should its frame have risen since, and one far(newer, scale, 1)
+    call for the batch adds the in-block pairs newer[b, k] = pair j-2-k at
     lag cell k+1, weighed in the step's frame.  The block length is fixed,
-    so the summation order depends on neither lam nor nt.  far, the only
-    history call, runs once per lam on its midpoints and all else on each
-    lam's entries alone, so a lam's bits do not depend on its batch.
+    so the summation order depends on neither lam nor nt.  far keeps each
+    lam's products in the shapes of its solve alone (a stacked matmul is one
+    BLAS call per lam, an einsum sums each lam's lags in order) and all else
+    is elementwise in lam, so a lam's bits do not depend on its batch.
     """
     nt, batch = plan.nt, len(lams)
     kappa = []
@@ -296,57 +300,57 @@ def _log_split_steps(plan, lams, l_sigma, source, far, lift, unlift, keep):
             kappa.append((lam * l_sigma) ** 2)
         except OverflowError:    # a float power past the double range raises; z names it below
             kappa.append(math.inf)
+    kappa = np.array(kappa)[:, None]
     first = source(0)
     logs = np.full((batch, nt + 1) + first[keep].shape, -np.inf)
     logs[:, 0] = _log_positive(first[keep])
     if not first.any():
         return logs
     k = math.floor(math.log(first.max()))    # slice 0's maximum framed into [1, e)
-    prev, scale = first * math.exp(-k), [float(k)] * batch
+    prev, scale = first * math.exp(-k), np.full((batch, 1), float(k))
 
     # newest-cell resolvent closure: z = kappa A Gamma(eta) Delta^eta, A matched
     # to the exact cell mass; each distinct z is evaluated once (a colored mass
-    # is exactly symmetric)
+    # is exactly symmetric).  mittag_leffler_log refuses a z whose log E_eta(z)
+    # ~ z^(1/eta) is past the double range; the first lam with one is named
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.maximum(np.multiply.outer([k * math.gamma(plan.eta) * plan.eta for k in kappa],
-                                         plan.cell_mass.ravel()), 0.0)
-    for lam, row in zip(lams, z):
-        if not np.isfinite(row).all():
-            raise NumericsError(f"moment solver at lam={lam!r} overflowed: its closure argument "
-                                "(lam l_sigma)^2 Gamma(eta) eta cell_mass is past the double range")
+        z = np.maximum(kappa * math.gamma(plan.eta) * plan.eta * plan.cell_mass.ravel(), 0.0)
+        fits = np.isfinite(z.max(axis=1) ** (1.0 / plan.eta))
+    if not fits.all():
+        raise NumericsError(f"moment solver at lam={lams[np.argmin(fits)]!r} overflowed: log "
+                            "E_eta of its newest-cell closure is past the double range")
     distinct, at = np.unique(z, return_inverse=True)
     ln_fac = mittag_leffler_log(plan.eta, distinct)[at].reshape(z.shape)
-    kappa = np.array(kappa)[:, None]
     # lifted pair midpoints, newest in the lowest slot: mids[:, nt-1-p] is pair p
     mids = np.empty((batch, nt) + lift(prev[None]).shape[1:])
     mean_log = np.empty((batch, nt))
-    frame = [0.0] * batch
+    frame = np.zeros((batch, 1))
     for j0 in range(1, nt + 1, _STEP_BLOCK):
         nb = min(_STEP_BLOCK, nt + 1 - j0)
         frame0 = frame
         older = np.s_[nt + 1 - j0:]
-        scales = np.exp(mean_log[:, older] - np.array(frame0)[:, None])
-        past = [far(m[older], s, nb) for m, s in zip(mids, scales)]
+        scales = np.exp(mean_log[:, older] - frame0)
+        # a lam at a time: a batch call would copy every lam's older midpoints at once
+        past = np.concatenate([far(mids[b:b + 1, older], scales[b:b + 1], nb) for b in range(batch)])
         for i in range(nb):
             j = j0 + i
             newer = np.s_[nt + 1 - j:nt + 1 - j0]
-            scales = np.exp(mean_log[:, newer] - np.array(frame)[:, None])
-            sums = unlift(np.stack([p[i] * math.exp(f0 - f) + far(m[newer], s, 1)[0]
-                                    for p, f0, f, m, s in zip(past, frame0, frame, mids, scales)]))
-            tilt = np.array([math.exp(-f) for f in frame])[:, None]
-            w = _log_positive(source(j) * tilt + kappa * sums) + ln_fac
-            wmax = w.max(axis=1).tolist()
-            last, scale = scale, [f + m for f, m in zip(frame, wmax)]
-            for lam, s in zip(lams, scale):
-                if not math.isfinite(s):
-                    raise NumericsError(f"moment solver at lam={lam!r} overflowed at step {j}")
-            slices = np.exp(w - np.array(wmax)[:, None])
-            logs[:, j] = w[:, keep] + np.array(frame)[:, None]
+            sums = past[:, i] * np.exp(frame0 - frame) + far(
+                mids[:, newer], np.exp(mean_log[:, newer] - frame), 1)[:, 0]
+            w = _log_positive(source(j) * np.exp(-frame) + kappa * unlift(sums)) + ln_fac
+            wmax = w.max(axis=1, keepdims=True)
+            with np.errstate(over="ignore"):
+                last, scale = scale, frame + wmax
+            if not np.isfinite(scale).all():
+                lam = lams[np.argmin(np.isfinite(scale))]
+                raise NumericsError(f"moment solver at lam={lam!r} overflowed at step {j}")
+            slices = np.exp(w - wmax)
+            logs[:, j] = w[:, keep] + frame
             mids[:, nt - j] = lift(np.sqrt(slices * prev))
             # halves first: the sum of two finite scales may pass the double range
-            mean = [0.5 * s + 0.5 * p for s, p in zip(scale, last)]
-            mean_log[:, nt - j] = mean
-            frame = [max(f, m) for f, m in zip(frame, mean)]
+            mean = 0.5 * scale + 0.5 * last
+            mean_log[:, nt - j] = mean[:, 0]
+            frame = np.maximum(frame, mean)
             prev = slices
     return logs
 
@@ -392,17 +396,17 @@ def second_moment_white(params, es, u0, l_sigma, T, nt, *, lams=None):
         return 0.5 * np.hstack([even[:, :f] + odd, even[:, f:], (even[:, :f] - odd)[:, ::-1]])
 
     def far(older, scale, nb):
-        # per parity, Toeplitz, one contiguous row per step: row i holds
-        # older[k] in the column block of lag i+1+k
-        older, sums = older * scale[:, None], []
+        # per parity and lam, Toeplitz, one contiguous row per step: row i
+        # holds older[k] in the column block of lag i+1+k
+        older, sums = older * scale[..., None], []
+        lags = older.shape[1] + nb - 1
         for table, part in tables:
-            size, block = len(table), older[:, part].ravel()
-            lags = len(older) + nb - 1
-            rows = np.zeros((nb, lags * size))
+            size, block = len(table), older[..., part].reshape(len(older), -1)
+            rows = np.zeros((len(older), nb, lags * size))
             for i in range(nb):
-                rows[i, i * size:i * size + block.size] = block
-            sums.append((table[:, size:(lags + 1) * size] @ rows.T).T)
-        return np.hstack(sums)
+                rows[:, i, i * size:i * size + block.shape[1]] = block
+            sums.append(table[:, size:(lags + 1) * size] @ rows.transpose(0, 2, 1))
+        return np.concatenate(sums, axis=1).transpose(0, 2, 1)
 
     return _solve(plan, params, l_sigma, lams, lambda j: plan.det[j] ** 2, far, lift, unlift)
 
@@ -439,9 +443,9 @@ def second_moment_colored(params, es, u0, l_sigma, T, nt, *, lams=None):
     table = plan.history    # packed outer(e_m, e_m) at lag m
 
     def far(older, scale, nb):
-        older = older * scale[:, None]
-        return [np.einsum("kp,kp->p", table[i + 1:i + 1 + len(older)], older)
-                for i in range(nb)]
+        older = older * scale[..., None]
+        return np.stack([np.einsum("kp,bkp->bp", table[i + 1:i + 1 + older.shape[1]], older)
+                         for i in range(nb)], axis=1)
 
     def unlift(sums):
         U = np.zeros((len(sums), n, n))    # its lower triangles stay zero

@@ -167,7 +167,7 @@ def test_config_rejects_each_broken_model_field(data):
 
 
 def test_config_rejects_unknown_key():
-    with pytest.raises(DomainError, match="unknown"):
+    with pytest.raises(DomainError, match="^unknown config key 'model.omega' on line 1;"):
         cli.parse_config_text("model.omega = 3\n")
 
 
@@ -177,8 +177,16 @@ def test_config_rejects_duplicate_key():
 
 
 def test_config_rejects_malformed_line():
-    with pytest.raises(DomainError):
-        cli.parse_config_text("model.alpha 2.0\n")
+    with pytest.raises(DomainError, match="^config entry on line 2 is not 'key = value'"):
+        cli.parse_config_text("# a comment\nmodel.alpha 2.0\n")
+
+
+def test_malformed_override_exits_2_naming_it(tmp_path, capsys):
+    # an override has no line: its error quotes the --set item
+    code, _, err = run_main(["excite", "--set", f"run.outdir={tmp_path}",
+                             "--set", "model.alpha"], capsys)
+    assert code == 2 and "config entry in --set model.alpha is not 'key = value'" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_rejects_bad_value():
@@ -290,8 +298,10 @@ def test_specfun_rejects_out_of_range_order(capsys):
 
 
 def test_specfun_missing_flag_is_domain_error(capsys):
-    code, _, err = run_main(["specfun", "ml", "--beta", "1"], capsys)
-    assert code == 2 and "specfun ml" in err
+    for argv, flag in ((["ml", "--beta", "1"], "--x"), (["gsub", "--beta", "0.5"], "--u"),
+                       (["caputo", "--beta", "0.5"], "--t"), (["fracint", "--t", "1"], "--order")):
+        code, _, err = run_main(["specfun"] + argv, capsys)
+        assert code == 2 and f"specfun {argv[0]} requires {flag}" in err, argv
 
 
 def test_specfun_fet_writes_a_row_per_t_and_x(capsys):
@@ -305,6 +315,22 @@ def test_specfun_fet_writes_a_row_per_t_and_x(capsys):
     for _, t, x, value in rows:
         exact = math.exp(-float(x) ** 2 / (4.0 * float(t))) / math.sqrt(math.pi * float(t))
         assert float(value) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, exact", [
+    # L1 is exact on linear data: D^(1/2) t = t^(1/2) / Gamma(3/2)
+    (["caputo", "--g", "t", "--beta", "0.5", "--t", "1"], 1.0 / math.gamma(1.5)),
+    # I^(1/2) 1 = t^(1/2) / Gamma(3/2)
+    (["fracint", "--g", "one", "--order", "0.5", "--t", "1"], 1.0 / math.gamma(1.5)),
+    # the Levy density at beta = 1/2: u^(-3/2) e^(-1/(4u)) / (2 sqrt(pi))
+    (["gsub", "--beta", "0.5", "--u", "1"], math.exp(-0.25) / (2.0 * math.sqrt(math.pi)))],
+    ids=["caputo", "fracint", "gsub"])
+def test_specfun_history_and_density_rows_match_closed_forms(argv, exact, capsys):
+    code, out, _ = run_main(["specfun"] + argv, capsys)
+    assert code == 0
+    rows = out.split("\r\n")[2:-1]
+    assert len(rows) == 1
+    assert float(rows[0].split(",")[-1]) == pytest.approx(exact, rel=1e-12)
 
 
 def test_kernel_slice_refuses_more_than_one_time(tmp_path, capsys):
@@ -547,8 +573,20 @@ def test_excite_method_is_an_unknown_key(route, tmp_path, capsys):
     flags = (["--set", "excite.method=montecarlo"] if route == "--set"
              else ["--config", str(path)])
     code, _, err = run_main(["excite", "--set", f"run.outdir={tmp_path}"] + flags, capsys)
-    assert code == 2 and "unknown config key 'excite.method'" in err
+    where = "in --set excite.method=montecarlo" if route == "--set" else "on line 1"
+    assert code == 2 and f"unknown config key 'excite.method' {where};" in err
     assert sorted(os.listdir(tmp_path)) == ["method.cfg"]
+
+
+def test_excite_past_the_closure_range_exits_1_naming_its_lam(tmp_path, capsys):
+    # the default grid's top lams pass log E_eta's double range in the
+    # newest-cell closure: a numerical failure that names the first of them
+    code, _, err = run_main(["excite", "--set", f"run.outdir={tmp_path}",
+                             "--set", "excite.lam_max=1e130"], capsys)
+    assert code == 1
+    assert re.search(r"moment solver at lam=\S+ overflowed: log E_eta of its newest-cell "
+                     r"closure is past the double range", err), err
+    assert os.listdir(tmp_path) == []
 
 
 def test_validate_threads_zero_exits_2(capsys):

@@ -542,25 +542,36 @@ def test_colored_solve_matches_physical_sandwich(eigen_cache, bump, n, lam):
                       <= r + 2.0 ** -51 * np.abs(ref[finite])), nt
 
 
-def test_batched_lams_are_bitwise_their_solves_alone(eigen_cache, bump):
-    # One pass steps every lam of a batch; the history sums run once per lam
-    # and every other operation acts on each lam's entries alone, so each
-    # lam carries the bits of its own solve.  At colored-sweep's size the
-    # midpoint budget takes 5 lams a batch, so one call with 7 lams runs
-    # them as 5 + 2.
-    es = eigen_cache(2.0, 32)
-    u0 = bump(es)
+def test_batched_lams_are_bitwise_their_solves_alone(monkeypatch, eigen_cache, bump):
+    # One pass steps every lam of a batch: a step's in-block history sums
+    # are one call for the batch (a stacked matmul, white; an einsum,
+    # colored), a block start's run a lam at a time, and all else acts on
+    # each lam's entries alone, so each lam carries the bits of its own
+    # solve.  At n = 32 white takes 7 lams in one batch and colored, under
+    # the midpoint budget of colored-sweep's size, runs them as 5 + 2.  The
+    # sweeps' grids: white-sweep's 13 lams in one batch at n = 64 and at odd
+    # n = 33, and colored-sweep's 10 at odd n = 17 as 5 + 5, under a budget
+    # cut to 5 lams.
     white = ModelParams(alpha=2.0, beta=0.5)
     colored = replace(white, noise=NoiseModel("riesz", gamma=0.5))
-    for p, solve, top, sizes in ((white, second_moment_white, 1e6, [7]),
-                                 (colored, second_moment_colored, 1e5, [5, 2])):
-        lams = np.geomspace(1e2, top, 7)
+    cases = ((white, 32, np.geomspace(1e2, 1e6, 7), [7]),
+             (colored, 32, np.geomspace(1e2, 1e5, 7), [5, 2]),
+             (white, 64, np.geomspace(1e2, 1e6, 13), [13]),
+             (white, 33, np.geomspace(1e2, 1e6, 13), [13]),
+             (colored, 17, np.geomspace(1e2, 1e5, 10), [5, 5]))
+    for p, n, lams, sizes in cases:
+        if sizes == [5, 5]:
+            monkeypatch.setattr(sys.modules["fracstorm.moments"], "_BATCH_DOUBLES",
+                                5 * 192 * n * (n + 1) // 2)
+        es = eigen_cache(2.0, n)
+        u0 = bump(es)
+        solve = second_moment_white if p.noise.kind == "white" else second_moment_colored
         assert [len(b) for b in MomentPlan.build(p, es, u0, 0.1, 192).batches(lams)] == sizes
         fields = solve(p, es, u0, 1.0, 0.1, 192, lams=lams)
-        assert len(fields) == 7
+        assert len(fields) == len(lams)
         for lam, field in zip(lams, fields):
             alone = solve(replace(p, lam=float(lam)), es, u0, 1.0, 0.1, 192)
-            assert np.array_equal(field.logs, alone.logs), lam
+            assert np.array_equal(field.logs, alone.logs), (n, lam)
 
 
 def test_batch_overflow_names_its_lam_at_its_own_step(eigen_cache, bump):
@@ -579,17 +590,22 @@ def test_batch_overflow_names_its_lam_at_its_own_step(eigen_cache, bump):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("noise", ["white", "riesz"])
-@pytest.mark.parametrize("lam", [1.3e154, 1e200])
+@pytest.mark.parametrize("lam", [1e140, 1.3e154, 1e200])
 def test_a_lam_past_the_closure_range_is_a_numerics_error(eigen_cache, bump, noise, lam):
-    # At 1.3e154 the closure argument (lam l_sigma)^2 Gamma(eta) eta passes
-    # the double range, and at 1e200 the square itself does.  The input is
-    # valid and evaluation fails: a NumericsError naming the lam, no warning.
+    # At 1e140 the closure argument (lam l_sigma)^2 Gamma(eta) eta is finite
+    # but log E_eta of it, about its 1/eta-th power, is not (from about
+    # 4e116, white, and 5e135, riesz, at nt = 8); at 1.3e154 the argument
+    # passes the double range, and at 1e200 the square itself does.  The
+    # input is valid and evaluation fails: a NumericsError naming the first
+    # such lam of the grid, before any step, and no warning.
     es = eigen_cache(2.0, 16)
     p = ModelParams(alpha=2.0, beta=0.5,
                     noise=NoiseModel(noise, gamma=0.5 if noise == "riesz" else None))
     solve = second_moment_white if noise == "white" else second_moment_colored
-    with pytest.raises(NumericsError, match=re.escape(f"lam={lam!r} overflowed")):
-        solve(p, es, bump(es), 1.0, 0.1, 8, lams=[1.0, lam])
+    match = re.escape(f"moment solver at lam={lam!r} overflowed: log E_eta of its "
+                      "newest-cell closure is past the double range") + "$"
+    with pytest.raises(NumericsError, match=match):
+        solve(p, es, bump(es), 1.0, 0.1, 8, lams=[1.0, lam, 1e200])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
