@@ -158,7 +158,7 @@ def render_excitation_svg(fit):
 
     # Title and slope annotation.
     title = (
-        f"excitation sweep ({_svg_escape(fit.method)}, {_svg_escape(fit.functional)}, "
+        f"excitation sweep (volterra, {_svg_escape(fit.functional)}, "
         f"t={fit.t:g})"
     )
     parts.append(

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, integer, number
 from .fracfun import (
     SampledFunction,
     caputo_derivative,
@@ -188,11 +188,6 @@ class RunConfig:
 
     def grid(self):
         return SpaceGrid(R=self.params().R, n=self.get("grid.nx", 64))
-
-    def sigma(self):
-        from .simulate import linear_sigma
-
-        return linear_sigma(self.get("sigma.slope", 1.0))
 
     def initial_profile(self, grid):
         kind = self.get("initial.kind", "bump")
@@ -363,7 +358,7 @@ def _require(args, names, command):
 
 
 def _sampled_test_function(name, horizon, n):
-    times = np.linspace(0.0, horizon, int(n) + 1)
+    times = np.linspace(0.0, horizon, integer("--grid-n", n, 1) + 1)
     return SampledFunction(times=times, values=_TEST_FUNCTIONS[name](times))
 
 
@@ -422,9 +417,9 @@ def cmd_kernel(args):
     if args.mode == "slice":
         if len(times) != 1:
             raise DomainError(f"kernel --mode slice takes one --t, got {len(times)}")
-        t = times[0]
+        t, y = times[0], number("--y", args.y, -p.R, p.R)
         G = dirichlet_fractional_kernel(es, p.beta, t)
-        j = int(np.argmin(np.abs(grid.nodes - args.y)))
+        j = int(np.argmin(np.abs(grid.nodes - y)))
         rows = [[x, G[i, j]] for i, x in enumerate(grid.nodes)]
         write_atomic(out, csv_text(["x", "kernel"], rows, record))
         print(f"kernel slice at t={t:g}, y={grid.nodes[j]:g}: "
@@ -471,9 +466,8 @@ def cmd_field(args):
     u0 = cfg.initial_profile(grid)
     T = cfg.get("grid.t", 0.1)
     nt = cfg.get("grid.nt", 128)
-    l_sigma = cfg.sigma().linear_slope
     solve = second_moment_white if p.noise.kind == "white" else second_moment_colored
-    field = solve(p, es, u0, l_sigma, T, nt)
+    field = solve(p, es, u0, cfg.get("sigma.slope", 1.0), T, nt)
     logs = [field.energy_log(j) for j in range(len(field.times))]
     out = args.out or os.path.join(cfg.outdir, "moments.csv")
     rows = list(zip(field.times.tolist(), logs))
@@ -488,7 +482,7 @@ def cmd_field(args):
 
 
 def cmd_simulate(args):
-    from .simulate import SimConfig, simulate_mild
+    from .simulate import SimConfig, linear_sigma, simulate_mild
 
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
@@ -499,7 +493,7 @@ def cmd_simulate(args):
         T=cfg.get("grid.t", 0.1),
         replicates=cfg.get("simulate.replicates", 200),
         seed=cfg.seed,
-        sigma=cfg.sigma(),
+        sigma=linear_sigma(cfg.get("sigma.slope", 1.0)),
         ensemble_path=cfg.get("simulate.ensemble"),
     )
     est = simulate_mild(p, es, u0, sim, threads=threads)
@@ -543,7 +537,7 @@ def cmd_excite(args):
                            cfg.get("excite.count", 13))
     fit = excitation_sweep(p, es, u0, cfg.get("excite.t", 0.1), lambdas,
                            functional=cfg.get("excite.functional", "energy"),
-                           nt=cfg.get("excite.nt"), sigma=cfg.sigma())
+                           nt=cfg.get("excite.nt", 192), l_sigma=cfg.get("sigma.slope", 1.0))
     dev = fit.slope / fit.theory - 1.0
     verdict = ("PASS" if abs(dev) <= 0.10 else "FAIL") + " ±10%"
     prefix = args.out_prefix or os.path.join(cfg.outdir, "excite")
@@ -556,7 +550,7 @@ def cmd_excite(args):
         "command": "excite",
         "version": __version__,
         "seed": cfg.seed,
-        "method": fit.method,
+        "method": "volterra",
         "functional": fit.functional,
         "t": fit.t,
         "slope": fit.slope,

@@ -5,8 +5,8 @@ exp(c (lambda)^(2 alpha / (alpha - d beta)) t) under white noise and with
 exponent 2 alpha / (alpha - gamma beta) under Riesz noise; the index is the
 log lambda slope of log log E_t(lambda).  The limits hold as lambda -> inf,
 and finite-lambda slopes creep upward slowly, so the fit uses only the top
-decade of a grid spanning at least three decades (Volterra route) and the
-verdict windows are +-10-12%.
+decade of a grid spanning at least three decades and the verdict windows
+are +-10-12%.
 
 E_t(lambda) can be either the square-rooted energy (int_B M dx)^(1/2) or
 sup_x M; the two differ by a bounded factor on the bounded domain, so both
@@ -14,21 +14,20 @@ carry the same index.  The evaluation time defaults to small t (the sweeps
 here use t = 0.1): the index is t-independent in theory, and small t reaches
 the asymptotic regime soonest.
 
-The route comes from sigma.  A linear sigma(u) = l u has a closed Volterra
-equation for the second moment, solved in one solver call over the whole
-grid.  Any other sigma (a table) has no such equation and runs Monte Carlo,
-which cannot represent moments beyond roughly e^700 and is restricted to a
-single decade of moderate lambda; only it uses threads.
+The sweep has one route.  sigma(u) = l_sigma u is linear, so the second
+moment solves a closed Volterra equation in which lambda and l_sigma enter
+only as lambda l_sigma; one moment-solver call solves it in log scale over
+the whole grid.  A non-linear sigma has no such equation and runs only under
+Monte Carlo, in ``simulate.simulate_mild``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, integer, number
+from .errors import DomainError, NumericsError, number
 from .kernels import EigenSystem
-from .moments import MomentField, second_moment_colored, second_moment_white
-from .simulate import SigmaSpec, SimConfig, simulate_mild
+from .moments import second_moment_colored, second_moment_white
 
 __all__ = [
     "ExcitationFit",
@@ -43,7 +42,6 @@ _FUNCTIONALS = ("energy", "sup")
 class ExcitationFit:
     """Result of a lambda sweep: log E_t per lambda and the top-window fit.
 
-    ``method`` is the route the sweep took, 'volterra' or 'montecarlo';
     ``fit_mask`` marks the points the slope was fitted on (top decade, after
     dropping any E_t <= 1); ``residuals`` are the fit residuals in
     log log E coordinates at those points.
@@ -55,7 +53,6 @@ class ExcitationFit:
     slope: float
     theory: float
     t: float
-    method: str
     fit_mask: np.ndarray
     residuals: np.ndarray
 
@@ -97,28 +94,18 @@ def theoretical_index(alpha, beta, d_or_gamma, noise):
     return 2.0 * a / den
 
 
-def _check_lambda_grid(lambda_grid, method):
+def _check_lambda_grid(lambda_grid):
     lam = np.asarray(lambda_grid, dtype=float)
-    if lam.ndim != 1 or lam.size < 2:
-        raise DomainError("lambda grid must be a 1-d array with >= 2 points")
+    if lam.ndim != 1 or lam.size < 6:
+        raise DomainError(f"lambda grid must be 1-d with >= 6 points, got shape {lam.shape}")
     if np.any(lam < 1.0) or np.any(np.diff(lam) <= 0.0):
         raise DomainError("lambda grid must be strictly increasing and >= 1")
-    if lam.size < 6:
-        raise DomainError(f"lambda grid needs >= 6 points, got {lam.size}")
     ratios = lam[1:] / lam[:-1]
     if ratios.max() / ratios.min() - 1.0 > 1e-6:
         raise DomainError("lambda grid must be geometric (constant ratio)")
     span = lam[-1] / lam[0]
-    if method == "volterra":
-        if span < 1e3 * (1.0 - 1e-9):
-            raise DomainError(
-                f"volterra sweep needs >= 3 decades of lambda, got {span:.3g}x"
-            )
-    else:
-        if span > 10.0 * (1.0 + 1e-9):
-            raise DomainError(
-                f"montecarlo sweep is limited to <= 1 decade of lambda, got {span:.3g}x"
-            )
+    if span < 1e3 * (1.0 - 1e-9):
+        raise DomainError(f"lambda grid needs >= 3 decades, got {span:.3g}x")
     return lam
 
 
@@ -145,42 +132,28 @@ def _fit_top_window(lambdas, log_values, theory):
     return float(slope), usable, residuals
 
 
-def excitation_sweep(params, es, u0, t, lambda_grid, functional="energy", nt=None,
-                     sigma=SigmaSpec(), replicates=400, seed=0, threads=1):
+def excitation_sweep(params, es, u0, t, lambda_grid, functional="energy", nt=192,
+                     l_sigma=1.0):
     """Sweep lambda, compute log E_t(lambda), and fit the growth index.
 
-    The route comes from ``sigma``.  A linear sigma (default sigma(u) = u)
-    runs 'volterra': the exact second-moment equation in log scale, lambda
-    up to 1e6, solved in one solver call on the calling thread.  A table
-    sigma runs 'montecarlo', its only route: ``replicates`` simulate_mild
-    replicates drawn from ``seed`` on es.grid, on one decade of moderate
-    lambda; ``threads`` > 1 runs replicate chunks concurrently, with the
-    result of the sequential sweep.
+    E_t comes from the exact second moment of sigma(u) = l_sigma u, in log
+    scale on ``nt`` steps to ``t``; one solver call solves every lambda of
+    the geometric, >= 3-decade grid, up to 1e6 and beyond.  An all-zero
+    ``u0`` is refused: its E_t is 0 at every lambda, with no growth index.
     """
-    threads = integer("threads", threads, 1)
     if not isinstance(es, EigenSystem):
         raise DomainError("es must be an EigenSystem")
     if functional not in _FUNCTIONALS:
         raise DomainError(f"functional must be one of {_FUNCTIONALS}")
-    method = "montecarlo" if sigma.linear_slope is None else "volterra"
     t = number("t", t, 0.0, np.inf)
-    lam = _check_lambda_grid(lambda_grid, method)
+    lam = _check_lambda_grid(lambda_grid)
+    if not np.any(np.asarray(u0, dtype=float)):
+        raise DomainError("u0 is zero everywhere, so E_t(lambda) = 0 has no growth index")
     white = params.noise.kind == "white"
     theory = theoretical_index(params.alpha, params.beta, 1 if white else params.noise.gamma,
                                params.noise)
-    # an nt given is checked where it is used, by the solver's plan or SimConfig
-    nt = (192 if method == "volterra" else 128) if nt is None else nt
-
-    if method == "volterra":
-        solve = second_moment_white if white else second_moment_colored
-        fields = solve(params, es, u0, sigma.linear_slope, t, nt, lams=lam)
-    else:
-        cfg = SimConfig(nt=nt, T=t, replicates=replicates, seed=seed, sigma=sigma)
-        fields = []
-        for lv in lam:
-            est = simulate_mild(replace(params, lam=float(lv)), es, u0, cfg, threads=threads)
-            with np.errstate(divide="ignore"):    # a vanishing moment's log is -inf
-                fields.append(MomentField(times=est.times, grid=es.grid, logs=np.log(est.mean)))
+    solve = second_moment_white if white else second_moment_colored
+    fields = solve(params, es, u0, l_sigma, t, nt, lams=lam)
     logv = np.array([f.energy_log() if functional == "energy" else f.sup_log()
                      for f in fields])
 
@@ -192,7 +165,6 @@ def excitation_sweep(params, es, u0, t, lambda_grid, functional="energy", nt=Non
         slope=slope,
         theory=theory,
         t=t,
-        method=method,
         fit_mask=mask,
         residuals=residuals,
     )

@@ -151,16 +151,6 @@ class SigmaSpec:
         return (np.interp(u, x, y) + left * np.minimum(u - x[0], 0.0)
                 + right * np.maximum(u - x[-1], 0.0))
 
-    @property
-    def linear_slope(self):
-        """The slope l of a linear sigma(u) = l u, else None.
-
-        The exact moment solvers and Volterra sweeps take sigma as this
-        slope, since their second moment depends on lam l alone; a table
-        sigma has none and runs only under Monte Carlo.
-        """
-        return self.slope if self.kind == "linear" else None
-
 
 def linear_sigma(slope=1.0):
     """sigma(u) = slope * u."""

@@ -34,6 +34,17 @@ def test_second_moment_solver_signature_is_pinned(name):
     assert params["lams"].default is None
 
 
+def test_excitation_sweep_signature_is_pinned():
+    # one route, the linear-sigma Volterra solve: sigma enters as its slope,
+    # as in the moment solvers, and no Monte Carlo knob is left
+    from fracstorm.excitation import excitation_sweep
+
+    params = inspect.signature(excitation_sweep).parameters
+    assert list(params) == ["params", "es", "u0", "t", "lambda_grid", "functional", "nt",
+                            "l_sigma"]
+    assert [params[k].default for k in ("functional", "nt", "l_sigma")] == ["energy", 192, 1.0]
+
+
 def test_moment_field_surface_is_pinned():
     # the benchmark's reference solve reads .dense() of the returned field
     from fracstorm.moments import MomentField

@@ -341,6 +341,25 @@ def test_kernel_slice_refuses_more_than_one_time(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("y", ["5", "nan"])
+def test_kernel_slice_refuses_a_source_point_outside_the_domain(y, tmp_path, capsys):
+    # the slice would be the nearest node's, which for a y outside (-R, R) is not y's
+    out = tmp_path / "k.csv"
+    code, _, err = run_main(["kernel", "--mode", "slice", "--y", y,
+                             "--set", "grid.nx=8", "--out", str(out)], capsys)
+    assert code == 2 and f"error: --y must be a finite number in (-1, 1), got --y={float(y)}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("what", [["caputo", "--beta", "0.5"], ["fracint", "--order", "0.5"]],
+                         ids=["caputo", "fracint"])
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_specfun_grid_n_below_one_exits_2_naming_it(what, n, capsys):
+    code, out, err = run_main(["specfun"] + what + ["--t", "1", "--grid-n", n], capsys)
+    assert code == 2 and out == ""
+    assert f"error: --grid-n must be an integer in [1, inf), got --grid-n={n}" in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     code, _, err = run_main(
         ["simulate", "--config", str(tmp_path / "nope.cfg")], capsys)
@@ -504,7 +523,7 @@ def test_excite_reads_t_and_nt_from_set(tmp_path, capsys):
     cfg = cli.parse_config_text(cfg_path.read_text())
     p, grid, es = cli._eigen_from(cfg)
     fit = excitation_sweep(p, es, cfg.initial_profile(grid), 0.05, summary["lambda"],
-                           nt=12, sigma=cfg.sigma())
+                           nt=12, l_sigma=cfg.get("sigma.slope", 1.0))
     assert summary["log_value"] == fit.log_values.tolist()
 
 
@@ -587,6 +606,18 @@ def test_excite_past_the_closure_range_exits_1_naming_its_lam(tmp_path, capsys):
     assert re.search(r"moment solver at lam=\S+ overflowed: log E_eta of its newest-cell "
                      r"closure is past the double range", err), err
     assert os.listdir(tmp_path) == []
+
+
+def test_excite_of_a_zero_initial_profile_exits_2_naming_u0(tmp_path, capsys):
+    # E_t = 0 at every lambda has no index: a domain error, not the fit's
+    # numerical failure; moments field still writes a zero profile's trace
+    code, _, err = run_main(["excite", "--set", f"run.outdir={tmp_path}",
+                             "--set", "initial.kind=zero"], capsys)
+    assert code == 2 and "error: u0 is zero everywhere" in err
+    assert os.listdir(tmp_path) == []
+    code, _, _ = run_main(["moments", "field", "--set", f"run.outdir={tmp_path}",
+                           "--set", "initial.kind=zero", "--set", "grid.nx=8"], capsys)
+    assert code == 0 and os.listdir(tmp_path) == ["moments.csv"]
 
 
 def test_validate_threads_zero_exits_2(capsys):

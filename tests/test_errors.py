@@ -76,8 +76,8 @@ ARGUMENTS = [
     ("d", 0.0, INF, "neither", lambda v, es, u0: theoretical_index(2.0, 0.5, v, "white")),
     ("gamma", 0.0, INF, "neither", lambda v, es, u0: theoretical_index(2.0, 0.5, v, "riesz")),
     ("t", 0.0, INF, "neither", lambda v, es, u0: excitation_sweep(P, es, u0, v, LAM)),
-    ("threads", 1, INF, "integer",
-     lambda v, es, u0: excitation_sweep(P, es, u0, 0.1, LAM, threads=v)),
+    ("l_sigma", -INF, INF, "neither",
+     lambda v, es, u0: excitation_sweep(P, es, u0, 0.1, LAM, l_sigma=v)),
     ("gamma", 0.0, INF, "neither", lambda v, es, u0: NoiseModel("riesz", gamma=v)),
     ("alpha", 0.0, 2.0, "right", lambda v, es, u0: ModelParams(alpha=v, beta=0.5)),
     ("beta", 0.0, 1.0, "right", lambda v, es, u0: ModelParams(alpha=2.0, beta=v)),

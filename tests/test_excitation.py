@@ -1,9 +1,8 @@
-"""Lambda sweeps: growth-index fits, grid validation, backend parity."""
+"""Lambda sweeps: growth-index fits, grid validation, the lambda-sigma coupling."""
 
 import numpy as np
 import pytest
 
-from conftest import TEST_THREADS
 from fracstorm.errors import DomainError, NumericsError
 from fracstorm.excitation import (
     ExcitationFit,
@@ -11,13 +10,10 @@ from fracstorm.excitation import (
     theoretical_index,
 )
 from fracstorm.params import ModelParams, NoiseModel
-from fracstorm.simulate import linear_sigma, table_sigma
 
 WHITE = ModelParams(alpha=2.0, beta=0.5)
 COLORED = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel(kind="riesz", gamma=0.5))
 LAM13 = np.geomspace(1e2, 1e6, 13)
-# a non-linear sigma: a table has no Volterra equation, so it runs Monte Carlo
-TABLE = table_sigma([-1.0, 0.0, 1.0], [-0.5, 0.0, 2.0])
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +49,7 @@ def test_theoretical_index_rejects_degenerate_parameters():
 
 def test_volterra_sweep_recovers_white_index(white_fit):
     fit = white_fit
-    assert fit.method == "volterra" and fit.functional == "energy"
+    assert fit.functional == "energy"
     assert fit.slope == pytest.approx(fit.theory, rel=1e-6)
     assert fit.theory == pytest.approx(8.0 / 3.0, rel=1e-15)
     assert fit.fit_mask.sum() >= 4
@@ -79,29 +75,6 @@ def test_sup_functional_gives_same_index(eigen_cache, bump, white_fit):
     assert fit.slope == pytest.approx(white_fit.slope, rel=1e-6)
 
 
-def test_volterra_sweep_is_thread_deterministic(eigen_cache, bump, white_fit):
-    es = eigen_cache(2.0, 32)
-    fit = excitation_sweep(WHITE, es, bump(es), 0.1, LAM13, nt=96,
-                           threads=TEST_THREADS)
-    assert np.array_equal(fit.log_values, white_fit.log_values)
-    assert fit.slope == white_fit.slope
-
-
-def test_montecarlo_sweep_runs_and_is_thread_deterministic(eigen_cache, bump):
-    es = eigen_cache(2.0, 24)
-    u0 = bump(es)
-    lam = np.geomspace(5.0, 50.0, 6)
-    seq = excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=TABLE,
-                           nt=64, replicates=200, seed=3, threads=1)
-    par = excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=TABLE,
-                           nt=64, replicates=200, seed=3, threads=TEST_THREADS)
-    assert seq.method == "montecarlo"
-    assert np.isfinite(seq.slope)
-    assert seq.fit_mask.sum() >= 4
-    assert np.array_equal(seq.log_values, par.log_values)
-    assert seq.slope == par.slope
-
-
 @pytest.mark.parametrize("method, lam, nt", [
     ("volterra", np.geomspace(1e2, 1e5, 10), 48),
 ])
@@ -111,7 +84,7 @@ def test_sweep_couples_noise_as_lambda_times_sigma_slope(eigen_cache, bump, meth
     # test_simulate's test_mc_couples_noise_as_lambda_times_sigma_slope)
     es = eigen_cache(2.0, 16)
     u0 = bump(es)
-    scaled = excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=linear_sigma(2.0), nt=nt)
+    scaled = excitation_sweep(WHITE, es, u0, 0.1, lam, nt=nt, l_sigma=2.0)
     doubled = excitation_sweep(WHITE, es, u0, 0.1, 2.0 * lam, nt=nt)
     assert np.array_equal(scaled.log_values, doubled.log_values)
     plain = excitation_sweep(WHITE, es, u0, 0.1, lam, nt=nt)
@@ -122,8 +95,8 @@ def test_lambda_grid_validation(eigen_cache, bump):
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
 
-    def sweep(lam, sigma=linear_sigma()):
-        return excitation_sweep(WHITE, es, u0, 0.1, lam, sigma=sigma, nt=48)
+    def sweep(lam):
+        return excitation_sweep(WHITE, es, u0, 0.1, lam, nt=48)
 
     with pytest.raises(DomainError, match=">= 6 points"):
         sweep(np.geomspace(1e2, 1e6, 4))
@@ -137,8 +110,8 @@ def test_lambda_grid_validation(eigen_cache, bump):
         sweep(np.full(6, 5.0))
     with pytest.raises(DomainError, match="3 decades"):
         sweep(np.geomspace(10.0, 100.0, 6))
-    with pytest.raises(DomainError, match="1 decade"):
-        sweep(np.geomspace(2.0, 200.0, 6), sigma=TABLE)
+    with pytest.raises(DomainError, match="1-d"):
+        sweep(np.geomspace(1e2, 1e6, 12).reshape(2, 6))
 
 
 def test_sweep_rejects_bad_arguments(eigen_cache, bump):
@@ -150,21 +123,23 @@ def test_sweep_rejects_bad_arguments(eigen_cache, bump):
         excitation_sweep(WHITE, es, u0, 0.0, LAM13)
     with pytest.raises(DomainError, match="EigenSystem"):
         excitation_sweep(WHITE, np.eye(4), u0, 0.1, LAM13)
-    # the route comes from sigma, so there is no route to ask for
+    # the sweep has one route, so there is no route to ask for
     with pytest.raises(TypeError, match="method"):
         excitation_sweep(WHITE, es, u0, 0.1, LAM13, method="volterra")
 
 
-@pytest.mark.parametrize("method", ["volterra", "montecarlo"])
-@pytest.mark.parametrize("threads", [0, -3, 2.5])
-def test_sweep_rejects_bad_thread_counts(eigen_cache, bump, method, threads):
-    # either route: sigma picks it, the threads rule holds for both
-    es = eigen_cache(2.0, 24)
-    sigma, lam = ((linear_sigma(), LAM13) if method == "volterra"
-                  else (TABLE, np.geomspace(5.0, 50.0, 6)))
-    with pytest.raises(DomainError, match="threads"):
-        excitation_sweep(WHITE, es, bump(es), 0.1, lam, sigma=sigma, nt=8,
-                         replicates=2, threads=threads)
+def test_sweep_refuses_a_zero_initial_profile_before_solving(eigen_cache, monkeypatch):
+    # E_t(lambda) = 0 at every lambda has no growth index: a domain error
+    # naming u0, raised before any solve
+    import fracstorm.excitation as excitation
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the sweep solved a zero u0")
+
+    monkeypatch.setattr(excitation, "second_moment_white", solve)
+    es = eigen_cache(2.0, 16)
+    with pytest.raises(DomainError, match="^u0 is zero everywhere"):
+        excitation_sweep(WHITE, es, np.zeros(es.grid.n), 0.1, LAM13, nt=8)
 
 
 def test_fit_dataclass_validation():
@@ -175,7 +150,6 @@ def test_fit_dataclass_validation():
         slope=2.0,
         theory=2.0,
         t=0.1,
-        method="volterra",
         fit_mask=np.array([True, True, True]),
         residuals=np.zeros(3),
     )

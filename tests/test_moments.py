@@ -28,7 +28,6 @@ from fracstorm.moments import (
 )
 from fracstorm.params import ModelParams, NoiseModel
 from fracstorm.quadrature import fixed_panel_nodes
-from fracstorm.simulate import table_sigma
 
 
 def test_renewal_without_kernel_is_constant():
@@ -627,10 +626,7 @@ def test_non_integer_nt_is_refused(eigen_cache, bump, nt):
     for call in (lambda: MomentPlan.build(p, es, u0, 0.1, nt),
                  lambda: second_moment_white(p, es, u0, 1.0, 0.1, nt),
                  lambda: renewal_volterra_solve(1.0, 1.0, 0.5, 1.0, nt),
-                 lambda: excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e5, 6), nt=nt),
-                 lambda: excitation_sweep(p, es, u0, 0.1, np.geomspace(2.0, 20.0, 6),
-                                          sigma=table_sigma([-1.0, 0.0, 1.0], [-1.0, 0.0, 2.0]),
-                                          nt=nt)):
+                 lambda: excitation_sweep(p, es, u0, 0.1, np.geomspace(1e2, 1e5, 6), nt=nt)):
         with pytest.raises(DomainError, match="^nt must be an integer"):
             call()
     assert MomentPlan.build(p, es, u0, 0.1, np.int64(24)).nt == 24

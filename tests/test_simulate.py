@@ -433,14 +433,13 @@ def test_mc_couples_noise_as_lambda_times_sigma_slope(eigen_cache, bump):
 
 def test_sigma_specs():
     lin = linear_sigma(2.5)
-    assert lin(3.0) == 7.5 and lin.linear_slope == 2.5
+    assert lin(3.0) == 7.5
     tab = table_sigma([-1.0, 0.0, 1.0], [-0.5, 0.0, 0.5])
     assert tab(0.5) == pytest.approx(0.25)
     # each end extends by its end slope, so sigma(u)/u keeps away from 0
     assert tab(100.0) == pytest.approx(50.0) and tab(-100.0) == pytest.approx(-50.0)
     kinked = table_sigma([-1.0, 0.0, 1.0], [-1.0, 0.0, 3.0])
     assert kinked(-10.0) == pytest.approx(-10.0) and kinked(10.0) == pytest.approx(30.0)
-    assert tab.linear_slope is None
     with pytest.raises(DomainError):
         SigmaSpec(kind="table", table_x=(0.0, 1.0), table_y=(1.0, 2.0))  # sigma(0) != 0
 
