@@ -41,8 +41,14 @@ decimal separator and 17 significant digits.
 
 Exit codes: 0 success, 1 numerical failure, 2 invalid input or domain error.
 A refused argument's DomainError message starts with the argument's name, as
-in ``T must be a finite number in (0, inf), got T=inf``; a refused config
-value's starts with ``config key`` and the key.
+in ``T must be a finite number in (0, inf), got T=inf``.  A config value
+refused by its key's own rule (not a number or an integer, run.threads < 1,
+excite.count < 0, a lambda-grid end not finite and > 0, a string key's
+choices or characters) gets a message that starts with ``config key`` and the
+key.  A value the library refuses gets the library's message, which names
+the library's argument, not the key: ``--set grid.nx=2`` gives ``n must be an
+integer in [4, inf), got n=2``, and ``excite --set excite.nt=1`` gives ``nt
+must be ...``.
 """
 
 from __future__ import annotations
@@ -482,7 +488,7 @@ def cmd_field(args):
 
 
 def cmd_simulate(args):
-    from .simulate import SimConfig, linear_sigma, simulate_mild
+    from .simulate import SigmaSpec, SimConfig, simulate_mild
 
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
@@ -493,7 +499,7 @@ def cmd_simulate(args):
         T=cfg.get("grid.t", 0.1),
         replicates=cfg.get("simulate.replicates", 200),
         seed=cfg.seed,
-        sigma=linear_sigma(cfg.get("sigma.slope", 1.0)),
+        sigma=SigmaSpec(slope=cfg.get("sigma.slope", 1.0)),
         ensemble_path=cfg.get("simulate.ensemble"),
     )
     est = simulate_mild(p, es, u0, sim, threads=threads)

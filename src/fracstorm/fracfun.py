@@ -391,13 +391,13 @@ def _g_small_u(beta, u):
 _G_TERMS = 700  # terms of the large-u series of g_beta
 
 
-def _g_large_u(beta, u):
-    """Reciprocal power series sum_k (-1)^(k+1) Gamma(beta k + 1)/k! sin(pi beta k) u^(-beta k - 1) / pi."""
+def _g_large_u(beta, log_power):
+    """Reciprocal power series sum_k (-1)^(k+1) Gamma(beta k + 1)/k! sin(pi beta k) u^(-beta k - 1) / pi,
+    a row per point, with log_power(k) the logs of the powers u^(-beta k - 1)."""
     k = np.arange(1, _G_TERMS + 1)
     lg = _lgamma(beta * k + 1.0) - _lgamma(k + 1.0)
     sk = np.sin(np.pi * beta * k) * (-1.0) ** (k + 1)
-    logs = lg[None, :] - (beta * k + 1.0)[None, :] * np.log(u)[:, None]
-    terms = sk[None, :] * np.exp(logs)
+    terms = sk[None, :] * np.exp(lg[None, :] + log_power(k))
     tail = np.abs(terms[:, -1])
     s = terms.sum(axis=1) / np.pi
     if np.any(tail > 1e-14 * np.maximum(np.abs(s) * np.pi, 1e-300)):
@@ -423,7 +423,7 @@ def stable_subordinator_density(beta, u):
     if lo.any():
         out[lo] = _g_small_u(b, u[lo])
     if (~lo).any():
-        out[~lo] = _g_large_u(b, u[~lo])
+        out[~lo] = _g_large_u(b, lambda k: -(b * k + 1.0) * np.log(u[~lo])[:, None])
     return float(out[0]) if scalar else out
 
 
@@ -454,7 +454,11 @@ def inverse_subordinator_density(beta, t, x):
     f_{E_t}(x) = (t/beta) x^(-1-1/beta) g_beta(t x^(-1/beta)) for x > 0 and
     0 for x <= 0 (the support convention), t > 0.  The Laplace identity
     int_0^inf e^(-mu x) f_{E_t}(x) dx = E_beta(-mu t^beta) ties this to the
-    Mittag-Leffler function and is enforced as a test oracle.
+    Mittag-Leffler function and is enforced as a test oracle.  Where the
+    factor (t/beta) x^(-1-1/beta) passes the double range (and u = t x^(-1/beta)
+    with it), it multiplies the large-u series of g_beta through:
+    f = sum_k (-1)^(k+1) Gamma(beta k + 1)/k! sin(pi beta k) t^(-beta k) x^(k-1) / (pi beta),
+    which tends to t^(-beta)/Gamma(1-beta) as x -> 0.
     """
     b = number("beta", beta, 0.0, 1.0)
     t = number("t", t, 0.0, math.inf)
@@ -465,10 +469,16 @@ def inverse_subordinator_density(beta, t, x):
         raise DomainError("inverse_subordinator_density requires finite x")
     out = np.zeros(x.shape)
     pos = x > 0.0
-    if np.any(pos):
-        xp = x[pos]
-        g = stable_subordinator_density(b, t * xp ** (-1.0 / b))
-        out[pos] = (t / b) * xp ** (-1.0 - 1.0 / b) * g
+    xp = x[pos]
+    with np.errstate(over="ignore", invalid="ignore"):  # t/b = inf times 0 is NaN, not far
+        f = (t / b) * xp ** (-1.0 - 1.0 / b)
+    far = np.isinf(f)
+    if np.any(far):
+        lx = np.log(xp[far])[:, None]
+        f[far] = _g_large_u(b, lambda k: (k - 1.0) * lx - (b * math.log(t)) * k) / b
+    if not np.all(far):
+        f[~far] *= stable_subordinator_density(b, t * xp[~far] ** (-1.0 / b))
+    out[pos] = f
     return float(out[0]) if scalar else out
 
 

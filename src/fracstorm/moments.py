@@ -137,8 +137,15 @@ class MomentField:
             raise DomainError("moment values must be nonnegative (a log is NaN)")
 
     def dense(self):
-        """M as plain floats (may overflow to inf for large lam)."""
-        return np.exp(self.logs)
+        """M as plain floats.  NumericsError when some M passes the double
+        range, as at large lam; the logs then are the only finite form."""
+        with np.errstate(over="ignore"):
+            M = np.exp(self.logs)
+        if np.isinf(M).any():
+            raise NumericsError(f"log M reaches {self.logs.max():.6g}, past the double range "
+                                f"(exp overflows above {math.log(np.finfo(float).max):.6g}); "
+                                "read logs, sup_log or energy_log")
+        return M
 
     def sup_log(self, j=-1):
         """log sup_x M(t_j, x)."""

@@ -77,20 +77,9 @@ import numpy as np
 from .errors import DomainError, NumericsError, integer, number
 from .fracfun import mode_decay
 from .kernels import EigenSystem, apply_semigroup, riesz_kernel_matrix
-from .params import NoiseModel, SpaceGrid
+from .params import SpaceGrid
 
-__all__ = [
-    "NoiseModel",
-    "SigmaSpec",
-    "linear_sigma",
-    "table_sigma",
-    "RieszCovariance",
-    "SimConfig",
-    "MomentEstimate",
-    "build_riesz_covariance",
-    "sample_noise_slice",
-    "simulate_mild",
-]
+__all__ = ["SigmaSpec", "table_sigma", "SimConfig", "MomentEstimate", "simulate_mild"]
 
 # Amplitude beyond which a replicate is declared blown up and excluded.
 # Kept well below float-max**(1/4): the variance accumulator sums fourth
@@ -152,28 +141,10 @@ class SigmaSpec:
                 + right * np.maximum(u - x[-1], 0.0))
 
 
-def linear_sigma(slope=1.0):
-    """sigma(u) = slope * u."""
-    return SigmaSpec(kind="linear", slope=float(slope))
-
-
 def table_sigma(x, y):
     """Piecewise-linear sigma through the sampled points (x, y)."""
     return SigmaSpec(kind="table", slope=0.0, table_x=tuple(np.asarray(x, float)),
                      table_y=tuple(np.asarray(y, float)))
-
-
-@dataclass(frozen=True)
-class RieszCovariance:
-    """Discretized Riesz covariance: C[j, k] = cell-pair average of |y-z|^-gamma.
-
-    ``factor`` is a symmetric PSD square root, factor @ factor.T = C to 1e-8.
-    """
-
-    grid: SpaceGrid
-    gamma: float
-    C: np.ndarray
-    factor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -213,15 +184,13 @@ class MomentEstimate:
     blowups: int = 0
 
 
-def build_riesz_covariance(grid, gamma):
-    """Cell-pair covariance matrix of the Riesz kernel and its PSD factor.
+def _riesz_factor(grid, gamma):
+    """Symmetric PSD square root F of the Riesz cell-pair covariance C, F @ F.T = C to 1e-8.
 
     C is ``kernels.riesz_kernel_matrix``: the midpoint rule |x_j - x_k|^-gamma
     off the diagonal and the analytic cell self-average on it.
     """
-    g = float(gamma)
-    C = riesz_kernel_matrix(grid, g)
-
+    C = riesz_kernel_matrix(grid, float(gamma))
     w, V = np.linalg.eigh(C)
     floor = -1e-10 * float(np.max(np.abs(w)))
     if float(w.min()) < floor:
@@ -234,34 +203,18 @@ def build_riesz_covariance(grid, gamma):
     scale = float(np.max(np.abs(C)))
     if resid > 1e-8 * max(scale, 1.0):
         raise NumericsError(f"covariance factorization residual {resid:.3e} too large")
-    return RieszCovariance(grid=grid, gamma=g, C=C, factor=factor)
+    return factor
 
 
-def sample_noise_slice(noise, grid, dt, rng, cov=None):
-    """Draw one time slice of cell-integrated noise increments.
-
-    White: independent N(0, dt*h) per cell.  Riesz: factor @ z * sqrt(dt) * h,
-    so the slice covariance is dt * h^2 * C.  ``cov`` may carry a precomputed
-    RieszCovariance; otherwise it is built on the fly.
-    """
-    number("dt", dt, 0.0, math.inf)
-    if noise.kind == "riesz":
-        if cov is None:
-            cov = build_riesz_covariance(grid, noise.gamma)
-        elif cov.grid != grid or cov.gamma != noise.gamma:
-            raise DomainError("provided covariance was built for a different grid or gamma")
-    return _increments(noise, grid, dt, rng.standard_normal(grid.n), cov)
-
-
-def _increments(noise, grid, dt, z, cov):
+def _increments(noise, grid, dt, z, factor):
     """Noise increments from standard normals z of shape (..., n).
 
     White noise scales z in place and returns it; Riesz noise returns a new
-    array.
+    array, z @ factor.T scaled.
     """
     if noise.kind == "white":
         return np.multiply(z, math.sqrt(dt * grid.h), out=z)
-    return (z @ cov.factor.T) * (math.sqrt(dt) * grid.h)
+    return (z @ factor.T) * (math.sqrt(dt) * grid.h)
 
 
 def _tree_sum(t):
@@ -337,7 +290,8 @@ def _hankel_table(decay):
     return padded[:, np.arange(1, _BLOCK + 1)[:, None] + np.arange(nt)]
 
 
-def _run_chunk(lo, hi, config, grid, params, u0, det, shift, decay, hank, phi, cov, keep_paths):
+def _run_chunk(lo, hi, config, grid, params, u0, det, shift, decay, hank, phi, factor,
+               keep_paths):
     """Evolve replicates [lo, hi) and reduce them to chunk statistics.
 
     The noise history is stored mode-major with the newest step in the lowest
@@ -412,7 +366,7 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, shift, decay, hank, phi, c
         nb = min(_BLOCK, nt - n0)
         for r, stream in enumerate(streams):
             stream.standard_normal(out=z[r, :nb])
-        dW = _increments(params.noise, grid, dt, z[:, :nb], cov)
+        dW = _increments(params.noise, grid, dt, z[:, :nb], factor)
         past = older(n0, nb)
         for i in range(nb):
             n = n0 + i
@@ -493,9 +447,7 @@ def simulate_mild(params, es, u0, config, threads=1):
     det = np.vstack([u0, apply_semigroup(es, beta, np.arange(1, nt + 1) * dt, u0)])
     shift = np.square(det)
 
-    cov = None
-    if params.noise.kind == "riesz":
-        cov = build_riesz_covariance(grid, params.noise.gamma)
+    factor = _riesz_factor(grid, params.noise.gamma) if params.noise.kind == "riesz" else None
 
     phi = es.phi                       # (nx, k), h-orthonormal columns
 
@@ -511,7 +463,7 @@ def simulate_mild(params, es, u0, config, threads=1):
 
     def work(b):
         return _run_chunk(b[0], b[1], config, grid, params, u0, det, shift, decay, hank,
-                          phi, cov, keep_paths=writer is not None)
+                          phi, factor, keep_paths=writer is not None)
 
     used = 0
     blowups = 0

@@ -45,6 +45,15 @@ def test_excitation_sweep_signature_is_pinned():
     assert [params[k].default for k in ("functional", "nt", "l_sigma")] == ["energy", 192, 1.0]
 
 
+def test_simulate_exports_only_what_its_callers_use():
+    # the commands, the checks and the benchmark build a sigma and a run and
+    # call simulate_mild; the noise draw and the Riesz factor are its own
+    from fracstorm import simulate
+
+    assert simulate.__all__ == ["SigmaSpec", "table_sigma", "SimConfig", "MomentEstimate",
+                                "simulate_mild"]
+
+
 def test_moment_field_surface_is_pinned():
     # the benchmark's reference solve reads .dense() of the returned field
     from fracstorm.moments import MomentField

@@ -212,6 +212,20 @@ def test_config_refuses_deleted_keys(key, tmp_path, capsys):
     assert code == 2 and "unknown config key" in err and key in err
 
 
+@pytest.mark.parametrize("argv, start", [
+    (["simulate", "--set", "run.threads=0"], "config key run.threads must be >= 1, got 0"),
+    (["simulate", "--set", "grid.nx=2"], "n must be an integer in [4, inf), got n=2"),
+    (["excite", "--set", "excite.nt=1"], "nt must be an integer in [2, inf), got nt=1"),
+], ids=["key-rule", "library-grid", "library-sweep"])
+def test_refused_config_value_names_its_key_or_the_library_argument(argv, start, tmp_path,
+                                                                     capsys):
+    # a key's own rule names the key; a value the library refuses gets the
+    # library's message, which names the library's argument
+    code, _, err = run_main(argv + ["--set", f"run.outdir={tmp_path}"], capsys)
+    assert code == 2 and err.startswith(f"fracstorm: error: {start}")
+    assert os.listdir(tmp_path) == []
+
+
 # --------------------------------------------------------------------------
 # CSV / atomic writes
 
@@ -315,6 +329,15 @@ def test_specfun_fet_writes_a_row_per_t_and_x(capsys):
     for _, t, x, value in rows:
         exact = math.exp(-float(x) ** 2 / (4.0 * float(t))) / math.sqrt(math.pi * float(t))
         assert float(value) == pytest.approx(exact, rel=1e-12)
+
+
+def test_specfun_fet_at_tiny_x_writes_the_limit(capsys):
+    # (t/beta) x^(-1-1/beta) overflows at x = 1e-120: the row was nan
+    code, out, _ = run_main(["specfun", "fet", "--beta", "0.5", "--t", "1", "--x", "1e-120"],
+                            capsys)
+    assert code == 0
+    value = float(out.split("\r\n")[2].split(",")[-1])
+    assert value == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
 
 
 @pytest.mark.parametrize("argv, exact", [

@@ -18,7 +18,7 @@ from fracstorm.kernels import (dirichlet_kernel_subordination, estimate_floor_co
 from fracstorm.moments import (MomentPlan, lower_series_log, renewal_growth_exponent,
                                renewal_volterra_solve, second_moment_white)
 from fracstorm.params import ModelParams, NoiseModel, SpaceGrid
-from fracstorm.simulate import SigmaSpec, SimConfig, sample_noise_slice, simulate_mild
+from fracstorm.simulate import SigmaSpec, SimConfig, simulate_mild
 from fracstorm.validate import run_validation
 
 INF = math.inf
@@ -67,8 +67,7 @@ ARGUMENTS = [
     ("T", 0.0, INF, "neither", lambda v, es, u0: SimConfig(T=v)),
     ("replicates", 2, INF, "integer", lambda v, es, u0: SimConfig(replicates=v)),
     ("seed", 0, SEED_MAX, "integer", lambda v, es, u0: SimConfig(seed=v)),
-    ("dt", 0.0, INF, "neither",
-     lambda v, es, u0: sample_noise_slice(NoiseModel(), es.grid, v, np.random.default_rng(0))),
+    ("nt", 2, INF, "integer", lambda v, es, u0: excitation_sweep(P, es, u0, 0.1, LAM, nt=v)),
     ("threads", 1, INF, "integer",
      lambda v, es, u0: simulate_mild(P, es, u0, SimConfig(nt=4, replicates=2), threads=v)),
     ("alpha", 0.0, 2.0, "right", lambda v, es, u0: theoretical_index(v, 0.5, 1, "white")),

@@ -214,6 +214,22 @@ def test_inverse_subordinator_support_and_mass():
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+def test_inverse_subordinator_density_tends_to_its_limit_at_zero(beta, t):
+    # f_{E_t}(x) = t^(-beta)/Gamma(1-beta) (1 + O(t^(-beta) x)), so to rounding
+    # for x <= 1e-20.  The factor (t/beta) x^(-1-1/beta) leaves the double
+    # range below x ~ 1e-71 at beta = 0.3 and 1e-137 at beta = 0.8, and
+    # u = t x^(-1/beta) below 1e-93 and 1e-247: that was inf, NaN or a
+    # DomainError about u.
+    x = np.concatenate([np.geomspace(1e-300, 1e-20, 600), [1e-103, 1e-110, 1e-120, 1e-155]])
+    limit = t ** -beta / math.gamma(1.0 - beta)
+    got = inverse_subordinator_density(beta, t, x)
+    assert np.all(np.abs(got / limit - 1.0) <= 2e-13)
+    assert [inverse_subordinator_density(beta, t, v) for v in x[-4:]] == list(got[-4:])
+
+
 def test_fractional_integral_exact_on_linear_data():
     # I^gamma t = t^{1+gamma} / Gamma(2+gamma); linear data is interpolated
     # exactly, so the quadrature is exact too.

@@ -23,7 +23,6 @@ from fracstorm.kernels import (
     stable_density,
 )
 from fracstorm.params import ModelParams, NoiseModel, SpaceGrid
-from fracstorm.simulate import sample_noise_slice
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0])
@@ -370,14 +369,9 @@ def _one_nan(es):
     (lambda es: fractional_free_kernel(ModelParams(alpha=2.0, beta=0.5), 0.5, math.nan), "x"),
     (lambda es: apply_semigroup(es, 0.5, 0.1, _one_nan(es)), "v"),
     (lambda es: theoretical_index(math.nan, 0.5, 1, "white"), "alpha"),
-    (lambda es: sample_noise_slice(NoiseModel("white"), es.grid, math.nan,
-                                   np.random.default_rng(0)), "dt"),
-    (lambda es: sample_noise_slice(NoiseModel("white"), es.grid, math.inf,
-                                   np.random.default_rng(0)), "dt"),
     (lambda es: estimate_floor_constant(es, 0.5, math.nan), "alpha"),
 ], ids=["density-nu-nan", "density-nu-inf", "density-1.5-nu-nan", "density-x-nan",
-        "free-kernel-x-nan", "semigroup-v-nan", "index-alpha-nan", "noise-dt-nan",
-        "noise-dt-inf", "floor-alpha-nan"])
+        "free-kernel-x-nan", "semigroup-v-nan", "index-alpha-nan", "floor-alpha-nan"])
 def test_kernel_layer_refuses_non_finite_input(eigen_cache, call, argument):
     # invalid input is a DomainError naming its argument, never a NaN, inf,
     # 0.0 or NumericsError computed from it

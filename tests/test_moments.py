@@ -18,6 +18,7 @@ from fracstorm import fracfun
 from fracstorm.fracfun import mittag_leffler, mittag_leffler_log, mode_decay
 from fracstorm.kernels import EigenSystem, apply_semigroup, dirichlet_fractional_kernel
 from fracstorm.moments import (
+    MomentField,
     MomentPlan,
     lower_series,
     lower_series_log,
@@ -148,6 +149,20 @@ def test_second_moment_without_noise_is_squared_semigroup(eigen_cache, bump):
     for j, t in enumerate(field.times):
         det = u0 if t == 0.0 else apply_semigroup(es, 0.5, float(t), u0)
         assert np.max(np.abs(dense[j] - det ** 2)) < 1e-12
+
+
+def test_dense_moment_past_the_double_range_is_an_error(eigen_cache, bump):
+    # at lam = 1e3 log M reaches 1.21e6; exp of it was a silent inf
+    es = eigen_cache(2.0, 16)
+    field = second_moment_white(ModelParams(alpha=2.0, beta=0.5, lam=1e3), es, bump(es),
+                                1.0, 0.1, 32)
+    with pytest.raises(NumericsError, match=r"^log M reaches 1\.21149e\+06, past the double"):
+        field.dense()
+    # the double range ends at log M = 709.7827
+    edge = MomentField(times=np.zeros(1), grid=es.grid, logs=np.full((1, 16), 709.78))
+    assert np.all(np.isfinite(edge.dense()))
+    with pytest.raises(NumericsError, match="709.79, past"):
+        replace(edge, logs=np.full((1, 16), 709.79)).dense()
 
 
 def test_second_moment_monotone_in_lambda(eigen_cache, bump):

@@ -7,21 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import sqrtm
 
 from conftest import TEST_THREADS
 from fracstorm import simulate
 from fracstorm.errors import DomainError, NumericsError, integer
 from fracstorm.fracfun import mode_decay
-from fracstorm.kernels import apply_semigroup
+from fracstorm.kernels import apply_semigroup, riesz_kernel_matrix
 from fracstorm.params import ModelParams, NoiseModel
 from fracstorm.simulate import (
     BLOWUP_GUARD,
-    RieszCovariance,
     SimConfig,
     SigmaSpec,
-    build_riesz_covariance,
-    linear_sigma,
-    sample_noise_slice,
     simulate_mild,
     table_sigma,
 )
@@ -195,8 +192,8 @@ def test_guard_catches_an_infinite_and_a_nan_amplitude(tmp_path, monkeypatch, ei
     real = simulate._increments
     blocks = []
 
-    def poisoned(noise, grid, dt, z, cov):
-        dW = np.zeros_like(real(noise, grid, dt, z, cov))
+    def poisoned(noise, grid, dt, z, factor):
+        dW = np.zeros_like(real(noise, grid, dt, z, factor))
         if len(blocks) == 1:
             dW[3, 5] = poison
         blocks.append(dW.shape)
@@ -290,24 +287,29 @@ def _direct_paths(params, es, u0, config):
     """Reference: every replicate's path by the direct per-lag history sum.
 
     All replicates evolve as one batch.  Each step sums e[n-m] hist[m] over
-    every lag m <= n in one einsum, with the half-lag decay table, the
-    noise of ``sample_noise_slice`` on replicate r's Philox stream keyed
-    (seed, r), and the blow-up rule: a replicate whose amplitude passes the
-    guard or turns NaN is zeroed, its history with it, and counted once; it
-    gets no noise after that, and its path is NaN from its blow-up step on.
+    every lag m <= n in one einsum, with the half-lag decay table, noise
+    drawn from its covariance on replicate r's Philox stream keyed (seed, r),
+    and the blow-up rule: a replicate whose amplitude passes the guard or
+    turns NaN is zeroed, its history with it, and counted once; it gets no
+    noise after that, and its path is NaN from its blow-up step on.  It calls
+    nothing of the scheme's noise path.
     Returns (paths, alive, blowups).
     """
     nt, nrep, grid, phi = config.nt, config.replicates, es.grid, es.phi
     dt = config.T / nt
     e_tab = mode_decay(es.mu, params.beta, (np.arange(nt) + 0.5) * dt)
     det = np.vstack([u0, apply_semigroup(es, params.beta, np.arange(1, nt + 1) * dt, u0)])
-    cov = (build_riesz_covariance(grid, params.noise.gamma)
-           if params.noise.kind == "riesz" else None)
+    # white: N(0, dt h) per cell; Riesz: F z sqrt(dt) h with F the symmetric
+    # square root of the cell-pair covariance C, so its covariance is dt h^2 C
+    riesz = params.noise.kind == "riesz"
+    if riesz:
+        F = sqrtm(riesz_kernel_matrix(grid, params.noise.gamma))
     dW = np.empty((nrep, nt, grid.n))
     for r in range(nrep):
         rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, r], dtype=np.uint64)))
         for n in range(nt):
-            dW[r, n] = sample_noise_slice(params.noise, grid, dt, rng, cov)
+            z = rng.standard_normal(grid.n)
+            dW[r, n] = F @ z * math.sqrt(dt) * grid.h if riesz else z * math.sqrt(dt * grid.h)
     paths = np.empty((nrep, nt + 1, grid.n))
     paths[:, 0] = u = np.tile(u0, (nrep, 1))
     hist = np.zeros((nt, nrep, phi.shape[1]))
@@ -333,12 +335,14 @@ def _direct_paths(params, es, u0, config):
 # The blocked and direct sums add the same products per mode in another
 # order, so a step's sums differ by a few ulp of their absolute sums, which
 # the later steps carry forward; the pairwise and plain replicate averages
-# differ by a few ulp more.  Measured: at most 1.3e-15 relative for lam <= 3
-# and for the bounded sigma at lam = 3e75, and 1.8e-14 in the blow-up-count
-# cases, whose lam ~ 1e5 amplifies every step's rounding.
+# differ by a few ulp more.  The Riesz oracle also takes its own square root
+# of C, equal to the scheme's to a few ulp.  Measured: at most 2.9e-15
+# relative for white noise at lam <= 3, 3.4e-15 for Riesz noise, 2.0e-15 for
+# the bounded sigma at lam = 3e75, and 1.8e-14 in the blow-up-count cases,
+# whose lam ~ 1e5 amplifies every step's rounding.
 _ORACLE_CASES = {
-    "white-default-sigma": (ModelParams(alpha=2.0, beta=0.5, lam=1.0), linear_sigma(1.0)),
-    "white-linear-sigma": (ModelParams(alpha=2.0, beta=0.5, lam=2.0), linear_sigma(1.5)),
+    "white-default-sigma": (ModelParams(alpha=2.0, beta=0.5, lam=1.0), SigmaSpec(slope=1.0)),
+    "white-linear-sigma": (ModelParams(alpha=2.0, beta=0.5, lam=2.0), SigmaSpec(slope=1.5)),
     "riesz-table-sigma": (ModelParams(alpha=2.0, beta=0.5, lam=3.0,
                                       noise=NoiseModel("riesz", gamma=0.5)),
                           table_sigma([-2.0, 0.0, 1.0, 3.0], [-1.0, 0.0, 2.0, 2.5])),
@@ -363,7 +367,7 @@ def test_blocked_history_matches_direct_lag_sum(eigen_cache, bump, case, replica
 
 
 @pytest.mark.parametrize("lam, sigma, dead", [
-    (1.0, linear_sigma(1.0), 0),
+    (1.0, SigmaSpec(slope=1.0), 0),
     (3e75, table_sigma([-2.0, -1.0, 0.0, 1.0, 2.0], [-1.0, -1.0, 0.0, 1.0, 1.0]), 42),
 ])
 def test_streamed_ensemble_matches_direct_lag_sum(tmp_path, eigen_cache, bump, lam, sigma, dead):
@@ -422,7 +426,7 @@ def test_mc_couples_noise_as_lambda_times_sigma_slope(eigen_cache, bump):
     u0 = bump(es)
 
     def run(lam, slope):
-        cfg = SimConfig(nt=16, T=0.1, replicates=8, seed=1, sigma=linear_sigma(slope))
+        cfg = SimConfig(nt=16, T=0.1, replicates=8, seed=1, sigma=SigmaSpec(slope=slope))
         return simulate_mild(ModelParams(alpha=2.0, beta=0.5, lam=lam), es, u0, cfg)
 
     scaled, doubled, plain = run(5.0, 2.0), run(10.0, 1.0), run(5.0, 1.0)
@@ -432,7 +436,7 @@ def test_mc_couples_noise_as_lambda_times_sigma_slope(eigen_cache, bump):
 
 
 def test_sigma_specs():
-    lin = linear_sigma(2.5)
+    lin = SigmaSpec(slope=2.5)
     assert lin(3.0) == 7.5
     tab = table_sigma([-1.0, 0.0, 1.0], [-0.5, 0.0, 0.5])
     assert tab(0.5) == pytest.approx(0.25)
@@ -462,7 +466,7 @@ def _tables(draw):
 def test_sigma_is_zero_at_zero_lipschitz_and_extended_linearly(table, slope, u):
     x, y = table
     u = np.array(u + [x[0] - 1.0, x[-1] + 1.0, 0.0])
-    for sig, lip in ((linear_sigma(slope), abs(slope)),
+    for sig, lip in ((SigmaSpec(slope=slope), abs(slope)),
                      (table_sigma(x, y), np.max(np.abs(np.diff(y) / np.diff(x))))):
         assert sig(0.0) == 0.0
         su = sig(u)
@@ -532,31 +536,28 @@ def test_model_params_reject_each_broken_field(data):
 
 
 def test_riesz_covariance_factorization(eigen_cache):
+    # the factor is the symmetric PSD square root of the covariance
     es = eigen_cache(2.0, 24)
-    cov = build_riesz_covariance(es.grid, 0.5)
-    assert isinstance(cov, RieszCovariance)
-    err = np.max(np.abs(cov.factor @ cov.factor.T - cov.C))
-    assert err < 1e-8
+    F = simulate._riesz_factor(es.grid, 0.5)
+    C = riesz_kernel_matrix(es.grid, 0.5)
+    assert np.max(np.abs(F - F.T)) < 1e-14
+    assert np.max(np.abs(F @ F.T - C)) < 1e-8
+    assert np.max(np.abs(F - sqrtm(C))) < 1e-12
 
 
-def test_noise_slice_statistics(eigen_cache):
-    # White slice: independent cell-integrated increments, N(0, dt * h).
+@pytest.mark.parametrize("broken, message", [
+    (np.diag([1.0, -1.0] * 12), "not PSD within jitter"),
+    (np.eye(24) + np.diag([1e-6] * 23, k=1), "factorization residual"),
+], ids=["indefinite", "asymmetric"])
+def test_riesz_factor_refuses_a_covariance_it_cannot_factor(monkeypatch, eigen_cache, bump,
+                                                           broken, message):
+    # eigh reads one triangle, so a matrix asymmetric by 1e-6 is factored as
+    # the identity, whose square is 1e-6 off the matrix
+    monkeypatch.setattr(simulate, "riesz_kernel_matrix", lambda grid, gamma: broken)
     es = eigen_cache(2.0, 24)
-    rng = np.random.default_rng(0)
-    dt = 0.01
-    draws = np.array([
-        sample_noise_slice(NoiseModel("white"), es.grid, dt, rng)
-        for _ in range(4000)])
-    var = draws.var(axis=0)
-    assert np.max(np.abs(var / (dt * es.grid.h) - 1.0)) < 0.15
-    # Riesz slice covariance is dt * h^2 * C.
-    cov = build_riesz_covariance(es.grid, 0.5)
-    draws = np.array([
-        sample_noise_slice(NoiseModel("riesz", gamma=0.5), es.grid, dt, rng, cov)
-        for _ in range(4000)])
-    sample_cov = np.cov(draws.T)
-    expect = dt * es.grid.h ** 2 * cov.C
-    assert np.max(np.abs(sample_cov - expect)) / expect.max() < 0.15
+    p = ModelParams(alpha=2.0, beta=0.5, noise=NoiseModel("riesz", gamma=0.5))
+    with pytest.raises(NumericsError, match=message):
+        simulate_mild(p, es, bump(es), SimConfig(nt=4, T=0.05, replicates=2, seed=0))
 
 
 def test_ensemble_stream_roundtrip(tmp_path, eigen_cache, bump, white_params):
