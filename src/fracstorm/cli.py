@@ -44,9 +44,10 @@ A refused argument's DomainError message starts with the argument's name, as
 in ``T must be a finite number in (0, inf), got T=inf``.  A config value
 refused by its key's own rule (not a number or an integer, run.threads < 1,
 excite.count < 0, a lambda-grid end not finite and > 0, a string key's
-choices or characters) gets a message that starts with ``config key`` and the
-key.  A value the library refuses gets the library's message, which names
-the library's argument, not the key: ``--set grid.nx=2`` gives ``n must be an
+choices or characters, a simulate.ensemble that names no file in an existing
+directory) gets a message that starts with ``config key`` and the key.  A
+value the library refuses gets the library's message, which names the
+library's argument, not the key: ``--set grid.nx=2`` gives ``n must be an
 integer in [4, inf), got n=2``, and ``excite --set excite.nt=1`` gives ``nt
 must be ...``.
 """
@@ -491,6 +492,14 @@ def cmd_simulate(args):
     from .simulate import SigmaSpec, SimConfig, simulate_mild
 
     cfg = _load_config(args)
+    ensemble = cfg.get("simulate.ensemble")
+    if ensemble is not None:
+        folder = os.path.dirname(ensemble) or "."
+        if not os.path.isdir(folder):
+            raise DomainError(f"config key simulate.ensemble names a file in the missing "
+                              f"directory {folder!r}")
+        if not os.path.basename(ensemble) or os.path.isdir(ensemble):
+            raise DomainError(f"config key simulate.ensemble must name a file, got {ensemble!r}")
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
     threads = cfg.get("run.threads", 1)
@@ -500,7 +509,7 @@ def cmd_simulate(args):
         replicates=cfg.get("simulate.replicates", 200),
         seed=cfg.seed,
         sigma=SigmaSpec(slope=cfg.get("sigma.slope", 1.0)),
-        ensemble_path=cfg.get("simulate.ensemble"),
+        ensemble_path=ensemble,
     )
     est = simulate_mild(p, es, u0, sim, threads=threads)
     energy = float(est.mean[-1].sum() * grid.h)

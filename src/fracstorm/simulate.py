@@ -69,7 +69,9 @@ block over the survivors alone: a blown-up replicate counts at no time.
 """
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +157,9 @@ class SimConfig:
     replicates >= 2 so the standard error is defined.  ``ensemble_path``
     optionally streams the raw ensemble to disk as binary records
     (replicate id, time index, space index, value) after a one-line text
-    header giving the layout and seed.
+    header giving the layout and seed, through a temporary file beside it
+    that is renamed to the path when the run succeeds and removed when it
+    fails.
     """
 
     nt: int = 128
@@ -256,6 +260,25 @@ def _tree_fold(parts):
     while stack:
         total = stack.pop()[1] + total
     return total
+
+
+@contextmanager
+def _atomic_stream(path):
+    """A binary file that becomes ``path`` when the block ends and is removed
+    when it raises: written as a temporary file beside it, then renamed.
+    None when path is None."""
+    if path is None:
+        yield None
+        return
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path) or ".", f".{os.path.basename(path)}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _ensemble_header(config, grid, params):
@@ -451,54 +474,47 @@ def simulate_mild(params, es, u0, config, threads=1):
 
     phi = es.phi                       # (nx, k), h-orthonormal columns
 
-    writer = None
-    if config.ensemble_path is not None:
-        writer = open(config.ensemble_path, "wb")
-        writer.write(_ensemble_header(config, grid, params).encode("ascii"))
-
     bounds = [
         (lo, min(lo + _CHUNK, config.replicates))
         for lo in range(0, config.replicates, _CHUNK)
     ]
-
-    def work(b):
-        return _run_chunk(b[0], b[1], config, grid, params, u0, det, shift, decay, hank,
-                          phi, factor, keep_paths=writer is not None)
-
     used = 0
     blowups = 0
 
-    def chunk_sums(results):
-        nonlocal used, blowups
-        for (lo, hi), (sums, kept, blew, full) in zip(bounds, results):
-            used += kept
-            blowups += blew
-            if writer is not None:
-                nrep = hi - lo
-                rec = np.empty(nrep * (nt + 1) * grid.n, dtype=_ENSEMBLE_RECORD)
-                reps = np.arange(lo, hi, dtype=np.uint32)
-                rec["rep"] = np.repeat(reps, (nt + 1) * grid.n)
-                rec["ti"] = np.tile(np.repeat(np.arange(nt + 1, dtype=np.uint32), grid.n), nrep)
-                rec["xi"] = np.tile(np.arange(grid.n, dtype=np.uint32), nrep * (nt + 1))
-                rec["value"] = full.reshape(-1)
-                writer.write(rec.tobytes())
-            yield sums
+    with _atomic_stream(config.ensemble_path) as writer:
+        if writer is not None:
+            writer.write(_ensemble_header(config, grid, params).encode("ascii"))
 
-    try:
+        def work(b):
+            return _run_chunk(b[0], b[1], config, grid, params, u0, det, shift, decay, hank,
+                              phi, factor, keep_paths=writer is not None)
+
+        def chunk_sums(results):
+            nonlocal used, blowups
+            for (lo, hi), (sums, kept, blew, full) in zip(bounds, results):
+                used += kept
+                blowups += blew
+                if writer is not None:
+                    nrep = hi - lo
+                    rec = np.empty(nrep * (nt + 1) * grid.n, dtype=_ENSEMBLE_RECORD)
+                    reps = np.arange(lo, hi, dtype=np.uint32)
+                    rec["rep"] = np.repeat(reps, (nt + 1) * grid.n)
+                    rec["ti"] = np.tile(np.repeat(np.arange(nt + 1, dtype=np.uint32), grid.n), nrep)
+                    rec["xi"] = np.tile(np.arange(grid.n, dtype=np.uint32), nrep * (nt + 1))
+                    rec["value"] = full.reshape(-1)
+                    writer.write(rec.tobytes())
+                yield sums
+
         if threads > 1 and writer is None and len(bounds) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 s1, s2 = _tree_fold(chunk_sums(pool.map(work, bounds)))
         else:
             s1, s2 = _tree_fold(chunk_sums(map(work, bounds)))
-    finally:
-        if writer is not None:
-            writer.close()
-
-    if used < 2:
-        raise NumericsError(
-            f"blow-up guard excluded {blowups} replicates; only {used} remain, "
-            "standard error undefined"
-        )
+        if used < 2:
+            raise NumericsError(
+                f"blow-up guard excluded {blowups} replicates; only {used} remain, "
+                "standard error undefined"
+            )
     mean = shift + s1 / used
     var = np.clip(s2 - s1 ** 2 / used, 0.0, None) / (used - 1)
     stderr = np.sqrt(var / used)

@@ -529,6 +529,39 @@ def test_simulate_reads_every_run_setting_from_set(sim_config_path, tmp_path, ca
     assert ensemble.read_bytes().startswith(b"fracstorm-ensemble v1 seed=9 replicates=4 nt=6")
 
 
+@pytest.mark.parametrize("where, message", [
+    ("missing/e.bin", "config key simulate.ensemble names a file in the missing directory"),
+    (".", "config key simulate.ensemble must name a file"),
+    ("sub/", "config key simulate.ensemble must name a file")])
+def test_ensemble_nowhere_to_write_exits_2_before_any_replicate(tmp_path, monkeypatch, capsys,
+                                                                where, message):
+    (tmp_path / "sub").mkdir()
+
+    def no_replicate(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(sys.modules["fracstorm.simulate"], "_run_chunk", no_replicate)
+    code, _, err = run_main(
+        ["simulate", "--set", "grid.nx=8", "--set", "grid.nt=8", "--set", "simulate.replicates=4",
+         "--set", f"simulate.ensemble={tmp_path}/{where}", "--out", str(tmp_path / "s.csv")],
+        capsys)
+    assert code == 2
+    assert err.startswith(f"fracstorm: error: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+def test_failed_simulate_leaves_no_ensemble(tmp_path, capsys):
+    # every replicate blows up at lam = 1e300, so the run fails after the
+    # ensemble stream has had its header and records written
+    code, _, err = run_main(
+        ["simulate", "--set", "model.lam=1e300", "--set", "simulate.replicates=4",
+         "--set", "grid.nt=8", "--set", "grid.nx=8",
+         "--set", f"simulate.ensemble={tmp_path / 'e.bin'}", "--out", str(tmp_path / "s.csv")],
+        capsys)
+    assert code == 1 and "only 0 remain" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_excite_reads_t_and_nt_from_set(tmp_path, capsys):
     from fracstorm.excitation import excitation_sweep
 

@@ -415,12 +415,16 @@ def _direct_white(plan, kappa, S):
     return logs
 
 
-@pytest.mark.parametrize("lam", [1.0, 30.0, 1e4])
+@pytest.mark.parametrize("lam", [1.0, 30.0, 1e2, 1e4])
 @pytest.mark.parametrize("nt", [24, 33, 37, 192])
 def test_blocked_white_stepper_matches_direct_lag_sum(eigen_cache, bump, lag_tables, nt, lam):
     # The stepper sums the history in blocks of 16 steps: nt = 24 ends in a
     # partial block of 8 steps, 33 in a block of one step, 37 in one of 5,
-    # and 192 (the white-sweep grid) is twelve full blocks.  Bound, set
+    # and 192 (the white-sweep grid) is twelve full blocks.  A block start
+    # skips the older pairs past the last one whose weight is nonzero: lam =
+    # 1 and 30 skip none, 1e4 keeps one pair per block, and 1e2 at nt = 192
+    # keeps part of the window at 8 of its 11 block starts, 512 of 1,056
+    # pairs, while the reference sums every pair.  Bound, set
     # beforehand: the routes' tables agree to a few 1e-13 of their entries
     # (the plan-table test), and both add nonnegative products in another
     # order (the folded blocks, one gemm over the older cells and one gemv
@@ -586,6 +590,48 @@ def test_batched_lams_are_bitwise_their_solves_alone(monkeypatch, eigen_cache, b
         for lam, field in zip(lams, fields):
             alone = solve(replace(p, lam=float(lam)), es, u0, 1.0, 0.1, 192)
             assert np.array_equal(field.logs, alone.logs), (n, lam)
+
+
+def test_live_lengths_cut_only_trailing_zeros():
+    live = sys.modules["fracstorm.moments"]._live_lengths
+    weights = np.array([[1.0, 0.0, 2.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.0, 3.0, 0.0, 0.0, 5e-324]])
+    assert live(weights).tolist() == [3, 0, 5]
+    assert live(np.zeros((3, 0))).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("noise, n, lams, pairs", [
+    (NoiseModel("white"), 64, np.geomspace(1e2, 1e6, 13), 721),
+    (NoiseModel("riesz", gamma=0.5), 32, np.geomspace(1e2, 1e5, 10), 595)], ids=["white", "riesz"])
+def test_history_sums_skip_the_trailing_zero_weights(monkeypatch, eigen_cache, bump, noise, n,
+                                                     lams, pairs):
+    # white-sweep's and colored-sweep's solves.  At lam >= 1e2 the weight
+    # exp(mean_log - frame) of all but the newest pairs underflows to 0.0:
+    # of the 13,728 (white) and 10,560 (colored) older pairs of the block
+    # starts (nb = 16; nt = 192 is twelve full blocks) 721 and 595 are
+    # nonzero, and those are the pairs passed.  An in-block step's batch
+    # call ends where the lam with the longest live run ends.
+    moments = sys.modules["fracstorm.moments"]
+    steps, seen = moments._log_split_steps, []
+
+    def recording(plan, lams, l_sigma, source, far, *rest):
+        def far_seen(older, scale, nb):
+            seen.append((nb, scale.copy()))
+            return far(older, scale, nb)
+        return steps(plan, lams, l_sigma, source, far_seen, *rest)
+
+    monkeypatch.setattr(moments, "_log_split_steps", recording)
+    p = ModelParams(alpha=2.0, beta=0.5, noise=noise)
+    es = eigen_cache(2.0, n)
+    solve = second_moment_white if noise.kind == "white" else second_moment_colored
+    solve(p, es, bump(es), 1.0, 0.1, 192, lams=lams)
+    starts = [w for nb, w in seen if nb == 16]
+    inblock = [w for nb, w in seen if nb == 1]
+    assert len(starts) == 12 * len(lams)
+    assert all(w.shape[0] == 1 and (w.size == 0 or w[0, -1] != 0.0) for w in starts)
+    assert sum(w.size for w in starts) == pairs
+    assert all(w.shape[1] == 0 or w[:, -1].any() for w in inblock)
 
 
 def test_batch_overflow_names_its_lam_at_its_own_step(eigen_cache, bump):
