@@ -23,16 +23,19 @@ validate          run the self-check suite and print the report:
 Every run setting that has a config key is set only through the config.
 Configuration files are flat ``key = value`` text with dotted section
 prefixes (``model.alpha = 2.0``); '#' starts a comment and blank lines are
-ignored.  ``KNOWN_KEYS`` lists the vocabulary, and every key is read by some
+ignored.  ``KNOWN_KEYS`` lists the vocabulary with each key's caster and
+default, the only place a default is stated, and every key is read by some
 command.  Model invariants, run.threads >= 1 and a lambda grid that
 np.geomspace can build (ends finite and > 0, excite.count >= 0) are enforced
 at parse time with messages quoting the violated condition.  A setting takes
-its built-in default, then the value in the ``--config`` file, then each
-``--set key=value`` in command-line order, the last one winning.  No
-environment variable is read.  ``validate`` reads no config; its seed and
+its default from ``KNOWN_KEYS``, then the value in the ``--config`` file,
+then each ``--set key=value`` in command-line order, the last one winning.
+No environment variable is read.  ``validate`` reads no config; its seed and
 thread count are its own flags.
 
-Artifacts are written atomically (temporary file, then rename).  Each records
+Artifacts, the simulate.ensemble stream among them, are written atomically
+(temporary file beside the target, then rename; removed if the run fails)
+by this module alone: the library writes no file.  Each records
 the run that made it: the command, the flags that change its numbers, and the
 config entries except ``run.outdir``, ``run.threads`` and ``simulate.ensemble``,
 which change none.  A CSV's one '#' line is ``# fracstorm <version> <JSON>``,
@@ -58,6 +61,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,32 +139,33 @@ def _str(raw, key):
     return raw
 
 
-#: key -> caster; the whole config vocabulary.
+#: key -> (caster, default); the whole config vocabulary and the one place
+#: a setting's default is stated.  None is no default: the key is unset.
 KNOWN_KEYS = {
-    "model.alpha": _float,
-    "model.beta": _float,
-    "model.nu": _float,
-    "model.radius": _float,
-    "model.lam": _float,
-    "noise.kind": _choice("white", "riesz"),
-    "noise.gamma": _float,
-    "grid.nx": _int,
-    "grid.nt": _int,
-    "grid.t": _float,
-    "run.seed": _int,
-    "run.outdir": _str,
-    "run.threads": _int_from(1),
-    "sigma.slope": _float,
-    "initial.kind": _choice("bump", "constant", "zero"),
-    "initial.value": _float,
-    "simulate.replicates": _int,
-    "simulate.ensemble": _str,
-    "excite.lam_min": _positive,
-    "excite.lam_max": _positive,
-    "excite.count": _int_from(0),
-    "excite.t": _float,
-    "excite.nt": _int,
-    "excite.functional": _choice("energy", "sup"),
+    "model.alpha": (_float, 2.0),
+    "model.beta": (_float, 0.5),
+    "model.nu": (_float, 1.0),
+    "model.radius": (_float, 1.0),
+    "model.lam": (_float, 1.0),
+    "noise.kind": (_choice("white", "riesz"), "white"),
+    "noise.gamma": (_float, None),
+    "grid.nx": (_int, 64),
+    "grid.nt": (_int, 128),
+    "grid.t": (_float, 0.1),
+    "run.seed": (_int, 0),
+    "run.outdir": (_str, "."),
+    "run.threads": (_int_from(1), 1),
+    "sigma.slope": (_float, 1.0),
+    "initial.kind": (_choice("bump", "constant", "zero"), "bump"),
+    "initial.value": (_float, 1.0),
+    "simulate.replicates": (_int, 200),
+    "simulate.ensemble": (_str, None),
+    "excite.lam_min": (_positive, 1e2),
+    "excite.lam_max": (_positive, 1e6),
+    "excite.count": (_int_from(0), 13),
+    "excite.t": (_float, 0.1),
+    "excite.nt": (_int, 192),
+    "excite.functional": (_choice("energy", "sup"), "energy"),
 }
 
 
@@ -174,44 +179,35 @@ class RunConfig:
 
     entries: tuple
 
-    def get(self, key, default=None):
+    def get(self, key):
+        """The value of ``key``: its entry, else its default in KNOWN_KEYS."""
         for k, v in self.entries:
             if k == key:
                 return v
-        return default
+        return KNOWN_KEYS[key][1]
 
     def params(self):
-        kind = self.get("noise.kind", "white")
-        gamma = self.get("noise.gamma")
-        noise = NoiseModel(kind=kind, gamma=gamma)
+        noise = NoiseModel(kind=self.get("noise.kind"), gamma=self.get("noise.gamma"))
         return ModelParams(
-            alpha=self.get("model.alpha", 2.0),
-            beta=self.get("model.beta", 0.5),
-            nu=self.get("model.nu", 1.0),
-            R=self.get("model.radius", 1.0),
-            lam=self.get("model.lam", 1.0),
+            alpha=self.get("model.alpha"),
+            beta=self.get("model.beta"),
+            nu=self.get("model.nu"),
+            R=self.get("model.radius"),
+            lam=self.get("model.lam"),
             noise=noise,
         )
 
     def grid(self):
-        return SpaceGrid(R=self.params().R, n=self.get("grid.nx", 64))
+        return SpaceGrid(R=self.params().R, n=self.get("grid.nx"))
 
     def initial_profile(self, grid):
-        kind = self.get("initial.kind", "bump")
-        amp = self.get("initial.value", 1.0)
+        kind = self.get("initial.kind")
+        amp = self.get("initial.value")
         if kind == "bump":
             return amp * np.cos(0.5 * np.pi * grid.nodes / grid.R)
         if kind == "constant":
             return amp * np.ones(grid.n)
         return np.zeros(grid.n)
-
-    @property
-    def seed(self):
-        return self.get("run.seed", 0)
-
-    @property
-    def outdir(self):
-        return self.get("run.outdir", ".")
 
 
 def _parse_line(line, where):
@@ -222,7 +218,7 @@ def _parse_line(line, where):
     if key not in KNOWN_KEYS:
         raise DomainError(
             f"unknown config key {key!r} {where}; known keys: " + ", ".join(sorted(KNOWN_KEYS)))
-    return key, KNOWN_KEYS[key](raw, key)
+    return key, KNOWN_KEYS[key][0](raw, key)
 
 
 def parse_config_text(text):
@@ -310,19 +306,27 @@ def csv_text(columns, rows, record):
     return "\r\n".join(lines) + "\r\n"
 
 
-def write_atomic(path, text):
-    """Write text to ``path`` via a temporary file and an atomic rename."""
+@contextmanager
+def _replacing(path):
+    """A binary file that becomes ``path`` when the block ends and is removed
+    when it raises: written as a temporary file beside it, then renamed."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp{os.getpid()}")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".{os.path.basename(path)}.tmp{os.getpid()}")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_atomic(path, text):
+    """Write text to ``path`` as UTF-8 via a temporary file and an atomic
+    rename, making its directory if it is missing."""
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
+    with _replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _run_record(args, cfg=None):
@@ -418,8 +422,8 @@ def cmd_kernel(args):
 
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
-    times = args.t if args.t else [cfg.get("grid.t", 0.1)]
-    out = args.out or os.path.join(cfg.outdir, "kernel.csv")
+    times = args.t if args.t else [cfg.get("grid.t")]
+    out = args.out or os.path.join(cfg.get("run.outdir"), "kernel.csv")
     record = _run_record(args, cfg)
     if args.mode == "slice":
         if len(times) != 1:
@@ -456,7 +460,7 @@ def cmd_renewal(args):
     cfg = _load_config(args)
     _require(args, ["rho", "kappa", "c1", "T"], "moments renewal")
     f = renewal_volterra_solve(args.c1, args.kappa, args.rho, args.T, args.nt)
-    out = args.out or os.path.join(cfg.outdir, "renewal.csv")
+    out = args.out or os.path.join(cfg.get("run.outdir"), "renewal.csv")
     rate = renewal_growth_exponent(args.kappa, args.rho)
     rows = list(zip(f.times.tolist(), f.values.tolist()))
     write_atomic(out, csv_text(["t", "f"], rows, _run_record(args, cfg)))
@@ -471,12 +475,11 @@ def cmd_field(args):
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
-    T = cfg.get("grid.t", 0.1)
-    nt = cfg.get("grid.nt", 128)
+    T, nt = cfg.get("grid.t"), cfg.get("grid.nt")
     solve = second_moment_white if p.noise.kind == "white" else second_moment_colored
-    field = solve(p, es, u0, cfg.get("sigma.slope", 1.0), T, nt)
+    field = solve(p, es, u0, cfg.get("sigma.slope"), T, nt)
     logs = [field.energy_log(j) for j in range(len(field.times))]
-    out = args.out or os.path.join(cfg.outdir, "moments.csv")
+    out = args.out or os.path.join(cfg.get("run.outdir"), "moments.csv")
     rows = list(zip(field.times.tolist(), logs))
     write_atomic(out, csv_text(["t", "log_energy"], rows, _run_record(args, cfg)))
     print(f"second-moment energy trace on [0, {T:g}], nt={nt}: "
@@ -502,18 +505,18 @@ def cmd_simulate(args):
             raise DomainError(f"config key simulate.ensemble must name a file, got {ensemble!r}")
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
-    threads = cfg.get("run.threads", 1)
+    threads = cfg.get("run.threads")
     sim = SimConfig(
-        nt=cfg.get("grid.nt", 128),
-        T=cfg.get("grid.t", 0.1),
-        replicates=cfg.get("simulate.replicates", 200),
-        seed=cfg.seed,
-        sigma=SigmaSpec(slope=cfg.get("sigma.slope", 1.0)),
-        ensemble_path=ensemble,
+        nt=cfg.get("grid.nt"),
+        T=cfg.get("grid.t"),
+        replicates=cfg.get("simulate.replicates"),
+        seed=cfg.get("run.seed"),
+        sigma=SigmaSpec(slope=cfg.get("sigma.slope")),
     )
-    est = simulate_mild(p, es, u0, sim, threads=threads)
+    with nullcontext() if ensemble is None else _replacing(ensemble) as stream:
+        est = simulate_mild(p, es, u0, sim, threads=threads, ensemble=stream)
     energy = float(est.mean[-1].sum() * grid.h)
-    out = args.out or os.path.join(cfg.outdir, "simulate.csv")
+    out = args.out or os.path.join(cfg.get("run.outdir"), "simulate.csv")
     rows = [[x, m, s] for x, m, s in zip(grid.nodes, est.mean[-1], est.stderr[-1])]
     record = _run_record(args, cfg)
     write_atomic(out, csv_text(["x", "second_moment", "stderr"], rows, record))
@@ -548,14 +551,14 @@ def cmd_excite(args):
     cfg = _load_config(args)
     p, grid, es = _eigen_from(cfg)
     u0 = cfg.initial_profile(grid)
-    lambdas = np.geomspace(cfg.get("excite.lam_min", 1e2), cfg.get("excite.lam_max", 1e6),
-                           cfg.get("excite.count", 13))
-    fit = excitation_sweep(p, es, u0, cfg.get("excite.t", 0.1), lambdas,
-                           functional=cfg.get("excite.functional", "energy"),
-                           nt=cfg.get("excite.nt", 192), l_sigma=cfg.get("sigma.slope", 1.0))
+    lambdas = np.geomspace(cfg.get("excite.lam_min"), cfg.get("excite.lam_max"),
+                           cfg.get("excite.count"))
+    fit = excitation_sweep(p, es, u0, cfg.get("excite.t"), lambdas,
+                           functional=cfg.get("excite.functional"),
+                           nt=cfg.get("excite.nt"), l_sigma=cfg.get("sigma.slope"))
     dev = fit.slope / fit.theory - 1.0
     verdict = ("PASS" if abs(dev) <= 0.10 else "FAIL") + " ±10%"
-    prefix = args.out_prefix or os.path.join(cfg.outdir, "excite")
+    prefix = args.out_prefix or os.path.join(cfg.get("run.outdir"), "excite")
     csv_path, json_path, svg_path = (prefix + ext for ext in (".csv", ".json", ".svg"))
     rows = [[lam, lv, int(m)]
             for lam, lv, m in zip(fit.lambdas, fit.log_values, fit.fit_mask)]
@@ -564,7 +567,7 @@ def cmd_excite(args):
     summary = {
         "command": "excite",
         "version": __version__,
-        "seed": cfg.seed,
+        "seed": cfg.get("run.seed"),
         "method": "volterra",
         "functional": fit.functional,
         "t": fit.t,

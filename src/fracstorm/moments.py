@@ -46,11 +46,11 @@ The stepper sums the history in fixed blocks of _STEP_BLOCK = 16 steps
 (Hairer, Lubich & Schlichte 1985): at the start of a block, the cells over
 the midpoints made before it are summed for every step of the block at
 once, and each step adds its <= 16 in-block cells as a block of one step.
-Each sum skips the oldest pairs whose weight exp(mean_log - frame) has
-underflowed to exactly 0.0, as all but the newest few have at lam >= 1e2
-(the block starts of a white solve at n = 64, nt = 192 over 13 lam in
-[1e2, 1e6] weigh 721 of their 13,728 older pairs nonzero): each skipped
-term is a finite midpoint times 0.0, so the sum is exact.
+A block start's sum skips the oldest pairs whose weight exp(mean_log -
+frame) has underflowed to exactly 0.0, as all but the newest few have at
+lam >= 1e2 (the block starts of a white solve at n = 64, nt = 192 over 13
+lam in [1e2, 1e6] weigh 721 of their 13,728 older pairs nonzero): each
+skipped term is a finite midpoint times 0.0, so the sum is exact.
 Interval, grid and generator are symmetric under J: x -> -x, so each S[m]
 is centrosymmetric, with parity blocks (S + S J)[:c, :c] and
 (S - S J)[:f, :f], c = ceil(n/2), f = floor(n/2) (Cantoni & Butler 1976):
@@ -311,26 +311,20 @@ def _log_split_steps(plan, lams, l_sigma, source, far, lift, unlift, keep):
 
     Both windows are newest first, so their oldest pairs come last, and a
     weight that has underflowed to 0.0 stays 0.0 at every later step, for
-    the frame never falls.  Each far call is cut after the last nonzero
-    weight (``_live_lengths``): a block start's to its lam's own live run,
-    an in-block step's to the longest live run of the batch.  Only that
-    trailing run is dropped, never an interior zero, and each dropped term
-    is a finite framed midpoint times 0.0, so the cut takes no part of any
-    sum away.  far keeps each lam's products apart (a
-    stacked matmul is one BLAS call per lam, an einsum sums each lam's lags
-    in order), a batch cut longer than a lam's own run only appends zero
-    products to its sums, and all else is elementwise in lam, so a lam's
-    bits do not depend on its batch (the test suite checks the sweeps' lam
-    grids bitwise against their solves alone).
+    the frame never falls.  A block start's far call is cut after its lam's
+    last nonzero weight (``_live_lengths``); only that trailing run is
+    dropped, never an interior zero, and each dropped term is a finite
+    framed midpoint times 0.0, so the cut takes no part of any sum away.
+    An in-block step passes its whole window of <= _STEP_BLOCK - 1 pairs.
+    far keeps each lam's products apart (a stacked matmul is one BLAS call
+    per lam, an einsum sums each lam's lags in order), a zero weight only
+    adds a zero product to a lam's sum, and all else is elementwise in lam,
+    so a lam's bits do not depend on its batch (the test suite checks the
+    sweeps' lam grids bitwise against their solves alone).
     """
     nt, batch = plan.nt, len(lams)
-    kappa = []
-    for lam in lams:
-        try:
-            kappa.append((lam * l_sigma) ** 2)
-        except OverflowError:    # a float power past the double range raises; z names it below
-            kappa.append(math.inf)
-    kappa = np.array(kappa)[:, None]
+    with np.errstate(over="ignore"):    # inf past the double range; z names its lam below
+        kappa = np.square(np.asarray(lams) * l_sigma)[:, None]
     first = source(0)
     logs = np.full((batch, nt + 1) + first[keep].shape, -np.inf)
     logs[:, 0] = _log_positive(first[keep])
@@ -368,9 +362,7 @@ def _log_split_steps(plan, lams, l_sigma, source, far, lift, unlift, keep):
             j = j0 + i
             new = nt + 1 - j    # the slot of the step's newest pair
             weights = np.exp(mean_log[:, new:start] - frame)
-            k = int(_live_lengths(weights).max())
-            sums = past[:, i] * np.exp(frame0 - frame) + far(
-                mids[:, new:new + k], weights[:, :k], 1)[:, 0]
+            sums = past[:, i] * np.exp(frame0 - frame) + far(mids[:, new:start], weights, 1)[:, 0]
             w = _log_positive(source(j) * np.exp(-frame) + kappa * unlift(sums)) + ln_fac
             wmax = w.max(axis=1, keepdims=True)
             with np.errstate(over="ignore"):

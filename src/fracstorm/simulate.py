@@ -69,9 +69,7 @@ block over the survivors alone: a blown-up replicate counts at no time.
 """
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +126,7 @@ class SigmaSpec:
                 raise DomainError("sigma table must be finite")
             if np.any(np.diff(x) <= 0.0):
                 raise DomainError("sigma table abscissae must be strictly increasing")
-            at_zero = float(np.interp(0.0, x, y))
+            at_zero = float(self(0.0))    # the linear extension, where 0 is off the table
             if abs(at_zero) > 1e-12:
                 raise DomainError(f"sigma(0) = 0 violated: table gives {at_zero:.3e}")
 
@@ -154,12 +152,9 @@ class SimConfig:
     """Monte Carlo run description: time grid, replicates, seed and sigma.
 
     The space grid is the eigen system's (``es.grid`` of ``simulate_mild``).
-    replicates >= 2 so the standard error is defined.  ``ensemble_path``
-    optionally streams the raw ensemble to disk as binary records
-    (replicate id, time index, space index, value) after a one-line text
-    header giving the layout and seed, through a temporary file beside it
-    that is renamed to the path when the run succeeds and removed when it
-    fails.
+    replicates >= 2 so the standard error is defined.  The raw ensemble, if
+    asked for, is a stream the caller opens and passes to ``simulate_mild``
+    (the CLI's simulate.ensemble writes it atomically).
     """
 
     nt: int = 128
@@ -167,7 +162,6 @@ class SimConfig:
     replicates: int = 200
     seed: int = 0
     sigma: SigmaSpec = field(default_factory=SigmaSpec)
-    ensemble_path: str | None = None
 
     def __post_init__(self):
         integer("nt", self.nt, 1)
@@ -260,25 +254,6 @@ def _tree_fold(parts):
     while stack:
         total = stack.pop()[1] + total
     return total
-
-
-@contextmanager
-def _atomic_stream(path):
-    """A binary file that becomes ``path`` when the block ends and is removed
-    when it raises: written as a temporary file beside it, then renamed.
-    None when path is None."""
-    if path is None:
-        yield None
-        return
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path) or ".", f".{os.path.basename(path)}.tmp{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _ensemble_header(config, grid, params):
@@ -430,7 +405,7 @@ def _run_chunk(lo, hi, config, grid, params, u0, det, shift, decay, hank, phi, f
     return sums, used, blowups, full
 
 
-def simulate_mild(params, es, u0, config, threads=1):
+def simulate_mild(params, es, u0, config, threads=1, ensemble=None):
     """Monte Carlo second-moment estimate of the mild solution.
 
     Full-history explicit scheme with half-lag kernel evaluation (see module
@@ -445,7 +420,12 @@ def simulate_mild(params, es, u0, config, threads=1):
     nx = 64) but never the paths.  ``threads`` > 1 runs chunks concurrently.
     The Philox streams are keyed by replicate index and the reduction order is
     fixed, so the estimate is bitwise identical to the sequential run.
-    Ensemble streaming forces sequential execution (records are written
+
+    ``ensemble``, an open writable binary file, receives the raw ensemble: a
+    one-line text header giving the layout and seed, then binary records
+    (replicate id, time index, space index, value).  The caller opens and
+    closes it; the CLI writes it atomically, so a failed run leaves no file.
+    Streaming forces sequential execution (records are written
     replicate-major).
     """
     threads = integer("threads", threads, 1)
@@ -481,40 +461,39 @@ def simulate_mild(params, es, u0, config, threads=1):
     used = 0
     blowups = 0
 
-    with _atomic_stream(config.ensemble_path) as writer:
-        if writer is not None:
-            writer.write(_ensemble_header(config, grid, params).encode("ascii"))
+    if ensemble is not None:
+        ensemble.write(_ensemble_header(config, grid, params).encode("ascii"))
 
-        def work(b):
-            return _run_chunk(b[0], b[1], config, grid, params, u0, det, shift, decay, hank,
-                              phi, factor, keep_paths=writer is not None)
+    def work(b):
+        return _run_chunk(b[0], b[1], config, grid, params, u0, det, shift, decay, hank,
+                          phi, factor, keep_paths=ensemble is not None)
 
-        def chunk_sums(results):
-            nonlocal used, blowups
-            for (lo, hi), (sums, kept, blew, full) in zip(bounds, results):
-                used += kept
-                blowups += blew
-                if writer is not None:
-                    nrep = hi - lo
-                    rec = np.empty(nrep * (nt + 1) * grid.n, dtype=_ENSEMBLE_RECORD)
-                    reps = np.arange(lo, hi, dtype=np.uint32)
-                    rec["rep"] = np.repeat(reps, (nt + 1) * grid.n)
-                    rec["ti"] = np.tile(np.repeat(np.arange(nt + 1, dtype=np.uint32), grid.n), nrep)
-                    rec["xi"] = np.tile(np.arange(grid.n, dtype=np.uint32), nrep * (nt + 1))
-                    rec["value"] = full.reshape(-1)
-                    writer.write(rec.tobytes())
-                yield sums
+    def chunk_sums(results):
+        nonlocal used, blowups
+        for (lo, hi), (sums, kept, blew, full) in zip(bounds, results):
+            used += kept
+            blowups += blew
+            if ensemble is not None:
+                nrep = hi - lo
+                rec = np.empty(nrep * (nt + 1) * grid.n, dtype=_ENSEMBLE_RECORD)
+                reps = np.arange(lo, hi, dtype=np.uint32)
+                rec["rep"] = np.repeat(reps, (nt + 1) * grid.n)
+                rec["ti"] = np.tile(np.repeat(np.arange(nt + 1, dtype=np.uint32), grid.n), nrep)
+                rec["xi"] = np.tile(np.arange(grid.n, dtype=np.uint32), nrep * (nt + 1))
+                rec["value"] = full.reshape(-1)
+                ensemble.write(rec.tobytes())
+            yield sums
 
-        if threads > 1 and writer is None and len(bounds) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                s1, s2 = _tree_fold(chunk_sums(pool.map(work, bounds)))
-        else:
-            s1, s2 = _tree_fold(chunk_sums(map(work, bounds)))
-        if used < 2:
-            raise NumericsError(
-                f"blow-up guard excluded {blowups} replicates; only {used} remain, "
-                "standard error undefined"
-            )
+    if threads > 1 and ensemble is None and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            s1, s2 = _tree_fold(chunk_sums(pool.map(work, bounds)))
+    else:
+        s1, s2 = _tree_fold(chunk_sums(map(work, bounds)))
+    if used < 2:
+        raise NumericsError(
+            f"blow-up guard excluded {blowups} replicates; only {used} remain, "
+            "standard error undefined"
+        )
     mean = shift + s1 / used
     var = np.clip(s2 - s1 ** 2 / used, 0.0, None) / (used - 1)
     stderr = np.sqrt(var / used)

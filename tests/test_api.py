@@ -123,3 +123,31 @@ def test_only_errors_states_the_integer_rule(path):
              or isinstance(node, ast.ImportFrom) and node.module == "numbers"
              or isinstance(node, ast.Attribute) and node.attr == "Integral"]
     assert found == []
+
+
+def _writes_files(node):
+    """A call that replaces or removes a file, or opens one for writing."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and func.value.id == "os" and func.attr in ("replace", "rename", "unlink", "remove")):
+        return True
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+    # a mode that is not a literal may be a write mode
+    return not isinstance(mode, ast.Constant) or any(c in str(mode.value) for c in "wax+")
+
+
+@pytest.mark.parametrize("path", sorted(pathlib.Path(fracstorm.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_only_the_command_line_writes_files(path):
+    # artifacts are the front end's: cli writes each through its one atomic
+    # writer, and a library function that needs to emit bytes takes an open
+    # stream from its caller
+    if path.name == "cli.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if _writes_files(node)] == []

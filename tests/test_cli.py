@@ -54,7 +54,7 @@ def test_config_round_trip():
     p = cfg.params()
     assert p.alpha == 2.0 and p.beta == 0.5 and p.noise.kind == "riesz"
     assert cfg.grid().n == 16
-    assert cfg.seed == 11
+    assert cfg.get("run.seed") == 11
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -579,7 +579,7 @@ def test_excite_reads_t_and_nt_from_set(tmp_path, capsys):
     cfg = cli.parse_config_text(cfg_path.read_text())
     p, grid, es = cli._eigen_from(cfg)
     fit = excitation_sweep(p, es, cfg.initial_profile(grid), 0.05, summary["lambda"],
-                           nt=12, l_sigma=cfg.get("sigma.slope", 1.0))
+                           nt=12, l_sigma=cfg.get("sigma.slope"))
     assert summary["log_value"] == fit.log_values.tolist()
 
 
@@ -828,6 +828,35 @@ def test_option_inventory_is_pinned():
     }
     assert sum(map(len, _options(cli.build_parser()).values())) == 35
     assert len(cli.KNOWN_KEYS) == 24
+
+
+@pytest.mark.parametrize("key", sorted(cli.KNOWN_KEYS))
+def test_every_default_passes_its_own_caster(key):
+    cast, default = cli.KNOWN_KEYS[key]
+    if default is not None:
+        value = cast(str(default), key)    # str of a float is its repr
+        assert type(value) is type(default) and value == default
+
+
+@pytest.mark.parametrize("argv, csv_name", [
+    (["moments", "field"], "moments.csv"), (["kernel"], "kernel.csv"),
+    (["simulate"], "simulate.csv"), (["excite"], "excite.csv")],
+    ids=["field", "kernel", "simulate", "excite"])
+def test_a_bare_run_is_the_run_of_every_default_spelled_out(argv, csv_name, tmp_path,
+                                                             monkeypatch, capsys):
+    # no command restates a default: the KNOWN_KEYS table is the run that
+    # takes none from the config
+    spelled = [f"--set={key}={default}"
+               for key, (_, default) in sorted(cli.KNOWN_KEYS.items()) if default is not None]
+    rows = []
+    for name, extra in (("bare", []), ("spelled", spelled)):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        code, _, _ = run_main(argv + extra, capsys)
+        assert code == 0
+        lines = (tmp_path / name / csv_name).read_bytes().split(b"\r\n")
+        rows.append(lines[1:])
+    assert len(rows[0]) > 3 and rows[0] == rows[1]
 
 
 def test_every_config_key_is_read():

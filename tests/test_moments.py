@@ -610,8 +610,7 @@ def test_history_sums_skip_the_trailing_zero_weights(monkeypatch, eigen_cache, b
     # exp(mean_log - frame) of all but the newest pairs underflows to 0.0:
     # of the 13,728 (white) and 10,560 (colored) older pairs of the block
     # starts (nb = 16; nt = 192 is twelve full blocks) 721 and 595 are
-    # nonzero, and those are the pairs passed.  An in-block step's batch
-    # call ends where the lam with the longest live run ends.
+    # nonzero, and those are the pairs passed.
     moments = sys.modules["fracstorm.moments"]
     steps, seen = moments._log_split_steps, []
 
@@ -627,11 +626,9 @@ def test_history_sums_skip_the_trailing_zero_weights(monkeypatch, eigen_cache, b
     solve = second_moment_white if noise.kind == "white" else second_moment_colored
     solve(p, es, bump(es), 1.0, 0.1, 192, lams=lams)
     starts = [w for nb, w in seen if nb == 16]
-    inblock = [w for nb, w in seen if nb == 1]
     assert len(starts) == 12 * len(lams)
     assert all(w.shape[0] == 1 and (w.size == 0 or w[0, -1] != 0.0) for w in starts)
     assert sum(w.size for w in starts) == pairs
-    assert all(w.shape[1] == 0 or w[:, -1].any() for w in inblock)
 
 
 def test_batch_overflow_names_its_lam_at_its_own_step(eigen_cache, bump):

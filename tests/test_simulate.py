@@ -203,16 +203,17 @@ def test_guard_catches_an_infinite_and_a_nan_amplitude(tmp_path, monkeypatch, ei
     es = eigen_cache(2.0, 24)
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=1e300)
-    cfg = SimConfig(nt=37, T=0.05, replicates=8, seed=0,
-                    ensemble_path=str(tmp_path / "ensemble.bin"))
-    if np.isnan(poison):
-        est = simulate_mild(p, es, u0, cfg)
-    else:
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            est = simulate_mild(p, es, u0, cfg)
+    cfg = SimConfig(nt=37, T=0.05, replicates=8, seed=0)
+    path = tmp_path / "ensemble.bin"
+    with open(path, "wb") as stream:
+        if np.isnan(poison):
+            est = simulate_mild(p, es, u0, cfg, ensemble=stream)
+        else:
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                est = simulate_mild(p, es, u0, cfg, ensemble=stream)
     assert blocks == [(8, 16, 24), (8, 16, 24), (8, 5, 24)]
     assert (est.blowups, est.replicates_used) == (1, 7)
-    with open(cfg.ensemble_path, "rb") as fh:
+    with open(path, "rb") as fh:
         fh.readline()
         got = np.fromfile(fh, dtype=[("rep", "<u4"), ("ti", "<u4"), ("xi", "<u4"),
                                      ("value", "<f8")])["value"].reshape(8, 38, 24)
@@ -380,10 +381,11 @@ def test_streamed_ensemble_matches_direct_lag_sum(tmp_path, eigen_cache, bump, l
     u0 = bump(es)
     p = ModelParams(alpha=2.0, beta=0.5, lam=lam)
     nrep = CHUNK + 6
-    cfg = SimConfig(nt=37, T=0.05, replicates=nrep, seed=0, sigma=sigma,
-                    ensemble_path=str(tmp_path / "ensemble.bin"))
-    est = simulate_mild(p, es, u0, cfg)
-    with open(cfg.ensemble_path, "rb") as fh:
+    cfg = SimConfig(nt=37, T=0.05, replicates=nrep, seed=0, sigma=sigma)
+    path = tmp_path / "ensemble.bin"
+    with open(path, "wb") as stream:
+        est = simulate_mild(p, es, u0, cfg, ensemble=stream)
+    with open(path, "rb") as fh:
         fh.readline()
         rec = np.fromfile(fh, dtype=[("rep", "<u4"), ("ti", "<u4"), ("xi", "<u4"),
                                      ("value", "<f8")])
@@ -446,6 +448,17 @@ def test_sigma_specs():
     assert kinked(-10.0) == pytest.approx(-10.0) and kinked(10.0) == pytest.approx(30.0)
     with pytest.raises(DomainError):
         SigmaSpec(kind="table", table_x=(0.0, 1.0), table_y=(1.0, 2.0))  # sigma(0) != 0
+
+
+def test_sigma_zero_check_is_on_the_extended_table():
+    # a table whose nodes miss 0 reaches it by its left end slope: through
+    # (1, 0) and (2, 1) it gives sigma(0) = -1, through (1, 1) and (2, 2) it
+    # is sigma(u) = u
+    with pytest.raises(DomainError, match="table gives -1.000e[+]00"):
+        table_sigma([1.0, 2.0], [0.0, 1.0])
+    identity = table_sigma([1.0, 2.0], [1.0, 2.0])
+    u = np.array([-3.0, 0.0, 0.5, 1.5, 7.0])
+    assert np.array_equal(identity(u), u)
 
 
 _VALUES = st.floats(min_value=-1e3, max_value=1e3)
@@ -565,9 +578,9 @@ def test_ensemble_stream_roundtrip(tmp_path, eigen_cache, bump, white_params):
     u0 = bump(es)
     path = tmp_path / "ensemble.bin"
     nrep = CHUNK + 6
-    cfg = SimConfig(nt=8, T=0.05, replicates=nrep, seed=2,
-                    ensemble_path=str(path))
-    est = simulate_mild(white_params, es, u0, cfg)
+    cfg = SimConfig(nt=8, T=0.05, replicates=nrep, seed=2)
+    with open(path, "wb") as stream:
+        est = simulate_mild(white_params, es, u0, cfg, ensemble=stream)
     record = np.dtype([("rep", "<u4"), ("ti", "<u4"), ("xi", "<u4"),
                        ("value", "<f8")])
     with open(path, "rb") as fh:
